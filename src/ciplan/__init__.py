@@ -25,13 +25,12 @@ from .exact_dp import (
 )
 from .belief import (
     BeliefState,
-    SpiMap,
     bayes_update,
     check_spi,
     compute_bcs,
-    identity_spi,
     solve_bcs_fps,
     solve_bcs_spi,
+    tv_distance,
     verify_propositions,
 )
 from .compression import (
@@ -49,14 +48,8 @@ from .compression import (
     measure_common,
     measure_private,
     serialize_compression,
-    tv_distance,
 )
-from .approx_dp import (
-    ExtensionContext,
-    extend_prescription,
-    solve_ascs_asps,
-    solve_fcs_asps,
-)
+from .approx_dp import solve_ascs_asps, solve_fcs_asps
 from .verify import GapReport, check_lemmas, gap_bound, verify_gaps
 from .generate import random_model
 
@@ -68,7 +61,6 @@ __all__ = [
     "CommonCompression",
     "CoordinatorPolicy",
     "DecPomdpModel",
-    "ExtensionContext",
     "FcsTree",
     "GapReport",
     "MeasuredParams",
@@ -76,7 +68,6 @@ __all__ = [
     "ModelValidationError",
     "Prescription",
     "PrivateCompression",
-    "SpiMap",
     "ValueTable",
     "bayes_update",
     "bcs_common",
@@ -90,11 +81,9 @@ __all__ = [
     "compute_bcs",
     "enumerate_prescriptions",
     "evaluate_coordinator_policy",
-    "extend_prescription",
     "gap_bound",
     "identity_common",
     "identity_private",
-    "identity_spi",
     "load_compression",
     "load_model",
     "measure_common",

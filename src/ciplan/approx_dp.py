@@ -10,8 +10,6 @@ each label's preimage nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .compression import (
     CommonCompression,
     PrivateCompression,
@@ -29,42 +27,8 @@ from .exact_dp import (
     ValueTable,
     generic_solve,
 )
-from .histories import FcsKey, FcsTree, Prescription, enumerate_prescriptions
+from .histories import FcsTree, enumerate_prescriptions
 from .model import DecPomdpModel
-
-
-@dataclass
-class ExtensionContext:
-    """Cached per-node extension data: the compression, the node, and the
-    preimage (label -> histories) structure per agent."""
-
-    pc: PrivateCompression
-    tree: FcsTree
-    seq: FcsKey
-    preimages: tuple[dict, ...] = field(default_factory=tuple)
-
-    @classmethod
-    def at(cls, tree: FcsTree, seq: FcsKey, pc: PrivateCompression) -> "ExtensionContext":
-        node = tree.node(seq)
-        pres: list[dict] = []
-        for n, domain in enumerate(tree.agent_domains(node)):
-            per_label: dict = {}
-            for h in domain:
-                per_label.setdefault(pc.label_of(node.t, seq, n, h), []).append(h)
-            pres.append(per_label)
-        return cls(pc=pc, tree=tree, seq=seq, preimages=tuple(pres))
-
-
-def extend_prescription(ctx: ExtensionContext, lam: Prescription) -> Prescription:
-    """History-domain prescription acting as ``lam`` does on each label class."""
-    entries = []
-    for n, per_label in enumerate(ctx.preimages):
-        table = []
-        for label, hists in per_label.items():
-            a = lam.action_for(n, label)
-            table.extend((h, a) for h in hists)
-        entries.append(tuple(sorted(table)))
-    return Prescription(tuple(entries))
 
 
 def solve_fcs_asps(

@@ -5,13 +5,16 @@ A belief state is the conditional distribution over (system state, joint
 private history) given a coordinator history; re-keying the backward sweep by
 a rounded fingerprint of this distribution merges coordinator histories that
 carry the same decision-relevant information.  The private-side analogue
-relabels each agent's history through a sufficiency map and is accepted only
-when the four sufficiency conditions verify exhaustively.
+relabels each agent's history through a private compression's labels and is
+accepted only when the four sufficiency conditions verify exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .exact_dp import (
     DEFAULT_BUDGET,
@@ -20,17 +23,18 @@ from .exact_dp import (
     generic_solve,
 )
 from .histories import (
-    FcsKey,
     FcsNode,
     FcsTree,
     Hist,
-    JointHist,
     Prescription,
+    _successor_weights,
     enumerate_prescriptions,
-    extend_by_labels,
     level_nodes,
 )
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
+
+if TYPE_CHECKING:
+    from .compression import PrivateCompression
 
 FINGERPRINT_DECIMALS = 9
 CHECK_TOL = 1e-9
@@ -41,7 +45,7 @@ class ZeroProbabilityBranchError(ValueError):
 
 
 class SpiConditionError(ValueError):
-    """A sufficiency map failing its condition check was passed to the DP."""
+    """Private labels failing their condition check were passed to the DP."""
 
 
 @dataclass(frozen=True)
@@ -85,41 +89,6 @@ def compute_bcs(tree: FcsTree, node: FcsNode, label_of=None) -> BeliefState:
     return _belief_from_raw(node.t, raw)
 
 
-def _belief_successors(
-    model: DecPomdpModel, belief: BeliefState, gamma: Prescription
-) -> dict[int, dict]:
-    """Unnormalized successor weights per common observation branch."""
-    per_o0: dict[int, dict] = {}
-    for (s, hjoint), w in belief.atoms:
-        a = gamma.act(hjoint)
-        a_idx = model.joint_action_index(a)
-        for s_next in range(model.num_states):
-            p_trans = float(model.transition[s, a_idx, s_next])
-            if p_trans <= ADMISSIBILITY_THRESHOLD:
-                continue
-            for obs in model.iter_joint_obs():
-                p = w * p_trans * float(
-                    model.observation[s_next, model.joint_obs_index(obs.common, obs.private)]
-                )
-                if p <= ADMISSIBILITY_THRESHOLD:
-                    continue
-                h_next = tuple(
-                    h + (an, on) for h, an, on in zip(hjoint, a, obs.private)
-                )
-                acc = per_o0.setdefault(obs.common, {})
-                acc[(s_next, h_next)] = acc.get((s_next, h_next), 0.0) + p
-    return per_o0
-
-
-def branch_probabilities(
-    model: DecPomdpModel, belief: BeliefState, gamma: Prescription
-) -> dict[int, float]:
-    return {
-        o0: sum(raw.values())
-        for o0, raw in sorted(_belief_successors(model, belief, gamma).items())
-    }
-
-
 def bayes_update(
     model: DecPomdpModel, belief: BeliefState, gamma: Prescription, o0: int
 ) -> BeliefState:
@@ -127,8 +96,7 @@ def bayes_update(
 
     Matches the direct computation on the child coordinator node atom-for-atom.
     """
-    per_o0 = _belief_successors(model, belief, gamma)
-    raw = per_o0.get(o0)
+    raw = _successor_weights(model, belief.atoms, gamma).get(o0)
     if raw is None or sum(raw.values()) <= ADMISSIBILITY_THRESHOLD:
         raise ZeroProbabilityBranchError(
             f"common observation {o0} has zero probability under this belief"
@@ -155,49 +123,6 @@ def solve_bcs_fps(
 
 
 # -- sufficient private information ---------------------------------------
-
-
-@dataclass
-class SpiMap:
-    """Tabular per-agent relabeling of private histories, per coordinator node.
-
-    ``labels[(t, fcs_key, agent, hist)]`` is the compressed private state.
-    """
-
-    labels: dict[tuple[int, FcsKey, int, Hist], object] = field(default_factory=dict)
-
-    def label(self, t: int, fcs_key: FcsKey, agent: int, hist: Hist):
-        return self.labels[(t, fcs_key, agent, hist)]
-
-    def label_domains(self, node: FcsNode, hist_domains) -> tuple[tuple, ...]:
-        out = []
-        for n, domain in enumerate(hist_domains):
-            out.append(tuple(sorted({self.label(node.t, node.seq, n, h) for h in domain})))
-        return tuple(out)
-
-
-def identity_spi(model: DecPomdpModel, tree: FcsTree | None = None) -> SpiMap:
-    """The lossless map: every private history is its own label."""
-    tree = tree or FcsTree(model)
-    spi = SpiMap()
-    for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
-            for n, domain in enumerate(tree.agent_domains(node)):
-                for h in domain:
-                    spi.labels[(t, node.seq, n, h)] = h
-    return spi
-
-
-def constant_spi(model: DecPomdpModel, tree: FcsTree | None = None) -> SpiMap:
-    """Maps every private history of every agent to a single label."""
-    tree = tree or FcsTree(model)
-    spi = SpiMap()
-    for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
-            for n, domain in enumerate(tree.agent_domains(node)):
-                for h in domain:
-                    spi.labels[(t, node.seq, n, h)] = 0
-    return spi
 
 
 @dataclass
@@ -239,9 +164,20 @@ class ConditionReport:
         }
 
 
-def _tv(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+def tv_distance(p, q) -> float:
+    """Total variation distance, ½ Σ|p − q|.
+
+    Accepts two mappings over a shared key universe or two equal-length
+    sequences; mismatched sequence lengths are an error.
+    """
+    if isinstance(p, dict) or isinstance(q, dict):
+        keys = set(p) | set(q)
+        return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"mismatched universes: {p.shape} vs {q.shape}")
+    return 0.5 * float(np.abs(p - q).sum())
 
 
 def _state_conditional(node: FcsNode, predicate) -> dict[int, float]:
@@ -260,25 +196,18 @@ def _next_obs_distribution(
     """P(o0', o1..N' | state mixture, joint action)."""
     out: dict = {}
     for s, w in sorted(sdist.items()):
-        for s_next in range(model.num_states):
-            p_trans = float(model.transition[s, a_idx, s_next])
-            if p_trans <= ADMISSIBILITY_THRESHOLD:
-                continue
-            for obs in model.iter_joint_obs():
-                p = w * p_trans * float(
-                    model.observation[s_next, model.joint_obs_index(obs.common, obs.private)]
-                )
-                if p <= ADMISSIBILITY_THRESHOLD:
-                    continue
-                key = (obs.common, obs.private)
-                out[key] = out.get(key, 0.0) + p
+        for _s_next, obs, p in model.step(s, a_idx, w):
+            key = (obs.common, obs.private)
+            out[key] = out.get(key, 0.0) + p
     return out
 
 
 def check_spi(
-    model: DecPomdpModel, spi: SpiMap, tree: FcsTree | None = None
+    model: DecPomdpModel, pc: PrivateCompression, tree: FcsTree | None = None
 ) -> ConditionReport:
     """Exhaustively evaluate the four sufficiency conditions at desk scale.
+
+    Only the compression's labels are read; its recursive update may be empty.
 
     The third condition conditions jointly on a prescription and an action;
     only consistent pairs (the action the prescription actually chooses for
@@ -302,11 +231,11 @@ def check_spi(
                             for on in range(model.private_obs_sizes[n]):
                                 h_next = h + (an, on)
                                 key_next = (t + 1, child.seq, n, h_next)
-                                if key_next not in spi.labels:
+                                if key_next not in pc.theta:
                                     continue
-                                z = spi.label(t, node.seq, n, h)
+                                z = pc.label_of(t, node.seq, n, h)
                                 upd_key = (node.seq, n, z, gamma.key, child.last_common_obs, an, on)
-                                z_next = spi.labels[key_next]
+                                z_next = pc.theta[key_next]
                                 prev = seen_updates.setdefault(upd_key, z_next)
                                 if prev != z_next and viol1 == 0.0:
                                     viol1 = 1.0
@@ -330,10 +259,10 @@ def check_spi(
                 for (s, hjoint), w in node.weights:
                     hist_prob[hjoint[n]] = hist_prob.get(hjoint[n], 0.0) + w
                 for h in domain:
-                    groups.setdefault(spi.label(t, node.seq, n, h), []).append(h)
+                    groups.setdefault(pc.label_of(t, node.seq, n, h), []).append(h)
 
                 for h in domain:
-                    z = spi.label(t, node.seq, n, h)
+                    z = pc.label_of(t, node.seq, n, h)
                     pre = groups[z]
                     sdist_h = _state_conditional(node, lambda hj: hj[n] == h)
                     sdist_z = _state_conditional(node, lambda hj: hj[n] in pre)
@@ -348,7 +277,7 @@ def check_spi(
                     # Condition 4: predicting the other agents' labels.
                     def other_labels(hj):
                         return tuple(
-                            spi.label(t, node.seq, m, hj[m])
+                            pc.label_of(t, node.seq, m, hj[m])
                             for m in range(model.num_agents)
                             if m != n
                         )
@@ -366,7 +295,7 @@ def check_spi(
                             )
                     mass_h = sum(dist_h.values())
                     mass_z = sum(dist_z.values())
-                    d = _tv(
+                    d = tv_distance(
                         {k: v / mass_h for k, v in dist_h.items()},
                         {k: v / mass_z for k, v in dist_z.items()},
                     )
@@ -379,7 +308,7 @@ def check_spi(
                 fps = tree.reachable_fps(node)
                 joint_label = {
                     f.histories: tuple(
-                        spi.label(t, node.seq, m, f.histories[m])
+                        pc.label_of(t, node.seq, m, f.histories[m])
                         for m in range(model.num_agents)
                     )
                     for f in fps
@@ -402,7 +331,7 @@ def check_spi(
                                 key = (("unreachable", o0), o0)
                             else:
                                 z_next = tuple(
-                                    spi.labels.get(
+                                    pc.theta.get(
                                         (t + 1, child.seq, m, hjoint[m] + (a[m], opriv[m]))
                                     )
                                     for m in range(model.num_agents)
@@ -430,7 +359,7 @@ def check_spi(
                             dg = future_dist(g, a)
                             for k, p in dg.items():
                                 dist_z[k] = dist_z.get(k, 0.0) + fps_prob[g] / mass * p
-                        d = _tv(dist_h, dist_z)
+                        d = tv_distance(dist_h, dist_z)
                         if d > viol3:
                             viol3, wit3 = d, (node.seq, h, gamma.key, a)
 
@@ -451,41 +380,34 @@ def check_spi(
 
 def solve_bcs_spi(
     model: DecPomdpModel,
-    spi: SpiMap,
+    pc: PrivateCompression,
     tree: FcsTree | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Belief-keyed sweep with prescriptions over compressed private labels.
 
-    Rejects maps that fail :func:`check_spi`; with a passing map the overall
-    value matches the uncompressed sweep exactly.
+    Rejects compressions whose labels fail :func:`check_spi`; with passing
+    labels the overall value matches the uncompressed sweep exactly.
     """
+    from .compression import compressed_prescriptions
+
     tree = tree or FcsTree(model)
-    report = check_spi(model, spi, tree)
+    report = check_spi(model, pc, tree)
     if not report.passed:
         failed = [r.condition for r in report.results if not r.passed]
         raise SpiConditionError(f"sufficiency conditions failed: {', '.join(failed)}")
 
-    def pairs(node: FcsNode):
-        hist_domains = tree.agent_domains(node)
-        label_domains = spi.label_domains(node, hist_domains)
-        out = []
-        for lam in enumerate_prescriptions(model, label_domains):
-            gamma = extend_by_labels(
-                hist_domains,
-                lambda n, h: spi.label(node.t, node.seq, n, h),
-                lam,
-            )
-            out.append((lam, gamma))
-        return out
-
     def key_fn(node: FcsNode):
         return compute_bcs(
-            tree, node, label_of=lambda n, h: spi.label(node.t, node.seq, n, h)
+            tree, node, label_of=lambda n, h: pc.label_of(node.t, node.seq, n, h)
         ).fingerprint
 
     return generic_solve(
-        model, tree, prescription_pairs=pairs, key_fn=key_fn, budget=budget
+        model,
+        tree,
+        prescription_pairs=lambda node: compressed_prescriptions(model, tree, node, pc),
+        key_fn=key_fn,
+        budget=budget,
     )
 
 
@@ -521,8 +443,7 @@ def verify_propositions(model: DecPomdpModel, compressions) -> ConditionReport:
     for i, pc in enumerate(compressions):
         rec = comp.check_recursive(model, pc, tree=tree)
         mp = comp.measure_private(model, pc, tree=tree, check=False)
-        spi = spi_from_private(pc)
-        spi_report = check_spi(model, spi, tree)
+        spi_report = check_spi(model, pc, tree)
 
         sps1 = rec.passed
         sps2 = mp.eps_p <= 4 * CHECK_TOL
@@ -550,10 +471,3 @@ def verify_propositions(model: DecPomdpModel, compressions) -> ConditionReport:
                 )
             )
     return report
-
-
-def spi_from_private(pc) -> SpiMap:
-    """View a tabular private compression as a sufficiency map (labels only)."""
-    spi = SpiMap()
-    spi.labels = dict(pc.theta)
-    return spi

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,19 +34,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-
-def _read_threads() -> int:
-    """Honor the thread-cap variable; execution is sequential either way, so
-    the setting never influences report bytes."""
-    raw = os.environ.get("CIPLAN_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CIPLAN_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError("CIPLAN_THREADS must be >= 0")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +97,6 @@ def _require(obj, what: str):
 
 def run_command(args) -> tuple[int, dict]:
     """Execute one parsed invocation; returns (exit status, report)."""
-    _read_threads()
     model = load_model(Path(args.model).read_text())
     budget = getattr(args, "budget", DEFAULT_BUDGET)
 
@@ -176,12 +161,9 @@ def run_command(args) -> tuple[int, dict]:
         elif args.alg == "4":
             table, _ = belief.solve_bcs_fps(model, budget=budget)
         else:
-            spi = (
-                belief.spi_from_private(pc)
-                if pc is not None
-                else belief.identity_spi(model)
-            )
-            table, _ = belief.solve_bcs_spi(model, spi, budget=budget)
+            if pc is None:
+                pc = compression.identity_private(model)
+            table, _ = belief.solve_bcs_spi(model, pc, budget=budget)
         report = solve_report(table, algorithm=f"alg{args.alg}")
         report["command"] = "solve"
         return EXIT_OK, report
@@ -196,9 +178,10 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "check-conditions":
         pc, _cc = _load_compressions(args)
+        identity = compression.identity_private(model)
         if pc is None:
-            pc = compression.identity_private(model)
-        spi_report = belief.check_spi(model, belief.identity_spi(model))
+            pc = identity
+        spi_report = belief.check_spi(model, identity)
         rec_report = compression.check_recursive(model, pc)
         report = {
             "command": "check-conditions",
@@ -264,7 +247,7 @@ def main(argv=None) -> int:
         ModelFormatError,
         ModelValidationError,
         CompressionFormatError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,14 +16,12 @@ import ast
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .belief import (
     ConditionReport,
     ConditionResult,
     _next_obs_distribution,
-    _tv,
     compute_bcs,
+    tv_distance,
 )
 from .histories import (
     FcsKey,
@@ -32,7 +30,6 @@ from .histories import (
     Hist,
     Prescription,
     enumerate_prescriptions,
-    extend_by_labels,
     level_nodes,
 )
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
@@ -46,22 +43,6 @@ class RecursiveCheckError(ValueError):
 
 class CompressionFormatError(ValueError):
     """Malformed serialized compression."""
-
-
-def tv_distance(p, q) -> float:
-    """Total variation distance, ½ Σ|p − q|.
-
-    Accepts two mappings over a shared key universe or two equal-length
-    sequences; mismatched sequence lengths are an error.
-    """
-    if isinstance(p, dict) or isinstance(q, dict):
-        keys = set(p) | set(q)
-        return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"mismatched universes: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
 
 
 @dataclass
@@ -152,11 +133,16 @@ def full_levels(model: DecPomdpModel, tree: FcsTree) -> list[list[FcsNode]]:
 def extension(
     tree: FcsTree, node: FcsNode, pc: PrivateCompression, lam: Prescription
 ) -> Prescription:
-    """Lift a label-domain prescription to this node's history domains."""
-    return extend_by_labels(
-        tree.agent_domains(node),
-        lambda n, h: pc.label_of(node.t, node.seq, n, h),
-        lam,
+    """Lift a label-domain prescription to this node's history domains; the
+    extension acts identically on every history within a label class."""
+    return Prescription(
+        tuple(
+            tuple(
+                (h, lam.action_for(n, pc.label_of(node.t, node.seq, n, h)))
+                for h in domain
+            )
+            for n, domain in enumerate(tree.agent_domains(node))
+        )
     )
 
 
@@ -212,7 +198,59 @@ def mu_levels(
     return masses
 
 
-# -- recursive-update checking --------------------------------------------
+# -- recursive-update edges -----------------------------------------------
+
+
+def _private_edges(model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression):
+    """Every labelled reachable edge of a private compression, as ``(phi key,
+    source item, successor label)``, under every compressed prescription."""
+    for t in range(1, model.horizon):
+        for node in level_nodes(tree, t):
+            hist_domains = tree.agent_domains(node)
+            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
+                for o0, child, _p in tree.expand(node, gamma):
+                    for n, domain in enumerate(hist_domains):
+                        for h in domain:
+                            z = pc.label_of(t, node.seq, n, h)
+                            a = lam.action_for(n, z)
+                            for on in range(model.private_obs_sizes[n]):
+                                tk = (t + 1, child.seq, n, h + (a, on))
+                                if tk in pc.theta:
+                                    yield (
+                                        (n, t, z, lam.key, o0, on),
+                                        (t, node.seq, n, h),
+                                        pc.theta[tk],
+                                    )
+
+
+def _common_edges(
+    model: DecPomdpModel,
+    tree: FcsTree,
+    pc: PrivateCompression,
+    cc: CommonCompression,
+    levels: list[list[FcsNode]],
+):
+    """Every edge of the compressed-prescription subtree ``levels``, as
+    ``(phi0 key, source item, successor label)``; unlabelled nodes read as
+    ``None``."""
+    for t in range(1, model.horizon):
+        for node in levels[t - 1]:
+            z0 = cc.theta0.get((t, node.seq))
+            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
+                for o0, child, _p in tree.expand(node, gamma):
+                    z_next = cc.theta0.get((t + 1, child.seq))
+                    yield (t, z0, lam.key, o0), (t, node.seq), z_next
+
+
+def _update_table(edges) -> tuple[dict | None, tuple | None]:
+    """The update table read off ``edges`` and ``None``, or ``None`` and the
+    first conflict ``(key, first source item, conflicting source item)``."""
+    first: dict = {}
+    for key, item, succ in edges:
+        prev = first.setdefault(key, (succ, item))
+        if prev[0] != succ:
+            return None, (key, prev[1], item)
+    return {key: succ for key, (succ, _item) in first.items()}, None
 
 
 def check_recursive(
@@ -225,64 +263,38 @@ def check_recursive(
     every reachable edge.  Violating edges become report content, not errors.
     """
     tree = tree or FcsTree(model)
-    report = ConditionReport()
     if isinstance(compression, PrivateCompression):
-        violations = []
-        for t in range(1, model.horizon):
-            for node in level_nodes(tree, t):
-                hist_domains = tree.agent_domains(node)
-                for lam, gamma in compressed_prescriptions(model, tree, node, compression):
-                    for o0, child, _p in tree.expand(node, gamma):
-                        for n, domain in enumerate(hist_domains):
-                            for h in domain:
-                                z = compression.label_of(t, node.seq, n, h)
-                                a = lam.action_for(n, z)
-                                for on in range(model.private_obs_sizes[n]):
-                                    h_next = h + (a, on)
-                                    tk = (t + 1, child.seq, n, h_next)
-                                    if tk not in compression.theta:
-                                        continue
-                                    expected = compression.theta[tk]
-                                    got = compression.phi.get((n, t, z, lam.key, o0, on))
-                                    if got != expected:
-                                        violations.append(
-                                            (node.seq, n, h, o0, on, got, expected)
-                                        )
-        report.results.append(
-            ConditionResult(
-                "ASPS1",
-                not violations,
-                float(len(violations)),
-                violations[0] if violations else None,
-                note=f"{len(violations)} violating edges",
-            )
-        )
-        return report
-    if isinstance(compression, CommonCompression):
+        name = "ASPS1"
+        violations = [
+            (seq, n, h, key[4], key[5], got, expected)
+            for key, (_t, seq, n, h), expected in _private_edges(model, tree, compression)
+            if (got := compression.phi.get(key)) != expected
+        ]
+    elif isinstance(compression, CommonCompression):
         if pc is None:
             raise ValueError("checking a common compression requires the private one")
-        violations = []
-        levels = subtree_levels(model, tree, pc)
-        for t in range(1, model.horizon):
-            for node in levels[t - 1]:
-                z0 = compression.theta0.get((t, node.seq))
-                for lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                    for o0, child, _p in tree.expand(node, gamma):
-                        expected = compression.theta0.get((t + 1, child.seq))
-                        got = compression.phi0.get((t, z0, lam.key, o0))
-                        if got != expected:
-                            violations.append((node.seq, o0, got, expected))
-        report.results.append(
-            ConditionResult(
-                "ASCS1",
-                not violations,
-                float(len(violations)),
-                violations[0] if violations else None,
-                note=f"{len(violations)} violating edges",
-            )
+        name = "ASCS1"
+        edges = _common_edges(
+            model, tree, pc, compression, subtree_levels(model, tree, pc)
         )
-        return report
-    raise TypeError(f"not a compression: {type(compression).__name__}")
+        violations = [
+            (seq, key[3], got, expected)
+            for key, (_t, seq), expected in edges
+            if (got := compression.phi0.get(key)) != expected
+        ]
+    else:
+        raise TypeError(f"not a compression: {type(compression).__name__}")
+    report = ConditionReport()
+    report.results.append(
+        ConditionResult(
+            name,
+            not violations,
+            float(len(violations)),
+            violations[0] if violations else None,
+            note=f"{len(violations)} violating edges",
+        )
+    )
+    return report
 
 
 # -- measurement -----------------------------------------------------------
@@ -349,7 +361,7 @@ def measure_private(
                         sup_r = d
                         wit["eps_p"] = ("eps_p", t, node.seq, f.histories, a)
                     if t < model.horizon:
-                        d = _tv(
+                        d = tv_distance(
                             _next_obs_distribution(model, sdist_h, a_idx),
                             _next_obs_distribution(model, sdist_z, a_idx),
                         )
@@ -394,7 +406,7 @@ def reevaluate_private_witness(
             _joint_reward(model, sdist_h, a_idx) - _joint_reward(model, sdist_z, a_idx)
         )
     if kind == "delta_p":
-        return 8.0 * _tv(
+        return 8.0 * tv_distance(
             _next_obs_distribution(model, sdist_h, a_idx),
             _next_obs_distribution(model, sdist_z, a_idx),
         )
@@ -472,7 +484,7 @@ def measure_common(
                         sup_r = d
                         wit["eps_c"] = ("eps_c", t, node.seq, lam.key)
                     if t < model.horizon:
-                        d = _tv(branches, mix_obs)
+                        d = tv_distance(branches, mix_obs)
                         if d > sup_o:
                             sup_o = d
                             wit["delta_c"] = ("delta_c", t, node.seq, lam.key)
@@ -509,7 +521,7 @@ def reevaluate_common_witness(
     if kind == "eps_c":
         return abs(r - mix_r)
     if kind == "delta_c":
-        return 2.0 * _tv(branches, mix_obs)
+        return 2.0 * tv_distance(branches, mix_obs)
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
@@ -525,26 +537,9 @@ def identity_private(model: DecPomdpModel, tree: FcsTree | None = None) -> Priva
             for n, domain in enumerate(tree.agent_domains(node)):
                 for h in domain:
                     pc.theta[(t, node.seq, n, h)] = h
-    _emit_phi(model, tree, pc)
+    # A label that is its history fixes its successor: no edge can conflict.
+    pc.phi, _conflict = _update_table(_private_edges(model, tree, pc))
     return pc
-
-
-def _emit_phi(model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression) -> None:
-    """Fill the recursive update table from the labeled reachable edges."""
-    pc.phi.clear()
-    for t in range(1, model.horizon):
-        for node in level_nodes(tree, t):
-            hist_domains = tree.agent_domains(node)
-            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                for o0, child, _p in tree.expand(node, gamma):
-                    for n, domain in enumerate(hist_domains):
-                        for h in domain:
-                            z = pc.label_of(t, node.seq, n, h)
-                            a = lam.action_for(n, z)
-                            for on in range(model.private_obs_sizes[n]):
-                                tk = (t + 1, child.seq, n, h + (a, on))
-                                if tk in pc.theta:
-                                    pc.phi[(n, t, z, lam.key, o0, on)] = pc.theta[tk]
 
 
 def _greedy_partition(items, compatible, separated):
@@ -612,7 +607,7 @@ def build_greedy(
         for a in rew1:
             if abs(rew1[a] - rew2[a]) > tol_r:
                 return False
-            if a in obs1 and _tv(obs1[a], obs2[a]) > tol_o:
+            if a in obs1 and tv_distance(obs1[a], obs2[a]) > tol_o:
                 return False
         return True
 
@@ -631,42 +626,18 @@ def build_greedy(
                     for item in cls:
                         pc.theta[item] = idx
 
-        conflict = _closure_conflict(model, tree, pc)
+        phi, conflict = _update_table(_private_edges(model, tree, pc))
         if conflict is not None:
-            separated.add(conflict)
+            separated.add(frozenset(conflict[1:]))
             continue
         if exact:
             split = _exactness_split(model, tree, pc)
             if split:
                 separated.update(split)
                 continue
-        _emit_phi(model, tree, pc)
+        pc.phi = phi
         return pc
     raise RuntimeError("partition refinement did not reach a fixed point")
-
-
-def _closure_conflict(model, tree, pc):
-    """First pair of items forcing a multivalued recursive update, if any."""
-    phi_src: dict = {}
-    for t in range(1, model.horizon):
-        for node in level_nodes(tree, t):
-            hist_domains = tree.agent_domains(node)
-            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                for o0, child, _p in tree.expand(node, gamma):
-                    for n, domain in enumerate(hist_domains):
-                        for h in domain:
-                            z = pc.label_of(t, node.seq, n, h)
-                            a = lam.action_for(n, z)
-                            for on in range(model.private_obs_sizes[n]):
-                                tk = (t + 1, child.seq, n, h + (a, on))
-                                if tk not in pc.theta:
-                                    continue
-                                key = (n, t, z, lam.key, o0, on)
-                                entry = (pc.theta[tk], (t, node.seq, n, h))
-                                prev = phi_src.setdefault(key, entry)
-                                if prev[0] != entry[0]:
-                                    return frozenset((prev[1], entry[1]))
-    return None
 
 
 def _exactness_split(model, tree, pc):
@@ -707,18 +678,9 @@ def identity_common(
     for t in range(1, model.horizon + 1):
         for node in levels[t - 1]:
             cc.theta0[(t, node.seq)] = node.seq
-    _emit_phi0(model, tree, pc, cc, levels)
+    # Node labels fix their successors: no edge can conflict.
+    cc.phi0, _conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
     return cc
-
-
-def _emit_phi0(model, tree, pc, cc, levels) -> None:
-    cc.phi0.clear()
-    for t in range(1, model.horizon):
-        for node in levels[t - 1]:
-            z0 = cc.theta0[(t, node.seq)]
-            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                for o0, child, _p in tree.expand(node, gamma):
-                    cc.phi0[(t, z0, lam.key, o0)] = cc.theta0[(t + 1, child.seq)]
 
 
 def bcs_common(
@@ -739,19 +701,13 @@ def bcs_common(
                 tree, node, label_of=lambda n, h: pc.label_of(t, node.seq, n, h)
             ).fingerprint
             cc.theta0[(t, node.seq)] = fp
-    for t in range(1, model.horizon):
-        for node in levels[t - 1]:
-            z0 = cc.theta0[(t, node.seq)]
-            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                for o0, child, _p in tree.expand(node, gamma):
-                    key = (t, z0, lam.key, o0)
-                    z_next = cc.theta0[(t + 1, child.seq)]
-                    prev = cc.phi0.setdefault(key, z_next)
-                    if prev != z_next:
-                        raise ValueError(
-                            "belief fingerprints do not evolve recursively; "
-                            f"conflict at {key!r}"
-                        )
+    phi0, conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
+    if conflict is not None:
+        raise ValueError(
+            "belief fingerprints do not evolve recursively; "
+            f"conflict at {conflict[0]!r}"
+        )
+    cc.phi0 = phi0
     return cc
 
 
@@ -793,7 +749,7 @@ def build_common_greedy(
             r2, obs2 = p2[lam_key]
             if abs(r1 - r2) > tol_r:
                 return False
-            if i1[0] < model.horizon and _tv(obs1, obs2) > tol_o:
+            if i1[0] < model.horizon and tv_distance(obs1, obs2) > tol_o:
                 return False
         return True
 
@@ -805,27 +761,12 @@ def build_common_greedy(
             for idx, cls in enumerate(_greedy_partition(items, compatible, separated)):
                 for item in cls:
                     cc.theta0[item] = idx
-        conflict = _common_closure_conflict(model, tree, pc, cc, levels)
+        phi0, conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
         if conflict is None:
-            _emit_phi0(model, tree, pc, cc, levels)
+            cc.phi0 = phi0
             return cc
-        separated.add(conflict)
+        separated.add(frozenset(conflict[1:]))
     raise RuntimeError("common refinement did not reach a fixed point")
-
-
-def _common_closure_conflict(model, tree, pc, cc, levels):
-    phi_src: dict = {}
-    for t in range(1, model.horizon):
-        for node in levels[t - 1]:
-            z0 = cc.theta0[(t, node.seq)]
-            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                for o0, child, _p in tree.expand(node, gamma):
-                    key = (t, z0, lam.key, o0)
-                    entry = (cc.theta0[(t + 1, child.seq)], (t, node.seq))
-                    prev = phi_src.setdefault(key, entry)
-                    if prev[0] != entry[0]:
-                        return frozenset((prev[1], entry[1]))
-    return None
 
 
 # -- serialization ---------------------------------------------------------
@@ -879,17 +820,24 @@ def load_compression(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CompressionFormatError(str(exc)) from exc
+    if not isinstance(doc, dict):
+        raise CompressionFormatError("compression document must be a JSON object")
     kind = doc.get("kind")
-    if kind == "private":
-        pc = PrivateCompression(
-            num_agents=int(doc["num_agents"]), horizon=int(doc["horizon"])
-        )
-        pc.theta = {_dec(k): _dec(v) for k, v in doc["theta"]}
-        pc.phi = {_dec(k): _dec(v) for k, v in doc["phi"]}
-        return pc
-    if kind == "common":
-        cc = CommonCompression(horizon=int(doc["horizon"]), mu_id=doc.get("mu", "uniform"))
-        cc.theta0 = {_dec(k): _dec(v) for k, v in doc["theta0"]}
-        cc.phi0 = {_dec(k): _dec(v) for k, v in doc["phi0"]}
-        return cc
+    try:
+        if kind == "private":
+            pc = PrivateCompression(
+                num_agents=int(doc["num_agents"]), horizon=int(doc["horizon"])
+            )
+            pc.theta = {_dec(k): _dec(v) for k, v in doc["theta"]}
+            pc.phi = {_dec(k): _dec(v) for k, v in doc["phi"]}
+            return pc
+        if kind == "common":
+            cc = CommonCompression(horizon=int(doc["horizon"]), mu_id=doc.get("mu", "uniform"))
+            cc.theta0 = {_dec(k): _dec(v) for k, v in doc["theta0"]}
+            cc.phi0 = {_dec(k): _dec(v) for k, v in doc["phi0"]}
+            return cc
+    except KeyError as exc:
+        raise CompressionFormatError(f"missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise CompressionFormatError(f"malformed field: {exc}") from exc
     raise CompressionFormatError(f"unknown compression kind {kind!r}")

@@ -202,18 +202,9 @@ def _supervisor_recurse(model, tree, node, hjoint, sdist, gamma, policy) -> floa
         return total
     branches: dict[tuple[int, tuple[int, ...]], dict[int, float]] = {}
     for s, w in sorted(sdist.items()):
-        for s_next in range(model.num_states):
-            p_trans = float(model.transition[s, a_idx, s_next])
-            if p_trans <= ADMISSIBILITY_THRESHOLD:
-                continue
-            for obs in model.iter_joint_obs():
-                p = w * p_trans * float(
-                    model.observation[s_next, model.joint_obs_index(obs.common, obs.private)]
-                )
-                if p <= ADMISSIBILITY_THRESHOLD:
-                    continue
-                acc = branches.setdefault((obs.common, obs.private), {})
-                acc[s_next] = acc.get(s_next, 0.0) + p
+        for s_next, obs, p in model.step(s, a_idx, w):
+            acc = branches.setdefault((obs.common, obs.private), {})
+            acc[s_next] = acc.get(s_next, 0.0) + p
     for (o0, opriv), srow in sorted(branches.items()):
         p_branch = sum(srow.values())
         child = tree.node(node.seq + (gamma.key, o0))

@@ -99,6 +99,24 @@ def _sorted_weights(raw: dict) -> tuple:
     return tuple(sorted(raw.items()))
 
 
+def _successor_weights(
+    model: DecPomdpModel, weights, gamma: Prescription
+) -> dict[int, dict]:
+    """Unnormalized ``(s', joint history)`` weights per next common observation.
+
+    ``weights`` holds ``((s, joint key), w)`` atoms; each agent's key grows by
+    its prescribed action and its new private observation.
+    """
+    per_o0: dict[int, dict] = {}
+    for (s, hjoint), w in weights:
+        a = gamma.act(hjoint)
+        for s_next, obs, p in model.step(s, model.joint_action_index(a), w):
+            h_next = tuple(h + (an, on) for h, an, on in zip(hjoint, a, obs.private))
+            acc = per_o0.setdefault(obs.common, {})
+            acc[(s_next, h_next)] = acc.get((s_next, h_next), 0.0) + p
+    return per_o0
+
+
 class FcsTree:
     """Lazily expanded, memoized coordinator history tree for one model."""
 
@@ -120,12 +138,7 @@ class FcsTree:
             p_init = float(m.initial[s])
             if p_init <= ADMISSIBILITY_THRESHOLD:
                 continue
-            for obs in m.iter_joint_obs():
-                p = p_init * float(
-                    m.observation[s, m.joint_obs_index(obs.common, obs.private)]
-                )
-                if p <= ADMISSIBILITY_THRESHOLD:
-                    continue
+            for obs, p in m.emissions(s, p_init):
                 hjoint = tuple((o,) for o in obs.private)
                 acc = per_o0[obs.common]
                 acc[(s, hjoint)] = acc.get((s, hjoint), 0.0) + p
@@ -174,28 +187,7 @@ class FcsTree:
             ]
         if node.seq not in self._nodes:
             raise UnreachableNodeError(f"node {node.seq!r} was not produced by this tree")
-        m = self.model
-        per_o0: dict[int, dict] = {}
-        for (s, hjoint), w in node.weights:
-            a = gamma.act(hjoint)
-            a_idx = m.joint_action_index(a)
-            for s_next in range(m.num_states):
-                p_trans = float(m.transition[s, a_idx, s_next])
-                if p_trans <= ADMISSIBILITY_THRESHOLD:
-                    continue
-                base = w * p_trans
-                for obs in m.iter_joint_obs():
-                    p = base * float(
-                        m.observation[s_next, m.joint_obs_index(obs.common, obs.private)]
-                    )
-                    if p <= ADMISSIBILITY_THRESHOLD:
-                        continue
-                    h_next = tuple(
-                        h + (an, on)
-                        for h, an, on in zip(hjoint, a, obs.private)
-                    )
-                    acc = per_o0.setdefault(obs.common, {})
-                    acc[(s_next, h_next)] = acc.get((s_next, h_next), 0.0) + p
+        per_o0 = _successor_weights(self.model, node.weights, gamma)
         result: dict[int, tuple[FcsNode, float]] = {}
         for o0 in sorted(per_o0):
             raw = per_o0[o0]
@@ -263,23 +255,6 @@ def enumerate_prescriptions(
             tables[n].append((key, action))
         out.append(Prescription(tuple(tuple(tbl) for tbl in tables)))
     return out
-
-
-def extend_by_labels(
-    hist_domains: tuple[tuple, ...], label_of, compressed: Prescription
-) -> Prescription:
-    """Lift a prescription over compressed labels back to history domains.
-
-    ``label_of(agent, hist)`` maps each reachable private history to the
-    label the compressed prescription is defined on; the extended table acts
-    identically on every history within a label class.
-    """
-    entries = []
-    for n, domain in enumerate(hist_domains):
-        entries.append(
-            tuple((h, compressed.action_for(n, label_of(n, h))) for h in domain)
-        )
-    return Prescription(tuple(entries))
 
 
 def prescription_count(model: DecPomdpModel, domains: tuple[tuple, ...]) -> int:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -128,6 +129,54 @@ class DecPomdpModel:
             for opriv in itertools.product(*(range(k) for k in self.private_obs_sizes)):
                 yield JointObservation(o0, opriv)
 
+    # -- forward-step kernel ----------------------------------------------
+
+    @cached_property
+    def _kernel(self) -> tuple[list, list]:
+        """Tables read once from the read-only tensors: per ``(s, a)`` the
+        admissible ``(s', P(s'|s,a))`` and per state the nonzero
+        ``(o, P(o|s))``, both in index order.  Zero observation atoms are
+        dropped here because every product with them fails the admissibility
+        test anyway."""
+        joint_obs = list(self.iter_joint_obs())
+        moves = [
+            [
+                [(s_next, p) for s_next, p in enumerate(row) if p > ADMISSIBILITY_THRESHOLD]
+                for row in per_action
+            ]
+            for per_action in self.transition.tolist()
+        ]
+        emits = [
+            [(obs, p) for obs, p in zip(joint_obs, row) if p != 0.0]
+            for row in self.observation.tolist()
+        ]
+        return moves, emits
+
+    def emissions(self, s: int, w: float) -> Iterator[tuple[JointObservation, float]]:
+        """Admissible ``(o, w * P(o|s))`` in joint-observation index order."""
+        for obs, p_obs in self._kernel[1][s]:
+            p = w * p_obs
+            if p > ADMISSIBILITY_THRESHOLD:
+                yield obs, p
+
+    def step(
+        self, s: int, a_idx: int, w: float
+    ) -> Iterator[tuple[int, JointObservation, float]]:
+        """One step of the dynamics from weight ``w`` on state ``s`` under the
+        flat joint action ``a_idx``: the admissible atoms ``(s', o, p)`` with
+        ``p = (w * P(s'|s,a)) * P(o|s')``, in ``(s', o)`` index order.
+
+        A successor state is admissible when ``P(s'|s,a)`` exceeds
+        :data:`ADMISSIBILITY_THRESHOLD`, an atom when ``p`` does.
+        """
+        moves, emits = self._kernel
+        for s_next, p_trans in moves[s][a_idx]:
+            base = w * p_trans
+            for obs, p_obs in emits[s_next]:
+                p = base * p_obs
+                if p > ADMISSIBILITY_THRESHOLD:
+                    yield s_next, obs, p
+
 
 def validate(model: DecPomdpModel) -> None:
     """Check every model invariant, raising with the full violation list."""
@@ -179,10 +228,15 @@ def validate(model: DecPomdpModel) -> None:
             if abs(total - 1.0) > SUM_TOL:
                 violations.append(f"{locus} sums to {total:.12g}, expected 1")
 
+    for name in ("transition", "observation", "reward", "initial"):
+        if not np.isfinite(getattr(model, name)).all():
+            violations.append(f"{name} has a non-finite entry")
     check_rows(model.transition, "transition")
     check_rows(model.observation, "observation")
     check_rows(model.initial[None, :], "initial")
-    if model.reward_bound < 0:
+    if not np.isfinite(model.reward_bound):
+        violations.append("reward_bound must be finite")
+    elif model.reward_bound < 0:
         violations.append("reward_bound must be nonnegative")
     else:
         worst = float(np.abs(model.reward).max()) if model.reward.size else 0.0
@@ -311,18 +365,7 @@ def next_joint_distribution(
     a_idx = _action_index(model, a)
     if not (0 <= s < model.num_states):
         raise IndexError(f"state index {s} out of range")
-    out: dict[tuple[int, JointObservation], float] = {}
-    for s_next in range(model.num_states):
-        p_trans = float(model.transition[s, a_idx, s_next])
-        if p_trans <= ADMISSIBILITY_THRESHOLD:
-            continue
-        for obs in model.iter_joint_obs():
-            p = p_trans * float(
-                model.observation[s_next, model.joint_obs_index(obs.common, obs.private)]
-            )
-            if p > ADMISSIBILITY_THRESHOLD:
-                out[(s_next, obs)] = out.get((s_next, obs), 0.0) + p
-    return out
+    return {(s_next, obs): p for s_next, obs, p in model.step(s, a_idx, 1.0)}
 
 
 def expected_reward(model: DecPomdpModel, s: int, a: JointAction | tuple[int, ...]) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .approx_dp import solve_ascs_asps, solve_fcs_asps
-from .belief import ConditionReport, ConditionResult, _tv
+from .belief import ConditionReport, ConditionResult, tv_distance
 from .compression import (
     CommonCompression,
     MeasuredParams,
@@ -192,10 +192,6 @@ def verify_gaps(
     return report
 
 
-def _q_of_history(model, tree, node, hjoint, gamma, policy) -> float:
-    return supervisor_q(model, tree, node, hjoint, gamma, policy)
-
-
 def check_lemmas(
     model: DecPomdpModel,
     pc: PrivateCompression,
@@ -229,7 +225,7 @@ def check_lemmas(
             for idx, gamma in enumerate(prescs):
                 mixture = sum(
                     f.probability
-                    * _q_of_history(model, tree, node, f.histories, gamma, exact_policy)
+                    * supervisor_q(model, tree, node, f.histories, gamma, exact_policy)
                     for f in fps
                 )
                 d = abs(entry.q_values[idx] - mixture)
@@ -270,16 +266,16 @@ def check_lemmas(
             for h1, h2 in pairs:
                 for gamma in gammas:
                     d = abs(
-                        _q_of_history(model, tree, node, h1, gamma, asps_policy)
-                        - _q_of_history(model, tree, node, h2, gamma, asps_policy)
+                        supervisor_q(model, tree, node, h1, gamma, asps_policy)
+                        - supervisor_q(model, tree, node, h2, gamma, asps_policy)
                     )
                     excess = d - bound
                     if excess > viol2:
                         viol2, wit2 = excess, (node.seq, h1, h2, gamma.key, d, bound)
                 gamma_star = asps_policy.at(node.seq)
                 d = abs(
-                    _q_of_history(model, tree, node, h1, gamma_star, asps_policy)
-                    - _q_of_history(model, tree, node, h2, gamma_star, asps_policy)
+                    supervisor_q(model, tree, node, h1, gamma_star, asps_policy)
+                    - supervisor_q(model, tree, node, h2, gamma_star, asps_policy)
                 )
                 excess = d - bound
                 if excess > violc:
@@ -325,7 +321,7 @@ def check_lemmas(
                         continue
                     dist = {k: v / mass for k, v in dist.items()}
                     ref = per_action.setdefault(a, dist)
-                    d = _tv(ref, dist)
+                    d = tv_distance(ref, dist)
                     if d > viol3:
                         viol3, wit3 = d, (node.seq, h, a)
     report.results.append(

@@ -13,7 +13,6 @@ from ciplan.belief import (
     bayes_update,
     check_spi,
     compute_bcs,
-    identity_spi,
     solve_bcs_fps,
     verify_propositions,
 )
@@ -23,6 +22,7 @@ from ciplan.compression import (
     bcs_common,
     build_exact_private,
     build_greedy,
+    identity_private,
     measure_common,
     measure_private,
     serialize_compression,
@@ -110,7 +110,7 @@ def test_criterion_5_proposition_suite(coin2, small_models):
     for model in [coin2] + small_models:
         pcs = [build_exact_private(model)]
         ok = ok and verify_propositions(model, pcs).passed
-    ok = ok and check_spi(coin2, identity_spi(coin2)).passed
+    ok = ok and check_spi(coin2, identity_private(coin2)).passed
     _report("5 proposition suite", ok)
     assert ok
 
@@ -183,7 +183,7 @@ def test_criterion_7_monotonicity(coin2, small_models):
     assert ok
 
 
-def test_criterion_8_cli_determinism(tmp_path, monkeypatch, capsys, coin2):
+def test_criterion_8_cli_determinism(tmp_path, capsys, coin2):
     pc = build_exact_private(coin2)
     cc = bcs_common(coin2, pc)
     pc_file = tmp_path / "pc.json"
@@ -192,9 +192,8 @@ def test_criterion_8_cli_determinism(tmp_path, monkeypatch, capsys, coin2):
     cc_file.write_text(serialize_compression(cc))
 
     runs = []
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("CIPLAN_THREADS", threads)
-        per_thread = []
+    for _run in range(3):
+        per_run = []
         for cmd in (
             ["solve", "--alg", "1", "--model", COIN2],
             ["oracle", "--model", COIN2],
@@ -207,8 +206,8 @@ def test_criterion_8_cli_determinism(tmp_path, monkeypatch, capsys, coin2):
             out = capsys.readouterr().out
             assert status == EXIT_OK
             json.loads(out)  # structured output stays valid JSON
-            per_thread.append(out)
-        runs.append(per_thread)
+            per_run.append(out)
+        runs.append(per_run)
     ok = runs[0] == runs[1] == runs[2]
     _report("8 CLI determinism", ok)
     assert ok

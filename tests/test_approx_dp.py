@@ -3,16 +3,12 @@ and losslessness under exact compressions."""
 
 import pytest
 
-from ciplan.approx_dp import (
-    ExtensionContext,
-    extend_prescription,
-    solve_ascs_asps,
-    solve_fcs_asps,
-)
+from ciplan.approx_dp import solve_ascs_asps, solve_fcs_asps
 from ciplan.compression import (
     bcs_common,
     build_exact_private,
     build_greedy,
+    extension,
     identity_common,
     identity_private,
     subtree_levels,
@@ -31,19 +27,17 @@ def test_identity_extension_is_verbatim(coin2):
     tree = FcsTree(coin2)
     pc = identity_private(coin2, tree)
     _o0, root, _p = tree.roots()[0]
-    ctx = ExtensionContext.at(tree, root.seq, pc)
     for lam in enumerate_prescriptions(coin2, tree.agent_domains(root)):
-        assert extend_prescription(ctx, lam).key == lam.key
+        assert extension(tree, root, pc, lam).key == lam.key
 
 
 def test_extension_acts_classwise(coin2):
     tree = FcsTree(coin2)
     pc = build_greedy(coin2, 10.0, 2.0, tree=tree)
     _o0, root, _p = tree.roots()[0]
-    ctx = ExtensionContext.at(tree, root.seq, pc)
     domains = pc.label_domains(root, tree.agent_domains(root))
     for lam in enumerate_prescriptions(coin2, domains):
-        gamma = extend_prescription(ctx, lam)
+        gamma = extension(tree, root, pc, lam)
         for n, domain in enumerate(tree.agent_domains(root)):
             for h in domain:
                 z = pc.label_of(1, root.seq, n, h)

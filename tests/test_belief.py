@@ -10,18 +10,27 @@ from ciplan.belief import (
     bayes_update,
     check_spi,
     compute_bcs,
-    constant_spi,
-    identity_spi,
     solve_bcs_fps,
     solve_bcs_spi,
-    spi_from_private,
     verify_propositions,
 )
-from ciplan.compression import build_exact_private, identity_private
+from ciplan.compression import PrivateCompression, build_exact_private, identity_private
 from ciplan.exact_dp import solve_fcs_fps
 from ciplan.generate import random_model
 from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
 from ciplan.model import DecPomdpModel
+
+
+def constant_spi(model):
+    """Labels every private history of every agent 0 (no recursive update)."""
+    tree = FcsTree(model)
+    pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
+    for t in range(1, model.horizon + 1):
+        for node in level_nodes(tree, t):
+            for n, domain in enumerate(tree.agent_domains(node)):
+                for h in domain:
+                    pc.theta[(t, node.seq, n, h)] = 0
+    return pc
 
 
 def uninformative_model(seed=21):
@@ -103,7 +112,7 @@ def test_belief_values_agree_with_node_values(coin2):
 
 
 def test_identity_spi_passes_all_conditions(coin2):
-    report = check_spi(coin2, identity_spi(coin2))
+    report = check_spi(coin2, identity_private(coin2))
     assert report.passed
     assert [r.condition for r in report.results] == ["SPI1", "SPI2", "SPI3", "SPI4"]
     for r in report.results:
@@ -132,12 +141,12 @@ def test_constant_spi_valid_on_uninformative_model():
 
 def test_identity_spi_sweep_matches_exact(coin2):
     exact, _ = solve_fcs_fps(coin2)
-    table, _ = solve_bcs_spi(coin2, identity_spi(coin2))
+    table, _ = solve_bcs_spi(coin2, identity_private(coin2))
     assert table.overall_value == pytest.approx(exact.overall_value, abs=1e-9)
 
 
 def test_exact_compression_spi_sweep_matches_exact(coin2):
-    spi = spi_from_private(build_exact_private(coin2))
+    spi = build_exact_private(coin2)
     assert check_spi(coin2, spi).passed
     exact, _ = solve_fcs_fps(coin2)
     table, _ = solve_bcs_spi(coin2, spi)
@@ -150,7 +159,7 @@ def test_failing_spi_map_rejected_by_solver(coin2):
 
 
 def test_spi3_report_notes_consistent_pair_restriction(coin2):
-    report = check_spi(coin2, identity_spi(coin2))
+    report = check_spi(coin2, identity_private(coin2))
     assert "consistent" in report.result("SPI3").note
 
 

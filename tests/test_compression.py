@@ -357,6 +357,12 @@ def test_malformed_compression_rejected():
         load_compression("not json")
     with pytest.raises(CompressionFormatError):
         load_compression('{"kind": "mystery"}')
+    with pytest.raises(CompressionFormatError):
+        load_compression('{"kind": "private"}')
+    with pytest.raises(CompressionFormatError):
+        load_compression('{"kind": "common", "horizon": 2, "theta0": 5, "phi0": []}')
+    with pytest.raises(CompressionFormatError):
+        load_compression("[]")
 
 
 def test_measured_params_merge():

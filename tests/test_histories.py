@@ -10,7 +10,6 @@ from ciplan.histories import (
     PrescriptionDomainError,
     UnreachableNodeError,
     enumerate_prescriptions,
-    extend_by_labels,
     level_nodes,
     prescription_count,
 )
@@ -148,12 +147,3 @@ def test_reachable_fps_consistency(coin2):
         assert sum(f.probability for f in fps) == pytest.approx(1.0)
         for f in fps:
             assert sum(f.state_probabilities) == pytest.approx(f.probability)
-
-
-def test_extend_by_labels_constant_on_classes():
-    lam = Prescription((((0, 1),), ((0, 0),)))
-    domains = ((("h1",), ("h2",), ("h3",)), (("g1",), ("g2",)))
-    labels = {("h1",): 0, ("h2",): 0, ("h3",): 0, ("g1",): 0, ("g2",): 0}
-    gamma = extend_by_labels(domains, lambda n, h: labels[h], lam)
-    assert all(a == 1 for _h, a in gamma.entries[0])
-    assert all(a == 0 for _h, a in gamma.entries[1])

@@ -83,6 +83,21 @@ def test_reward_bound_must_cover_rewards():
     doc = tiny_model(reward_bound=0.5)
     with pytest.raises(ModelValidationError):
         from_dict(doc)
+    with pytest.raises(ModelValidationError) as err:
+        load_model(json.dumps(tiny_model(reward_bound=float("inf"))))
+    assert err.value.violations == ["reward_bound must be finite"]
+
+
+def test_non_finite_entries_rejected():
+    # abs(nan - 1) > tol is False, so the row-sum check alone lets NaN through.
+    with pytest.raises(ModelValidationError) as err:
+        load_model(json.dumps(tiny_model(initial=[float("nan"), 1.0])))
+    assert "initial has a non-finite entry" in err.value.violations
+    doc = tiny_model()
+    doc["reward"] = [[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
+    with pytest.raises(ModelValidationError) as err:
+        from_dict(doc)
+    assert "reward has a non-finite entry" in err.value.violations
 
 
 def test_reward_bound_defaults_to_max_magnitude():
