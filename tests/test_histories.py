@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from ciplan.compression import PrivateCompression, extension
 from ciplan.histories import (
     FcsTree,
     Prescription,
@@ -147,3 +148,21 @@ def test_reachable_fps_consistency(coin2):
         assert sum(f.probability for f in fps) == pytest.approx(1.0)
         for f in fps:
             assert sum(f.state_probabilities) == pytest.approx(f.probability)
+
+
+def test_extend_by_labels_constant_on_classes(coin2):
+    # Every history at the root shares label 0, so the extension must give
+    # each agent's whole domain the action the label prescription assigns.
+    tree = FcsTree(coin2)
+    _o0, root, _p = tree.roots()[0]
+    domains = tree.agent_domains(root)
+    theta = {
+        (root.t, root.seq, n, h): 0 for n, domain in enumerate(domains) for h in domain
+    }
+    pc = PrivateCompression(coin2.num_agents, coin2.horizon, theta=theta)
+    lam = Prescription((((0, 1),), ((0, 0),)))
+    gamma = extension(tree, root, pc, lam)
+    assert all(len(domain) > 1 for domain in domains)
+    assert all(a == 1 for _h, a in gamma.entries[0])
+    assert all(a == 0 for _h, a in gamma.entries[1])
+    assert [h for h, _a in gamma.entries[0]] == list(domains[0])
