@@ -14,7 +14,6 @@ from .compression import (
     CommonCompression,
     PrivateCompression,
     _node_reward_and_branches,
-    compressed_prescriptions,
     extension,
     mu_levels,
     subtree_levels,
@@ -43,13 +42,7 @@ def solve_fcs_asps(
     over extensions of label-domain prescriptions only; value entries are
     keyed by node sequence and satisfy V̂ ≤ V pointwise.
     """
-    tree = tree or FcsTree(model)
-    return generic_solve(
-        model,
-        tree,
-        prescription_pairs=lambda node: compressed_prescriptions(model, tree, node, pc),
-        budget=budget,
-    )
+    return generic_solve(model, tree, pc=pc, budget=budget)
 
 
 def solve_ascs_asps(

@@ -389,8 +389,6 @@ def solve_bcs_spi(
     Rejects compressions whose labels fail :func:`check_spi`; with passing
     labels the overall value matches the uncompressed sweep exactly.
     """
-    from .compression import compressed_prescriptions
-
     tree = tree or FcsTree(model)
     report = check_spi(model, pc, tree)
     if not report.passed:
@@ -402,13 +400,7 @@ def solve_bcs_spi(
             tree, node, label_of=lambda n, h: pc.label_of(node.t, node.seq, n, h)
         ).fingerprint
 
-    return generic_solve(
-        model,
-        tree,
-        prescription_pairs=lambda node: compressed_prescriptions(model, tree, node, pc),
-        key_fn=key_fn,
-        budget=budget,
-    )
+    return generic_solve(model, tree, pc=pc, key_fn=key_fn, budget=budget)
 
 
 def verify_propositions(model: DecPomdpModel, compressions) -> ConditionReport:

@@ -61,7 +61,12 @@ class PrivateCompression:
     phi: dict = field(default_factory=dict)
 
     def label_of(self, t: int, seq: FcsKey, agent: int, hist: Hist):
-        return self.theta[(t, seq, agent, hist)]
+        try:
+            return self.theta[(t, seq, agent, hist)]
+        except KeyError:
+            raise CompressionFormatError(
+                f"theta has no label for (t, seq, agent, hist) = {(t, seq, agent, hist)!r}"
+            ) from None
 
     def label_domains(self, node: FcsNode, hist_domains) -> tuple[tuple, ...]:
         return tuple(

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .histories import (
     ADMISSIBILITY_THRESHOLD,
@@ -20,8 +23,14 @@ from .histories import (
     JointHist,
     Prescription,
     enumerate_prescriptions,
+    prescription_actions,
+    prescription_count,
+    prescription_from_row,
 )
 from .model import DecPomdpModel
+
+if TYPE_CHECKING:
+    from .compression import PrivateCompression
 
 DEFAULT_BUDGET = 10**7
 VALUE_TOL = 1e-9
@@ -74,77 +83,138 @@ class CoordinatorPolicy:
         return self.prescriptions[seq]
 
 
-def _identity_setup(tree: FcsTree, node: FcsNode):
-    prescs = enumerate_prescriptions(tree.model, tree.agent_domains(node))
-    return [(p, p) for p in prescs]
+def _prescription_space(tree: FcsTree, node: FcsNode, pc: PrivateCompression | None):
+    """The node's history domains, the domains its prescriptions range over
+    (labels under ``pc``), and per agent the map from each history to its
+    column in an action table over the latter."""
+    hist_domains = tree.agent_domains(node)
+    domains = hist_domains if pc is None else pc.label_domains(node, hist_domains)
+    columns, offset = [], 0
+    for n, (keys, hists) in enumerate(zip(domains, hist_domains)):
+        position = {key: offset + i for i, key in enumerate(keys)}
+        if pc is None:
+            columns.append(position)
+        else:
+            columns.append(
+                {h: position[pc.label_of(node.t, node.seq, n, h)] for h in hists}
+            )
+        offset += len(keys)
+    return hist_domains, domains, columns
+
+
+def _immediate_rewards(
+    model: DecPomdpModel, node: FcsNode, columns, contrib: np.ndarray
+) -> np.ndarray:
+    """``Σ w · R[s, γ_k(h)]`` over the node's atoms for every prescription ``k``.
+
+    ``contrib[c, k]`` is what column ``c`` of prescription ``k``'s action
+    table adds to the flat joint-action index.  The atoms are added one at a
+    time in stored order, so every entry is the scalar sum ``q += w * r`` bit
+    for bit, and no array is larger than the agents times the prescriptions.
+    """
+    q = np.zeros(contrib.shape[1])
+    for (s, hjoint), w in node.weights:
+        joint = contrib[[columns[n][h] for n, h in enumerate(hjoint)]].sum(axis=0)
+        q += w * model.reward[s][joint]
+    return q
 
 
 def generic_solve(
     model: DecPomdpModel,
     tree: FcsTree | None = None,
     *,
-    prescription_pairs=None,
+    pc: PrivateCompression | None = None,
     key_fn=None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep shared by the exact and compressed dynamic programs.
 
+    The immediate rewards of all prescriptions of a node are scored in one
+    pass over an action table whose rows are in canonical order; ties go to
+    the smallest canonical index.
+
     Parameters
     ----------
-    prescription_pairs
-        Callable ``node -> [(action_prescription, history_prescription), ...]``
-        in canonical order.  The first element is the coordinator's action as
-        recorded in value entries; the second is its history-domain form used
-        to drive the dynamics.  Defaults to the uncompressed space where the
-        two coincide.
+    pc
+        Private compression whose label domains the prescriptions range over.
+        Value entries record the label prescription; the policy records its
+        extension to the node's histories, which also drives the dynamics.
+        Defaults to the uncompressed space where the two coincide.
     key_fn
         Callable ``node -> hashable`` keying value entries per time step;
-        defaults to the node sequence itself.
+        defaults to the node sequence itself.  A node whose key is already
+        solved takes that entry's value and canonical index, and the nodes
+        below it under that prescription are visited too, so the policy
+        covers every node it reaches.
     """
     tree = tree or FcsTree(model)
-    if prescription_pairs is None:
-        prescription_pairs = lambda node: _identity_setup(tree, node)
     if key_fn is None:
         key_fn = lambda node: node.seq
+    strides = [int(np.prod(model.action_sizes[n + 1:])) for n in range(model.num_agents)]
+    # Per domain shape: the action table and its joint-index contributions.
+    tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
-    evals = [0]
+    evals = 0
+
+    def action_table(domains):
+        shape = tuple(len(d) for d in domains)
+        if shape not in tables:
+            acts = prescription_actions(model, domains)
+            tables[shape] = acts, (acts * np.repeat(strides, shape)).T
+        return tables[shape]
+
+    def extended(hist_domains, columns, row) -> Prescription:
+        """The history-domain prescription of one action-table row."""
+        if pc is not None:
+            row = [row[c] for per_agent in columns for c in per_agent.values()]
+        return prescription_from_row(hist_domains, row)
+
+    def revisit(node: FcsNode, entry: ValueEntry) -> float:
+        hist_domains, domains, columns = _prescription_space(tree, node, pc)
+        acts, _contrib = action_table(domains)
+        gamma = extended(hist_domains, columns, acts[entry.argmax_index].tolist())
+        policy.prescriptions.setdefault(node.seq, gamma)
+        if node.t < model.horizon:
+            for _o0, child, _p in tree.expand(node, gamma):
+                solve(child)
+        return entry.value
 
     def solve(node: FcsNode) -> float:
+        nonlocal evals
         key = key_fn(node)
-        if (node.t, key) in table.entries:
-            return table.entries[(node.t, key)].value
-        pairs = prescription_pairs(node)
-        best_val = None
-        best_idx = -1
-        best_key = None
-        best_gamma = None
-        qs = []
-        for idx, (action_presc, gamma) in enumerate(pairs):
-            evals[0] += 1
-            if evals[0] > budget:
-                raise BudgetExceededError(node.seq, budget)
-            q = 0.0
-            for (s, hjoint), w in node.weights:
-                q += w * float(model.reward[s, model.joint_action_index(gamma.act(hjoint))])
-            if node.t < model.horizon:
+        entry = table.entries.get((node.t, key))
+        if entry is not None:
+            return revisit(node, entry)
+        hist_domains, domains, columns = _prescription_space(tree, node, pc)
+        evals += prescription_count(model, domains)
+        if evals > budget:
+            raise BudgetExceededError(node.seq, budget)
+        acts, contrib = action_table(domains)
+        q = _immediate_rewards(model, node, columns, contrib)
+        if node.t < model.horizon:
+            gammas = [extended(hist_domains, columns, row) for row in acts.tolist()]
+            rewards = q.tolist()
+            for k, gamma in enumerate(gammas):
+                total = rewards[k]
                 for _o0, child, p in tree.expand(node, gamma):
-                    q += p * solve(child)
-            qs.append(q)
-            # Strict improvement only: ties resolve to the smallest canonical index.
-            if best_val is None or q > best_val:
-                best_val = q
-                best_idx = idx
-                best_key = action_presc.key
-                best_gamma = gamma
+                    total += p * solve(child)
+                q[k] = total
+        best = int(np.argmax(q))
+        if node.t < model.horizon:
+            gamma = gammas[best]
+        else:
+            gamma = extended(hist_domains, columns, acts[best].tolist())
+        lam = gamma if pc is None else prescription_from_row(domains, acts[best])
+        qs = q.tolist()
         table.entries[(node.t, key)] = ValueEntry(
-            value=best_val,
-            argmax_index=best_idx,
-            argmax_key=best_key,
+            value=qs[best],
+            argmax_index=best,
+            argmax_key=lam.key,
             q_values=tuple(qs),
         )
-        policy.prescriptions.setdefault(node.seq, best_gamma)
-        return best_val
+        policy.prescriptions.setdefault(node.seq, gamma)
+        return qs[best]
 
     overall = 0.0
     for _o0, root, p_root in tree.roots():

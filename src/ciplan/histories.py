@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
 # A private history for one agent: (o1, a1, o2, ..., ot).
@@ -36,7 +38,7 @@ class PrescriptionDomainError(ValueError):
     """Raised when a prescription's domain does not match a node's reachable set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prescription:
     """A per-agent table from private-state keys to action indices.
 
@@ -255,6 +257,29 @@ def enumerate_prescriptions(
             tables[n].append((key, action))
         out.append(Prescription(tuple(tuple(tbl) for tbl in tables)))
     return out
+
+
+def prescription_actions(model: DecPomdpModel, domains: tuple[tuple, ...]) -> np.ndarray:
+    """Action table of every prescription over the given per-agent domains.
+
+    Row ``k`` holds the actions of canonical prescription ``k``; there is one
+    column per (agent, domain position) slot, agent by agent, so rows run in
+    :func:`enumerate_prescriptions` order.
+    """
+    if any(len(d) == 0 for d in domains):
+        raise PrescriptionDomainError("empty reachable domain: unreachable node")
+    sizes = [len(model.actions[n]) for n, domain in enumerate(domains) for _key in domain]
+    return np.indices(sizes).reshape(len(sizes), -1).T
+
+
+def prescription_from_row(domains: tuple[tuple, ...], row) -> Prescription:
+    """The prescription one row of :func:`prescription_actions` stands for."""
+    actions = [int(a) for a in row]
+    entries, start = [], 0
+    for domain in domains:
+        entries.append(tuple(zip(domain, actions[start:start + len(domain)])))
+        start += len(domain)
+    return Prescription(tuple(entries))
 
 
 def prescription_count(model: DecPomdpModel, domains: tuple[tuple, ...]) -> int:

@@ -98,7 +98,7 @@ class DecPomdpModel:
     def num_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def action_sizes(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.actions)
 

@@ -59,6 +59,22 @@ def test_malformed_compression_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("alg", ["2", "5"])
+def test_compression_missing_labels_is_input_error(tmp_path, alg):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"kind":"private","num_agents":2,"horizon":2,"theta":[],"phi":[]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "ciplan.cli", "solve", "--alg", alg,
+         "--model", COIN2, "--compression", str(empty)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))" in proc.stderr
+
+
 def test_budget_exhaustion_status(capsys):
     assert main(["solve", "--alg", "1", "--model", COIN2, "--budget", "3"]) == EXIT_BUDGET
     assert main(["oracle", "--model", COIN2, "--budget", "3"]) == EXIT_BUDGET

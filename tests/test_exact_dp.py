@@ -3,8 +3,14 @@ omniscient per-history Q function."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ciplan.approx_dp import solve_fcs_asps
+from ciplan.belief import compute_bcs, solve_bcs_fps, solve_bcs_spi
+from ciplan.compression import build_exact_private, compressed_prescriptions
 from ciplan.exact_dp import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     InadmissibleHistoryError,
     brute_force_value,
@@ -14,7 +20,13 @@ from ciplan.exact_dp import (
     supervisor_q,
 )
 from ciplan.generate import random_model
-from ciplan.histories import FcsTree, enumerate_prescriptions
+from ciplan.histories import (
+    FcsTree,
+    enumerate_prescriptions,
+    level_nodes,
+    prescription_actions,
+    prescription_from_row,
+)
 from ciplan.model import DecPomdpModel
 
 
@@ -118,3 +130,180 @@ def test_solve_report_shape(coin2):
     assert report["rows"] == sorted(
         report["rows"], key=lambda r: (r["t"], r["state_key"])
     )
+
+
+# -- the vectorised Q kernel against the scalar sweep ----------------------
+
+# random_model shapes small enough for ten examples per run.
+KERNEL_SHAPES = [
+    dict(num_states=2, private_obs_sizes=(2, 2)),
+    dict(num_states=3, private_obs_sizes=(2, 1), num_common_obs=2),
+    dict(num_states=2, private_obs_sizes=(1, 1), num_common_obs=2, horizon=3),
+    dict(num_states=2, private_obs_sizes=(2, 1), action_sizes=(3, 2)),
+]
+
+
+def scalar_sweep(model, tree, pairs, key_fn) -> dict:
+    """The scalar backward sweep the kernel replaced, as ``(t, key) -> Q list``.
+
+    One prescription at a time, ``q += w * R[s, joint_action_index(gamma.act(h))]``
+    over the atoms in stored order, then the children in canonical order;
+    ``pairs(node)`` gives ``(label prescription, extension)`` pairs in
+    canonical order and the first node reaching a key fills its entry.
+    """
+    entries: dict = {}
+
+    def solve(node):
+        key = (node.t, key_fn(node))
+        if key in entries:
+            return max(entries[key])
+        qs = []
+        for _lam, gamma in pairs(node):
+            q = 0.0
+            for (s, hjoint), w in node.weights:
+                q += w * float(model.reward[s, model.joint_action_index(gamma.act(hjoint))])
+            if node.t < model.horizon:
+                for _o0, child, p in tree.expand(node, gamma):
+                    q += p * solve(child)
+            qs.append(q)
+        entries[key] = qs
+        return max(qs)
+
+    for _o0, root, _p in tree.roots():
+        solve(root)
+    return entries
+
+
+def kernel_solves(model):
+    """``name -> (table, policy, scalar entries)`` for algs 1, 2, 4 and 5, with
+    alg 2 and alg 5 on the exact private compression."""
+    tree = FcsTree(model)
+    pc = build_exact_private(model, tree)
+
+    def identity(node):
+        return [(g, g) for g in enumerate_prescriptions(model, tree.agent_domains(node))]
+
+    def compressed(node):
+        return compressed_prescriptions(model, tree, node, pc)
+
+    def seq(node):
+        return node.seq
+
+    def belief(node):
+        return compute_bcs(tree, node).fingerprint
+
+    def label_belief(node):
+        label_of = lambda n, h: pc.label_of(node.t, node.seq, n, h)
+        return compute_bcs(tree, node, label_of=label_of).fingerprint
+
+    return {
+        "alg1": (*solve_fcs_fps(model, tree), scalar_sweep(model, tree, identity, seq)),
+        "alg2": (*solve_fcs_asps(model, pc, tree), scalar_sweep(model, tree, compressed, seq)),
+        "alg4": (*solve_bcs_fps(model, tree), scalar_sweep(model, tree, identity, belief)),
+        "alg5": (
+            *solve_bcs_spi(model, pc, tree),
+            scalar_sweep(model, tree, compressed, label_belief),
+        ),
+    }
+
+
+def assert_kernel_matches_scalar(model):
+    solves = kernel_solves(model)
+    exact = solves["alg1"][0].overall_value
+    for name, (table, _policy, scalar) in solves.items():
+        # Lossless compression and belief keys keep the exact value.
+        assert table.overall_value == pytest.approx(exact, abs=1e-9), name
+        assert table.entries.keys() == scalar.keys(), name
+        for key, entry in table.entries.items():
+            ref = scalar[key]
+            assert [q.hex() for q in entry.q_values] == [q.hex() for q in ref], (name, key)
+            assert entry.argmax_index == ref.index(max(ref)), (name, key)
+            assert entry.value.hex() == max(ref).hex(), (name, key)
+
+
+def test_kernel_matches_scalar_sweep_on_coin2(coin2):
+    assert_kernel_matches_scalar(coin2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(KERNEL_SHAPES))
+def test_kernel_matches_scalar_sweep(seed, shape):
+    assert_kernel_matches_scalar(random_model(seed, **{"horizon": 2, **shape}))
+
+
+def test_prescription_rows_follow_canonical_order(coin2):
+    wide = random_model(3, num_states=2, action_sizes=(3, 2), private_obs_sizes=(2, 1))
+    for model in (coin2, wide):
+        tree = FcsTree(model)
+        for node in level_nodes(tree, 2):
+            domains = tree.agent_domains(node)
+            rows = prescription_actions(model, domains)
+            prescs = enumerate_prescriptions(model, domains)
+            assert rows.shape == (len(prescs), sum(len(d) for d in domains))
+            for row, gamma in zip(rows.tolist(), prescs):
+                assert row == [a for tbl in gamma.entries for _key, a in tbl]
+                assert prescription_from_row(domains, row) == gamma
+
+
+def test_budget_counts_every_q_evaluation(coin2, small_models):
+    pc = build_exact_private(coin2)
+    for solve in (
+        lambda budget: solve_fcs_fps(coin2, budget=budget),
+        lambda budget: solve_fcs_asps(coin2, pc, budget=budget),
+        lambda budget: solve_bcs_fps(small_models[2], budget=budget),
+    ):
+        table, _ = solve(DEFAULT_BUDGET)
+        evals = sum(len(e.q_values) for e in table.entries.values())
+        solve(evals)
+        with pytest.raises(BudgetExceededError):
+            solve(evals - 1)
+
+
+# -- policies cover every node they reach ----------------------------------
+
+
+def assert_policy_covers_its_nodes(model, policy) -> None:
+    """Walk every node the policy reaches from the roots; ``policy.at``
+    raises on a node without an entry."""
+    tree = FcsTree(model)
+    frontier = [node for _o0, node, _p in tree.roots()]
+    while frontier:
+        node = frontier.pop()
+        gamma = policy.at(node.seq)
+        if node.t < model.horizon:
+            frontier.extend(child for _o0, child, _p in tree.expand(node, gamma))
+
+
+def test_memo_hits_record_complete_policies(coin2):
+    # Six of coin2's 17 nodes share their label belief with a node solved
+    # before them; each still gets a policy entry, and replaying the policy
+    # from every node gives that node's table value.
+    tree = FcsTree(coin2)
+    pc = build_exact_private(coin2, tree)
+    table, policy = solve_bcs_spi(coin2, pc, tree)
+    nodes = [node for t in (1, 2) for node in level_nodes(tree, t)]
+    assert len(nodes) == 17 and len(table.entries) == 11
+    assert set(policy.prescriptions) == {node.seq for node in nodes}
+    for node in nodes:
+        label_of = lambda n, h: pc.label_of(node.t, node.seq, n, h)
+        key = compute_bcs(tree, node, label_of=label_of).fingerprint
+        replay = sum(
+            f.probability
+            * supervisor_q(coin2, tree, node, f.histories, policy.at(node.seq), policy)
+            for f in tree.reachable_fps(node)
+        )
+        assert replay == pytest.approx(table.value(node.t, key), abs=1e-9)
+
+
+def test_compressed_and_belief_policies_replay_to_their_values(coin2, small_models):
+    for model in (coin2, *small_models):
+        pc = build_exact_private(model)
+        for table, policy in (
+            solve_fcs_asps(model, pc),
+            solve_bcs_fps(model),
+            solve_bcs_spi(model, pc),
+        ):
+            assert_policy_covers_its_nodes(model, policy)
+            assert evaluate_coordinator_policy(model, policy) == pytest.approx(
+                table.overall_value, abs=1e-9
+            )
