@@ -28,10 +28,15 @@ from ciplan.model import load_model
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 COIN2 = str(DATA / "coin2.json")
+# random_model(1, num_states=2, horizon=3, num_common_obs=2): its greedy
+# compression at 0.2/0.1 needs 14 closure-repair rounds, where every coin2
+# build needs at most 2.
+H3C2 = str(DATA / "h3c2_seed1.json")
 
-# name -> (argv without --model, exit status).  ``{pc}`` is the exact private
-# compression, ``{cc}`` its belief common compression and ``{broken}`` the
-# identity private compression with one time-2 label swapped.
+# name -> (argv, exit status); coin2 is the model unless argv names one.
+# ``{pc}`` is the exact private compression, ``{cc}`` its belief common
+# compression and ``{broken}`` the identity private compression with one
+# time-2 label swapped.
 CASES = {
     "solve_alg1": (["solve", "--alg", "1"], EXIT_OK),
     "solve_alg2": (["solve", "--alg", "2", "--compression", "{pc}"], EXIT_OK),
@@ -45,6 +50,14 @@ CASES = {
     "compress_exact": (["compress", "--mode", "exact"], EXIT_OK),
     "compress_greedy": (
         ["compress", "--mode", "greedy", "--tol-r", "0.5", "--tol-o", "0.5"],
+        EXIT_OK,
+    ),
+    "compress_greedy_lossy": (
+        ["compress", "--mode", "greedy", "--tol-r", "0.2", "--tol-o", "0.1"],
+        EXIT_OK,
+    ),
+    "compress_greedy_many_rounds": (
+        ["compress", "--model", H3C2, "--mode", "greedy", "--tol-r", "0.2", "--tol-o", "0.1"],
         EXIT_OK,
     ),
     "measure": (["measure", "--compression", "{pc}", "--compression", "{cc}"], EXIT_OK),
@@ -77,7 +90,9 @@ def write_compressions(directory: Path) -> dict[str, str]:
 
 def run_case(name: str, files: dict[str, str]) -> tuple[int, str]:
     argv, _status = CASES[name]
-    argv = [argv[0], "--model", COIN2] + [a.format(**files) for a in argv[1:]]
+    if "--model" not in argv:
+        argv = [argv[0], "--model", COIN2] + argv[1:]
+    argv = [a.format(**files) for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main(argv)
