@@ -109,9 +109,9 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "compress":
         if args.mode == "exact":
-            pc = compression.build_exact_private(model)
+            pc = compression.build_exact_private(model, budget=budget)
         else:
-            pc = compression.build_greedy(model, args.tol_r, args.tol_o)
+            pc = compression.build_greedy(model, args.tol_r, args.tol_o, budget=budget)
         mp = compression.measure_private(model, pc)
         doc = compression.serialize_compression(pc, measured=mp)
         report = {

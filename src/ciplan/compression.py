@@ -16,6 +16,8 @@ import ast
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .belief import (
     ConditionReport,
     ConditionResult,
@@ -23,6 +25,7 @@ from .belief import (
     compute_bcs,
     tv_distance,
 )
+from .exact_dp import DEFAULT_BUDGET, BudgetExceededError
 from .histories import (
     FcsKey,
     FcsNode,
@@ -96,7 +99,12 @@ class CommonCompression:
     phi0: dict = field(default_factory=dict)
 
     def label_of(self, t: int, seq: FcsKey):
-        return self.theta0[(t, seq)]
+        try:
+            return self.theta0[(t, seq)]
+        except KeyError:
+            raise CompressionFormatError(
+                f"theta0 has no label for (t, seq) = {(t, seq)!r}"
+            ) from None
 
     def alphabet(self, t: int) -> tuple:
         return tuple(sorted({lab for (tt, _s), lab in self.theta0.items() if tt == t}, key=repr))
@@ -547,23 +555,140 @@ def identity_private(model: DecPomdpModel, tree: FcsTree | None = None) -> Priva
     return pc
 
 
-def _greedy_partition(items, compatible, separated):
-    """Agglomerate ``items`` in order; join the first class whose every member
-    is pairwise compatible and not explicitly separated."""
-    classes: list[list] = []
-    for item in items:
-        placed = False
-        for cls in classes:
-            if all(
-                frozenset((item, other)) not in separated and compatible(item, other)
-                for other in cls
-            ):
-                cls.append(item)
-                placed = True
-                break
-        if not placed:
-            classes.append([item])
-    return classes
+#: A total variation this close to its tolerance is settled by the scalar
+#: ``tv_distance``, whose term order the matrix does not follow.
+_TV_MARGIN = 1e-9
+
+
+class _Blocks:
+    """The items of each block with their ``(n, n)`` admission matrix: the
+    pairwise compatibility of the block's items, separated pairs cleared.
+
+    Building a matrix charges its ``n²`` cells to ``budget``.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.cells = 0
+        self.items: list[list] = []
+        self.admit: list[np.ndarray] = []
+        self._where: dict = {}
+
+    def charge(self, locus, n: int) -> None:
+        self.cells += n * n
+        if self.cells > self.budget:
+            raise BudgetExceededError(locus, self.budget)
+
+    def add(self, items: list, admit: np.ndarray) -> None:
+        k = len(self.items)
+        self._where.update((item, (k, i)) for i, item in enumerate(items))
+        self.items.append(items)
+        self.admit.append(admit)
+
+    def separate(self, a, b) -> None:
+        k, i = self._where[a]
+        _k, j = self._where[b]
+        self.admit[k][i, j] = self.admit[k][j, i] = False
+
+    def labels(self):
+        """``(item, class index)`` of every item, block by block."""
+        for items, admit in zip(self.items, self.admit):
+            yield from zip(items, _greedy_partition(admit))
+
+
+def _greedy_partition(admit: np.ndarray) -> list[int]:
+    """Agglomerate items in order: each joins the first class that admits it,
+    else opens a new one.  A class admits an item when all its members do, so
+    a class's row is the AND of its members' rows of ``admit``."""
+    rows = np.empty_like(admit)
+    labels = []
+    k = 0
+    for i, row in enumerate(admit):
+        c = int(rows[:k, i].argmax()) if k else 0
+        if k and rows[c, i]:
+            rows[c] &= row
+        else:
+            c = k
+            rows[k] = row
+            k += 1
+        labels.append(c)
+    return labels
+
+
+def _compatibility(rewards, laws, tol_r: float, tol_o: float, scalar_tv) -> np.ndarray:
+    """``ok[i, j]``: items ``i`` and ``j`` differ at most ``tol_r`` in every
+    reward column ``rewards[:, k]`` and at most ``tol_o`` in total variation
+    between the laws ``laws[:, k, :]`` (skipped when ``laws`` is ``None``).
+
+    Built one column, and one outcome of a law, at a time, so no temporary
+    exceeds ``n × n``.  A total variation within ``_TV_MARGIN`` of a positive
+    ``tol_o`` is replaced by ``scalar_tv(i, j, k)`` for ``i > j``: the value
+    the pairwise check computed, in its own term order.
+    """
+    m, columns = rewards.shape
+    ok = np.ones((m, m), dtype=bool)
+    for k in range(columns):
+        diff = np.subtract.outer(rewards[:, k], rewards[:, k])
+        ok &= np.abs(diff, out=diff) <= tol_r
+    if laws is None:
+        return ok
+    for k in range(columns):
+        tv = np.zeros((m, m))
+        for o in range(laws.shape[2]):
+            diff = np.subtract.outer(laws[:, k, o], laws[:, k, o])
+            tv += np.abs(diff, out=diff)
+        tv *= 0.5
+        if tol_o > 0.0:
+            near = np.tril(ok & (np.abs(tv - tol_o) <= _TV_MARGIN), -1)
+            for i, j in zip(*near.nonzero()):
+                tv[i, j] = tv[j, i] = scalar_tv(i, j, k)
+        ok &= tv <= tol_o
+    return ok
+
+
+def _history_state_laws(model: DecPomdpModel, nodes, domains, n: int) -> np.ndarray:
+    """``P(s | node, agent n's history)``, one row per (node, history) item in
+    block order, accumulated atom by atom in the node's weight order."""
+    rows: list[list[float]] = []
+    for node, domain in zip(nodes, domains):
+        pos = {h: len(rows) + k for k, h in enumerate(domain)}
+        rows.extend([0.0] * model.num_states for _h in domain)
+        for (s, hjoint), w in node.weights:
+            rows[pos[hjoint[n]]][s] += w
+    mass = np.array([sum(row) for row in rows])
+    return np.array(rows) / mass[:, None]
+
+
+def _private_matrix(
+    model: DecPomdpModel, sdist: np.ndarray, with_laws: bool, tol_r: float, tol_o: float
+) -> np.ndarray:
+    """Compatibility of the items with state laws ``sdist``: the one-step
+    reward of every joint action, and the next joint-observation law when
+    ``with_laws``.  Both are summed state by state in the order of
+    ``_joint_reward`` and ``_next_obs_distribution``, so they are bit for bit
+    the scalar values; absent states add exact zeros."""
+    S, thr = model.num_states, ADMISSIBILITY_THRESHOLD
+    rewards = sdist[:, :1] * model.reward[0]
+    for s in range(1, S):
+        rewards = rewards + sdist[:, s:s + 1] * model.reward[s]
+    laws = None
+    if with_laws:
+        laws = np.zeros((len(sdist), model.num_joint_actions, model.num_joint_obs))
+        for s in range(S):
+            for s_next in range(S):
+                p_trans = model.transition[s, :, s_next]
+                base = sdist[:, s:s + 1] * np.where(p_trans > thr, p_trans, 0.0)
+                p = base[:, :, None] * model.observation[s_next]
+                laws += np.where(p > thr, p, 0.0)
+
+    def scalar_tv(i, j, a_idx):
+        def law(x):
+            state_law = {s: float(w) for s, w in enumerate(sdist[x]) if w}
+            return _next_obs_distribution(model, state_law, a_idx)
+
+        return tv_distance(law(i), law(j))
+
+    return _compatibility(rewards, laws, tol_r, tol_o, scalar_tv)
 
 
 def build_greedy(
@@ -571,6 +696,7 @@ def build_greedy(
     tol_r: float = 0.0,
     tol_o: float = 0.0,
     tree: FcsTree | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> PrivateCompression:
     """Greedy agglomerative private compression with recursive-closure repair.
 
@@ -582,63 +708,35 @@ def build_greedy(
     agglomeration rerun.  At zero tolerance the repair additionally splits
     classes until the measured parameters are exactly zero, so this partition
     doubles as the exact construction.
+
+    Each block of items, one per ``(t, agent)``, gets its compatibility matrix
+    once; ``budget`` caps the total number of matrix cells.
     """
     tree = tree or FcsTree(model)
     levels = full_levels(model, tree)
-
-    # Per-item one-step statistics, used by the pairwise merge criterion.
-    stats: dict = {}
+    blocks = _Blocks(budget)
     for t in range(1, model.horizon + 1):
-        for node in levels[t - 1]:
-            for n, domain in enumerate(tree.agent_domains(node)):
-                for h in domain:
-                    raw: dict[int, float] = {}
-                    for (s, hjoint), w in node.weights:
-                        if hjoint[n] == h:
-                            raw[s] = raw.get(s, 0.0) + w
-                    mass = sum(raw.values())
-                    sdist = {s: w / mass for s, w in raw.items()}
-                    rew, obs = {}, {}
-                    for a in model.iter_joint_actions():
-                        a_idx = model.joint_action_index(a)
-                        rew[a] = _joint_reward(model, sdist, a_idx)
-                        if t < model.horizon:
-                            obs[a] = _next_obs_distribution(model, sdist, a_idx)
-                    stats[(t, node.seq, n, h)] = (rew, obs)
-
-    def compatible(i1, i2):
-        rew1, obs1 = stats[i1]
-        rew2, obs2 = stats[i2]
-        for a in rew1:
-            if abs(rew1[a] - rew2[a]) > tol_r:
-                return False
-            if a in obs1 and tv_distance(obs1[a], obs2[a]) > tol_o:
-                return False
-        return True
+        nodes = levels[t - 1]
+        for n in range(model.num_agents):
+            domains = [tree.agent_domains(node)[n] for node in nodes]
+            items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]
+            blocks.charge(("private block", t, n), len(items))
+            sdist = _history_state_laws(model, nodes, domains, n)
+            blocks.add(items, _private_matrix(model, sdist, t < model.horizon, tol_r, tol_o))
 
     exact = tol_r == 0.0 and tol_o == 0.0
-    separated: set[frozenset] = set()
     for _round in range(_MAX_REFINEMENT_ROUNDS):
         pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
-        for t in range(1, model.horizon + 1):
-            for n in range(model.num_agents):
-                items = [
-                    (t, node.seq, n, h)
-                    for node in levels[t - 1]
-                    for h in tree.agent_domains(node)[n]
-                ]
-                for idx, cls in enumerate(_greedy_partition(items, compatible, separated)):
-                    for item in cls:
-                        pc.theta[item] = idx
-
+        pc.theta = dict(blocks.labels())
         phi, conflict = _update_table(_private_edges(model, tree, pc))
         if conflict is not None:
-            separated.add(frozenset(conflict[1:]))
+            blocks.separate(*conflict[1:])
             continue
         if exact:
             split = _exactness_split(model, tree, pc)
             if split:
-                separated.update(split)
+                for pair in split:
+                    blocks.separate(*pair)
                 continue
         pc.phi = phi
         return pc
@@ -646,7 +744,7 @@ def build_greedy(
 
 
 def _exactness_split(model, tree, pc):
-    """Separations needed to zero the measured parameters, from one witness."""
+    """Pairs to separate to zero the measured parameters, from one witness."""
     mp = measure_private(model, pc, tree=tree, check=False)
     for kind in ("eps_p", "delta_p"):
         value = getattr(mp, kind)
@@ -661,16 +759,16 @@ def _exactness_split(model, tree, pc):
                     if g != h and pc.label_of(t, seq, n, g) == z
                 ]
                 if mates:
-                    return {
-                        frozenset(((t, seq, n, h), (t, seq, n, g))) for g in mates
-                    }
-    return set()
+                    return [((t, seq, n, h), (t, seq, n, g)) for g in mates]
+    return []
 
 
-def build_exact_private(model: DecPomdpModel, tree: FcsTree | None = None) -> PrivateCompression:
+def build_exact_private(
+    model: DecPomdpModel, tree: FcsTree | None = None, budget: int = DEFAULT_BUDGET
+) -> PrivateCompression:
     """Lossless private compression by partition refinement: the greedy
     agglomeration at zero tolerance, split to closure and exactness."""
-    return build_greedy(model, 0.0, 0.0, tree=tree)
+    return build_greedy(model, 0.0, 0.0, tree=tree, budget=budget)
 
 
 def identity_common(
@@ -716,6 +814,48 @@ def bcs_common(
     return cc
 
 
+def _common_matrix(
+    model: DecPomdpModel,
+    tree: FcsTree,
+    pc: PrivateCompression,
+    nodes: list[FcsNode],
+    with_laws: bool,
+    tol_r: float,
+    tol_o: float,
+) -> np.ndarray:
+    """Compatibility of coordinator nodes: nodes with different private label
+    domains never merge; within one domain group, the columns are the group's
+    label prescriptions, each with its immediate reward and, when
+    ``with_laws``, its next-common-observation law."""
+    groups: dict = {}
+    for i, node in enumerate(nodes):
+        groups.setdefault(pc.label_domains(node, tree.agent_domains(node)), []).append(i)
+    ok = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    for domains, members in groups.items():
+        lams = enumerate_prescriptions(model, domains)
+
+        def profile(i, lam):
+            return _node_reward_and_branches(
+                model, nodes[members[i]], extension(tree, nodes[members[i]], pc, lam)
+            )
+
+        rewards = np.empty((len(members), len(lams)))
+        laws = np.zeros((len(members), len(lams), len(model.common_obs)))
+        for i in range(len(members)):
+            for k, lam in enumerate(lams):
+                rewards[i, k], branches = profile(i, lam)
+                for o0, p in branches.items():
+                    laws[i, k, o0] = p
+
+        def scalar_tv(i, j, k):
+            return tv_distance(profile(i, lams[k])[1], profile(j, lams[k])[1])
+
+        ok[np.ix_(members, members)] = _compatibility(
+            rewards, laws if with_laws else None, tol_r, tol_o, scalar_tv
+        )
+    return ok
+
+
 def build_common_greedy(
     model: DecPomdpModel,
     pc: PrivateCompression,
@@ -723,54 +863,35 @@ def build_common_greedy(
     tol_o: float = 0.0,
     mu: str = "uniform",
     tree: FcsTree | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CommonCompression:
     """Greedy node-merging common compression with closure repair.
 
     Two nodes merge when they expose the same private label domains and, for
     every label prescription, their immediate expected rewards differ at most
     ``tol_r`` and their next-common-observation laws at most ``tol_o`` in
-    total variation.
+    total variation.  Each time step is one block with one compatibility
+    matrix; ``budget`` caps the total number of matrix cells.
     """
     tree = tree or FcsTree(model)
     levels = subtree_levels(model, tree, pc)
-
-    stats: dict = {}
+    blocks = _Blocks(budget)
     for t in range(1, model.horizon + 1):
-        for node in levels[t - 1]:
-            domains = pc.label_domains(node, tree.agent_domains(node))
-            profile = {}
-            for lam in enumerate_prescriptions(model, domains):
-                profile[lam.key] = _node_reward_and_branches(
-                    model, node, extension(tree, node, pc, lam)
-                )
-            stats[(t, node.seq)] = (domains, profile)
+        nodes = levels[t - 1]
+        blocks.charge(("common block", t), len(nodes))
+        blocks.add(
+            [(t, node.seq) for node in nodes],
+            _common_matrix(model, tree, pc, nodes, t < model.horizon, tol_r, tol_o),
+        )
 
-    def compatible(i1, i2):
-        d1, p1 = stats[i1]
-        d2, p2 = stats[i2]
-        if d1 != d2:
-            return False
-        for lam_key, (r1, obs1) in p1.items():
-            r2, obs2 = p2[lam_key]
-            if abs(r1 - r2) > tol_r:
-                return False
-            if i1[0] < model.horizon and tv_distance(obs1, obs2) > tol_o:
-                return False
-        return True
-
-    separated: set[frozenset] = set()
     for _round in range(_MAX_REFINEMENT_ROUNDS):
         cc = CommonCompression(horizon=model.horizon, mu_id=mu)
-        for t in range(1, model.horizon + 1):
-            items = [(t, node.seq) for node in levels[t - 1]]
-            for idx, cls in enumerate(_greedy_partition(items, compatible, separated)):
-                for item in cls:
-                    cc.theta0[item] = idx
+        cc.theta0 = dict(blocks.labels())
         phi0, conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
         if conflict is None:
             cc.phi0 = phi0
             return cc
-        separated.add(frozenset(conflict[1:]))
+        blocks.separate(*conflict[1:])
     raise RuntimeError("common refinement did not reach a fixed point")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,12 @@ class FcsNode:
 
     def weight_map(self) -> dict[tuple[int, JointHist], float]:
         return dict(self.weights)
+
+    @cached_property
+    def agent_domains(self) -> tuple[tuple[Hist, ...], ...]:
+        """Per-agent sorted reachable private histories, computed once."""
+        per_agent = zip(*(hjoint for (_s, hjoint), _w in self.weights))
+        return tuple(tuple(sorted(set(hists))) for hists in per_agent)
 
 
 def _sorted_weights(raw: dict) -> tuple:
@@ -228,11 +235,7 @@ class FcsTree:
 
     def agent_domains(self, node: FcsNode) -> tuple[tuple[Hist, ...], ...]:
         """Per-agent sorted reachable private histories at ``node``."""
-        domains: list[set] = [set() for _ in range(self.model.num_agents)]
-        for (_s, hjoint), _w in node.weights:
-            for n, h in enumerate(hjoint):
-                domains[n].add(h)
-        return tuple(tuple(sorted(d)) for d in domains)
+        return node.agent_domains
 
 
 def enumerate_prescriptions(

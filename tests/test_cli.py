@@ -59,25 +59,56 @@ def test_malformed_compression_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("alg", ["2", "5"])
-def test_compression_missing_labels_is_input_error(tmp_path, alg):
+# The empty private compression lacks the first root history; with the exact
+# private compression, the empty common one lacks the first time-2 node.
+MISSING_LABELS = {
+    "2": ("private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
+    "5": ("private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
+    "3": ("common", "theta0 has no label for (t, seq) = (2, (0, "),
+}
+
+
+@pytest.mark.parametrize("alg", list(MISSING_LABELS))
+def test_compression_missing_labels_is_input_error(tmp_path, alg, coin2):
+    kind, message = MISSING_LABELS[alg]
     empty = tmp_path / "empty.json"
-    empty.write_text('{"kind":"private","num_agents":2,"horizon":2,"theta":[],"phi":[]}')
+    if kind == "private":
+        empty.write_text('{"kind":"private","num_agents":2,"horizon":2,"theta":[],"phi":[]}')
+        files = [str(empty)]
+    else:
+        empty.write_text('{"kind":"common","horizon":2,"mu":"uniform","theta0":[],"phi0":[]}')
+        pc = tmp_path / "pc.json"
+        pc.write_text(serialize_compression(build_exact_private(coin2)))
+        files = [str(pc), str(empty)]
+    argv = ["solve", "--alg", alg, "--model", COIN2]
+    for path in files:
+        argv += ["--compression", path]
     proc = subprocess.run(
-        [sys.executable, "-m", "ciplan.cli", "solve", "--alg", alg,
-         "--model", COIN2, "--compression", str(empty)],
-        capture_output=True, text=True,
+        [sys.executable, "-m", "ciplan.cli", *argv], capture_output=True, text=True
     )
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
-    assert "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))" in proc.stderr
+    assert message in proc.stderr
 
 
 def test_budget_exhaustion_status(capsys):
     assert main(["solve", "--alg", "1", "--model", COIN2, "--budget", "3"]) == EXIT_BUDGET
     assert main(["oracle", "--model", COIN2, "--budget", "3"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_compress_budget_exhaustion_status(mode):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ciplan.cli", "compress", "--mode", mode,
+         "--model", COIN2, "--budget", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: budget of 1 exceeded at ('private block', 1, 0)\n"
 
 
 def test_solve_matches_oracle(capsys):

@@ -6,15 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciplan.compression import (
+    CommonCompression,
     CompressionFormatError,
     MeasuredParams,
     PrivateCompression,
     RecursiveCheckError,
+    _common_edges,
+    _common_matrix,
+    _compatibility,
+    _exactness_split,
+    _greedy_partition,
+    _history_state_laws,
+    _joint_reward,
+    _next_obs_distribution,
+    _node_reward_and_branches,
+    _private_edges,
+    _private_matrix,
+    _update_table,
     bcs_common,
     build_common_greedy,
     build_exact_private,
     build_greedy,
     check_recursive,
+    extension,
+    full_levels,
     identity_common,
     identity_private,
     load_compression,
@@ -23,10 +38,12 @@ from ciplan.compression import (
     reevaluate_common_witness,
     reevaluate_private_witness,
     serialize_compression,
+    subtree_levels,
     tv_distance,
 )
-from ciplan.exact_dp import solve_fcs_fps
-from ciplan.histories import FcsTree, level_nodes
+from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
+from ciplan.generate import random_model
+from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
 from ciplan.model import ADMISSIBILITY_THRESHOLD
 
 from test_belief import uninformative_model
@@ -47,13 +64,15 @@ def test_tv_distance_mismatched_universe():
         tv_distance([0.5, 0.5], [1.0])
 
 
-probs = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6).map(
-    lambda xs: [x / sum(xs) for x in xs]
-)
+def probs(size):
+    return st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size).map(
+        lambda xs: [x / sum(xs) for x in xs]
+    )
 
 
+# Three laws over one universe of 2 to 6 outcomes, drawn without filtering.
 @settings(max_examples=60, deadline=None)
-@given(st.tuples(probs, probs, probs).filter(lambda pq: len({len(x) for x in pq}) == 1))
+@given(st.integers(2, 6).flatmap(lambda size: st.tuples(*[probs(size)] * 3)))
 def test_tv_distance_is_a_metric(pqr):
     p, q, r = pqr
     assert 0.0 <= tv_distance(p, q) <= 1.0 + 1e-12
@@ -188,6 +207,266 @@ def test_greedy_huge_tolerance_gives_one_label_per_time():
     for t in range(1, model.horizon + 1):
         for n in range(model.num_agents):
             assert len(pc.alphabet(n, t)) == 1
+
+
+# -- compatibility matrices against the scalar construction ---------------
+#
+# The builders decide merges from one boolean matrix per block.  The scalar
+# pairwise predicates and the agglomeration loop they replaced are kept here as
+# the oracle: every matrix cell must equal its predicate, and both builders
+# must serialise byte for byte what the scalar construction gives.
+
+
+def _scalar_private_stats(model, tree, levels):
+    stats = {}
+    for t in range(1, model.horizon + 1):
+        for node in levels[t - 1]:
+            for n, domain in enumerate(tree.agent_domains(node)):
+                for h in domain:
+                    raw = {}
+                    for (s, hjoint), w in node.weights:
+                        if hjoint[n] == h:
+                            raw[s] = raw.get(s, 0.0) + w
+                    mass = sum(raw.values())
+                    sdist = {s: w / mass for s, w in raw.items()}
+                    rew, obs = {}, {}
+                    for a in model.iter_joint_actions():
+                        a_idx = model.joint_action_index(a)
+                        rew[a] = _joint_reward(model, sdist, a_idx)
+                        if t < model.horizon:
+                            obs[a] = _next_obs_distribution(model, sdist, a_idx)
+                    stats[(t, node.seq, n, h)] = (rew, obs)
+
+    def compatible(i1, i2, tol_r, tol_o):
+        rew1, obs1 = stats[i1]
+        rew2, obs2 = stats[i2]
+        for a in rew1:
+            if abs(rew1[a] - rew2[a]) > tol_r:
+                return False
+            if a in obs1 and tv_distance(obs1[a], obs2[a]) > tol_o:
+                return False
+        return True
+
+    return compatible
+
+
+def _scalar_common_stats(model, tree, pc, levels):
+    stats = {}
+    for t in range(1, model.horizon + 1):
+        for node in levels[t - 1]:
+            domains = pc.label_domains(node, tree.agent_domains(node))
+            profile = {
+                lam.key: _node_reward_and_branches(
+                    model, node, extension(tree, node, pc, lam)
+                )
+                for lam in enumerate_prescriptions(model, domains)
+            }
+            stats[(t, node.seq)] = (domains, profile)
+
+    def compatible(i1, i2, tol_r, tol_o):
+        d1, p1 = stats[i1]
+        d2, p2 = stats[i2]
+        if d1 != d2:
+            return False
+        for lam_key, (r1, obs1) in p1.items():
+            r2, obs2 = p2[lam_key]
+            if abs(r1 - r2) > tol_r:
+                return False
+            if i1[0] < model.horizon and tv_distance(obs1, obs2) > tol_o:
+                return False
+        return True
+
+    return compatible
+
+
+def _scalar_partition(items, compatible, separated):
+    classes = []
+    for item in items:
+        for cls in classes:
+            if all(
+                frozenset((item, other)) not in separated and compatible(item, other)
+                for other in cls
+            ):
+                cls.append(item)
+                break
+        else:
+            classes.append([item])
+    return classes
+
+
+def _scalar_build_greedy(model, tree, tol_r, tol_o):
+    levels = full_levels(model, tree)
+    stats = _scalar_private_stats(model, tree, levels)
+
+    def compatible(a, b):
+        return stats(a, b, tol_r, tol_o)
+
+    separated = set()
+    while True:
+        pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
+        for t in range(1, model.horizon + 1):
+            for n in range(model.num_agents):
+                items = [
+                    (t, node.seq, n, h)
+                    for node in levels[t - 1]
+                    for h in tree.agent_domains(node)[n]
+                ]
+                for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
+                    for item in cls:
+                        pc.theta[item] = idx
+        phi, conflict = _update_table(_private_edges(model, tree, pc))
+        if conflict is not None:
+            separated.add(frozenset(conflict[1:]))
+            continue
+        if tol_r == 0.0 and tol_o == 0.0:
+            split = _exactness_split(model, tree, pc)
+            if split:
+                separated.update(frozenset(pair) for pair in split)
+                continue
+        pc.phi = phi
+        return pc
+
+
+def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
+    levels = subtree_levels(model, tree, pc)
+    stats = _scalar_common_stats(model, tree, pc, levels)
+
+    def compatible(a, b):
+        return stats(a, b, tol_r, tol_o)
+
+    separated = set()
+    while True:
+        cc = CommonCompression(horizon=model.horizon)
+        for t in range(1, model.horizon + 1):
+            items = [(t, node.seq) for node in levels[t - 1]]
+            for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
+                for item in cls:
+                    cc.theta0[item] = idx
+        phi0, conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
+        if conflict is None:
+            cc.phi0 = phi0
+            return cc
+        separated.add(frozenset(conflict[1:]))
+
+
+def _assert_cells_match(matrix, items, compatible, tol_r, tol_o):
+    assert (matrix == matrix.T).all()
+    for i in range(len(items)):
+        for j in range(i):
+            assert matrix[i, j] == compatible(items[i], items[j], tol_r, tol_o), (
+                items[i], items[j]
+            )
+
+
+MATRIX_SHAPES = [
+    dict(num_states=2, private_obs_sizes=(2, 2)),
+    dict(num_states=3, private_obs_sizes=(2, 1), num_common_obs=2),
+    dict(num_states=2, num_common_obs=2, action_sizes=(3, 2)),
+    dict(num_states=3, private_obs_sizes=(1, 2), num_common_obs=2),
+]
+MATRIX_TOLERANCES = [(0.0, 0.0), (0.2, 0.1), (0.4, 0.4), (0.5, 0.5)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(MATRIX_SHAPES),
+    st.sampled_from(MATRIX_TOLERANCES),
+)
+def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
+    tol_r, tol_o = tols
+    model = random_model(seed, **shape)
+    tree = FcsTree(model)
+    levels = full_levels(model, tree)
+    private_compatible = _scalar_private_stats(model, tree, levels)
+    for t in range(1, model.horizon + 1):
+        nodes = levels[t - 1]
+        for n in range(model.num_agents):
+            domains = [tree.agent_domains(node)[n] for node in nodes]
+            items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]
+            sdist = _history_state_laws(model, nodes, domains, n)
+            matrix = _private_matrix(model, sdist, t < model.horizon, tol_r, tol_o)
+            _assert_cells_match(matrix, items, private_compatible, tol_r, tol_o)
+
+    pc = build_greedy(model, tol_r, tol_o, tree=tree)
+    assert serialize_compression(pc) == serialize_compression(
+        _scalar_build_greedy(model, tree, tol_r, tol_o)
+    )
+
+    common_levels = subtree_levels(model, tree, pc)
+    common_compatible = _scalar_common_stats(model, tree, pc, common_levels)
+    for t in range(1, model.horizon + 1):
+        nodes = common_levels[t - 1]
+        matrix = _common_matrix(model, tree, pc, nodes, t < model.horizon, tol_r, tol_o)
+        items = [(t, node.seq) for node in nodes]
+        _assert_cells_match(matrix, items, common_compatible, tol_r, tol_o)
+
+    assert serialize_compression(
+        build_common_greedy(model, pc, tol_r, tol_o, tree=tree)
+    ) == serialize_compression(_scalar_build_common_greedy(model, tree, pc, tol_r, tol_o))
+
+
+def test_compatibility_defers_borderline_variation_to_scalar_sum():
+    # The summed matrix value sits on the tolerance; the scalar sum decides.
+    rewards = np.zeros((2, 1))
+    laws = np.array([[[0.3, 0.7]], [[0.5, 0.5]]])
+    tol = 0.5 * float(np.abs(laws[0, 0] - laws[1, 0]).sum())
+    calls = []
+
+    def scalar_tv(i, j, k):
+        calls.append((i, j, k))
+        return verdict
+
+    verdict = tol
+    assert _compatibility(rewards, laws, 0.0, tol, scalar_tv)[1, 0]
+    verdict = np.nextafter(tol, 1.0)
+    ok = _compatibility(rewards, laws, 0.0, tol, scalar_tv)
+    assert not ok[1, 0] and not ok[0, 1]
+    assert calls == [(1, 0, 0), (1, 0, 0)]
+    # Far from the tolerance, and at zero tolerance, no scalar sum is needed.
+    assert _compatibility(rewards, laws, 0.0, 2 * tol, scalar_tv)[1, 0]
+    assert not _compatibility(rewards, laws, 0.0, 0.0, scalar_tv)[1, 0]
+    assert len(calls) == 2
+
+
+def test_greedy_partition_reads_class_rows():
+    # Item 2 is compatible with 0 but not with 1, so it cannot join class 0
+    # once 1 has; item 3 joins the first class that admits it.
+    admit = np.array(
+        [
+            [1, 1, 1, 0],
+            [1, 1, 0, 1],
+            [1, 0, 1, 1],
+            [0, 1, 1, 1],
+        ],
+        dtype=bool,
+    )
+    assert _greedy_partition(admit) == [0, 0, 1, 1]
+    admit[0, 1] = admit[1, 0] = False
+    assert _greedy_partition(admit) == [0, 1, 0, 1]
+
+
+def test_builders_charge_matrix_cells_to_budget(coin2):
+    tree = FcsTree(coin2)
+    levels = full_levels(coin2, tree)
+    cells = sum(
+        sum(len(tree.agent_domains(node)[n]) for node in levels[t - 1]) ** 2
+        for t in range(1, coin2.horizon + 1)
+        for n in range(coin2.num_agents)
+    )
+    build_greedy(coin2, 0.5, 0.5, tree=tree, budget=cells)
+    with pytest.raises(BudgetExceededError) as err:
+        build_greedy(coin2, 0.5, 0.5, tree=tree, budget=cells - 1)
+    assert err.value.locus == ("private block", coin2.horizon, coin2.num_agents - 1)
+    with pytest.raises(BudgetExceededError):
+        build_exact_private(coin2, tree, budget=cells - 1)
+
+    pc = build_exact_private(coin2, tree)
+    common_cells = sum(len(level) ** 2 for level in subtree_levels(coin2, tree, pc))
+    build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells)
+    with pytest.raises(BudgetExceededError) as err:
+        build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells - 1)
+    assert err.value.locus == ("common block", coin2.horizon)
 
 
 # -- common measurement ----------------------------------------------------
