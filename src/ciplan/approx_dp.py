@@ -93,14 +93,14 @@ def solve_ascs_asps(
                 mix_obs: dict[int, float] = {}
                 for node in members:
                     r, branches = _node_reward_and_branches(
-                        model, node, extension(tree, node, pc, lam)
+                        tree, node, extension(tree, node, pc, lam)
                     )
                     q += mu_w[node.seq] * r
                     for o0, p in branches.items():
                         mix_obs[o0] = mix_obs.get(o0, 0.0) + mu_w[node.seq] * p
                 if t < model.horizon:
                     for o0 in sorted(mix_obs):
-                        z_next = cc.phi0[(t, label, lam.key, o0)]
+                        z_next = cc.next_label(t, label, lam.key, o0)
                         q += mix_obs[o0] * table.entries[(t + 1, z_next)].value
                 qs.append(q)
                 # Ties resolve to the smallest canonical index.

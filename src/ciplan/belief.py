@@ -403,7 +403,9 @@ def solve_bcs_spi(
     return generic_solve(model, tree, pc=pc, key_fn=key_fn, budget=budget)
 
 
-def verify_propositions(model: DecPomdpModel, compressions) -> ConditionReport:
+def verify_propositions(
+    model: DecPomdpModel, compressions, tree: FcsTree | None = None
+) -> ConditionReport:
     """Check the implication structure among the sufficiency condition sets.
 
     For each supplied private compression: when the policy-independent
@@ -416,7 +418,7 @@ def verify_propositions(model: DecPomdpModel, compressions) -> ConditionReport:
     """
     from . import compression as comp
 
-    tree = FcsTree(model)
+    tree = tree or FcsTree(model)
     report = ConditionReport()
 
     pc_identity = comp.identity_private(model, tree)

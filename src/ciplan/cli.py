@@ -28,6 +28,7 @@ from .exact_dp import (
     solve_fcs_fps,
     solve_report,
 )
+from .histories import FcsTree
 from .model import ModelFormatError, ModelValidationError, load_model
 
 EXIT_OK = 0
@@ -96,9 +97,13 @@ def _require(obj, what: str):
 
 
 def run_command(args) -> tuple[int, dict]:
-    """Execute one parsed invocation; returns (exit status, report)."""
+    """Execute one parsed invocation; returns (exit status, report).
+
+    Every step of one command shares one coordinator tree.
+    """
     model = load_model(Path(args.model).read_text())
     budget = getattr(args, "budget", DEFAULT_BUDGET)
+    tree = FcsTree(model)
 
     if args.command == "validate":
         return EXIT_OK, {"command": "validate", "model": args.model, "valid": True}
@@ -109,10 +114,12 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "compress":
         if args.mode == "exact":
-            pc = compression.build_exact_private(model, budget=budget)
+            pc = compression.build_exact_private(model, tree, budget=budget)
         else:
-            pc = compression.build_greedy(model, args.tol_r, args.tol_o, budget=budget)
-        mp = compression.measure_private(model, pc)
+            pc = compression.build_greedy(
+                model, args.tol_r, args.tol_o, tree=tree, budget=budget
+            )
+        mp = compression.measure_private(model, pc, tree=tree)
         doc = compression.serialize_compression(pc, measured=mp)
         report = {
             "command": "compress",
@@ -130,7 +137,7 @@ def run_command(args) -> tuple[int, dict]:
     if args.command == "measure":
         pc, cc = _load_compressions(args)
         pc = _require(pc, "private")
-        mp = compression.measure_private(model, pc)
+        mp = compression.measure_private(model, pc, tree=tree)
         report = {
             "command": "measure",
             "mu": args.mu,
@@ -139,7 +146,7 @@ def run_command(args) -> tuple[int, dict]:
             "witnesses": {k: repr(v) for k, v in sorted(mp.witnesses.items())},
         }
         if cc is not None:
-            mc = compression.measure_common(model, pc, cc, mu=args.mu)
+            mc = compression.measure_common(model, pc, cc, mu=args.mu, tree=tree)
             report["eps_c"] = mc.eps_c
             report["delta_c"] = mc.delta_c
             report["witnesses"].update(
@@ -150,20 +157,20 @@ def run_command(args) -> tuple[int, dict]:
     if args.command == "solve":
         pc, cc = _load_compressions(args)
         if args.alg == "1":
-            table, _ = solve_fcs_fps(model, budget=budget)
+            table, _ = solve_fcs_fps(model, tree, budget=budget)
         elif args.alg == "2":
-            table, _ = solve_fcs_asps(model, _require(pc, "private"), budget=budget)
+            table, _ = solve_fcs_asps(model, _require(pc, "private"), tree, budget=budget)
         elif args.alg == "3":
             table, _, _ = solve_ascs_asps(
                 model, _require(pc, "private"), _require(cc, "common"),
-                mu=args.mu, budget=budget,
+                mu=args.mu, tree=tree, budget=budget,
             )
         elif args.alg == "4":
-            table, _ = belief.solve_bcs_fps(model, budget=budget)
+            table, _ = belief.solve_bcs_fps(model, tree, budget=budget)
         else:
             if pc is None:
-                pc = compression.identity_private(model)
-            table, _ = belief.solve_bcs_spi(model, pc, budget=budget)
+                pc = compression.identity_private(model, tree)
+            table, _ = belief.solve_bcs_spi(model, pc, tree, budget=budget)
         report = solve_report(table, algorithm=f"alg{args.alg}")
         report["command"] = "solve"
         return EXIT_OK, report
@@ -172,17 +179,17 @@ def run_command(args) -> tuple[int, dict]:
         pc, cc = _load_compressions(args)
         pc = _require(pc, "private")
         cc = _require(cc, "common")
-        gaps = verify.verify_gaps(model, pc, cc, mu=args.mu, budget=budget)
+        gaps = verify.verify_gaps(model, pc, cc, mu=args.mu, tree=tree, budget=budget)
         report = {"command": "verify-gap", **gaps.to_jsonable()}
         return (EXIT_OK if gaps.passed else EXIT_VERIFY), report
 
     if args.command == "check-conditions":
         pc, _cc = _load_compressions(args)
-        identity = compression.identity_private(model)
+        identity = compression.identity_private(model, tree)
         if pc is None:
             pc = identity
-        spi_report = belief.check_spi(model, identity)
-        rec_report = compression.check_recursive(model, pc)
+        spi_report = belief.check_spi(model, identity, tree)
+        rec_report = compression.check_recursive(model, pc, tree=tree)
         report = {
             "command": "check-conditions",
             "spi_identity": spi_report.to_jsonable(),
@@ -191,8 +198,8 @@ def run_command(args) -> tuple[int, dict]:
         ok = spi_report.passed and rec_report.passed
         if rec_report.passed:
             # The deeper identities presume a well-formed recursive update.
-            lemma_report = verify.check_lemmas(model, pc, budget=budget)
-            prop_report = belief.verify_propositions(model, [pc])
+            lemma_report = verify.check_lemmas(model, pc, tree=tree, budget=budget)
+            prop_report = belief.verify_propositions(model, [pc], tree=tree)
             report["lemmas"] = lemma_report.to_jsonable()
             report["propositions"] = prop_report.to_jsonable()
             ok = ok and lemma_report.passed and prop_report.passed

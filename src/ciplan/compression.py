@@ -106,6 +106,15 @@ class CommonCompression:
                 f"theta0 has no label for (t, seq) = {(t, seq)!r}"
             ) from None
 
+    def next_label(self, t: int, label, lam_key, o0: int):
+        """Successor label ``phi0[(t, label, λ, o0)]``."""
+        try:
+            return self.phi0[(t, label, lam_key, o0)]
+        except KeyError:
+            raise CompressionFormatError(
+                f"phi0 has no successor for (t, label, λ, o0) = {(t, label, lam_key, o0)!r}"
+            ) from None
+
     def alphabet(self, t: int) -> tuple:
         return tuple(sorted({lab for (tt, _s), lab in self.theta0.items() if tt == t}, key=repr))
 
@@ -426,8 +435,16 @@ def reevaluate_private_witness(
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
-def _node_reward_and_branches(model, node, gamma):
-    """Immediate expected reward and next-common-observation law at a node."""
+def _node_reward_and_branches(tree: FcsTree, node: FcsNode, gamma: Prescription):
+    """Immediate expected reward and next-common-observation law at a node
+    under a history-domain prescription, memoised in ``tree.common_profiles``
+    by the node and the prescription's action row.  Every caller shares the
+    returned law, so none may change it."""
+    memo_key = (node.seq, tuple(a for table in gamma.entries for _h, a in table))
+    profile = tree.common_profiles.get(memo_key)
+    if profile is not None:
+        return profile
+    model = tree.model
     r = 0.0
     obs: dict[int, float] = {}
     for (s, hjoint), w in node.weights:
@@ -436,7 +453,8 @@ def _node_reward_and_branches(model, node, gamma):
         r += w * float(model.reward[s, a_idx])
         for key, p in _next_obs_distribution(model, {s: w}, a_idx).items():
             obs[key[0]] = obs.get(key[0], 0.0) + p
-    return r, obs
+    profile = tree.common_profiles[memo_key] = (r, obs)
+    return profile
 
 
 def measure_common(
@@ -481,7 +499,7 @@ def measure_common(
             for lam in enumerate_prescriptions(model, domains0):
                 per_node = {
                     node.seq: _node_reward_and_branches(
-                        model, node, extension(tree, node, pc, lam)
+                        tree, node, extension(tree, node, pc, lam)
                     )
                     for node in members
                 }
@@ -522,7 +540,7 @@ def reevaluate_common_witness(
     total = sum(masses[t - 1][n.seq] for n in members)
     lam = Prescription(lam_key)
     per_node = {
-        n.seq: _node_reward_and_branches(model, n, extension(tree, n, pc, lam))
+        n.seq: _node_reward_and_branches(tree, n, extension(tree, n, pc, lam))
         for n in members
     }
     mix_r = sum(masses[t - 1][s] / total * r for s, (r, _b) in per_node.items())
@@ -836,7 +854,7 @@ def _common_matrix(
 
         def profile(i, lam):
             return _node_reward_and_branches(
-                model, nodes[members[i]], extension(tree, nodes[members[i]], pc, lam)
+                tree, nodes[members[i]], extension(tree, nodes[members[i]], pc, lam)
             )
 
         rewards = np.empty((len(members), len(lams)))

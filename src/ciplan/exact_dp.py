@@ -217,8 +217,14 @@ def generic_solve(
         return qs[best]
 
     overall = 0.0
-    for _o0, root, p_root in tree.roots():
-        overall += p_root * solve(root)
+    try:
+        for _o0, root, p_root in tree.roots():
+            overall += p_root * solve(root)
+    finally:
+        # ``solve`` and ``revisit`` reach each other through their closure
+        # cells; emptying the cells lets the tree and tables go by reference
+        # counting instead of waiting for a cyclic collection.
+        del solve, revisit
     table.overall_value = overall
     return table, policy
 
@@ -232,8 +238,19 @@ def solve_fcs_fps(
 
     Value entries are keyed ``(t, node sequence)``; the returned table's
     ``overall_value`` is the common-observation-weighted root value.
+
+    The sweep is memoised on ``tree``: a later call on the same tree returns
+    the same table and policy when its Q-evaluation count is within
+    ``budget``, and otherwise sweeps again, so the budget error names the
+    same node as on a fresh tree.
     """
-    return generic_solve(model, tree, budget=budget)
+    tree = tree or FcsTree(model)
+    if tree.exact_sweep is not None and tree.exact_sweep[2] <= budget:
+        return tree.exact_sweep[0], tree.exact_sweep[1]
+    table, policy = generic_solve(model, tree, budget=budget)
+    evals = sum(len(entry.q_values) for entry in table.entries.values())
+    tree.exact_sweep = table, policy, evals
+    return table, policy
 
 
 def supervisor_q(

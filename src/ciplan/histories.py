@@ -127,13 +127,28 @@ def _successor_weights(
 
 
 class FcsTree:
-    """Lazily expanded, memoized coordinator history tree for one model."""
+    """Lazily expanded, memoized coordinator history tree for one model.
+
+    Besides its nodes, a tree memoises two quantities that depend on the
+    common information alone, so every call sharing the tree computes each
+    once.  Both are keyed by the tree only, never by a compression's labels:
+
+    ``common_profiles``
+        ``(node.seq, action row of a history-domain prescription)`` to the
+        immediate expected reward and next-common-observation law; filled and
+        read by ``compression._node_reward_and_branches`` only.
+    ``exact_sweep``
+        The alg-1 ``(table, policy, Q evaluations)``; filled and read by
+        ``exact_dp.solve_fcs_fps`` only.
+    """
 
     def __init__(self, model: DecPomdpModel):
         self.model = model
         self._nodes: dict[FcsKey, FcsNode] = {}
         self._children: dict[tuple, dict[int, tuple[FcsNode, float]]] = {}
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
+        self.common_profiles: dict[tuple, tuple[float, dict[int, float]]] = {}
+        self.exact_sweep: tuple | None = None
 
     # -- roots ------------------------------------------------------------
 

@@ -102,7 +102,7 @@ class DecPomdpModel:
     def action_sizes(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.actions)
 
-    @property
+    @cached_property
     def private_obs_sizes(self) -> tuple[int, ...]:
         return tuple(len(o) for o in self.private_obs)
 
@@ -114,8 +114,28 @@ class DecPomdpModel:
     def num_joint_obs(self) -> int:
         return len(self.common_obs) * int(np.prod(self.private_obs_sizes))
 
+    @cached_property
+    def _action_strides(self) -> tuple[tuple[int, int], ...]:
+        """``(size, stride)`` per agent of the row-major joint-action index."""
+        strides, stride = [], 1
+        for size in reversed(self.action_sizes):
+            strides.append((size, stride))
+            stride *= size
+        return tuple(reversed(strides))
+
     def joint_action_index(self, a: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(a, self.action_sizes))
+        """Row-major flat index of a per-agent action tuple; ``ValueError`` for
+        a tuple of the wrong length or an index out of range."""
+        strides = self._action_strides
+        if len(a) != len(strides):
+            raise ValueError(f"joint action {tuple(a)!r} has {len(a)} entries, "
+                             f"expected {len(strides)}")
+        idx = 0
+        for an, (size, stride) in zip(a, strides):
+            if not 0 <= an < size:
+                raise ValueError(f"action index {an!r} out of range in {tuple(a)!r}")
+            idx += an * stride
+        return int(idx)
 
     def joint_obs_index(self, o0: int, opriv: tuple[int, ...]) -> int:
         dims = (len(self.common_obs),) + self.private_obs_sizes
@@ -269,6 +289,8 @@ def from_dict(doc: dict) -> DecPomdpModel:
         horizon = int(doc["horizon"])
     except KeyError as exc:
         raise ModelFormatError(f"missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed field: {exc}") from exc
 
     S = len(states)
     act_sizes = tuple(len(a) for a in actions)
@@ -292,6 +314,10 @@ def from_dict(doc: dict) -> DecPomdpModel:
     reward_bound = doc.get("reward_bound")
     if reward_bound is None:
         reward_bound = float(np.abs(reward).max()) if reward.size else 0.0
+    try:
+        reward_bound = float(reward_bound)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed reward_bound: {exc}") from exc
     model = DecPomdpModel(
         num_agents=num_agents,
         states=states,
@@ -303,7 +329,7 @@ def from_dict(doc: dict) -> DecPomdpModel:
         reward=reward,
         initial=initial,
         horizon=horizon,
-        reward_bound=float(reward_bound),
+        reward_bound=reward_bound,
     )
     validate(model)
     return model

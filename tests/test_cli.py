@@ -1,11 +1,19 @@
 """Command-line behaviour: exit statuses, report files, and byte-for-byte
 deterministic output."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciplan.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from ciplan.compression import (
@@ -14,6 +22,7 @@ from ciplan.compression import (
     identity_private,
     serialize_compression,
 )
+from ciplan.model import load_model
 
 from conftest import DATA
 
@@ -59,26 +68,35 @@ def test_malformed_compression_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-# The empty private compression lacks the first root history; with the exact
-# private compression, the empty common one lacks the first time-2 node.
+# case -> (alg, compression with no entries, expected message).  The empty
+# private compression lacks the first root history; with the exact private
+# compression, the empty common one lacks the first time-2 node, and the belief
+# common compression with an empty ``phi0`` lacks the first time-1 successor.
 MISSING_LABELS = {
-    "2": ("private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
-    "5": ("private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
-    "3": ("common", "theta0 has no label for (t, seq) = (2, (0, "),
+    "2": ("2", "private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
+    "5": ("5", "private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
+    "3": ("3", "common", "theta0 has no label for (t, seq) = (2, (0, "),
+    "3-phi0": ("3", "phi0", "phi0 has no successor for (t, label, λ, o0) = (1, "),
 }
 
 
-@pytest.mark.parametrize("alg", list(MISSING_LABELS))
-def test_compression_missing_labels_is_input_error(tmp_path, alg, coin2):
-    kind, message = MISSING_LABELS[alg]
+@pytest.mark.parametrize("case", list(MISSING_LABELS))
+def test_compression_missing_labels_is_input_error(tmp_path, case, coin2):
+    alg, kind, message = MISSING_LABELS[case]
     empty = tmp_path / "empty.json"
     if kind == "private":
         empty.write_text('{"kind":"private","num_agents":2,"horizon":2,"theta":[],"phi":[]}')
         files = [str(empty)]
     else:
-        empty.write_text('{"kind":"common","horizon":2,"mu":"uniform","theta0":[],"phi0":[]}')
+        exact = build_exact_private(coin2)
+        if kind == "common":
+            empty.write_text('{"kind":"common","horizon":2,"mu":"uniform","theta0":[],"phi0":[]}')
+        else:
+            cc = bcs_common(coin2, exact)
+            cc.phi0 = {}
+            empty.write_text(serialize_compression(cc))
         pc = tmp_path / "pc.json"
-        pc.write_text(serialize_compression(build_exact_private(coin2)))
+        pc.write_text(serialize_compression(exact))
         files = [str(pc), str(empty)]
     argv = ["solve", "--alg", alg, "--model", COIN2]
     for path in files:
@@ -222,3 +240,75 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["valid"] is True
+
+
+# -- fuzzing the exit-status contract --------------------------------------
+
+FUZZ_COMMANDS = [["solve", "--alg", alg] for alg in "12345"] + [
+    ["measure"], ["verify-gap"], ["check-conditions"],
+]
+WRONG_TYPES = [None, "x", {"k": 1}, [None], True]
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one entry, up to three levels down, dropped, emptied,
+    replaced by a value of the wrong type or by NaN."""
+    doc = copy.deepcopy(doc)
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    for _level in range(draw(st.integers(0, 2))):
+        child = parent[key]
+        if isinstance(child, list) and child:
+            parent, key = child, draw(st.integers(0, len(child) - 1))
+        elif isinstance(child, dict) and child:
+            parent, key = child, draw(st.sampled_from(sorted(child)))
+    kind = draw(st.sampled_from(["drop", "empty", "wrong type", "nan"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "empty":
+        parent[key] = type(parent[key])() if isinstance(parent[key], (list, dict, str)) else []
+    elif kind == "wrong type":
+        parent[key] = draw(st.sampled_from(WRONG_TYPES))
+    else:
+        parent[key] = float("nan")
+    return doc
+
+
+@functools.cache
+def fuzz_documents() -> dict:
+    """The coin2 model with its exact private and belief common compressions."""
+    text = Path(COIN2).read_text()
+    model = load_model(text)
+    pc = build_exact_private(model)
+    return {
+        "model": json.loads(text),
+        "pc": json.loads(serialize_compression(pc)),
+        "cc": json.loads(serialize_compression(bcs_common(model, pc))),
+    }
+
+
+@st.composite
+def fuzz_inputs(draw):
+    docs = dict(fuzz_documents())
+    target = draw(st.sampled_from(sorted(docs)))
+    docs[target] = draw(mutated(docs[target]))
+    return draw(st.sampled_from(FUZZ_COMMANDS)), docs
+
+
+@settings(max_examples=25, deadline=None)
+@given(fuzz_inputs())
+def test_cli_exit_status_contract_under_mutated_inputs(inputs):
+    command, docs = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = Path(tmp) / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        argv = [*command, "--model", str(paths["model"])]
+        argv += ["--compression", str(paths["pc"]), "--compression", str(paths["cc"])]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+    assert status in (EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_BUDGET)
+    if status in (EXIT_INPUT, EXIT_BUDGET):
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

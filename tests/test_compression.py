@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ciplan.approx_dp import solve_ascs_asps
 from ciplan.compression import (
     CommonCompression,
     CompressionFormatError,
@@ -257,7 +258,7 @@ def _scalar_common_stats(model, tree, pc, levels):
             domains = pc.label_domains(node, tree.agent_domains(node))
             profile = {
                 lam.key: _node_reward_and_branches(
-                    model, node, extension(tree, node, pc, lam)
+                    tree, node, extension(tree, node, pc, lam)
                 )
                 for lam in enumerate_prescriptions(model, domains)
             }
@@ -526,8 +527,8 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
                 for l2, g in compressed_prescriptions(model, tree, n2, pc)
                 if l2.key == lam.key
             )
-            r1, _ = _node_reward_and_branches(model, n1, g1)
-            r2, _ = _node_reward_and_branches(model, n2, g2)
+            r1, _ = _node_reward_and_branches(tree, n1, g1)
+            r2, _ = _node_reward_and_branches(tree, n2, g2)
             mix = (w1 * r1 + w2 * r2) / (w1 + w2)
             sup = max(sup, abs(r1 - mix), abs(r2 - mix))
         return sup
@@ -565,6 +566,55 @@ def test_common_greedy_passes_recursive_check(coin2):
     for tol in (0.0, 0.1, 1.0):
         cc = build_common_greedy(coin2, pc, tol, tol)
         assert check_recursive(coin2, cc, pc=pc).passed
+
+
+def _common_session(model, pc, tree_for) -> tuple:
+    """``float.hex`` form of the common greedy build, its measurement and the
+    label sweep on it; ``tree_for()`` gives the tree of each call."""
+    cc = build_common_greedy(model, pc, 0.5, 0.5, tree=tree_for())
+    mc = measure_common(model, pc, cc, tree=tree_for())
+    table, policy, _labels = solve_ascs_asps(model, pc, cc, tree=tree_for())
+    return (
+        serialize_compression(cc),
+        mc.eps_c.hex(),
+        mc.delta_c.hex(),
+        sorted(mc.witnesses.items()),
+        table.overall_value.hex(),
+        sorted(
+            (repr(k), e.value.hex(), e.argmax_index, [q.hex() for q in e.q_values])
+            for k, e in table.entries.items()
+        ),
+        sorted(policy.prescriptions.items()),
+    )
+
+
+class _Unmemoised(dict):
+    """A profile memo that stores nothing, so every profile is computed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _unmemoised_tree(model) -> FcsTree:
+    tree = FcsTree(model)
+    tree.common_profiles = _Unmemoised()
+    return tree
+
+
+def test_shared_tree_memo_changes_no_bit():
+    # Two private compressions with different labels on one tree: the common
+    # profiles it memoises are keyed by the tree alone, so neither build sees
+    # the other's labels, and every result is the one a fresh tree per call
+    # gives with every profile computed anew.
+    model = random_model(1, num_states=2, horizon=3, num_common_obs=2)
+    shared = FcsTree(model)
+    pcs = [build_exact_private(model, shared), build_greedy(model, 0.5, 0.5, tree=shared)]
+    assert pcs[0].theta != pcs[1].theta
+    for pc in pcs:
+        fresh = _common_session(model, pc, lambda: _unmemoised_tree(model))
+        assert _common_session(model, pc, lambda: shared) == fresh
+        assert _common_session(model, pc, lambda: shared) == fresh
+    assert shared.common_profiles
 
 
 # -- refinement monotonicity (restricted form) ----------------------------

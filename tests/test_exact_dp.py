@@ -1,6 +1,9 @@
 """Exact backward sweep vs brute-force policy enumeration, plus the
 omniscient per-history Q function."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +260,47 @@ def test_budget_counts_every_q_evaluation(coin2, small_models):
         solve(evals)
         with pytest.raises(BudgetExceededError):
             solve(evals - 1)
+
+
+def test_alg1_memo_honours_the_budget(small_models):
+    model = small_models[3]
+    fresh_table, _ = solve_fcs_fps(model, FcsTree(model))
+    evals = sum(len(e.q_values) for e in fresh_table.entries.values())
+    with pytest.raises(BudgetExceededError) as fresh_err:
+        solve_fcs_fps(model, FcsTree(model), budget=evals - 1)
+
+    tree = FcsTree(model)
+    table, policy = solve_fcs_fps(model, tree, budget=evals)
+    for budget in (evals, DEFAULT_BUDGET):
+        again, again_policy = solve_fcs_fps(model, tree, budget=budget)
+        assert again is table and again_policy is policy
+    with pytest.raises(BudgetExceededError) as err:
+        solve_fcs_fps(model, tree, budget=evals - 1)
+    assert err.value.locus == fresh_err.value.locus
+    assert solve_report(table, "alg1") == solve_report(fresh_table, "alg1")
+
+
+@pytest.mark.parametrize("alg", ["1", "2", "4"])
+def test_sweeps_leave_no_reference_cycle(coin2, alg):
+    # The tree must go as soon as the caller drops it, without a cyclic
+    # collection: the automatic collector is off for the whole check.
+    pc = build_exact_private(coin2) if alg == "2" else None
+    solve = {
+        "1": lambda tree: solve_fcs_fps(coin2, tree),
+        "2": lambda tree: solve_fcs_asps(coin2, pc, tree),
+        "4": lambda tree: solve_bcs_fps(coin2, tree),
+    }[alg]
+    gc.collect()
+    gc.disable()
+    try:
+        tree = FcsTree(coin2)
+        alive = weakref.ref(tree)
+        table, policy = solve(tree)
+        assert table.overall_value == pytest.approx(1.31, abs=1e-9)
+        del tree, table, policy
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # -- policies cover every node they reach ----------------------------------

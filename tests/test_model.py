@@ -61,6 +61,16 @@ def test_missing_field_is_format_error():
         from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_agents", None), ("horizon", {"k": 1}), ("private_obs", [1.5]),
+     ("states", None), ("reward_bound", []), ("reward_bound", "x")],
+)
+def test_wrongly_typed_field_is_format_error(field, value):
+    with pytest.raises(ModelFormatError):
+        from_dict(tiny_model(**{field: value}))
+
+
 def test_validation_collects_all_violations():
     doc = tiny_model()
     doc["transition"] = [[[[0.9, 0.0]] * 2] * 2] * 2  # rows sum to 0.9
@@ -112,6 +122,25 @@ def test_joint_indexing_row_major():
     assert m.joint_action_index((1, 0)) == 2
     assert m.joint_obs_index(0, (0, 0)) == 0
     assert [a for a in m.iter_joint_actions()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_joint_action_index_matches_numpy_and_rejects_bad_tuples():
+    # Three agents with unequal alphabets, so every stride differs.
+    doc = tiny_model(
+        num_agents=3,
+        actions=[["a", "b", "c"], ["a"], ["a", "b"]],
+        private_obs=[["o0"], ["o0"], ["o0"]],
+        transition=np.full((2, 3, 1, 2, 2), 0.5).tolist(),
+        observation=np.ones((2, 1, 1, 1, 1)).tolist(),
+        reward=np.zeros((2, 3, 1, 2)).tolist(),
+    )
+    m = from_dict(doc)
+    for a in m.iter_joint_actions():
+        assert m.joint_action_index(a) == np.ravel_multi_index(a, (3, 1, 2))
+    assert m.joint_action_index(np.array([2, 0, 1])) == 5
+    for bad in [(3, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 2), (0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            m.joint_action_index(bad)
 
 
 def test_next_joint_distribution_product_rule():
