@@ -79,12 +79,13 @@ def compute_bcs(tree: FcsTree, node: FcsNode, label_of=None) -> BeliefState:
     With ``label_of(agent, hist) -> key`` the private coordinates are mapped
     through a compression before aggregation.
     """
+    if label_of is None:
+        # The node's atoms are already distinct and sorted.
+        total = sum(w for _key, w in node.weights)
+        return BeliefState(t=node.t, atoms=tuple((k, w / total) for k, w in node.weights))
     raw: dict = {}
     for (s, hjoint), w in node.weights:
-        if label_of is None:
-            key = (s, hjoint)
-        else:
-            key = (s, tuple(label_of(n, h) for n, h in enumerate(hjoint)))
+        key = (s, tuple(label_of(n, h) for n, h in enumerate(hjoint)))
         raw[key] = raw.get(key, 0.0) + w
     return _belief_from_raw(node.t, raw)
 

@@ -96,11 +96,24 @@ def _require(obj, what: str):
     return obj
 
 
+def _check_flags(args) -> None:
+    """Reject numeric flags that parse but that no solver can use."""
+    budget = getattr(args, "budget", DEFAULT_BUDGET)
+    if budget < 0:
+        raise ValueError(f"--budget must be non-negative, got {budget}")
+    for flag in ("tol_r", "tol_o"):
+        value = getattr(args, flag, 0.0)
+        if not value >= 0.0:  # also false for NaN
+            name = "--" + flag.replace("_", "-")
+            raise ValueError(f"{name} must be a non-negative number or inf, got {value}")
+
+
 def run_command(args) -> tuple[int, dict]:
     """Execute one parsed invocation; returns (exit status, report).
 
     Every step of one command shares one coordinator tree.
     """
+    _check_flags(args)
     model = load_model(Path(args.model).read_text())
     budget = getattr(args, "budget", DEFAULT_BUDGET)
     tree = FcsTree(model)
@@ -231,6 +244,7 @@ def _render_table(doc: dict) -> str:
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report files, if asked for, then the report to stdout."""
     structured = json.dumps(report, indent=2, sort_keys=True) + "\n"
     table = _render_table(report)
     if args.out:
@@ -247,6 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         status, report = run_command(args)
+        _emit(report, args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -259,7 +274,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(report, args)
     return status
 
 

@@ -17,13 +17,13 @@ import numpy as np
 
 from .histories import (
     ADMISSIBILITY_THRESHOLD,
+    Atoms,
     FcsKey,
     FcsNode,
     FcsTree,
     JointHist,
     Prescription,
     enumerate_prescriptions,
-    prescription_actions,
     prescription_count,
     prescription_from_row,
 )
@@ -83,40 +83,180 @@ class CoordinatorPolicy:
         return self.prescriptions[seq]
 
 
-def _prescription_space(tree: FcsTree, node: FcsNode, pc: PrivateCompression | None):
-    """The node's history domains, the domains its prescriptions range over
-    (labels under ``pc``), and per agent the map from each history to its
-    column in an action table over the latter."""
-    hist_domains = tree.agent_domains(node)
-    domains = hist_domains if pc is None else pc.label_domains(node, hist_domains)
-    columns, offset = [], 0
-    for n, (keys, hists) in enumerate(zip(domains, hist_domains)):
-        position = {key: offset + i for i, key in enumerate(keys)}
-        if pc is None:
-            columns.append(position)
-        else:
-            columns.append(
-                {h: position[pc.label_of(node.t, node.seq, n, h)] for h in hists}
-            )
-        offset += len(keys)
-    return hist_domains, domains, columns
+#: Cells of the ``(nodes, prescriptions)`` reward block scored at once.
+_REWARD_CELLS = 1 << 18
 
 
-def _immediate_rewards(
-    model: DecPomdpModel, node: FcsNode, columns, contrib: np.ndarray
-) -> np.ndarray:
-    """``Σ w · R[s, γ_k(h)]`` over the node's atoms for every prescription ``k``.
+class _Level:
+    """The prescription spaces and immediate rewards of a list of nodes at one
+    depth, as the backward sweep reads them.
 
-    ``contrib[c, k]`` is what column ``c`` of prescription ``k``'s action
-    table adds to the flat joint-action index.  The atoms are added one at a
-    time in stored order, so every entry is the scalar sum ``q += w * r`` bit
-    for bit, and no array is larger than the agents times the prescriptions.
+    Under ``pc`` a node's prescriptions range over its label domains and
+    ``colmaps[i]`` maps each history column to its label column; otherwise
+    the two spaces coincide.  ``columns[j]`` holds atom ``j``'s columns in
+    its node's action rows, and nodes are grouped by the shape of their
+    domains, which fixes their action table.
     """
-    q = np.zeros(contrib.shape[1])
-    for (s, hjoint), w in node.weights:
-        joint = contrib[[columns[n][h] for n, h in enumerate(hjoint)]].sum(axis=0)
-        q += w * model.reward[s][joint]
-    return q
+
+    def __init__(self, solver: _Solver, nodes: list[FcsNode], atoms: Atoms):
+        tree, pc = solver.tree, solver.pc
+        self.tree = tree
+        self.atoms = atoms
+        self.hist_domains = [node.agent_domains for node in nodes]
+        if pc is None:
+            self.domains = self.hist_domains
+            self.colmaps = None
+            self.columns = atoms.columns()
+            sizes = atoms.sizes
+        else:
+            self.domains, self.colmaps = [], []
+            for node, hist_domains in zip(nodes, self.hist_domains):
+                domains = pc.label_domains(node, hist_domains)
+                colmap, offset = [], 0
+                for n, (labels, hists) in enumerate(zip(domains, hist_domains)):
+                    position = {label: offset + i for i, label in enumerate(labels)}
+                    colmap += [position[pc.label_of(node.t, node.seq, n, h)] for h in hists]
+                    offset += len(labels)
+                self.domains.append(domains)
+                self.colmaps.append(np.array(colmap, dtype=np.intp))
+            widths = np.array([len(colmap) for colmap in self.colmaps], dtype=np.intp)
+            base = (np.cumsum(widths) - widths)[atoms.node_index()]
+            self.columns = np.concatenate(self.colmaps)[base[:, None] + atoms.columns()]
+            sizes = np.array([[len(d) for d in domains] for domains in self.domains])
+        # Nodes by shape, in node order within a shape.
+        self.order = np.lexsort(sizes.T[::-1])
+        ordered = sizes[self.order]
+        new = np.ones(len(ordered), dtype=bool)
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        self.bounds = np.append(np.flatnonzero(new), len(ordered))
+        self.shape_of = np.empty(len(ordered), dtype=np.intp)
+        self.shape_of[self.order] = np.cumsum(new) - 1
+        self.shapes = [tuple(shape) for shape in ordered[new].tolist()]
+        self.shape_tables = [tree.action_rows(shape) for shape in self.shapes]
+        counts = [solver.count(shape) for shape in self.shapes]
+        self.counts = [counts[g] for g in self.shape_of.tolist()]
+
+    def table(self, i: int) -> np.ndarray:
+        return self.shape_tables[self.shape_of[i]]
+
+    def score(self, solver: _Solver) -> None:
+        """Immediate rewards ``Σ w · R[s, γ_k(h)]`` of every node and row.
+
+        ``contrib[c, k]`` is what column ``c`` of row ``k`` adds to the flat
+        joint-action index.  Within a block of nodes sharing a shape the atoms
+        are added one rank at a time, each node's in stored order, so every
+        entry is the scalar sum ``q += w * r`` bit for bit.
+        """
+        reward = solver.model.reward
+        atoms, columns, order, bounds = self.atoms, self.columns, self.order, self.bounds
+        block_of = np.empty(len(order), dtype=np.intp)
+        row_of = np.empty(len(order), dtype=np.intp)
+        self.q, self.best = [], []
+        for g, shape in enumerate(self.shapes):
+            contrib = solver.contrib(shape)
+            width = contrib.shape[1]
+            step = max(1, _REWARD_CELLS // width)
+            for lo in range(bounds[g], bounds[g + 1], step):
+                block = order[lo:min(lo + step, bounds[g + 1])]
+                block_of[block] = len(self.q)
+                row_of[block] = np.arange(len(block))
+                first = atoms.start[block]
+                count = atoms.start[block + 1] - first
+                q = np.zeros((len(block), width))
+                for rank in range(int(count.max())):
+                    sel = np.flatnonzero(count > rank)
+                    atom = first[sel] + rank
+                    joint = contrib[columns[atom]].sum(axis=1)
+                    q[sel] += atoms.weight[atom][:, None] * reward[atoms.state[atom][:, None], joint]
+                self.q.append(q)
+                self.best.append(np.argmax(q, axis=1).tolist())
+        self.block, self.row = block_of.tolist(), row_of.tolist()
+
+    def rewards(self, i: int) -> list[float]:
+        return self.q[self.block[i]][self.row[i]].tolist()
+
+    def best_row(self, i: int) -> int:
+        return self.best[self.block[i]][self.row[i]]
+
+    def rows(self, i: int) -> np.ndarray:
+        """Node ``i``'s action rows over its history domains."""
+        if self.colmaps is None:
+            return self.table(i)
+        return self.table(i)[:, self.colmaps[i]]
+
+    def gamma(self, i: int, k: int) -> Prescription:
+        """The history-domain prescription of row ``k`` at node ``i``."""
+        row = self.table(i)[k]
+        if self.colmaps is not None:
+            row = row[self.colmaps[i]]
+        return self.tree.prescription(self.hist_domains[i], row)
+
+    def gammas(self, i: int) -> list[Prescription]:
+        return self.tree.prescriptions(self.hist_domains[i], self.rows(i))
+
+    def lam(self, i: int, k: int) -> Prescription:
+        """The label prescription of row ``k`` at node ``i``."""
+        return prescription_from_row(self.domains[i], self.table(i)[k])
+
+
+class _Solver:
+    """Per-sweep caches: joint-action contributions and prescription counts
+    per domain shape, and each batch-prepared node's level."""
+
+    def __init__(self, model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression | None):
+        self.model, self.tree, self.pc = model, tree, pc
+        self.strides = [int(np.prod(model.action_sizes[n + 1:])) for n in range(model.num_agents)]
+        self._contribs: dict[tuple[int, ...], np.ndarray] = {}
+        self._counts: dict[tuple[int, ...], int] = {}
+        self.where: dict[int, tuple[_Level, int]] = {}
+
+    def contrib(self, shape: tuple[int, ...]) -> np.ndarray:
+        if shape not in self._contribs:
+            acts = self.tree.action_rows(shape)
+            self._contribs[shape] = (acts * np.repeat(self.strides, shape)).T
+        return self._contribs[shape]
+
+    def count(self, shape: tuple[int, ...]) -> int:
+        if shape not in self._counts:
+            self._counts[shape] = prescription_count(self.model, tuple(map(range, shape)))
+        return self._counts[shape]
+
+    def forward(self, budget: int) -> None:
+        """Prepare and score whole levels, from the roots down, until the
+        cumulative prescription count of the next level would pass ``budget``;
+        the sweep prepares the nodes below that one at a time."""
+        tree, pc = self.tree, self.pc
+        if pc is None:
+            nodes, atoms = tree.full_level(1)
+        else:
+            nodes = [node for _o0, node, _p in tree.roots()]
+            atoms = Atoms.of(nodes)
+        spent = 0
+        for t in range(1, self.model.horizon + 1):
+            level = _Level(self, nodes, atoms)
+            spent += sum(level.counts)
+            if spent > budget:
+                return
+            level.score(self)
+            for i, node in enumerate(nodes):
+                self.where[id(node)] = (level, i)
+            if t == self.model.horizon:
+                return
+            if pc is None:
+                nodes, atoms = tree.full_level(t + 1)
+            else:
+                tables = [level.table(i) for i in range(len(nodes))]
+                gammas = [level.gammas(i) for i in range(len(nodes))]
+                nodes, atoms = tree.expand_rows(nodes, atoms, level.columns, tables, gammas)
+
+    def space(self, node: FcsNode) -> tuple[_Level, int]:
+        """The node's level and position, preparing it alone if no batch did."""
+        found = self.where.get(id(node))
+        if found is None:
+            level = _Level(self, [node], Atoms.of([node]))
+            level.score(self)
+            found = self.where[id(node)] = (level, 0)
+        return found
 
 
 def generic_solve(
@@ -129,9 +269,12 @@ def generic_solve(
 ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep shared by the exact and compressed dynamic programs.
 
-    The immediate rewards of all prescriptions of a node are scored in one
-    pass over an action table whose rows are in canonical order; ties go to
-    the smallest canonical index.
+    A forward pass first prepares the sweep one whole depth at a time: the
+    tree's :meth:`~FcsTree.full_level` (or, under ``pc``, the subtree the
+    label prescriptions reach, through :meth:`~FcsTree.expand_rows`) and the
+    immediate rewards of every prescription of every node of that depth.
+    The depth-first sweep then backs the values up, so the first node to
+    reach a key fills its entry.  Ties go to the smallest canonical index.
 
     Parameters
     ----------
@@ -150,30 +293,15 @@ def generic_solve(
     tree = tree or FcsTree(model)
     if key_fn is None:
         key_fn = lambda node: node.seq
-    strides = [int(np.prod(model.action_sizes[n + 1:])) for n in range(model.num_agents)]
-    # Per domain shape: the action table and its joint-index contributions.
-    tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    solver = _Solver(model, tree, pc)
+    solver.forward(budget)
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
     evals = 0
 
-    def action_table(domains):
-        shape = tuple(len(d) for d in domains)
-        if shape not in tables:
-            acts = prescription_actions(model, domains)
-            tables[shape] = acts, (acts * np.repeat(strides, shape)).T
-        return tables[shape]
-
-    def extended(hist_domains, columns, row) -> Prescription:
-        """The history-domain prescription of one action-table row."""
-        if pc is not None:
-            row = [row[c] for per_agent in columns for c in per_agent.values()]
-        return prescription_from_row(hist_domains, row)
-
     def revisit(node: FcsNode, entry: ValueEntry) -> float:
-        hist_domains, domains, columns = _prescription_space(tree, node, pc)
-        acts, _contrib = action_table(domains)
-        gamma = extended(hist_domains, columns, acts[entry.argmax_index].tolist())
+        level, i = solver.space(node)
+        gamma = level.gamma(i, entry.argmax_index)
         policy.prescriptions.setdefault(node.seq, gamma)
         if node.t < model.horizon:
             for _o0, child, _p in tree.expand(node, gamma):
@@ -186,35 +314,32 @@ def generic_solve(
         entry = table.entries.get((node.t, key))
         if entry is not None:
             return revisit(node, entry)
-        hist_domains, domains, columns = _prescription_space(tree, node, pc)
-        evals += prescription_count(model, domains)
+        level, i = solver.space(node)
+        evals += level.counts[i]
         if evals > budget:
             raise BudgetExceededError(node.seq, budget)
-        acts, contrib = action_table(domains)
-        q = _immediate_rewards(model, node, columns, contrib)
+        q = level.rewards(i)
         if node.t < model.horizon:
-            gammas = [extended(hist_domains, columns, row) for row in acts.tolist()]
-            rewards = q.tolist()
+            gammas = level.gammas(i)
             for k, gamma in enumerate(gammas):
-                total = rewards[k]
+                total = q[k]
                 for _o0, child, p in tree.expand(node, gamma):
                     total += p * solve(child)
                 q[k] = total
-        best = int(np.argmax(q))
-        if node.t < model.horizon:
+            best = int(np.argmax(q))
             gamma = gammas[best]
         else:
-            gamma = extended(hist_domains, columns, acts[best].tolist())
-        lam = gamma if pc is None else prescription_from_row(domains, acts[best])
-        qs = q.tolist()
+            best = level.best_row(i)
+            gamma = level.gamma(i, best)
+        lam = gamma if pc is None else level.lam(i, best)
         table.entries[(node.t, key)] = ValueEntry(
-            value=qs[best],
+            value=q[best],
             argmax_index=best,
             argmax_key=lam.key,
-            q_values=tuple(qs),
+            q_values=tuple(q),
         )
         policy.prescriptions.setdefault(node.seq, gamma)
-        return qs[best]
+        return q[best]
 
     overall = 0.0
     try:

@@ -126,6 +126,63 @@ def _successor_weights(
     return per_o0
 
 
+@dataclass(frozen=True)
+class Atoms:
+    """The ``((s, joint history), w)`` atoms of a list of nodes as columns.
+
+    The atoms of node ``i`` are rows ``start[i]:start[i + 1]``, in the order
+    ``node.weights`` stores them.  ``hist[j, n]`` is the position of atom
+    ``j``'s agent-``n`` history in its node's agent domain, and ``sizes[i]``
+    holds node ``i``'s agent domain sizes.
+    """
+
+    start: np.ndarray
+    state: np.ndarray
+    weight: np.ndarray
+    hist: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, nodes) -> Atoms:
+        start, state, weight, hist, sizes = [0], [], [], [], []
+        for node in nodes:
+            domains = node.agent_domains
+            position = [{h: i for i, h in enumerate(domain)} for domain in domains]
+            for (s, hjoint), w in node.weights:
+                state.append(s)
+                weight.append(w)
+                hist.append([pos[h] for pos, h in zip(position, hjoint)])
+            start.append(len(state))
+            sizes.append([len(domain) for domain in domains])
+        agents = len(sizes[0]) if sizes else 0
+        return cls(
+            start=np.array(start),
+            state=np.array(state, dtype=np.intp),
+            weight=np.array(weight, dtype=float),
+            hist=np.array(hist, dtype=np.intp).reshape(len(state), agents),
+            sizes=np.array(sizes, dtype=np.intp).reshape(len(nodes), agents),
+        )
+
+    def node_index(self) -> np.ndarray:
+        """The node of every atom."""
+        return np.repeat(np.arange(len(self.start) - 1), np.diff(self.start))
+
+    def columns(self) -> np.ndarray:
+        """Every atom's columns in its node's history-domain action rows, where
+        agent ``n``'s histories follow those of agents ``0 .. n-1``."""
+        offsets = np.cumsum(self.sizes, axis=1) - self.sizes
+        return self.hist + offsets[self.node_index()]
+
+
+#: Dense successor cells ``(atom, s', o)`` computed at once by the batch kernel.
+_CHUNK_CELLS = 1 << 18
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of these lengths starts."""
+    return np.cumsum(counts) - counts
+
+
 class FcsTree:
     """Lazily expanded, memoized coordinator history tree for one model.
 
@@ -147,6 +204,12 @@ class FcsTree:
         self._nodes: dict[FcsKey, FcsNode] = {}
         self._children: dict[tuple, dict[int, tuple[FcsNode, float]]] = {}
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
+        # Full levels 1, 2, ... with their atoms, as ``full_level`` built them.
+        self._levels: list[tuple[list[FcsNode], Atoms]] = []
+        # Action tables per domain shape and prescriptions per (domains, row).
+        self._tables: dict[tuple[int, ...], np.ndarray] = {}
+        self._prescriptions: dict[tuple, Prescription] = {}
+        self._prescription_lists: dict[tuple, list[Prescription]] = {}
         self.common_profiles: dict[tuple, tuple[float, dict[int, float]]] = {}
         self.exact_sweep: tuple | None = None
 
@@ -229,6 +292,202 @@ class FcsTree:
         self._children[cache_key] = result
         return [(o0, child, p) for o0, (child, p) in result.items()]
 
+    # -- level-synchronous expansion -------------------------------------
+
+    def action_rows(self, shape: tuple[int, ...]) -> np.ndarray:
+        """:func:`prescription_actions` for domains of these sizes, built once."""
+        if shape not in self._tables:
+            self._tables[shape] = prescription_actions(self.model, tuple(map(range, shape)))
+        return self._tables[shape]
+
+    def prescription(self, domains: tuple[tuple, ...], row: np.ndarray) -> Prescription:
+        """:func:`prescription_from_row`, one object per ``(domains, row)``."""
+        key = (domains, row.tobytes())
+        gamma = self._prescriptions.get(key)
+        if gamma is None:
+            gamma = self._prescriptions[key] = prescription_from_row(domains, row.tolist())
+        return gamma
+
+    def prescriptions(self, domains: tuple[tuple, ...], rows: np.ndarray) -> list[Prescription]:
+        """:meth:`prescription` of every row, one list per ``(domains, rows)``."""
+        key = (domains, rows.tobytes())
+        found = self._prescription_lists.get(key)
+        if found is None:
+            found = self._prescription_lists[key] = [self.prescription(domains, r) for r in rows]
+        return found
+
+    def full_level(self, t: int) -> tuple[list[FcsNode], Atoms]:
+        """The depth-``t`` nodes under every prescription at every node, in
+        :func:`level_nodes` order, with their atoms; each level is expanded
+        once, from the level above, by :meth:`expand_rows`."""
+        if not self._levels:
+            roots = [node for _o0, node, _p in self.roots()]
+            self._levels.append((roots, Atoms.of(roots)))
+        while len(self._levels) < t:
+            nodes, atoms = self._levels[-1]
+            tables = [self.action_rows(tuple(sizes)) for sizes in atoms.sizes.tolist()]
+            gammas = [
+                self.prescriptions(node.agent_domains, rows) for node, rows in zip(nodes, tables)
+            ]
+            self._levels.append(
+                self.expand_rows(nodes, atoms, atoms.columns(), tables, gammas)
+            )
+        return self._levels[t - 1]
+
+    def expand_rows(
+        self,
+        nodes: list[FcsNode],
+        atoms: Atoms,
+        columns: np.ndarray,
+        tables: list[np.ndarray],
+        gammas: list[list[Prescription]],
+    ) -> tuple[list[FcsNode], Atoms]:
+        """Expand every node under every row of its action table in one pass.
+
+        Row ``k`` of ``tables[i]`` stands for the history-domain prescription
+        ``gammas[i][k]``; agent ``n`` of atom ``j`` takes the action in column
+        ``columns[j, n]`` of its node's rows.  The children, bit for bit those
+        of :meth:`expand`, go into the expansion cache and are returned for
+        node, for row, for ``o0``, with their atoms.
+
+        The successor weights are ``(w * P(s'|s,a)) * P(o|s')`` under the two
+        admissibility tests of :meth:`DecPomdpModel.step`, summed per
+        ``(s', joint history)`` and then per child in the order the scalar
+        expansion meets them.
+        """
+        m = self.model
+        if not nodes:
+            return [], Atoms.of([])
+        thr = ADMISSIBILITY_THRESHOLD
+        agents = m.num_agents
+        obs_sizes = m.private_obs_sizes
+        num_private = int(np.prod(obs_sizes))
+        # One pair per (node, row); one entry per (pair, atom of its node).
+        rows = np.array([len(tbl) for tbl in tables], dtype=np.intp)
+        widths = np.array([tbl.shape[1] for tbl in tables], dtype=np.intp)
+        pair_node = np.repeat(np.arange(len(nodes)), rows)
+        pair_row = np.arange(len(pair_node)) - _starts(rows)[pair_node]
+        flat = np.concatenate([tbl.ravel() for tbl in tables])
+        pair_base = _starts(rows * widths)[pair_node] + pair_row * widths[pair_node]
+        per_pair = np.diff(atoms.start)[pair_node]
+        entry_pair = np.repeat(np.arange(len(pair_node)), per_pair)
+        entry_atom = np.arange(len(entry_pair)) + np.repeat(
+            atoms.start[:-1][pair_node] - _starts(per_pair), per_pair)
+        actions = flat[pair_base[entry_pair][:, None] + columns[entry_atom]]
+        joint = actions @ np.array([stride for _size, stride in m._action_strides])
+        # Admissible successors in (entry, s', o) order, a chunk at a time.
+        cells = m.num_states * m.num_joint_obs
+        step = max(1, _CHUNK_CELLS // max(cells, 1))
+        found = []
+        for lo in range(0, max(len(entry_pair), 1), step):
+            e = slice(lo, lo + step)
+            trans = m.transition[atoms.state[entry_atom[e]], joint[e]]
+            p = (atoms.weight[entry_atom[e]][:, None] * trans)[:, :, None] * m.observation
+            keep = (trans > thr)[:, :, None] & (p > thr)
+            idx = np.nonzero(keep)
+            found.append((idx[0] + lo, idx[1], idx[2], p[keep]))
+        entry, s_next, obs, prob = (np.concatenate(parts) for parts in zip(*found))
+        o0, private = np.divmod(obs, num_private)
+        own_obs = np.unravel_index(private, obs_sizes)
+        atom = entry_atom[entry]
+        # Agent n's new history h + (a, o), coded in the order of its tuple.
+        codes = [
+            (atoms.hist[atom, n] * m.action_sizes[n] + actions[entry, n]) * obs_sizes[n]
+            + own_obs[n]
+            for n in range(agents)
+        ]
+        slot = entry_pair[entry] * len(m.common_obs) + o0
+        order = np.lexsort([*codes[::-1], s_next, slot])
+        keys = [slot[order], s_next[order], *(code[order] for code in codes)]
+        new = np.zeros(len(order), dtype=bool)
+        new[:1] = True
+        for key in keys:
+            new[1:] |= key[1:] != key[:-1]
+        group_sorted = np.cumsum(new) - 1
+        group = np.empty_like(group_sorted)
+        group[order] = group_sorted
+        raw = np.zeros(int(new.sum()))
+        np.add.at(raw, group, prob)
+        # Children: one per slot; masses summed in first-seen order of groups.
+        heads = np.flatnonzero(new)
+        first = order[heads]
+        group_slot = keys[0][heads]
+        child_new = np.ones(len(heads), dtype=bool)
+        child_new[1:] = group_slot[1:] != group_slot[:-1]
+        group_child = np.cumsum(child_new) - 1
+        mass = np.zeros(int(child_new.sum()))
+        seen = np.argsort(first, kind="stable")
+        np.add.at(mass, group_child[seen], raw[seen])
+        kept = mass > thr
+        child_slot = group_slot[child_new]
+        g = kept[group_child]
+        group_child = (np.cumsum(kept) - 1)[group_child[g]]
+        weight = raw[g] / mass[kept][group_child]
+        child_slot, child_mass = child_slot[kept], mass[kept]
+        group_node = pair_node[keys[0][heads][g] // len(m.common_obs)]
+        g_state = keys[1][heads][g]
+        g_codes = [keys[2 + n][heads][g] for n in range(agents)]
+        # Per agent: the distinct new histories, each built once, every
+        # child's agent domain, and every atom's position in it.
+        hist_cols, size_cols, per_agent, per_child = [], [], [], []
+        for n in range(agents):
+            span = int(g_codes[n].max()) + 1 if len(g_codes[n]) else 1
+            uniq, hid = np.unique(group_node * span + g_codes[n], return_inverse=True)
+            node_of, code = np.divmod(uniq, span)
+            rest, o_n = np.divmod(code, obs_sizes[n])
+            r_n, a_n = np.divmod(rest, m.action_sizes[n])
+            built = [
+                nodes[i].agent_domains[n][r] + (a, o)
+                for i, r, a, o in zip(node_of.tolist(), r_n.tolist(), a_n.tolist(), o_n.tolist())
+            ]
+            per_agent.append([built[h] for h in hid.tolist()])
+            span = max(len(uniq), 1)
+            own, own_index = np.unique(group_child * span + hid, return_inverse=True)
+            own_child, own_hid = np.divmod(own, span)
+            lead = np.searchsorted(own_child, np.arange(len(child_slot) + 1))
+            hist_cols.append(own_index - lead[:-1][group_child])
+            size_cols.append(np.diff(lead))
+            hists, marks = [built[h] for h in own_hid.tolist()], lead.tolist()
+            per_child.append([tuple(hists[a:b]) for a, b in zip(marks, marks[1:])])
+        child_domains = list(zip(*per_child))
+        items = list(zip(zip(g_state.tolist(), zip(*per_agent)), weight.tolist()))
+        bounds = np.searchsorted(group_child, np.arange(len(child_slot) + 1)).tolist()
+        # Materialise the children pair by pair, into the cache.
+        children: list[FcsNode] = []
+        num_common = len(m.common_obs)
+        slots = child_slot.tolist()
+        masses = child_mass.tolist()
+        c = 0
+        for pair, (i, k) in enumerate(zip(pair_node.tolist(), pair_row.tolist())):
+            node, gamma = nodes[i], gammas[i][k]
+            cache_key = (node.seq, gamma.key)
+            cached = self._children.get(cache_key)
+            result: dict[int, tuple[FcsNode, float]] = {}
+            while c < len(slots) and slots[c] // num_common == pair:
+                o0 = slots[c] % num_common
+                if cached is None:
+                    child = FcsNode(
+                        t=node.t + 1,
+                        seq=node.seq + (gamma.key, o0),
+                        weights=tuple(items[bounds[c]:bounds[c + 1]]),
+                    )
+                    # What the ``agent_domains`` cached property would compute.
+                    child.__dict__["agent_domains"] = child_domains[c]
+                    result[o0] = (self._nodes.setdefault(child.seq, child), masses[c])
+                else:
+                    result[o0] = cached[o0]
+                children.append(result[o0][0])
+                c += 1
+            if cached is None:
+                self._children[cache_key] = result
+        return children, Atoms(
+            start=np.array(bounds, dtype=np.intp),
+            state=g_state,
+            weight=weight,
+            hist=np.stack(hist_cols, axis=1),
+            sizes=np.stack(size_cols, axis=1),
+        )
+
     # -- reachable private structure -------------------------------------
 
     def reachable_fps(self, node: FcsNode) -> list[FpsTuple]:
@@ -307,28 +566,8 @@ def prescription_count(model: DecPomdpModel, domains: tuple[tuple, ...]) -> int:
     return count
 
 
-def level_nodes(tree: FcsTree, t: int, prescriptions_for=None) -> list[FcsNode]:
-    """All reachable nodes at depth ``t``, in deterministic creation order.
-
-    The tree is grown under every prescription at every node (optionally
-    restricted per node by ``prescriptions_for``, which must return
-    history-domain prescriptions), so the result covers the full reachable
-    level of the corresponding dynamic program.
-    """
-    if prescriptions_for is None:
-
-        def prescriptions_for(node):
-            return enumerate_prescriptions(tree.model, tree.agent_domains(node))
-
-    current = [node for _o0, node, _p in tree.roots()]
-    for _depth in range(1, t):
-        nxt: list[FcsNode] = []
-        seen: set[FcsKey] = set()
-        for node in current:
-            for gamma in prescriptions_for(node):
-                for _o0, child, _p in tree.expand(node, gamma):
-                    if child.seq not in seen:
-                        seen.add(child.seq)
-                        nxt.append(child)
-        current = nxt
-    return current
+def level_nodes(tree: FcsTree, t: int) -> list[FcsNode]:
+    """All reachable nodes at depth ``t`` under every prescription at every
+    node, in creation order: for node, for canonical prescription, for
+    ``o0``.  They come from the tree's :meth:`~FcsTree.full_level` cache."""
+    return list(tree.full_level(t)[0])

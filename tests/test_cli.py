@@ -129,6 +129,50 @@ def test_compress_budget_exhaustion_status(mode):
     assert proc.stderr == "error: budget of 1 exceeded at ('private block', 1, 0)\n"
 
 
+def test_unwritable_out_is_input_error():
+    # The report files are written before stdout, so nothing reaches it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "ciplan.cli", "solve", "--alg", "1", "--model", COIN2,
+         "--out", "/dev/null/reports"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+# case -> (argv after the model, expected message)
+BAD_FLAGS = {
+    "tol-r-nan": (["compress", "--mode", "greedy", "--tol-r", "nan"],
+                  "--tol-r must be a non-negative number or inf, got nan"),
+    "tol-o-nan": (["compress", "--mode", "greedy", "--tol-o", "nan"],
+                  "--tol-o must be a non-negative number or inf, got nan"),
+    "tol-negative": (["compress", "--mode", "greedy", "--tol-r", "-1", "--tol-o", "-1"],
+                     "--tol-r must be a non-negative number or inf, got -1.0"),
+    "tol-o-negative": (["compress", "--mode", "greedy", "--tol-o", "-0.5"],
+                       "--tol-o must be a non-negative number or inf, got -0.5"),
+    "budget-negative": (["solve", "--alg", "1", "--budget", "-5"],
+                        "--budget must be non-negative, got -5"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FLAGS))
+def test_bad_numeric_flag_is_input_error(case, capsys):
+    argv, message = BAD_FLAGS[case]
+    assert main([*argv, "--model", COIN2]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_infinite_tolerances_are_accepted(capsys):
+    argv = ["compress", "--mode", "greedy", "--tol-r", "inf", "--tol-o", "inf"]
+    status, out = _run(capsys, *argv, "--model", COIN2)
+    assert status == EXIT_OK
+    assert json.loads(out)["mode"] == "greedy"
+
+
 def test_solve_matches_oracle(capsys):
     _s, solve_out = _run(capsys, "solve", "--alg", "1", "--model", COIN2)
     _s, oracle_out = _run(capsys, "oracle", "--model", COIN2)

@@ -3,8 +3,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ciplan.compression import PrivateCompression, extension
+from ciplan.approx_dp import solve_fcs_asps
+from ciplan.compression import (
+    PrivateCompression,
+    build_greedy,
+    compressed_prescriptions,
+    extension,
+    subtree_levels,
+)
+from ciplan.generate import random_model
 from ciplan.histories import (
     FcsTree,
     Prescription,
@@ -166,3 +176,80 @@ def test_extend_by_labels_constant_on_classes(coin2):
     assert all(a == 1 for _h, a in gamma.entries[0])
     assert all(a == 0 for _h, a in gamma.entries[1])
     assert [h for h, _a in gamma.entries[0]] == list(domains[0])
+
+
+# -- the batch kernel against the scalar expansion -------------------------
+
+
+def _hex_children(children):
+    return [
+        (o0, child.seq, [(key, w.hex()) for key, w in child.weights], p.hex())
+        for o0, child, p in children
+    ]
+
+
+def assert_batch_matches_scalar(model, pc=None):
+    """Every node the batch kernel made, and its children under every
+    prescription it was expanded with, equal a fresh tree's scalar
+    ``expand``: same sequences, domains, and weights and masses bit for bit.
+    Under ``pc`` the kernel expands the label-prescription subtree, from the
+    forward pass of alg 2."""
+    tree = FcsTree(model)
+    if pc is None:
+        levels = [tree.full_level(t)[0] for t in range(1, model.horizon + 1)]
+
+        def gammas(node):
+            return enumerate_prescriptions(model, node.agent_domains)
+    else:
+        solve_fcs_asps(model, pc, tree)
+        levels = subtree_levels(model, tree, pc)
+
+        def gammas(node):
+            return [gamma for _lam, gamma in compressed_prescriptions(model, tree, node, pc)]
+    scalar = FcsTree(model)
+    for nodes, below in zip(levels, levels[1:]):
+        made = []
+        for node in nodes:
+            ref = scalar.node(node.seq)
+            assert node.agent_domains == ref.agent_domains
+            assert [w.hex() for _k, w in node.weights] == [w.hex() for _k, w in ref.weights]
+            for gamma in gammas(node):
+                want = scalar.expand(ref, gamma)
+                assert _hex_children(tree.expand(node, gamma)) == _hex_children(want)
+                made += [child.seq for _o0, child, _p in want]
+        # The level holds the children for node, for prescription, for o0.
+        assert [node.seq for node in below] == made
+
+
+SHAPES = st.fixed_dictionaries({
+    "num_states": st.sampled_from([2, 3]),
+    "private_obs_sizes": st.sampled_from([(1, 1), (2, 1)]),
+    "num_common_obs": st.sampled_from([1, 2]),
+    "action_sizes": st.sampled_from([(2, 2), (3, 2)]),
+})
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), SHAPES)
+def test_batch_expansion_matches_scalar_expand(seed, shape):
+    model = random_model(seed, horizon=2, **shape)
+    assert_batch_matches_scalar(model)
+    assert_batch_matches_scalar(model, build_greedy(model, 0.5, 0.5))
+
+
+def test_batch_expansion_matches_scalar_expand_three_deep():
+    assert_batch_matches_scalar(random_model(5, num_common_obs=2, horizon=3))
+
+
+def test_batch_expansion_matches_scalar_expand_on_coin2(coin2):
+    assert_batch_matches_scalar(coin2)
+    tree = FcsTree(coin2)
+    pc = build_greedy(coin2, 0.5, 0.5, tree=tree)
+    # The labels merge histories, so label and history columns differ.
+    assert any(
+        len(labels) < len(hists)
+        for nodes in subtree_levels(coin2, tree, pc)
+        for node in nodes
+        for labels, hists in zip(pc.label_domains(node, node.agent_domains), node.agent_domains)
+    )
+    assert_batch_matches_scalar(coin2, pc)
