@@ -132,7 +132,7 @@ class _Level:
         self.shape_of = np.empty(len(ordered), dtype=np.intp)
         self.shape_of[self.order] = np.cumsum(new) - 1
         self.shapes = [tuple(shape) for shape in ordered[new].tolist()]
-        self.shape_tables = [tree.action_rows(shape) for shape in self.shapes]
+        self.shape_tables = [tree._action_rows(shape) for shape in self.shapes]
         counts = [solver.count(shape) for shape in self.shapes]
         self.counts = [counts[g] for g in self.shape_of.tolist()]
 
@@ -189,10 +189,10 @@ class _Level:
         row = self.table(i)[k]
         if self.colmaps is not None:
             row = row[self.colmaps[i]]
-        return self.tree.prescription(self.hist_domains[i], row)
+        return self.tree._prescription(self.hist_domains[i], row)
 
     def gammas(self, i: int) -> list[Prescription]:
-        return self.tree.prescriptions(self.hist_domains[i], self.rows(i))
+        return self.tree._prescriptions_of(self.hist_domains[i], self.rows(i))
 
     def lam(self, i: int, k: int) -> Prescription:
         """The label prescription of row ``k`` at node ``i``."""
@@ -212,7 +212,7 @@ class _Solver:
 
     def contrib(self, shape: tuple[int, ...]) -> np.ndarray:
         if shape not in self._contribs:
-            acts = self.tree.action_rows(shape)
+            acts = self.tree._action_rows(shape)
             self._contribs[shape] = (acts * np.repeat(self.strides, shape)).T
         return self._contribs[shape]
 

@@ -183,8 +183,57 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _run_heads(keys: list[np.ndarray]) -> np.ndarray:
+    """Which positions of these sorted key columns start a run of equal keys."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+def _entries(atoms: Atoms, columns: np.ndarray, tables: list[np.ndarray]):
+    """One pair per (node, row of its table) and one entry per (pair, atom of
+    its node), pair by pair and atom by atom; with each entry's actions."""
+    rows = np.array([len(tbl) for tbl in tables], dtype=np.intp)
+    widths = np.array([tbl.shape[1] for tbl in tables], dtype=np.intp)
+    pair_node = np.repeat(np.arange(len(tables)), rows)
+    pair_row = np.arange(len(pair_node)) - _starts(rows)[pair_node]
+    flat = np.concatenate([tbl.ravel() for tbl in tables])
+    pair_base = _starts(rows * widths)[pair_node] + pair_row * widths[pair_node]
+    per_pair = np.diff(atoms.start)[pair_node]
+    entry_pair = np.repeat(np.arange(len(pair_node)), per_pair)
+    entry_atom = np.arange(len(entry_pair)) + np.repeat(
+        atoms.start[:-1][pair_node] - _starts(per_pair), per_pair)
+    actions = flat[pair_base[entry_pair][:, None] + columns[entry_atom]]
+    return pair_node, pair_row, entry_pair, entry_atom, actions
+
+
+def _successors(model: DecPomdpModel, atoms: Atoms, entry_atom, actions):
+    """The admissible successors ``(entry, s', o, p)`` of every entry, in
+    ``(entry, s', o)`` order, with ``p = (w * P(s'|s,a)) * P(o|s')`` and the
+    two admissibility tests of :meth:`DecPomdpModel.step`."""
+    strides = [int(np.prod(model.action_sizes[n + 1:])) for n in range(model.num_agents)]
+    joint = actions @ np.array(strides, dtype=np.intp)
+    step = max(1, _CHUNK_CELLS // (model.num_states * model.num_joint_obs))
+    found = []
+    for lo in range(0, max(len(entry_atom), 1), step):
+        atom = entry_atom[lo:lo + step]
+        trans = model.transition[atoms.state[atom], joint[lo:lo + step]]
+        p = (atoms.weight[atom][:, None] * trans)[:, :, None] * model.observation
+        keep = (trans > ADMISSIBILITY_THRESHOLD)[:, :, None] & (p > ADMISSIBILITY_THRESHOLD)
+        entry, s_next, obs = np.nonzero(keep)
+        found.append((entry + lo, s_next, obs, p[keep]))
+    return (np.concatenate(parts) for parts in zip(*found))
+
+
 class FcsTree:
     """Lazily expanded, memoized coordinator history tree for one model.
+
+    Nodes are made one expansion at a time by :meth:`expand`, or a level at a
+    time by :meth:`expand_rows`; both fill one expansion cache with the same
+    nodes.  :meth:`full_level` keeps the full levels it expanded, with their
+    atoms, and :func:`level_nodes` reads them.
 
     Besides its nodes, a tree memoises two quantities that depend on the
     common information alone, so every call sharing the tree computes each
@@ -206,7 +255,9 @@ class FcsTree:
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
         # Full levels 1, 2, ... with their atoms, as ``full_level`` built them.
         self._levels: list[tuple[list[FcsNode], Atoms]] = []
-        # Action tables per domain shape and prescriptions per (domains, row).
+        # Action tables per domain shape, and one prescription object per
+        # (domains, row) and one list per (domains, rows), shared by the
+        # expansion cache keys and the sweeps' policies.
         self._tables: dict[tuple[int, ...], np.ndarray] = {}
         self._prescriptions: dict[tuple, Prescription] = {}
         self._prescription_lists: dict[tuple, list[Prescription]] = {}
@@ -278,7 +329,11 @@ class FcsTree:
         result: dict[int, tuple[FcsNode, float]] = {}
         for o0 in sorted(per_o0):
             raw = per_o0[o0]
-            mass = sum(raw.values())
+            # Left to right, as the batch kernel adds; ``sum`` compensates its
+            # rounding from Python 3.12 on.
+            mass = 0.0
+            for v in raw.values():
+                mass += v
             if mass <= ADMISSIBILITY_THRESHOLD:
                 continue
             weights = {k: v / mass for k, v in raw.items()}
@@ -294,13 +349,13 @@ class FcsTree:
 
     # -- level-synchronous expansion -------------------------------------
 
-    def action_rows(self, shape: tuple[int, ...]) -> np.ndarray:
+    def _action_rows(self, shape: tuple[int, ...]) -> np.ndarray:
         """:func:`prescription_actions` for domains of these sizes, built once."""
         if shape not in self._tables:
             self._tables[shape] = prescription_actions(self.model, tuple(map(range, shape)))
         return self._tables[shape]
 
-    def prescription(self, domains: tuple[tuple, ...], row: np.ndarray) -> Prescription:
+    def _prescription(self, domains: tuple[tuple, ...], row: np.ndarray) -> Prescription:
         """:func:`prescription_from_row`, one object per ``(domains, row)``."""
         key = (domains, row.tobytes())
         gamma = self._prescriptions.get(key)
@@ -308,12 +363,12 @@ class FcsTree:
             gamma = self._prescriptions[key] = prescription_from_row(domains, row.tolist())
         return gamma
 
-    def prescriptions(self, domains: tuple[tuple, ...], rows: np.ndarray) -> list[Prescription]:
-        """:meth:`prescription` of every row, one list per ``(domains, rows)``."""
+    def _prescriptions_of(self, domains: tuple[tuple, ...], rows: np.ndarray) -> list[Prescription]:
+        """:meth:`_prescription` of every row, one list per ``(domains, rows)``."""
         key = (domains, rows.tobytes())
         found = self._prescription_lists.get(key)
         if found is None:
-            found = self._prescription_lists[key] = [self.prescription(domains, r) for r in rows]
+            found = self._prescription_lists[key] = [self._prescription(domains, r) for r in rows]
         return found
 
     def full_level(self, t: int) -> tuple[list[FcsNode], Atoms]:
@@ -325,9 +380,9 @@ class FcsTree:
             self._levels.append((roots, Atoms.of(roots)))
         while len(self._levels) < t:
             nodes, atoms = self._levels[-1]
-            tables = [self.action_rows(tuple(sizes)) for sizes in atoms.sizes.tolist()]
+            tables = [self._action_rows(tuple(sizes)) for sizes in atoms.sizes.tolist()]
             gammas = [
-                self.prescriptions(node.agent_domains, rows) for node, rows in zip(nodes, tables)
+                self._prescriptions_of(node.agent_domains, rows) for node, rows in zip(nodes, tables)
             ]
             self._levels.append(
                 self.expand_rows(nodes, atoms, atoms.columns(), tables, gammas)
@@ -350,44 +405,16 @@ class FcsTree:
         of :meth:`expand`, go into the expansion cache and are returned for
         node, for row, for ``o0``, with their atoms.
 
-        The successor weights are ``(w * P(s'|s,a)) * P(o|s')`` under the two
-        admissibility tests of :meth:`DecPomdpModel.step`, summed per
-        ``(s', joint history)`` and then per child in the order the scalar
-        expansion meets them.
+        The successor weights are summed per ``(s', joint history)`` and then
+        per child in the order the scalar expansion meets them.
         """
         m = self.model
         if not nodes:
             return [], Atoms.of([])
-        thr = ADMISSIBILITY_THRESHOLD
-        agents = m.num_agents
-        obs_sizes = m.private_obs_sizes
-        num_private = int(np.prod(obs_sizes))
-        # One pair per (node, row); one entry per (pair, atom of its node).
-        rows = np.array([len(tbl) for tbl in tables], dtype=np.intp)
-        widths = np.array([tbl.shape[1] for tbl in tables], dtype=np.intp)
-        pair_node = np.repeat(np.arange(len(nodes)), rows)
-        pair_row = np.arange(len(pair_node)) - _starts(rows)[pair_node]
-        flat = np.concatenate([tbl.ravel() for tbl in tables])
-        pair_base = _starts(rows * widths)[pair_node] + pair_row * widths[pair_node]
-        per_pair = np.diff(atoms.start)[pair_node]
-        entry_pair = np.repeat(np.arange(len(pair_node)), per_pair)
-        entry_atom = np.arange(len(entry_pair)) + np.repeat(
-            atoms.start[:-1][pair_node] - _starts(per_pair), per_pair)
-        actions = flat[pair_base[entry_pair][:, None] + columns[entry_atom]]
-        joint = actions @ np.array([stride for _size, stride in m._action_strides])
-        # Admissible successors in (entry, s', o) order, a chunk at a time.
-        cells = m.num_states * m.num_joint_obs
-        step = max(1, _CHUNK_CELLS // max(cells, 1))
-        found = []
-        for lo in range(0, max(len(entry_pair), 1), step):
-            e = slice(lo, lo + step)
-            trans = m.transition[atoms.state[entry_atom[e]], joint[e]]
-            p = (atoms.weight[entry_atom[e]][:, None] * trans)[:, :, None] * m.observation
-            keep = (trans > thr)[:, :, None] & (p > thr)
-            idx = np.nonzero(keep)
-            found.append((idx[0] + lo, idx[1], idx[2], p[keep]))
-        entry, s_next, obs, prob = (np.concatenate(parts) for parts in zip(*found))
-        o0, private = np.divmod(obs, num_private)
+        agents, obs_sizes = m.num_agents, m.private_obs_sizes
+        pair_node, pair_row, entry_pair, entry_atom, actions = _entries(atoms, columns, tables)
+        entry, s_next, obs, prob = _successors(m, atoms, entry_atom, actions)
+        o0, private = np.divmod(obs, int(np.prod(obs_sizes)))
         own_obs = np.unravel_index(private, obs_sizes)
         atom = entry_atom[entry]
         # Agent n's new history h + (a, o), coded in the order of its tuple.
@@ -396,37 +423,33 @@ class FcsTree:
             + own_obs[n]
             for n in range(agents)
         ]
-        slot = entry_pair[entry] * len(m.common_obs) + o0
+        num_common = len(m.common_obs)
+        slot = entry_pair[entry] * num_common + o0
+        # Sum the successors per (slot, s', joint history) in the order they
+        # were met, then the sums per slot in the order each was first met.
         order = np.lexsort([*codes[::-1], s_next, slot])
-        keys = [slot[order], s_next[order], *(code[order] for code in codes)]
-        new = np.zeros(len(order), dtype=bool)
-        new[:1] = True
-        for key in keys:
-            new[1:] |= key[1:] != key[:-1]
-        group_sorted = np.cumsum(new) - 1
-        group = np.empty_like(group_sorted)
-        group[order] = group_sorted
+        keys = [key[order] for key in (slot, s_next, *codes)]
+        new = _run_heads(keys)
+        group = np.empty_like(order)
+        group[order] = np.cumsum(new) - 1
         raw = np.zeros(int(new.sum()))
         np.add.at(raw, group, prob)
-        # Children: one per slot; masses summed in first-seen order of groups.
         heads = np.flatnonzero(new)
-        first = order[heads]
-        group_slot = keys[0][heads]
-        child_new = np.ones(len(heads), dtype=bool)
-        child_new[1:] = group_slot[1:] != group_slot[:-1]
+        keys = [key[heads] for key in keys]
+        child_new = _run_heads(keys[:1])
         group_child = np.cumsum(child_new) - 1
         mass = np.zeros(int(child_new.sum()))
-        seen = np.argsort(first, kind="stable")
+        seen = np.argsort(order[heads], kind="stable")
         np.add.at(mass, group_child[seen], raw[seen])
-        kept = mass > thr
-        child_slot = group_slot[child_new]
+        # Children whose mass passes the threshold, and their atoms.
+        kept = mass > ADMISSIBILITY_THRESHOLD
+        child_slot, child_mass = keys[0][child_new][kept], mass[kept]
         g = kept[group_child]
         group_child = (np.cumsum(kept) - 1)[group_child[g]]
-        weight = raw[g] / mass[kept][group_child]
-        child_slot, child_mass = child_slot[kept], mass[kept]
-        group_node = pair_node[keys[0][heads][g] // len(m.common_obs)]
-        g_state = keys[1][heads][g]
-        g_codes = [keys[2 + n][heads][g] for n in range(agents)]
+        weight = raw[g] / child_mass[group_child]
+        group_node = pair_node[keys[0][g] // num_common]
+        g_state = keys[1][g]
+        g_codes = [key[g] for key in keys[2:]]
         # Per agent: the distinct new histories, each built once, every
         # child's agent domain, and every atom's position in it.
         hist_cols, size_cols, per_agent, per_child = [], [], [], []
@@ -454,7 +477,6 @@ class FcsTree:
         bounds = np.searchsorted(group_child, np.arange(len(child_slot) + 1)).tolist()
         # Materialise the children pair by pair, into the cache.
         children: list[FcsNode] = []
-        num_common = len(m.common_obs)
         slots = child_slot.tolist()
         masses = child_mass.tolist()
         c = 0
