@@ -85,6 +85,30 @@ class CoordinatorPolicy:
 
 #: Cells of the ``(nodes, prescriptions)`` reward block scored at once.
 _REWARD_CELLS = 1 << 18
+#: Largest ``(node, row, atom)`` expansion the forward pass makes at once.
+_BATCH_ENTRIES = 1 << 16
+
+
+def _prescription_space(node: FcsNode, pc: PrivateCompression | None):
+    """The domains the node's prescriptions range over (labels under ``pc``),
+    and per agent the map from each history to its column in an action
+    table over them."""
+    hist_domains = node.agent_domains
+    domains = hist_domains if pc is None else pc.label_domains(node, hist_domains)
+    columns, offset = [], 0
+    for n, (keys, hists) in enumerate(zip(domains, hist_domains)):
+        position = {key: offset + i for i, key in enumerate(keys)}
+        if pc is None:
+            columns.append(position)
+        else:
+            columns.append({h: position[pc.label_of(node.t, node.seq, n, h)] for h in hists})
+        offset += len(keys)
+    return domains, columns
+
+
+def _colmap(columns) -> np.ndarray:
+    """Every history column's label column, from :func:`_prescription_space`."""
+    return np.array([c for per_agent in columns for c in per_agent.values()], dtype=np.intp)
 
 
 class _Level:
@@ -95,12 +119,14 @@ class _Level:
     ``colmaps[i]`` maps each history column to its label column; otherwise
     the two spaces coincide.  ``columns[j]`` holds atom ``j``'s columns in
     its node's action rows, and nodes are grouped by the shape of their
-    domains, which fixes their action table.
+    domains, which fixes their action table.  The prescription counts come
+    from the shapes alone; no table is built and nothing is scored before
+    the first :meth:`rewards` call.
     """
 
     def __init__(self, solver: _Solver, nodes: list[FcsNode], atoms: Atoms):
-        tree, pc = solver.tree, solver.pc
-        self.tree = tree
+        pc = solver.pc
+        self.solver = solver
         self.atoms = atoms
         self.hist_domains = [node.agent_domains for node in nodes]
         if pc is None:
@@ -110,15 +136,10 @@ class _Level:
             sizes = atoms.sizes
         else:
             self.domains, self.colmaps = [], []
-            for node, hist_domains in zip(nodes, self.hist_domains):
-                domains = pc.label_domains(node, hist_domains)
-                colmap, offset = [], 0
-                for n, (labels, hists) in enumerate(zip(domains, hist_domains)):
-                    position = {label: offset + i for i, label in enumerate(labels)}
-                    colmap += [position[pc.label_of(node.t, node.seq, n, h)] for h in hists]
-                    offset += len(labels)
+            for node in nodes:
+                domains, columns = _prescription_space(node, pc)
                 self.domains.append(domains)
-                self.colmaps.append(np.array(colmap, dtype=np.intp))
+                self.colmaps.append(_colmap(columns))
             widths = np.array([len(colmap) for colmap in self.colmaps], dtype=np.intp)
             base = (np.cumsum(widths) - widths)[atoms.node_index()]
             self.columns = np.concatenate(self.colmaps)[base[:, None] + atoms.columns()]
@@ -132,14 +153,14 @@ class _Level:
         self.shape_of = np.empty(len(ordered), dtype=np.intp)
         self.shape_of[self.order] = np.cumsum(new) - 1
         self.shapes = [tuple(shape) for shape in ordered[new].tolist()]
-        self.shape_tables = [tree._action_rows(shape) for shape in self.shapes]
         counts = [solver.count(shape) for shape in self.shapes]
         self.counts = [counts[g] for g in self.shape_of.tolist()]
+        self.q = None
 
     def table(self, i: int) -> np.ndarray:
-        return self.shape_tables[self.shape_of[i]]
+        return self.solver.tree._action_rows(self.shapes[self.shape_of[i]])
 
-    def score(self, solver: _Solver) -> None:
+    def score(self) -> None:
         """Immediate rewards ``Σ w · R[s, γ_k(h)]`` of every node and row.
 
         ``contrib[c, k]`` is what column ``c`` of row ``k`` adds to the flat
@@ -147,7 +168,9 @@ class _Level:
         are added one rank at a time, each node's in stored order, so every
         entry is the scalar sum ``q += w * r`` bit for bit.
         """
-        reward = solver.model.reward
+        solver = self.solver
+        reward = solver.model.reward.ravel()
+        num_joint = solver.model.reward.shape[1]
         atoms, columns, order, bounds = self.atoms, self.columns, self.order, self.bounds
         block_of = np.empty(len(order), dtype=np.intp)
         row_of = np.empty(len(order), dtype=np.intp)
@@ -167,15 +190,22 @@ class _Level:
                     sel = np.flatnonzero(count > rank)
                     atom = first[sel] + rank
                     joint = contrib[columns[atom]].sum(axis=1)
-                    q[sel] += atoms.weight[atom][:, None] * reward[atoms.state[atom][:, None], joint]
+                    joint += (atoms.state[atom] * num_joint)[:, None]
+                    r = reward[joint]
+                    r *= atoms.weight[atom][:, None]
+                    q[sel] += r
                 self.q.append(q)
                 self.best.append(np.argmax(q, axis=1).tolist())
         self.block, self.row = block_of.tolist(), row_of.tolist()
 
     def rewards(self, i: int) -> list[float]:
+        if self.q is None:
+            self.score()
         return self.q[self.block[i]][self.row[i]].tolist()
 
     def best_row(self, i: int) -> int:
+        if self.q is None:
+            self.score()
         return self.best[self.block[i]][self.row[i]]
 
     def rows(self, i: int) -> np.ndarray:
@@ -189,26 +219,50 @@ class _Level:
         row = self.table(i)[k]
         if self.colmaps is not None:
             row = row[self.colmaps[i]]
-        return self.tree._prescription(self.hist_domains[i], row)
+        return self.solver.tree._prescription(self.hist_domains[i], row)
 
     def gammas(self, i: int) -> list[Prescription]:
-        return self.tree._prescriptions_of(self.hist_domains[i], self.rows(i))
+        tree, domains = self.solver.tree, self.hist_domains[i]
+        return [tree._prescription(domains, row) for row in self.rows(i)]
 
     def lam(self, i: int, k: int) -> Prescription:
         """The label prescription of row ``k`` at node ``i``."""
         return prescription_from_row(self.domains[i], self.table(i)[k])
 
 
+class _Alone(_Level):
+    """One node prepared by itself, as the sweep meets it below the levels
+    the forward pass prepared; its rewards are added atom by atom, the
+    scalar sum ``q += w * r`` again."""
+
+    def __init__(self, solver: _Solver, node: FcsNode):
+        self.solver, self.node, self.q = solver, node, None
+        domains, self.columns = _prescription_space(node, solver.pc)
+        self.colmaps = None if solver.pc is None else [_colmap(self.columns)]
+        self.hist_domains, self.domains = [node.agent_domains], [domains]
+        self.shapes, self.shape_of = [tuple(map(len, domains))], [0]
+        self.counts = [solver.count(self.shapes[0])]
+
+    def score(self) -> None:
+        reward = self.solver.model.reward
+        contrib = self.solver.contrib(self.shapes[0])
+        q = np.zeros(contrib.shape[1])
+        for (s, hjoint), w in self.node.weights:
+            joint = contrib[[self.columns[n][h] for n, h in enumerate(hjoint)]].sum(axis=0)
+            q += w * reward[s][joint]
+        self.q, self.best = [q[None]], [[int(np.argmax(q))]]
+        self.block = self.row = [0]
+
+
 class _Solver:
     """Per-sweep caches: joint-action contributions and prescription counts
-    per domain shape, and each batch-prepared node's level."""
+    per domain shape."""
 
     def __init__(self, model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression | None):
         self.model, self.tree, self.pc = model, tree, pc
         self.strides = [int(np.prod(model.action_sizes[n + 1:])) for n in range(model.num_agents)]
         self._contribs: dict[tuple[int, ...], np.ndarray] = {}
         self._counts: dict[tuple[int, ...], int] = {}
-        self.where: dict[int, tuple[_Level, int]] = {}
 
     def contrib(self, shape: tuple[int, ...]) -> np.ndarray:
         if shape not in self._contribs:
@@ -221,42 +275,39 @@ class _Solver:
             self._counts[shape] = prescription_count(self.model, tuple(map(range, shape)))
         return self._counts[shape]
 
-    def forward(self, budget: int) -> None:
-        """Prepare and score whole levels, from the roots down, until the
-        cumulative prescription count of the next level would pass ``budget``;
-        the sweep prepares the nodes below that one at a time."""
+    def forward(self, budget: int, depth: int) -> dict[int, tuple[_Level, int]]:
+        """Prepare levels ``1 .. depth`` whole, from the roots down, and map
+        each prepared node's ``id`` to its level and position there.
+
+        The pass stops at the first level whose cumulative prescription count
+        passes ``budget``, or whose expansion from the level above would take
+        more than ``_BATCH_ENTRIES`` entries; the sweep prepares the nodes
+        below one at a time, as it meets them.
+        """
         tree, pc = self.tree, self.pc
-        if pc is None:
-            nodes, atoms = tree.full_level(1)
-        else:
-            nodes = [node for _o0, node, _p in tree.roots()]
-            atoms = Atoms.of(nodes)
+        where: dict[int, tuple[_Level, int]] = {}
         spent = 0
-        for t in range(1, self.model.horizon + 1):
-            level = _Level(self, nodes, atoms)
-            spent += sum(level.counts)
-            if spent > budget:
-                return
-            level.score(self)
-            for i, node in enumerate(nodes):
-                self.where[id(node)] = (level, i)
-            if t == self.model.horizon:
-                return
+        for t in range(1, depth + 1):
+            if t > 1 and (pc is not None or t > len(tree._levels)):
+                sizes = np.diff(atoms.start).tolist()
+                if sum(c * n for c, n in zip(level.counts, sizes)) > _BATCH_ENTRIES:
+                    break
             if pc is None:
-                nodes, atoms = tree.full_level(t + 1)
+                nodes, atoms = tree.full_level(t)
+            elif t == 1:
+                nodes = [node for _o0, node, _p in tree.roots()]
+                atoms = Atoms.of(nodes)
             else:
                 tables = [level.table(i) for i in range(len(nodes))]
                 gammas = [level.gammas(i) for i in range(len(nodes))]
                 nodes, atoms = tree.expand_rows(nodes, atoms, level.columns, tables, gammas)
-
-    def space(self, node: FcsNode) -> tuple[_Level, int]:
-        """The node's level and position, preparing it alone if no batch did."""
-        found = self.where.get(id(node))
-        if found is None:
-            level = _Level(self, [node], Atoms.of([node]))
-            level.score(self)
-            found = self.where[id(node)] = (level, 0)
-        return found
+            level = _Level(self, nodes, atoms)
+            spent += sum(level.counts)
+            if spent > budget:
+                break
+            for i, node in enumerate(nodes):
+                where[id(node)] = (level, i)
+        return where
 
 
 def generic_solve(
@@ -275,6 +326,9 @@ def generic_solve(
     immediate rewards of every prescription of every node of that depth.
     The depth-first sweep then backs the values up, so the first node to
     reach a key fills its entry.  Ties go to the smallest canonical index.
+    A ``key_fn`` lets the sweep skip the subtrees below a solved key, so
+    the pass then prepares only the full levels the tree already holds;
+    the sweep prepares every other node alone, when it first meets it.
 
     Parameters
     ----------
@@ -291,16 +345,23 @@ def generic_solve(
         covers every node it reaches.
     """
     tree = tree or FcsTree(model)
-    if key_fn is None:
+    by_seq = key_fn is None
+    if by_seq:
         key_fn = lambda node: node.seq
     solver = _Solver(model, tree, pc)
-    solver.forward(budget)
+    depth = model.horizon if by_seq else len(tree._levels) if pc is None else 0
+    where = solver.forward(budget, depth)
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
     evals = 0
 
+    def space(node: FcsNode) -> tuple[_Level, int]:
+        """The node's level and position; a node no level holds is prepared
+        alone, and not kept, so its rewards go with its visit."""
+        return where.get(id(node)) or (_Alone(solver, node), 0)
+
     def revisit(node: FcsNode, entry: ValueEntry) -> float:
-        level, i = solver.space(node)
+        level, i = space(node)
         gamma = level.gamma(i, entry.argmax_index)
         policy.prescriptions.setdefault(node.seq, gamma)
         if node.t < model.horizon:
@@ -314,7 +375,7 @@ def generic_solve(
         entry = table.entries.get((node.t, key))
         if entry is not None:
             return revisit(node, entry)
-        level, i = solver.space(node)
+        level, i = space(node)
         evals += level.counts[i]
         if evals > budget:
             raise BudgetExceededError(node.seq, budget)

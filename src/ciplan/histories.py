@@ -256,11 +256,10 @@ class FcsTree:
         # Full levels 1, 2, ... with their atoms, as ``full_level`` built them.
         self._levels: list[tuple[list[FcsNode], Atoms]] = []
         # Action tables per domain shape, and one prescription object per
-        # (domains, row) and one list per (domains, rows), shared by the
-        # expansion cache keys and the sweeps' policies.
+        # (domains, row), shared by the expansion cache keys and the sweeps'
+        # policies.
         self._tables: dict[tuple[int, ...], np.ndarray] = {}
         self._prescriptions: dict[tuple, Prescription] = {}
-        self._prescription_lists: dict[tuple, list[Prescription]] = {}
         self.common_profiles: dict[tuple, tuple[float, dict[int, float]]] = {}
         self.exact_sweep: tuple | None = None
 
@@ -363,14 +362,6 @@ class FcsTree:
             gamma = self._prescriptions[key] = prescription_from_row(domains, row.tolist())
         return gamma
 
-    def _prescriptions_of(self, domains: tuple[tuple, ...], rows: np.ndarray) -> list[Prescription]:
-        """:meth:`_prescription` of every row, one list per ``(domains, rows)``."""
-        key = (domains, rows.tobytes())
-        found = self._prescription_lists.get(key)
-        if found is None:
-            found = self._prescription_lists[key] = [self._prescription(domains, r) for r in rows]
-        return found
-
     def full_level(self, t: int) -> tuple[list[FcsNode], Atoms]:
         """The depth-``t`` nodes under every prescription at every node, in
         :func:`level_nodes` order, with their atoms; each level is expanded
@@ -382,7 +373,8 @@ class FcsTree:
             nodes, atoms = self._levels[-1]
             tables = [self._action_rows(tuple(sizes)) for sizes in atoms.sizes.tolist()]
             gammas = [
-                self._prescriptions_of(node.agent_domains, rows) for node, rows in zip(nodes, tables)
+                [self._prescription(node.agent_domains, row) for row in rows]
+                for node, rows in zip(nodes, tables)
             ]
             self._levels.append(
                 self.expand_rows(nodes, atoms, atoms.columns(), tables, gammas)

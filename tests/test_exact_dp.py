@@ -1,6 +1,7 @@
 """Exact backward sweep vs brute-force policy enumeration, plus the
 omniscient per-history Q function."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -278,6 +279,39 @@ def test_alg1_memo_honours_the_budget(small_models):
         solve_fcs_fps(model, tree, budget=evals - 1)
     assert err.value.locus == fresh_err.value.locus
     assert solve_report(table, "alg1") == solve_report(fresh_table, "alg1")
+
+
+@pytest.mark.parametrize("solve", [solve_fcs_fps, solve_bcs_fps], ids=["alg1", "alg4"])
+def test_budget_stops_at_a_node_too_large_to_tabulate(coin2, solve):
+    # At horizon 4 a depth-4 node of coin2 has 2**32 prescriptions, far more
+    # than an action table could hold.  The sweep meets the first one along
+    # canonical prescription 0 and the first common observation, and must
+    # charge it to the budget before it builds anything for it.
+    deep = dataclasses.replace(coin2, horizon=4)
+    tree = FcsTree(deep)
+    node = tree.roots()[0][1]
+    for _ in range(3):
+        zeros = prescription_from_row(node.agent_domains, [0] * sum(map(len, node.agent_domains)))
+        node = tree.expand(node, zeros)[0][1]
+    with pytest.raises(BudgetExceededError) as err:
+        solve(deep, budget=10**5)
+    assert err.value.locus == node.seq
+
+
+def test_alg4_expands_only_the_nodes_its_memo_visits():
+    # Observations that do not depend on the state make the first common
+    # observation uninformative, so beliefs merge across it and alg 4 visits
+    # a solved belief's children under its chosen prescription only.  On a
+    # fresh tree it creates those nodes and no others: 56 of the 146.
+    model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
+    model = dataclasses.replace(
+        model, observation=np.tile(model.observation[0], (model.num_states, 1)))
+    tree = FcsTree(model)
+    table, _ = solve_bcs_fps(model, tree)
+    assert len(tree._nodes) == 56
+    full = FcsTree(model)
+    assert sum(len(level_nodes(full, t)) for t in range(1, 4)) == 146
+    assert table.overall_value == pytest.approx(solve_fcs_fps(model)[0].overall_value, abs=1e-12)
 
 
 @pytest.mark.parametrize("alg", ["1", "2", "4"])
