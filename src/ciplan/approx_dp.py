@@ -13,10 +13,10 @@ from __future__ import annotations
 from .compression import (
     CommonCompression,
     PrivateCompression,
-    _node_reward_and_branches,
+    _common_classes,
+    _mixture,
+    compressed_subtree,
     extension,
-    mu_levels,
-    subtree_levels,
 )
 from .exact_dp import (
     DEFAULT_BUDGET,
@@ -26,7 +26,7 @@ from .exact_dp import (
     ValueTable,
     generic_solve,
 )
-from .histories import FcsTree, enumerate_prescriptions
+from .histories import FcsTree
 from .model import DecPomdpModel
 
 
@@ -63,60 +63,41 @@ def solve_ascs_asps(
     preimage node), and the raw ``(t, label) -> prescription`` choice.
     """
     tree = tree or FcsTree(model)
-    levels = subtree_levels(model, tree, pc)
-    masses = mu_levels(model, tree, pc, mu)
+    levels = compressed_subtree(model, tree, pc, mu)
     table = ValueTable(horizon=model.horizon)
     label_policy: dict = {}
     evals = 0
 
     for t in range(model.horizon, 0, -1):
-        classes: dict = {}
-        for node in levels[t - 1]:
-            classes.setdefault(cc.label_of(t, node.seq), []).append(node)
-        for label, members in classes.items():
-            total = sum(masses[t - 1][n.seq] for n in members)
-            mu_w = {n.seq: masses[t - 1][n.seq] / total for n in members}
-            domains = pc.label_domains(members[0], tree.agent_domains(members[0]))
-            for node in members[1:]:
-                if pc.label_domains(node, tree.agent_domains(node)) != domains:
-                    raise ValueError(
-                        f"common label {label!r} merges nodes with different "
-                        "private label domains"
-                    )
-            best_val, best_idx, best_key, best_lam = None, -1, None, None
-            qs = []
-            for idx, lam in enumerate(enumerate_prescriptions(model, domains)):
+        for label, nodes, weights, domains, colmaps in _common_classes(pc, cc, t, levels[t - 1]):
+            rows = tree._action_rows(tuple(map(len, domains)))
+            best, qs = 0, []
+            for idx, row in enumerate(rows):
                 evals += 1
                 if evals > budget:
                     raise BudgetExceededError((t, label), budget)
-                q = 0.0
-                mix_obs: dict[int, float] = {}
-                for node in members:
-                    r, branches = _node_reward_and_branches(
-                        tree, node, extension(tree, node, pc, lam)
-                    )
-                    q += mu_w[node.seq] * r
-                    for o0, p in branches.items():
-                        mix_obs[o0] = mix_obs.get(o0, 0.0) + mu_w[node.seq] * p
+                _profiles, q, mix_obs = _mixture(tree, nodes, weights, colmaps, row)
                 if t < model.horizon:
+                    lam_key = tree._prescription(domains, row).key
                     for o0 in sorted(mix_obs):
-                        z_next = cc.next_label(t, label, lam.key, o0)
+                        z_next = cc.next_label(t, label, lam_key, o0)
                         q += mix_obs[o0] * table.entries[(t + 1, z_next)].value
                 qs.append(q)
                 # Ties resolve to the smallest canonical index.
-                if best_val is None or q > best_val:
-                    best_val, best_idx, best_key, best_lam = q, idx, lam.key, lam
+                if q > qs[best]:
+                    best = idx
+            lam = tree._prescription(domains, rows[best])
             table.entries[(t, label)] = ValueEntry(
-                value=best_val,
-                argmax_index=best_idx,
-                argmax_key=best_key,
+                value=qs[best],
+                argmax_index=best,
+                argmax_key=lam.key,
                 q_values=tuple(qs),
             )
-            label_policy[(t, label)] = best_lam
+            label_policy[(t, label)] = lam
 
     policy = CoordinatorPolicy()
     for t in range(1, model.horizon + 1):
-        for node in levels[t - 1]:
+        for node, _mass in levels[t - 1]:
             lam = label_policy[(t, cc.label_of(t, node.seq))]
             policy.prescriptions[node.seq] = extension(tree, node, pc, lam)
 

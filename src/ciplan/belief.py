@@ -223,7 +223,7 @@ def check_spi(
     seen_updates: dict[tuple, object] = {}
     for t in range(1, model.horizon):
         for node in level_nodes(tree, t):
-            hist_domains = tree.agent_domains(node)
+            hist_domains = node.agent_domains
             for gamma in enumerate_prescriptions(model, hist_domains):
                 for _o0, child, _p in tree.expand(node, gamma):
                     for n, domain in enumerate(hist_domains):
@@ -250,7 +250,7 @@ def check_spi(
     viol4, wit4 = 0.0, None
     for t in range(1, model.horizon + 1):
         for node in level_nodes(tree, t):
-            hist_domains = tree.agent_domains(node)
+            hist_domains = node.agent_domains
             wmap = node.weight_map()
 
             # Per-agent marginals and label groupings.

@@ -16,7 +16,6 @@ from pathlib import Path
 from . import belief, compression, verify
 from .approx_dp import solve_ascs_asps, solve_fcs_asps
 from .compression import (
-    CommonCompression,
     CompressionFormatError,
     PrivateCompression,
     load_compression,
@@ -80,14 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_compressions(args):
-    pc = cc = None
+    """The private and the common compression files given, at most one each."""
+    found: dict = {}
     for path in args.compression:
         obj = load_compression(Path(path).read_text())
-        if isinstance(obj, PrivateCompression):
-            pc = obj
-        elif isinstance(obj, CommonCompression):
-            cc = obj
-    return pc, cc
+        kind = "private" if isinstance(obj, PrivateCompression) else "common"
+        if kind in found:
+            raise ValueError(f"--compression given twice for a {kind} compression")
+        found[kind] = obj
+    return found.get("private"), found.get("common")
 
 
 def _require(obj, what: str):
@@ -132,7 +132,7 @@ def run_command(args) -> tuple[int, dict]:
             pc = compression.build_greedy(
                 model, args.tol_r, args.tol_o, tree=tree, budget=budget
             )
-        mp = compression.measure_private(model, pc, tree=tree)
+        mp = compression.measure_private(model, pc, tree=tree, budget=budget)
         doc = compression.serialize_compression(pc, measured=mp)
         report = {
             "command": "compress",
@@ -150,7 +150,7 @@ def run_command(args) -> tuple[int, dict]:
     if args.command == "measure":
         pc, cc = _load_compressions(args)
         pc = _require(pc, "private")
-        mp = compression.measure_private(model, pc, tree=tree)
+        mp = compression.measure_private(model, pc, tree=tree, budget=budget)
         report = {
             "command": "measure",
             "mu": args.mu,
@@ -159,7 +159,9 @@ def run_command(args) -> tuple[int, dict]:
             "witnesses": {k: repr(v) for k, v in sorted(mp.witnesses.items())},
         }
         if cc is not None:
-            mc = compression.measure_common(model, pc, cc, mu=args.mu, tree=tree)
+            mc = compression.measure_common(
+                model, pc, cc, mu=args.mu, tree=tree, budget=budget
+            )
             report["eps_c"] = mc.eps_c
             report["delta_c"] = mc.delta_c
             report["witnesses"].update(

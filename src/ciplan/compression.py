@@ -32,8 +32,10 @@ from .histories import (
     FcsTree,
     Hist,
     Prescription,
-    enumerate_prescriptions,
+    PrescriptionDomainError,
+    _columns_by_agent,
     level_nodes,
+    prescription_count,
 )
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
@@ -71,11 +73,20 @@ class PrivateCompression:
                 f"theta has no label for (t, seq, agent, hist) = {(t, seq, agent, hist)!r}"
             ) from None
 
-    def label_domains(self, node: FcsNode, hist_domains) -> tuple[tuple, ...]:
-        return tuple(
-            tuple(sorted({self.label_of(node.t, node.seq, n, h) for h in domain}))
-            for n, domain in enumerate(hist_domains)
-        )
+    def label_map(self, node: FcsNode) -> tuple[tuple[tuple, ...], np.ndarray]:
+        """The node's label domains, and for each history column of the node
+        (agent by agent, in domain order) the column of that history's label
+        in a label row.  Lifting a label row to the node's histories is then
+        the gather ``row[colmap]``."""
+        domains, colmap, offset = [], [], 0
+        for n, hists in enumerate(node.agent_domains):
+            labels = [self.label_of(node.t, node.seq, n, h) for h in hists]
+            keys = tuple(sorted(set(labels)))
+            column = {z: offset + i for i, z in enumerate(keys)}
+            colmap.extend(column[z] for z in labels)
+            domains.append(keys)
+            offset += len(keys)
+        return tuple(domains), np.array(colmap, dtype=np.intp)
 
     def alphabet(self, agent: int, t: int) -> tuple:
         return tuple(
@@ -152,72 +163,57 @@ def full_levels(model: DecPomdpModel, tree: FcsTree) -> list[list[FcsNode]]:
     return [level_nodes(tree, t) for t in range(1, model.horizon + 1)]
 
 
+def _label_row(lam: Prescription, domains: tuple[tuple, ...]) -> np.ndarray:
+    """The action row of a label prescription over ``domains``."""
+    if tuple(tuple(z for z, _a in table) for table in lam.entries) != domains:
+        raise PrescriptionDomainError(
+            f"prescription {lam.key!r} is not over the label domains {domains!r}"
+        )
+    return np.array([a for table in lam.entries for _z, a in table], dtype=np.intp)
+
+
 def extension(
     tree: FcsTree, node: FcsNode, pc: PrivateCompression, lam: Prescription
 ) -> Prescription:
     """Lift a label-domain prescription to this node's history domains; the
     extension acts identically on every history within a label class."""
-    return Prescription(
-        tuple(
-            tuple(
-                (h, lam.action_for(n, pc.label_of(node.t, node.seq, n, h)))
-                for h in domain
-            )
-            for n, domain in enumerate(tree.agent_domains(node))
-        )
-    )
+    domains, colmap = pc.label_map(node)
+    return tree._prescription(node.agent_domains, _label_row(lam, domains)[colmap])
 
 
 def compressed_prescriptions(
     model: DecPomdpModel, tree: FcsTree, node: FcsNode, pc: PrivateCompression
 ) -> list[tuple[Prescription, Prescription]]:
     """All (label prescription, extension) pairs at a node, canonical order."""
-    domains = pc.label_domains(node, tree.agent_domains(node))
+    domains, colmap = pc.label_map(node)
     return [
-        (lam, extension(tree, node, pc, lam))
-        for lam in enumerate_prescriptions(model, domains)
+        (tree._prescription(domains, row), tree._prescription(node.agent_domains, row[colmap]))
+        for row in tree._action_rows(tuple(map(len, domains)))
     ]
 
 
-def subtree_levels(
-    model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression
-) -> list[list[FcsNode]]:
-    """Nodes per time step reachable using only compressed prescriptions."""
-    levels = [[node for _o0, node, _p in tree.roots()]]
-    for _t in range(1, model.horizon):
-        nxt, seen = [], set()
-        for node in levels[-1]:
-            for _lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                for _o0, child, _p in tree.expand(node, gamma):
-                    if child.seq not in seen:
-                        seen.add(child.seq)
-                        nxt.append(child)
-        levels.append(nxt)
-    return levels
-
-
-def mu_levels(
+def compressed_subtree(
     model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression, mu: str = "uniform"
-) -> list[dict[FcsKey, float]]:
-    """Forward law over the compressed-prescription subtree.
+) -> list[list[tuple[FcsNode, float]]]:
+    """Nodes per time step reachable using only compressed prescriptions, each
+    with its mass under the reference measure ``mu``.
 
-    The ``uniform`` reference measure draws the label prescription uniformly
-    at every node; each level's masses sum to one.
+    The ``uniform`` measure draws the label prescription uniformly at every
+    node; each level's masses sum to one.  Distinct label prescriptions lift
+    to distinct prescriptions, so every node is reached once.
     """
     if mu != "uniform":
         raise ValueError(f"unknown reference measure {mu!r}")
-    masses = [{node.seq: p for _o0, node, p in tree.roots()}]
+    levels = [[(node, p) for _o0, node, p in tree.roots()]]
     for _t in range(1, model.horizon):
-        nxt: dict[FcsKey, float] = {}
-        for node_seq, mass in masses[-1].items():
-            node = tree.node(node_seq)
+        nxt = []
+        for node, mass in levels[-1]:
             pairs = compressed_prescriptions(model, tree, node, pc)
             share = mass / len(pairs)
             for _lam, gamma in pairs:
-                for _o0, child, p in tree.expand(node, gamma):
-                    nxt[child.seq] = nxt.get(child.seq, 0.0) + share * p
-        masses.append(nxt)
-    return masses
+                nxt.extend((child, share * p) for _o0, child, p in tree.expand(node, gamma))
+        levels.append(nxt)
+    return levels
 
 
 # -- recursive-update edges -----------------------------------------------
@@ -228,13 +224,15 @@ def _private_edges(model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression):
     source item, successor label)``, under every compressed prescription."""
     for t in range(1, model.horizon):
         for node in level_nodes(tree, t):
-            hist_domains = tree.agent_domains(node)
+            domains, colmap = pc.label_map(node)
+            keys = [z for domain in domains for z in domain]
+            labels = [keys[c] for c in colmap.tolist()]
             for lam, gamma in compressed_prescriptions(model, tree, node, pc):
                 for o0, child, _p in tree.expand(node, gamma):
-                    for n, domain in enumerate(hist_domains):
-                        for h in domain:
-                            z = pc.label_of(t, node.seq, n, h)
-                            a = lam.action_for(n, z)
+                    column = iter(labels)
+                    for n, table in enumerate(gamma.entries):
+                        for h, a in table:
+                            z = next(column)
                             for on in range(model.private_obs_sizes[n]):
                                 tk = (t + 1, child.seq, n, h + (a, on))
                                 if tk in pc.theta:
@@ -250,13 +248,12 @@ def _common_edges(
     tree: FcsTree,
     pc: PrivateCompression,
     cc: CommonCompression,
-    levels: list[list[FcsNode]],
+    levels: list[list[tuple[FcsNode, float]]],
 ):
-    """Every edge of the compressed-prescription subtree ``levels``, as
-    ``(phi0 key, source item, successor label)``; unlabelled nodes read as
-    ``None``."""
+    """Every edge of the compressed subtree ``levels``, as ``(phi0 key, source
+    item, successor label)``; unlabelled nodes read as ``None``."""
     for t in range(1, model.horizon):
-        for node in levels[t - 1]:
+        for node, _mass in levels[t - 1]:
             z0 = cc.theta0.get((t, node.seq))
             for lam, gamma in compressed_prescriptions(model, tree, node, pc):
                 for o0, child, _p in tree.expand(node, gamma):
@@ -297,7 +294,7 @@ def check_recursive(
             raise ValueError("checking a common compression requires the private one")
         name = "ASCS1"
         edges = _common_edges(
-            model, tree, pc, compression, subtree_levels(model, tree, pc)
+            model, tree, pc, compression, compressed_subtree(model, tree, pc)
         )
         violations = [
             (seq, key[3], got, expected)
@@ -326,11 +323,51 @@ def _joint_reward(model: DecPomdpModel, sdist: dict[int, float], a_idx: int) -> 
     return sum(w * float(model.reward[s, a_idx]) for s, w in sdist.items())
 
 
+def _history_laws(pc: PrivateCompression, node: FcsNode, fps):
+    """Per admissible joint history ``f`` of ``fps`` at ``node``: its
+    histories, its state law and the state law of its joint label's preimage,
+    the mixture of the same-node histories sharing every agent's label."""
+    columns = _columns_by_agent(node.agent_domains, pc.label_map(node)[1].tolist())
+    joint = [tuple(c[h] for c, h in zip(columns, f.histories)) for f in fps]
+    classes: dict = {}
+    for f, z in zip(fps, joint):
+        classes.setdefault(z, []).append(f)
+    preimage: dict = {}
+    for z, pre in classes.items():
+        mass = sum(g.probability for g in pre)
+        sdist_z = preimage[z] = {}
+        for g in pre:
+            for s, p in enumerate(g.state_probabilities):
+                if p > ADMISSIBILITY_THRESHOLD:
+                    sdist_z[s] = sdist_z.get(s, 0.0) + p / mass
+    for f, z in zip(fps, joint):
+        sdist_h = {
+            s: p / f.probability
+            for s, p in enumerate(f.state_probabilities)
+            if p > ADMISSIBILITY_THRESHOLD
+        }
+        yield f.histories, sdist_h, preimage[z]
+
+
+def _private_gaps(model, sdist_h, sdist_z, a_idx: int, with_obs: bool) -> tuple[float, float]:
+    """Folded reward and next-observation deviations of a history's state law
+    from its preimage's under one joint action; the second is 0 unless
+    ``with_obs``."""
+    eps = 4.0 * abs(_joint_reward(model, sdist_h, a_idx) - _joint_reward(model, sdist_z, a_idx))
+    if not with_obs:
+        return eps, 0.0
+    return eps, 8.0 * tv_distance(
+        _next_obs_distribution(model, sdist_h, a_idx),
+        _next_obs_distribution(model, sdist_z, a_idx),
+    )
+
+
 def measure_private(
     model: DecPomdpModel,
     pc: PrivateCompression,
     tree: FcsTree | None = None,
     check: bool = True,
+    budget: int = DEFAULT_BUDGET,
 ) -> MeasuredParams:
     """Exact folded (ε_p, δ_p) of a private compression.
 
@@ -338,59 +375,32 @@ def measure_private(
     true conditional expected reward of a joint private history and that of
     its same-node label-preimage mixture, over every reachable node, history
     and joint action; the observation parameter is eight times the analogous
-    supremum of total variation over next observations.
+    supremum of total variation over next observations.  ``budget`` caps the
+    (node, joint history, joint action) triples, charged a level at a time.
     """
     tree = tree or FcsTree(model)
     if check:
         rep = check_recursive(model, pc, tree=tree)
         if not rep.passed:
             raise RecursiveCheckError("recursive private update check failed")
-    sup_r, sup_o = 0.0, 0.0
+    eps_p, delta_p, spent = 0.0, 0.0, 0
     wit: dict = {}
     for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
-            fps = tree.reachable_fps(node)
-            jlabel = {
-                f.histories: tuple(
-                    pc.label_of(t, node.seq, n, h)
-                    for n, h in enumerate(f.histories)
-                )
-                for f in fps
-            }
-            classes: dict = {}
-            for f in fps:
-                classes.setdefault(jlabel[f.histories], []).append(f)
-            for f in fps:
-                pre = classes[jlabel[f.histories]]
-                mass = sum(g.probability for g in pre)
-                sdist_h = {
-                    s: p / f.probability
-                    for s, p in enumerate(f.state_probabilities)
-                    if p > ADMISSIBILITY_THRESHOLD
-                }
-                sdist_z: dict[int, float] = {}
-                for g in pre:
-                    for s, p in enumerate(g.state_probabilities):
-                        if p > ADMISSIBILITY_THRESHOLD:
-                            sdist_z[s] = sdist_z.get(s, 0.0) + p / mass
+        level = [(node, tree.reachable_fps(node)) for node in level_nodes(tree, t)]
+        spent += sum(len(fps) for _node, fps in level) * model.num_joint_actions
+        if spent > budget:
+            raise BudgetExceededError(("private measure", t), budget)
+        for node, fps in level:
+            for hjoint, sdist_h, sdist_z in _history_laws(pc, node, fps):
                 for a in model.iter_joint_actions():
-                    a_idx = model.joint_action_index(a)
-                    d = abs(
-                        _joint_reward(model, sdist_h, a_idx)
-                        - _joint_reward(model, sdist_z, a_idx)
+                    eps, delta = _private_gaps(
+                        model, sdist_h, sdist_z, model.joint_action_index(a), t < model.horizon
                     )
-                    if d > sup_r:
-                        sup_r = d
-                        wit["eps_p"] = ("eps_p", t, node.seq, f.histories, a)
-                    if t < model.horizon:
-                        d = tv_distance(
-                            _next_obs_distribution(model, sdist_h, a_idx),
-                            _next_obs_distribution(model, sdist_z, a_idx),
-                        )
-                        if d > sup_o:
-                            sup_o = d
-                            wit["delta_p"] = ("delta_p", t, node.seq, f.histories, a)
-    return MeasuredParams(eps_p=4.0 * sup_r, delta_p=8.0 * sup_o, witnesses=wit)
+                    if eps > eps_p:
+                        eps_p, wit["eps_p"] = eps, ("eps_p", t, node.seq, hjoint, a)
+                    if delta > delta_p:
+                        delta_p, wit["delta_p"] = delta, ("delta_p", t, node.seq, hjoint, a)
+    return MeasuredParams(eps_p=eps_p, delta_p=delta_p, witnesses=wit)
 
 
 def reevaluate_private_witness(
@@ -401,38 +411,17 @@ def reevaluate_private_witness(
 ) -> float:
     """Recompute the folded value a private-measurement witness attains."""
     kind, t, seq, hjoint, a = witness
+    if kind not in ("eps_p", "delta_p"):
+        raise ValueError(f"unknown witness kind {kind!r}")
     tree = tree or FcsTree(model)
     node = tree.node(seq)
-    fps = tree.reachable_fps(node)
-    target = next(f for f in fps if f.histories == hjoint)
-    jl = tuple(pc.label_of(t, seq, n, h) for n, h in enumerate(hjoint))
-    pre = [
-        f
-        for f in fps
-        if tuple(pc.label_of(t, seq, n, h) for n, h in enumerate(f.histories)) == jl
-    ]
-    mass = sum(f.probability for f in pre)
-    sdist_h = {
-        s: p / target.probability
-        for s, p in enumerate(target.state_probabilities)
-        if p > ADMISSIBILITY_THRESHOLD
-    }
-    sdist_z: dict[int, float] = {}
-    for f in pre:
-        for s, p in enumerate(f.state_probabilities):
-            if p > ADMISSIBILITY_THRESHOLD:
-                sdist_z[s] = sdist_z.get(s, 0.0) + p / mass
-    a_idx = model.joint_action_index(a)
-    if kind == "eps_p":
-        return 4.0 * abs(
-            _joint_reward(model, sdist_h, a_idx) - _joint_reward(model, sdist_z, a_idx)
-        )
-    if kind == "delta_p":
-        return 8.0 * tv_distance(
-            _next_obs_distribution(model, sdist_h, a_idx),
-            _next_obs_distribution(model, sdist_z, a_idx),
-        )
-    raise ValueError(f"unknown witness kind {kind!r}")
+    for h, sdist_h, sdist_z in _history_laws(pc, node, tree.reachable_fps(node)):
+        if h == hjoint:
+            eps, delta = _private_gaps(
+                model, sdist_h, sdist_z, model.joint_action_index(a), kind == "delta_p"
+            )
+            return eps if kind == "eps_p" else delta
+    raise ValueError(f"history {hjoint!r} is not admissible at node {seq!r}")
 
 
 def _node_reward_and_branches(tree: FcsTree, node: FcsNode, gamma: Prescription):
@@ -457,6 +446,41 @@ def _node_reward_and_branches(tree: FcsTree, node: FcsNode, gamma: Prescription)
     return profile
 
 
+def _common_classes(pc: PrivateCompression, cc: CommonCompression, t: int, level):
+    """The ``(node, mass)`` pairs of a subtree level grouped by common label,
+    as ``(label, nodes, μ weights, label domains, colmaps)``; a label must not
+    merge nodes with different private label domains."""
+    classes: dict = {}
+    for node, mass in level:
+        classes.setdefault(cc.label_of(t, node.seq), []).append((node, mass))
+    for z0, members in classes.items():
+        nodes = [node for node, _mass in members]
+        total = sum(mass for _node, mass in members)
+        maps = [pc.label_map(node) for node in nodes]
+        domains = maps[0][0]
+        if any(other != domains for other, _colmap in maps[1:]):
+            raise ValueError(
+                f"common label {z0!r} merges nodes with different private label domains"
+            )
+        weights = [mass / total for _node, mass in members]
+        yield z0, nodes, weights, domains, [colmap for _domains, colmap in maps]
+
+
+def _mixture(tree: FcsTree, nodes, weights, colmaps, row: np.ndarray):
+    """Each node's ``(reward, next-common-observation law)`` under label row
+    ``row`` lifted to it, and their μ-weighted mixture ``(reward, law)``."""
+    profiles = [
+        _node_reward_and_branches(tree, node, tree._prescription(node.agent_domains, row[colmap]))
+        for node, colmap in zip(nodes, colmaps)
+    ]
+    mix_r, mix_obs = 0.0, {}
+    for w, (r, branches) in zip(weights, profiles):
+        mix_r += w * r
+        for o0, p in branches.items():
+            mix_obs[o0] = mix_obs.get(o0, 0.0) + w * p
+    return profiles, mix_r, mix_obs
+
+
 def measure_common(
     model: DecPomdpModel,
     pc: PrivateCompression,
@@ -464,6 +488,7 @@ def measure_common(
     mu: str = "uniform",
     tree: FcsTree | None = None,
     check: bool = True,
+    budget: int = DEFAULT_BUDGET,
 ) -> MeasuredParams:
     """Exact folded (ε_c, δ_c) of a common compression.
 
@@ -471,54 +496,36 @@ def measure_common(
     reference measure; the reward parameter is the largest per-node deviation
     of the immediate expected reward from the class mixture over every label
     prescription, and the observation parameter is twice the analogous total
-    variation over the next common observation.
+    variation over the next common observation.  ``budget`` caps the (node,
+    label prescription) pairs, charged a level at a time.
     """
     tree = tree or FcsTree(model)
     if check:
         rep = check_recursive(model, cc, pc=pc, tree=tree)
         if not rep.passed:
             raise RecursiveCheckError("recursive common update check failed")
-    levels = subtree_levels(model, tree, pc)
-    masses = mu_levels(model, tree, pc, mu)
-    sup_r, sup_o = 0.0, 0.0
+    sup_r, sup_o, spent = 0.0, 0.0, 0
     wit: dict = {}
-    for t in range(1, model.horizon + 1):
-        classes: dict = {}
-        for node in levels[t - 1]:
-            classes.setdefault(cc.label_of(t, node.seq), []).append(node)
-        for z0, members in classes.items():
-            total = sum(masses[t - 1][n.seq] for n in members)
-            mu_w = {n.seq: masses[t - 1][n.seq] / total for n in members}
-            domains0 = pc.label_domains(members[0], tree.agent_domains(members[0]))
-            for node in members[1:]:
-                if pc.label_domains(node, tree.agent_domains(node)) != domains0:
-                    raise ValueError(
-                        f"common label {z0!r} merges nodes with different "
-                        "private label domains"
-                    )
-            for lam in enumerate_prescriptions(model, domains0):
-                per_node = {
-                    node.seq: _node_reward_and_branches(
-                        tree, node, extension(tree, node, pc, lam)
-                    )
-                    for node in members
-                }
-                mix_r = sum(mu_w[seq] * r for seq, (r, _b) in per_node.items())
-                mix_obs: dict[int, float] = {}
-                for seq, (_r, branches) in per_node.items():
-                    for o0, p in branches.items():
-                        mix_obs[o0] = mix_obs.get(o0, 0.0) + mu_w[seq] * p
-                for node in members:
-                    r, branches = per_node[node.seq]
+    for t, level in enumerate(compressed_subtree(model, tree, pc, mu), start=1):
+        classes = list(_common_classes(pc, cc, t, level))
+        spent += sum(
+            len(nodes) * prescription_count(model, domains)
+            for _z0, nodes, _w, domains, _c in classes
+        )
+        if spent > budget:
+            raise BudgetExceededError(("common measure", t), budget)
+        for _z0, nodes, weights, domains, colmaps in classes:
+            for row in tree._action_rows(tuple(map(len, domains))):
+                lam_key = tree._prescription(domains, row).key
+                profiles, mix_r, mix_obs = _mixture(tree, nodes, weights, colmaps, row)
+                for node, (r, branches) in zip(nodes, profiles):
                     d = abs(r - mix_r)
                     if d > sup_r:
-                        sup_r = d
-                        wit["eps_c"] = ("eps_c", t, node.seq, lam.key)
+                        sup_r, wit["eps_c"] = d, ("eps_c", t, node.seq, lam_key)
                     if t < model.horizon:
                         d = tv_distance(branches, mix_obs)
                         if d > sup_o:
-                            sup_o = d
-                            wit["delta_c"] = ("delta_c", t, node.seq, lam.key)
+                            sup_o, wit["delta_c"] = d, ("delta_c", t, node.seq, lam_key)
     return MeasuredParams(eps_c=sup_r, delta_c=2.0 * sup_o, witnesses=wit)
 
 
@@ -532,28 +539,18 @@ def reevaluate_common_witness(
 ) -> float:
     """Recompute the folded value a common-measurement witness attains."""
     kind, t, seq, lam_key = witness
+    if kind not in ("eps_c", "delta_c"):
+        raise ValueError(f"unknown witness kind {kind!r}")
     tree = tree or FcsTree(model)
-    levels = subtree_levels(model, tree, pc)
-    masses = mu_levels(model, tree, pc, mu)
+    level = compressed_subtree(model, tree, pc, mu)[t - 1]
     z0 = cc.label_of(t, seq)
-    members = [n for n in levels[t - 1] if cc.label_of(t, n.seq) == z0]
-    total = sum(masses[t - 1][n.seq] for n in members)
-    lam = Prescription(lam_key)
-    per_node = {
-        n.seq: _node_reward_and_branches(tree, n, extension(tree, n, pc, lam))
-        for n in members
-    }
-    mix_r = sum(masses[t - 1][s] / total * r for s, (r, _b) in per_node.items())
-    mix_obs: dict[int, float] = {}
-    for s, (_r, branches) in per_node.items():
-        for o0, p in branches.items():
-            mix_obs[o0] = mix_obs.get(o0, 0.0) + masses[t - 1][s] / total * p
-    r, branches = per_node[seq]
-    if kind == "eps_c":
-        return abs(r - mix_r)
-    if kind == "delta_c":
-        return 2.0 * tv_distance(branches, mix_obs)
-    raise ValueError(f"unknown witness kind {kind!r}")
+    for label, nodes, weights, domains, colmaps in _common_classes(pc, cc, t, level):
+        if label == z0:
+            row = _label_row(Prescription(lam_key), domains)
+            profiles, mix_r, mix_obs = _mixture(tree, nodes, weights, colmaps, row)
+            r, branches = profiles[[node.seq for node in nodes].index(seq)]
+            return abs(r - mix_r) if kind == "eps_c" else 2.0 * tv_distance(branches, mix_obs)
+    raise ValueError(f"node {seq!r} is not in the compressed subtree at t = {t}")
 
 
 # -- construction ----------------------------------------------------------
@@ -565,7 +562,7 @@ def identity_private(model: DecPomdpModel, tree: FcsTree | None = None) -> Priva
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     for t in range(1, model.horizon + 1):
         for node in level_nodes(tree, t):
-            for n, domain in enumerate(tree.agent_domains(node)):
+            for n, domain in enumerate(node.agent_domains):
                 for h in domain:
                     pc.theta[(t, node.seq, n, h)] = h
     # A label that is its history fixes its successor: no edge can conflict.
@@ -736,7 +733,7 @@ def build_greedy(
     for t in range(1, model.horizon + 1):
         nodes = levels[t - 1]
         for n in range(model.num_agents):
-            domains = [tree.agent_domains(node)[n] for node in nodes]
+            domains = [node.agent_domains[n] for node in nodes]
             items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]
             blocks.charge(("private block", t, n), len(items))
             sdist = _history_state_laws(model, nodes, domains, n)
@@ -769,13 +766,9 @@ def _exactness_split(model, tree, pc):
         if value > ADMISSIBILITY_THRESHOLD:
             _k, t, seq, hjoint, _a = mp.witnesses[kind]
             node = tree.node(seq)
-            for n, h in enumerate(hjoint):
-                z = pc.label_of(t, seq, n, h)
-                mates = [
-                    g
-                    for g in tree.agent_domains(node)[n]
-                    if g != h and pc.label_of(t, seq, n, g) == z
-                ]
+            columns = _columns_by_agent(node.agent_domains, pc.label_map(node)[1].tolist())
+            for n, (column, h) in enumerate(zip(columns, hjoint)):
+                mates = [g for g in column if g != h and column[g] == column[h]]
                 if mates:
                     return [((t, seq, n, h), (t, seq, n, g)) for g in mates]
     return []
@@ -795,9 +788,9 @@ def identity_common(
     """Each coordinator node of the compressed subtree is its own label."""
     tree = tree or FcsTree(model)
     cc = CommonCompression(horizon=model.horizon)
-    levels = subtree_levels(model, tree, pc)
+    levels = compressed_subtree(model, tree, pc)
     for t in range(1, model.horizon + 1):
-        for node in levels[t - 1]:
+        for node, _mass in levels[t - 1]:
             cc.theta0[(t, node.seq)] = node.seq
     # Node labels fix their successors: no edge can conflict.
     cc.phi0, _conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
@@ -815,9 +808,9 @@ def bcs_common(
     """
     tree = tree or FcsTree(model)
     cc = CommonCompression(horizon=model.horizon)
-    levels = subtree_levels(model, tree, pc)
+    levels = compressed_subtree(model, tree, pc)
     for t in range(1, model.horizon + 1):
-        for node in levels[t - 1]:
+        for node, _mass in levels[t - 1]:
             fp = compute_bcs(
                 tree, node, label_of=lambda n, h: pc.label_of(t, node.seq, n, h)
             ).fingerprint
@@ -847,28 +840,30 @@ def _common_matrix(
     ``with_laws``, its next-common-observation law."""
     groups: dict = {}
     for i, node in enumerate(nodes):
-        groups.setdefault(pc.label_domains(node, tree.agent_domains(node)), []).append(i)
+        domains, colmap = pc.label_map(node)
+        groups.setdefault(domains, []).append((i, colmap))
     ok = np.zeros((len(nodes), len(nodes)), dtype=bool)
     for domains, members in groups.items():
-        lams = enumerate_prescriptions(model, domains)
+        rows = tree._action_rows(tuple(map(len, domains)))
 
-        def profile(i, lam):
-            return _node_reward_and_branches(
-                tree, nodes[members[i]], extension(tree, nodes[members[i]], pc, lam)
-            )
+        def profile(i, k):
+            node, colmap = nodes[members[i][0]], members[i][1]
+            gamma = tree._prescription(node.agent_domains, rows[k][colmap])
+            return _node_reward_and_branches(tree, node, gamma)
 
-        rewards = np.empty((len(members), len(lams)))
-        laws = np.zeros((len(members), len(lams), len(model.common_obs)))
+        rewards = np.empty((len(members), len(rows)))
+        laws = np.zeros((len(members), len(rows), len(model.common_obs)))
         for i in range(len(members)):
-            for k, lam in enumerate(lams):
-                rewards[i, k], branches = profile(i, lam)
+            for k in range(len(rows)):
+                rewards[i, k], branches = profile(i, k)
                 for o0, p in branches.items():
                     laws[i, k, o0] = p
 
         def scalar_tv(i, j, k):
-            return tv_distance(profile(i, lams[k])[1], profile(j, lams[k])[1])
+            return tv_distance(profile(i, k)[1], profile(j, k)[1])
 
-        ok[np.ix_(members, members)] = _compatibility(
+        index = [i for i, _colmap in members]
+        ok[np.ix_(index, index)] = _compatibility(
             rewards, laws if with_laws else None, tol_r, tol_o, scalar_tv
         )
     return ok
@@ -892,10 +887,10 @@ def build_common_greedy(
     matrix; ``budget`` caps the total number of matrix cells.
     """
     tree = tree or FcsTree(model)
-    levels = subtree_levels(model, tree, pc)
+    levels = compressed_subtree(model, tree, pc)
     blocks = _Blocks(budget)
     for t in range(1, model.horizon + 1):
-        nodes = levels[t - 1]
+        nodes = [node for node, _mass in levels[t - 1]]
         blocks.charge(("common block", t), len(nodes))
         blocks.add(
             [(t, node.seq) for node in nodes],

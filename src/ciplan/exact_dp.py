@@ -23,6 +23,7 @@ from .histories import (
     FcsTree,
     JointHist,
     Prescription,
+    _columns_by_agent,
     enumerate_prescriptions,
     prescription_count,
     prescription_from_row,
@@ -89,28 +90,6 @@ _REWARD_CELLS = 1 << 18
 _BATCH_ENTRIES = 1 << 16
 
 
-def _prescription_space(node: FcsNode, pc: PrivateCompression | None):
-    """The domains the node's prescriptions range over (labels under ``pc``),
-    and per agent the map from each history to its column in an action
-    table over them."""
-    hist_domains = node.agent_domains
-    domains = hist_domains if pc is None else pc.label_domains(node, hist_domains)
-    columns, offset = [], 0
-    for n, (keys, hists) in enumerate(zip(domains, hist_domains)):
-        position = {key: offset + i for i, key in enumerate(keys)}
-        if pc is None:
-            columns.append(position)
-        else:
-            columns.append({h: position[pc.label_of(node.t, node.seq, n, h)] for h in hists})
-        offset += len(keys)
-    return domains, columns
-
-
-def _colmap(columns) -> np.ndarray:
-    """Every history column's label column, from :func:`_prescription_space`."""
-    return np.array([c for per_agent in columns for c in per_agent.values()], dtype=np.intp)
-
-
 class _Level:
     """The prescription spaces and immediate rewards of a list of nodes at one
     depth, as the backward sweep reads them.
@@ -135,11 +114,9 @@ class _Level:
             self.columns = atoms.columns()
             sizes = atoms.sizes
         else:
-            self.domains, self.colmaps = [], []
-            for node in nodes:
-                domains, columns = _prescription_space(node, pc)
-                self.domains.append(domains)
-                self.colmaps.append(_colmap(columns))
+            maps = [pc.label_map(node) for node in nodes]
+            self.domains = [domains for domains, _colmap in maps]
+            self.colmaps = [colmap for _domains, colmap in maps]
             widths = np.array([len(colmap) for colmap in self.colmaps], dtype=np.intp)
             base = (np.cumsum(widths) - widths)[atoms.node_index()]
             self.columns = np.concatenate(self.colmaps)[base[:, None] + atoms.columns()]
@@ -237,9 +214,15 @@ class _Alone(_Level):
 
     def __init__(self, solver: _Solver, node: FcsNode):
         self.solver, self.node, self.q = solver, node, None
-        domains, self.columns = _prescription_space(node, solver.pc)
-        self.colmaps = None if solver.pc is None else [_colmap(self.columns)]
-        self.hist_domains, self.domains = [node.agent_domains], [domains]
+        hist_domains = node.agent_domains
+        if solver.pc is None:
+            domains, self.colmaps = hist_domains, None
+            cols = range(sum(map(len, hist_domains)))
+        else:
+            domains, colmap = solver.pc.label_map(node)
+            self.colmaps, cols = [colmap], colmap.tolist()
+        self.columns = _columns_by_agent(hist_domains, cols)
+        self.hist_domains, self.domains = [hist_domains], [domains]
         self.shapes, self.shape_of = [tuple(map(len, domains))], [0]
         self.counts = [solver.count(self.shapes[0])]
 
@@ -260,7 +243,7 @@ class _Solver:
 
     def __init__(self, model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression | None):
         self.model, self.tree, self.pc = model, tree, pc
-        self.strides = [int(np.prod(model.action_sizes[n + 1:])) for n in range(model.num_agents)]
+        self.strides = [stride for _size, stride in model._action_strides]
         self._contribs: dict[tuple[int, ...], np.ndarray] = {}
         self._counts: dict[tuple[int, ...], int] = {}
 
@@ -493,7 +476,7 @@ def _supervisor_recurse(model, tree, node, hjoint, sdist, gamma, policy) -> floa
 
 
 def _count_policies(model, tree, node) -> int:
-    prescs = enumerate_prescriptions(model, tree.agent_domains(node))
+    prescs = enumerate_prescriptions(model, node.agent_domains)
     if node.t >= model.horizon:
         return len(prescs)
     total = 0
@@ -506,7 +489,7 @@ def _count_policies(model, tree, node) -> int:
 
 
 def _iter_policies(model, tree, node):
-    prescs = enumerate_prescriptions(model, tree.agent_domains(node))
+    prescs = enumerate_prescriptions(model, node.agent_domains)
     for gamma in prescs:
         if node.t >= model.horizon:
             yield {node.seq: gamma}

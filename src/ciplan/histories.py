@@ -213,8 +213,7 @@ def _successors(model: DecPomdpModel, atoms: Atoms, entry_atom, actions):
     """The admissible successors ``(entry, s', o, p)`` of every entry, in
     ``(entry, s', o)`` order, with ``p = (w * P(s'|s,a)) * P(o|s')`` and the
     two admissibility tests of :meth:`DecPomdpModel.step`."""
-    strides = [int(np.prod(model.action_sizes[n + 1:])) for n in range(model.num_agents)]
-    joint = actions @ np.array(strides, dtype=np.intp)
+    joint = actions @ np.array([stride for _size, stride in model._action_strides], dtype=np.intp)
     step = max(1, _CHUNK_CELLS // (model.num_states * model.num_joint_obs))
     found = []
     for lo in range(0, max(len(entry_atom), 1), step):
@@ -521,10 +520,6 @@ class FcsTree:
                 out.append(FpsTuple(hjoint, p, tuple(row)))
         return out
 
-    def agent_domains(self, node: FcsNode) -> tuple[tuple[Hist, ...], ...]:
-        """Per-agent sorted reachable private histories at ``node``."""
-        return node.agent_domains
-
 
 def enumerate_prescriptions(
     model: DecPomdpModel,
@@ -578,6 +573,13 @@ def prescription_count(model: DecPomdpModel, domains: tuple[tuple, ...]) -> int:
     for n, domain in enumerate(domains):
         count *= len(model.actions[n]) ** len(domain)
     return count
+
+
+def _columns_by_agent(domains: tuple[tuple, ...], columns) -> list[dict]:
+    """Per agent, each history's column, from the columns of every history
+    agent by agent in domain order."""
+    rest = iter(columns)
+    return [dict(zip(domain, rest)) for domain in domains]
 
 
 def level_nodes(tree: FcsTree, t: int) -> list[FcsNode]:

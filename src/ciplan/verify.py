@@ -18,9 +18,9 @@ from .compression import (
     MeasuredParams,
     PrivateCompression,
     compressed_prescriptions,
+    compressed_subtree,
     measure_common,
     measure_private,
-    subtree_levels,
 )
 from .exact_dp import (
     DEFAULT_BUDGET,
@@ -28,7 +28,7 @@ from .exact_dp import (
     solve_fcs_fps,
     supervisor_q,
 )
-from .histories import FcsTree, enumerate_prescriptions, level_nodes
+from .histories import FcsTree, _columns_by_agent, enumerate_prescriptions, level_nodes
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
 GAP_TOL = 1e-9
@@ -143,21 +143,21 @@ def verify_gaps(
     and their combination, plus one sup-over-nodes row per kind and time.
     """
     tree = tree or FcsTree(model)
-    mp = measure_private(model, pc, tree=tree)
-    mc = measure_common(model, pc, cc, mu=mu, tree=tree)
+    mp = measure_private(model, pc, tree=tree, budget=budget)
+    mc = measure_common(model, pc, cc, mu=mu, tree=tree, budget=budget)
     params = mp.merged(mc)
     exact_table, _ = solve_fcs_fps(model, tree, budget=budget)
     asps_table, _ = solve_fcs_asps(model, pc, tree, budget=budget)
     ascs_table, _, _ = solve_ascs_asps(model, pc, cc, mu=mu, tree=tree, budget=budget)
 
     report = GapReport(horizon=model.horizon, mu_id=mu, params=params)
-    levels = subtree_levels(model, tree, pc)
+    levels = compressed_subtree(model, tree, pc, mu)
     rbar = model.reward_bound
     for t in range(1, model.horizon + 1):
         tbar = model.horizon - t
         sups = {kind: 0.0 for kind in ("thm1", "thm2", "thm3")}
         any_nodes = False
-        for node in levels[t - 1]:
+        for node, _mass in levels[t - 1]:
             any_nodes = True
             v = exact_table.entries[(t, node.seq)].value
             v_hat = asps_table.entries[(t, node.seq)].value
@@ -212,7 +212,7 @@ def check_lemmas(
     report = ConditionReport()
     exact_table, exact_policy = solve_fcs_fps(model, tree, budget=budget)
     _asps_table, asps_policy = solve_fcs_asps(model, pc, tree, budget=budget)
-    mp = measure_private(model, pc, tree=tree)
+    mp = measure_private(model, pc, tree=tree, budget=budget)
     rbar = model.reward_bound
 
     # Mixture identity: Q(h0, gamma) = sum_h P(h|h0) Q^S(h0, h, gamma).
@@ -220,7 +220,7 @@ def check_lemmas(
     for t in range(1, model.horizon + 1):
         for node in level_nodes(tree, t):
             entry = exact_table.entries[(t, node.seq)]
-            prescs = enumerate_prescriptions(model, tree.agent_domains(node))
+            prescs = enumerate_prescriptions(model, node.agent_domains)
             fps = tree.reachable_fps(node)
             for idx, gamma in enumerate(prescs):
                 mixture = sum(
@@ -239,21 +239,16 @@ def check_lemmas(
     # compressed-optimal policy.
     viol2, wit2 = 0.0, None
     violc, witc = 0.0, None
-    levels = subtree_levels(model, tree, pc)
+    levels = compressed_subtree(model, tree, pc)
     for t in range(1, model.horizon + 1):
         tbar = model.horizon - t
         bound = gap_bound("lem2", tbar, model.horizon, rbar, mp)
-        for node in levels[t - 1]:
-            fps = tree.reachable_fps(node)
-            jlabel = {
-                f.histories: tuple(
-                    pc.label_of(t, node.seq, n, h) for n, h in enumerate(f.histories)
-                )
-                for f in fps
-            }
+        for node, _mass in levels[t - 1]:
+            columns = _columns_by_agent(node.agent_domains, pc.label_map(node)[1].tolist())
             classes: dict = {}
-            for f in fps:
-                classes.setdefault(jlabel[f.histories], []).append(f.histories)
+            for f in tree.reachable_fps(node):
+                z = tuple(c[h] for c, h in zip(columns, f.histories))
+                classes.setdefault(z, []).append(f.histories)
             pairs = [
                 (hs[i], hs[j])
                 for hs in classes.values()
@@ -294,7 +289,7 @@ def check_lemmas(
     for t in range(1, model.horizon):
         for node in level_nodes(tree, t):
             fps = tree.reachable_fps(node)
-            prescs = enumerate_prescriptions(model, tree.agent_domains(node))
+            prescs = enumerate_prescriptions(model, node.agent_domains)
             for f in fps:
                 h = f.histories
                 per_action: dict = {}

@@ -5,6 +5,10 @@ Each test covers one acceptance criterion and prints a single pass/fail line
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +126,7 @@ def test_criterion_6_belief_consistency(coin2, small_models):
         for t in range(1, model.horizon):
             for node in level_nodes(tree, t):
                 belief = compute_bcs(tree, node)
-                for gamma in enumerate_prescriptions(model, tree.agent_domains(node)):
+                for gamma in enumerate_prescriptions(model, node.agent_domains):
                     for o0, child, _p in tree.expand(node, gamma):
                         upd = bayes_update(model, belief, gamma, o0).atom_map()
                         direct = compute_bcs(tree, child).atom_map()
@@ -211,3 +215,18 @@ def test_criterion_8_cli_determinism(tmp_path, capsys, coin2):
     ok = runs[0] == runs[1] == runs[2]
     _report("8 CLI determinism", ok)
     assert ok
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["coin_guessing_walkthrough.py", "compression_tour.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and "Traceback" not in proc.stderr

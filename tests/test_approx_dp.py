@@ -8,10 +8,10 @@ from ciplan.compression import (
     bcs_common,
     build_exact_private,
     build_greedy,
+    compressed_subtree,
     extension,
     identity_common,
     identity_private,
-    subtree_levels,
 )
 from ciplan.exact_dp import (
     BudgetExceededError,
@@ -27,7 +27,7 @@ def test_identity_extension_is_verbatim(coin2):
     tree = FcsTree(coin2)
     pc = identity_private(coin2, tree)
     _o0, root, _p = tree.roots()[0]
-    for lam in enumerate_prescriptions(coin2, tree.agent_domains(root)):
+    for lam in enumerate_prescriptions(coin2, root.agent_domains):
         assert extension(tree, root, pc, lam).key == lam.key
 
 
@@ -35,10 +35,10 @@ def test_extension_acts_classwise(coin2):
     tree = FcsTree(coin2)
     pc = build_greedy(coin2, 10.0, 2.0, tree=tree)
     _o0, root, _p = tree.roots()[0]
-    domains = pc.label_domains(root, tree.agent_domains(root))
+    domains = pc.label_map(root)[0]
     for lam in enumerate_prescriptions(coin2, domains):
         gamma = extension(tree, root, pc, lam)
-        for n, domain in enumerate(tree.agent_domains(root)):
+        for n, domain in enumerate(root.agent_domains):
             for h in domain:
                 z = pc.label_of(1, root.seq, n, h)
                 assert gamma.action_for(n, h) == lam.action_for(n, z)
@@ -79,9 +79,9 @@ def test_label_sweep_matches_restricted_under_identity_common(coin2):
     cc = identity_common(coin2, pc, tree)
     restricted, _ = solve_fcs_asps(coin2, pc, tree=tree)
     table, policy, label_policy = solve_ascs_asps(coin2, pc, cc, tree=tree)
-    levels = subtree_levels(coin2, tree, pc)
+    levels = compressed_subtree(coin2, tree, pc)
     for t in range(1, coin2.horizon + 1):
-        for node in levels[t - 1]:
+        for node, _mass in levels[t - 1]:
             assert table.entries[(t, cc.label_of(t, node.seq))].value == pytest.approx(
                 restricted.entries[(t, node.seq)].value, abs=1e-9
             )

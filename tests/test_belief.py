@@ -27,7 +27,7 @@ def constant_spi(model):
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     for t in range(1, model.horizon + 1):
         for node in level_nodes(tree, t):
-            for n, domain in enumerate(tree.agent_domains(node)):
+            for n, domain in enumerate(node.agent_domains):
                 for h in domain:
                     pc.theta[(t, node.seq, n, h)] = 0
     return pc
@@ -62,7 +62,7 @@ def test_recursive_update_matches_direct_bcs(coin2, small_models):
         for t in range(1, model.horizon):
             for node in level_nodes(tree, t):
                 belief = compute_bcs(tree, node)
-                for gamma in enumerate_prescriptions(model, tree.agent_domains(node)):
+                for gamma in enumerate_prescriptions(model, node.agent_domains):
                     for o0, child, _p in tree.expand(node, gamma):
                         updated = bayes_update(model, belief, gamma, o0)
                         direct = compute_bcs(tree, child)
@@ -75,7 +75,7 @@ def test_zero_probability_branch_rejected(coin2):
     tree = FcsTree(coin2)
     _o0, root, _p = tree.roots()[0]
     belief = compute_bcs(tree, root)
-    gamma = enumerate_prescriptions(coin2, tree.agent_domains(root))[0]
+    gamma = enumerate_prescriptions(coin2, root.agent_domains)[0]
     with pytest.raises(ZeroProbabilityBranchError):
         bayes_update(coin2, belief, gamma, o0=7)
 

@@ -19,6 +19,7 @@ from ciplan.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from ciplan.compression import (
     bcs_common,
     build_exact_private,
+    build_greedy,
     identity_private,
     serialize_compression,
 )
@@ -127,6 +128,34 @@ def test_compress_budget_exhaustion_status(mode):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: budget of 1 exceeded at ('private block', 1, 0)\n"
+
+
+@pytest.mark.parametrize("command", ["measure", "verify-gap"])
+def test_measure_budget_exhaustion_status(tmp_path, coin2, command):
+    # The measurements charge the budget: one unit per (node, joint history,
+    # joint action) on the private side, before each level's work.
+    pc = build_greedy(coin2, 0.5, 0.5)
+    files = {"pc": serialize_compression(pc), "cc": serialize_compression(bcs_common(coin2, pc))}
+    argv = [command, "--model", COIN2, "--budget", "1"]
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        argv += ["--compression", str(tmp_path / f"{name}.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ciplan.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stdout == ""
+    assert proc.stderr == "error: budget of 1 exceeded at ('private measure', 1)\n"
+
+
+def test_repeated_compression_kind_is_input_error(tmp_path, capsys, coin2):
+    path = tmp_path / "pc.json"
+    path.write_text(serialize_compression(build_exact_private(coin2)))
+    argv = ["solve", "--alg", "2", "--model", COIN2]
+    assert main([*argv, "--compression", str(path), "--compression", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --compression given twice for a private compression\n"
 
 
 def test_unwritable_out_is_input_error():

@@ -29,6 +29,7 @@ from ciplan.compression import (
     build_exact_private,
     build_greedy,
     check_recursive,
+    compressed_subtree,
     extension,
     full_levels,
     identity_common,
@@ -39,7 +40,6 @@ from ciplan.compression import (
     reevaluate_common_witness,
     reevaluate_private_witness,
     serialize_compression,
-    subtree_levels,
     tv_distance,
 )
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
@@ -141,7 +141,7 @@ def test_irrelevant_private_information_collapses_fully():
             for n in range(model.num_agents):
                 labels = {
                     pc.label_of(t, node.seq, n, h)
-                    for h in tree.agent_domains(node)[n]
+                    for h in node.agent_domains[n]
                 }
                 assert len(labels) == 1
     mp = measure_private(model, pc)
@@ -154,7 +154,7 @@ def test_lossy_merge_matches_hand_mixture(coin2):
     tree = FcsTree(coin2)
     pc = identity_private(coin2, tree)
     _o0, root, _p = tree.roots()[0]
-    for h in tree.agent_domains(root)[0]:
+    for h in root.agent_domains[0]:
         pc.theta[(1, root.seq, 0, h)] = "merged"
     mp = measure_private(coin2, pc, tree=tree, check=False)
 
@@ -222,7 +222,7 @@ def _scalar_private_stats(model, tree, levels):
     stats = {}
     for t in range(1, model.horizon + 1):
         for node in levels[t - 1]:
-            for n, domain in enumerate(tree.agent_domains(node)):
+            for n, domain in enumerate(node.agent_domains):
                 for h in domain:
                     raw = {}
                     for (s, hjoint), w in node.weights:
@@ -254,8 +254,8 @@ def _scalar_private_stats(model, tree, levels):
 def _scalar_common_stats(model, tree, pc, levels):
     stats = {}
     for t in range(1, model.horizon + 1):
-        for node in levels[t - 1]:
-            domains = pc.label_domains(node, tree.agent_domains(node))
+        for node, _mass in levels[t - 1]:
+            domains = pc.label_map(node)[0]
             profile = {
                 lam.key: _node_reward_and_branches(
                     tree, node, extension(tree, node, pc, lam)
@@ -310,7 +310,7 @@ def _scalar_build_greedy(model, tree, tol_r, tol_o):
                 items = [
                     (t, node.seq, n, h)
                     for node in levels[t - 1]
-                    for h in tree.agent_domains(node)[n]
+                    for h in node.agent_domains[n]
                 ]
                 for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
                     for item in cls:
@@ -329,7 +329,7 @@ def _scalar_build_greedy(model, tree, tol_r, tol_o):
 
 
 def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
-    levels = subtree_levels(model, tree, pc)
+    levels = compressed_subtree(model, tree, pc)
     stats = _scalar_common_stats(model, tree, pc, levels)
 
     def compatible(a, b):
@@ -339,7 +339,7 @@ def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
     while True:
         cc = CommonCompression(horizon=model.horizon)
         for t in range(1, model.horizon + 1):
-            items = [(t, node.seq) for node in levels[t - 1]]
+            items = [(t, node.seq) for node, _mass in levels[t - 1]]
             for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
                 for item in cls:
                     cc.theta0[item] = idx
@@ -383,7 +383,7 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
     for t in range(1, model.horizon + 1):
         nodes = levels[t - 1]
         for n in range(model.num_agents):
-            domains = [tree.agent_domains(node)[n] for node in nodes]
+            domains = [node.agent_domains[n] for node in nodes]
             items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]
             sdist = _history_state_laws(model, nodes, domains, n)
             matrix = _private_matrix(model, sdist, t < model.horizon, tol_r, tol_o)
@@ -394,10 +394,10 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
         _scalar_build_greedy(model, tree, tol_r, tol_o)
     )
 
-    common_levels = subtree_levels(model, tree, pc)
+    common_levels = compressed_subtree(model, tree, pc)
     common_compatible = _scalar_common_stats(model, tree, pc, common_levels)
     for t in range(1, model.horizon + 1):
-        nodes = common_levels[t - 1]
+        nodes = [node for node, _mass in common_levels[t - 1]]
         matrix = _common_matrix(model, tree, pc, nodes, t < model.horizon, tol_r, tol_o)
         items = [(t, node.seq) for node in nodes]
         _assert_cells_match(matrix, items, common_compatible, tol_r, tol_o)
@@ -451,7 +451,7 @@ def test_builders_charge_matrix_cells_to_budget(coin2):
     tree = FcsTree(coin2)
     levels = full_levels(coin2, tree)
     cells = sum(
-        sum(len(tree.agent_domains(node)[n]) for node in levels[t - 1]) ** 2
+        sum(len(node.agent_domains[n]) for node in levels[t - 1]) ** 2
         for t in range(1, coin2.horizon + 1)
         for n in range(coin2.num_agents)
     )
@@ -463,7 +463,7 @@ def test_builders_charge_matrix_cells_to_budget(coin2):
         build_exact_private(coin2, tree, budget=cells - 1)
 
     pc = build_exact_private(coin2, tree)
-    common_cells = sum(len(level) ** 2 for level in subtree_levels(coin2, tree, pc))
+    common_cells = sum(len(level) ** 2 for level in compressed_subtree(coin2, tree, pc))
     build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells)
     with pytest.raises(BudgetExceededError) as err:
         build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells - 1)
@@ -508,15 +508,13 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
     from ciplan.compression import (
         _node_reward_and_branches,
         compressed_prescriptions,
-        mu_levels,
-        subtree_levels,
     )
 
     model = small_models[0]
     tree = FcsTree(model)
     pc = build_greedy(model, 10.0, 2.0, tree=tree)
-    levels = subtree_levels(model, tree, pc)
-    masses = mu_levels(model, tree, pc)
+    levels = compressed_subtree(model, tree, pc)
+    masses = [{node.seq: mass for node, mass in level} for level in levels]
 
     def deviation(n1, n2):
         w1, w2 = masses[1][n1.seq], masses[1][n2.seq]
@@ -534,7 +532,8 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
         return sup
 
     n1, n2 = max(
-        itertools.combinations(levels[1], 2), key=lambda ab: deviation(*ab)
+        itertools.combinations([node for node, _mass in levels[1]], 2),
+        key=lambda ab: deviation(*ab),
     )
     assert deviation(n1, n2) > 1e-6
 

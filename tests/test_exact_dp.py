@@ -104,7 +104,7 @@ def test_supervisor_q_mixture_identity(coin2):
     tree = FcsTree(coin2)
     table, policy = solve_fcs_fps(coin2, tree)
     _o0, root, _p = tree.roots()[0]
-    prescs = enumerate_prescriptions(coin2, tree.agent_domains(root))
+    prescs = enumerate_prescriptions(coin2, root.agent_domains)
     entry = table.entries[(1, root.seq)]
     fps = tree.reachable_fps(root)
     for idx, gamma in enumerate(prescs):
@@ -119,7 +119,7 @@ def test_supervisor_q_rejects_inadmissible_history(coin2):
     tree = FcsTree(coin2)
     _table, policy = solve_fcs_fps(coin2, tree)
     _o0, root, _p = tree.roots()[0]
-    gamma = enumerate_prescriptions(coin2, tree.agent_domains(root))[0]
+    gamma = enumerate_prescriptions(coin2, root.agent_domains)[0]
     bogus = (((9,),) * coin2.num_agents)
     with pytest.raises(InadmissibleHistoryError):
         supervisor_q(coin2, tree, root, bogus, gamma, policy)
@@ -185,7 +185,7 @@ def kernel_solves(model):
     pc = build_exact_private(model, tree)
 
     def identity(node):
-        return [(g, g) for g in enumerate_prescriptions(model, tree.agent_domains(node))]
+        return [(g, g) for g in enumerate_prescriptions(model, node.agent_domains)]
 
     def compressed(node):
         return compressed_prescriptions(model, tree, node, pc)
@@ -240,7 +240,7 @@ def test_prescription_rows_follow_canonical_order(coin2):
     for model in (coin2, wide):
         tree = FcsTree(model)
         for node in level_nodes(tree, 2):
-            domains = tree.agent_domains(node)
+            domains = node.agent_domains
             rows = prescription_actions(model, domains)
             prescs = enumerate_prescriptions(model, domains)
             assert rows.shape == (len(prescs), sum(len(d) for d in domains))

@@ -11,8 +11,8 @@ from ciplan.compression import (
     PrivateCompression,
     build_greedy,
     compressed_prescriptions,
+    compressed_subtree,
     extension,
-    subtree_levels,
 )
 from ciplan.generate import random_model
 from ciplan.histories import (
@@ -77,7 +77,7 @@ def test_roots_match_direct_computation(coin2):
 def test_child_weights_match_trajectory_oracle(coin2):
     tree = FcsTree(coin2)
     _o0, root, _p = tree.roots()[0]
-    for gamma in enumerate_prescriptions(coin2, tree.agent_domains(root)):
+    for gamma in enumerate_prescriptions(coin2, root.agent_domains):
         for o0, child, p_branch in tree.expand(root, gamma):
             expected, total = oracle_level2_weights(coin2, gamma, root.seq[0], o0)
             got = child.weight_map()
@@ -93,7 +93,7 @@ def test_child_weights_match_oracle_random(small_models):
     for model in small_models:
         tree = FcsTree(model)
         for _o0r, root, _p in tree.roots():
-            gamma = enumerate_prescriptions(model, tree.agent_domains(root))[0]
+            gamma = enumerate_prescriptions(model, root.agent_domains)[0]
             for o0, child, _pb in tree.expand(root, gamma):
                 expected, _tot = oracle_level2_weights(model, gamma, root.seq[0], o0)
                 got = child.weight_map()
@@ -165,7 +165,7 @@ def test_extend_by_labels_constant_on_classes(coin2):
     # each agent's whole domain the action the label prescription assigns.
     tree = FcsTree(coin2)
     _o0, root, _p = tree.roots()[0]
-    domains = tree.agent_domains(root)
+    domains = root.agent_domains
     theta = {
         (root.t, root.seq, n, h): 0 for n, domain in enumerate(domains) for h in domain
     }
@@ -202,7 +202,7 @@ def assert_batch_matches_scalar(model, pc=None):
             return enumerate_prescriptions(model, node.agent_domains)
     else:
         solve_fcs_asps(model, pc, tree)
-        levels = subtree_levels(model, tree, pc)
+        levels = [[node for node, _mass in level] for level in compressed_subtree(model, tree, pc)]
 
         def gammas(node):
             return [gamma for _lam, gamma in compressed_prescriptions(model, tree, node, pc)]
@@ -248,8 +248,8 @@ def test_batch_expansion_matches_scalar_expand_on_coin2(coin2):
     # The labels merge histories, so label and history columns differ.
     assert any(
         len(labels) < len(hists)
-        for nodes in subtree_levels(coin2, tree, pc)
-        for node in nodes
-        for labels, hists in zip(pc.label_domains(node, node.agent_domains), node.agent_domains)
+        for level in compressed_subtree(coin2, tree, pc)
+        for node, _mass in level
+        for labels, hists in zip(pc.label_map(node)[0], node.agent_domains)
     )
     assert_batch_matches_scalar(coin2, pc)

@@ -1,0 +1,356 @@
+"""The per-node label map and the common-side helpers against the scalar code
+they replaced.
+
+``PrivateCompression.label_map`` is the one way a label prescription reaches a
+node's histories; one subtree walk gives each level's nodes with their masses,
+and one class helper and one mixture helper serve the common measurement, its
+witness re-evaluation and the alg-3 sweep.  The scalar per-history extension,
+the two subtree walks and the three mixture copies they replaced are kept
+here as the oracle, on a tree of their own; values are compared by
+``float.hex``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ciplan.approx_dp import solve_ascs_asps
+from ciplan.compression import (
+    _joint_reward,
+    _next_obs_distribution,
+    _node_reward_and_branches,
+    bcs_common,
+    build_common_greedy,
+    build_greedy,
+    compressed_prescriptions,
+    compressed_subtree,
+    extension,
+    measure_common,
+    measure_private,
+    reevaluate_common_witness,
+    reevaluate_private_witness,
+    tv_distance,
+)
+from ciplan.exact_dp import BudgetExceededError
+from ciplan.generate import random_model
+from ciplan.histories import (
+    FcsTree,
+    Prescription,
+    PrescriptionDomainError,
+    enumerate_prescriptions,
+    level_nodes,
+)
+from ciplan.model import ADMISSIBILITY_THRESHOLD
+
+# -- the scalar oracle -----------------------------------------------------
+
+
+def scalar_label_domains(pc, node):
+    return tuple(
+        tuple(sorted({pc.label_of(node.t, node.seq, n, h) for h in domain}))
+        for n, domain in enumerate(node.agent_domains)
+    )
+
+
+def scalar_extension(pc, node, lam):
+    return Prescription(
+        tuple(
+            tuple((h, lam.action_for(n, pc.label_of(node.t, node.seq, n, h))) for h in domain)
+            for n, domain in enumerate(node.agent_domains)
+        )
+    )
+
+
+def scalar_pairs(model, pc, node):
+    return [
+        (lam, scalar_extension(pc, node, lam))
+        for lam in enumerate_prescriptions(model, scalar_label_domains(pc, node))
+    ]
+
+
+def scalar_subtree_levels(model, tree, pc):
+    levels = [[node for _o0, node, _p in tree.roots()]]
+    for _t in range(1, model.horizon):
+        nxt, seen = [], set()
+        for node in levels[-1]:
+            for _lam, gamma in scalar_pairs(model, pc, node):
+                for _o0, child, _p in tree.expand(node, gamma):
+                    if child.seq not in seen:
+                        seen.add(child.seq)
+                        nxt.append(child)
+        levels.append(nxt)
+    return levels
+
+
+def scalar_mu_levels(model, tree, pc):
+    masses = [{node.seq: p for _o0, node, p in tree.roots()}]
+    for _t in range(1, model.horizon):
+        nxt = {}
+        for node_seq, mass in masses[-1].items():
+            node = tree.node(node_seq)
+            pairs = scalar_pairs(model, pc, node)
+            share = mass / len(pairs)
+            for _lam, gamma in pairs:
+                for _o0, child, p in tree.expand(node, gamma):
+                    nxt[child.seq] = nxt.get(child.seq, 0.0) + share * p
+        masses.append(nxt)
+    return masses
+
+
+def scalar_measure_private(model, pc, tree):
+    sup_r, sup_o, wit = 0.0, 0.0, {}
+    for t in range(1, model.horizon + 1):
+        for node in level_nodes(tree, t):
+            fps = tree.reachable_fps(node)
+            jlabel = {
+                f.histories: tuple(
+                    pc.label_of(t, node.seq, n, h) for n, h in enumerate(f.histories)
+                )
+                for f in fps
+            }
+            classes = {}
+            for f in fps:
+                classes.setdefault(jlabel[f.histories], []).append(f)
+            for f in fps:
+                pre = classes[jlabel[f.histories]]
+                mass = sum(g.probability for g in pre)
+                sdist_h = {
+                    s: p / f.probability
+                    for s, p in enumerate(f.state_probabilities)
+                    if p > ADMISSIBILITY_THRESHOLD
+                }
+                sdist_z = {}
+                for g in pre:
+                    for s, p in enumerate(g.state_probabilities):
+                        if p > ADMISSIBILITY_THRESHOLD:
+                            sdist_z[s] = sdist_z.get(s, 0.0) + p / mass
+                for a in model.iter_joint_actions():
+                    a_idx = model.joint_action_index(a)
+                    d = abs(
+                        _joint_reward(model, sdist_h, a_idx)
+                        - _joint_reward(model, sdist_z, a_idx)
+                    )
+                    if d > sup_r:
+                        sup_r, wit["eps_p"] = d, ("eps_p", t, node.seq, f.histories, a)
+                    if t < model.horizon:
+                        d = tv_distance(
+                            _next_obs_distribution(model, sdist_h, a_idx),
+                            _next_obs_distribution(model, sdist_z, a_idx),
+                        )
+                        if d > sup_o:
+                            sup_o, wit["delta_p"] = d, ("delta_p", t, node.seq, f.histories, a)
+    return 4.0 * sup_r, 8.0 * sup_o, wit
+
+
+def scalar_classes(model, tree, pc, cc, t):
+    """The class and μ-weight code the three mixture copies shared: the
+    level's nodes per common label, their weights and their label domains."""
+    levels = scalar_subtree_levels(model, tree, pc)
+    masses = scalar_mu_levels(model, tree, pc)
+    classes = {}
+    for node in levels[t - 1]:
+        classes.setdefault(cc.label_of(t, node.seq), []).append(node)
+    for z0, members in classes.items():
+        total = sum(masses[t - 1][n.seq] for n in members)
+        mu_w = {n.seq: masses[t - 1][n.seq] / total for n in members}
+        domains = scalar_label_domains(pc, members[0])
+        assert all(scalar_label_domains(pc, node) == domains for node in members)
+        yield z0, members, mu_w, domains
+
+
+def scalar_profiles(tree, pc, members, lam):
+    return {
+        n.seq: _node_reward_and_branches(tree, n, scalar_extension(pc, n, lam))
+        for n in members
+    }
+
+
+def scalar_measure_common(model, pc, cc, tree):
+    sup_r, sup_o, wit = 0.0, 0.0, {}
+    for t in range(1, model.horizon + 1):
+        for _z0, members, mu_w, domains in scalar_classes(model, tree, pc, cc, t):
+            for lam in enumerate_prescriptions(model, domains):
+                per_node = scalar_profiles(tree, pc, members, lam)
+                mix_r = sum(mu_w[seq] * r for seq, (r, _b) in per_node.items())
+                mix_obs = {}
+                for seq, (_r, branches) in per_node.items():
+                    for o0, p in branches.items():
+                        mix_obs[o0] = mix_obs.get(o0, 0.0) + mu_w[seq] * p
+                for node in members:
+                    r, branches = per_node[node.seq]
+                    d = abs(r - mix_r)
+                    if d > sup_r:
+                        sup_r, wit["eps_c"] = d, ("eps_c", t, node.seq, lam.key)
+                    if t < model.horizon:
+                        d = tv_distance(branches, mix_obs)
+                        if d > sup_o:
+                            sup_o, wit["delta_c"] = d, ("delta_c", t, node.seq, lam.key)
+    return sup_r, 2.0 * sup_o, wit
+
+
+def scalar_reevaluate_common(model, pc, cc, witness, tree):
+    kind, t, seq, lam_key = witness
+    levels = scalar_subtree_levels(model, tree, pc)
+    masses = scalar_mu_levels(model, tree, pc)
+    z0 = cc.label_of(t, seq)
+    members = [n for n in levels[t - 1] if cc.label_of(t, n.seq) == z0]
+    total = sum(masses[t - 1][n.seq] for n in members)
+    per_node = scalar_profiles(tree, pc, members, Prescription(lam_key))
+    mix_r = sum(masses[t - 1][s] / total * r for s, (r, _b) in per_node.items())
+    mix_obs = {}
+    for s, (_r, branches) in per_node.items():
+        for o0, p in branches.items():
+            mix_obs[o0] = mix_obs.get(o0, 0.0) + masses[t - 1][s] / total * p
+    r, branches = per_node[seq]
+    return abs(r - mix_r) if kind == "eps_c" else 2.0 * tv_distance(branches, mix_obs)
+
+
+def scalar_label_sweep(model, pc, cc, tree):
+    """The alg-3 recursion: ``(t, label) -> (value, argmax, λ key, Q values)``."""
+    entries = {}
+    for t in range(model.horizon, 0, -1):
+        for label, members, mu_w, domains in scalar_classes(model, tree, pc, cc, t):
+            qs, lams = [], enumerate_prescriptions(model, domains)
+            for lam in lams:
+                q, mix_obs = 0.0, {}
+                for node in members:
+                    r, branches = scalar_profiles(tree, pc, [node], lam)[node.seq]
+                    q += mu_w[node.seq] * r
+                    for o0, p in branches.items():
+                        mix_obs[o0] = mix_obs.get(o0, 0.0) + mu_w[node.seq] * p
+                if t < model.horizon:
+                    for o0 in sorted(mix_obs):
+                        z_next = cc.phi0[(t, label, lam.key, o0)]
+                        q += mix_obs[o0] * entries[(t + 1, z_next)][0]
+                qs.append(q)
+            best = max(range(len(qs)), key=lambda k: (qs[k], -k))
+            entries[(t, label)] = (qs[best], best, lams[best].key, qs)
+    return entries
+
+
+# -- the property ----------------------------------------------------------
+
+
+def _hex(entries):
+    return {
+        key: (value.hex(), best, lam_key, [q.hex() for q in qs])
+        for key, (value, best, lam_key, qs) in entries.items()
+    }
+
+
+def assert_matches_oracle(model, tols):
+    tree, ref = FcsTree(model), FcsTree(model)
+    pc = build_greedy(model, *tols, tree=tree)
+
+    levels = compressed_subtree(model, tree, pc)
+    masses = scalar_mu_levels(model, ref, pc)
+    assert [[(node.seq, mass.hex()) for node, mass in level] for level in levels] == [
+        [(node.seq, masses[t][node.seq].hex()) for node in level]
+        for t, level in enumerate(scalar_subtree_levels(model, ref, pc))
+    ]
+    for level in levels:
+        for node, _mass in level:
+            pairs = compressed_prescriptions(model, tree, node, pc)
+            assert [(lam.key, gamma.key) for lam, gamma in pairs] == [
+                (lam.key, gamma.key) for lam, gamma in scalar_pairs(model, pc, node)
+            ]
+            assert all(extension(tree, node, pc, lam) == gamma for lam, gamma in pairs)
+
+    mp = measure_private(model, pc, tree=tree)
+    eps_p, delta_p, wit = scalar_measure_private(model, pc, ref)
+    assert (mp.eps_p.hex(), mp.delta_p.hex(), mp.witnesses) == (eps_p.hex(), delta_p.hex(), wit)
+    for kind, witness in mp.witnesses.items():
+        assert reevaluate_private_witness(model, pc, witness, tree=tree) == getattr(mp, kind)
+
+    for cc in (bcs_common(model, pc, tree), build_common_greedy(model, pc, 0.5, 0.5, tree=tree)):
+        mc = measure_common(model, pc, cc, tree=tree)
+        eps_c, delta_c, wit = scalar_measure_common(model, pc, cc, ref)
+        assert (mc.eps_c.hex(), mc.delta_c.hex(), mc.witnesses) == (eps_c.hex(), delta_c.hex(), wit)
+        for witness in mc.witnesses.values():
+            value = reevaluate_common_witness(model, pc, cc, witness, tree=tree)
+            assert value.hex() == scalar_reevaluate_common(model, pc, cc, witness, ref).hex()
+
+        table, policy, label_policy = solve_ascs_asps(model, pc, cc, tree=tree)
+        got = {
+            key: (e.value, e.argmax_index, e.argmax_key, list(e.q_values))
+            for key, e in table.entries.items()
+        }
+        assert _hex(got) == _hex(scalar_label_sweep(model, pc, cc, ref))
+        for t, level in enumerate(levels, start=1):
+            for node, _mass in level:
+                lam = label_policy[(t, cc.label_of(t, node.seq))]
+                assert policy.prescriptions[node.seq] == scalar_extension(pc, node, lam)
+
+
+SHAPES = st.fixed_dictionaries({
+    "num_states": st.sampled_from([2, 3]),
+    "private_obs_sizes": st.sampled_from([(1, 1), (2, 1)]),
+    "num_common_obs": st.sampled_from([1, 2]),
+    "action_sizes": st.sampled_from([(2, 2), (3, 2)]),
+})
+TOLERANCES = [(0.5, 0.5), (0.2, 0.1)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), SHAPES, st.sampled_from(TOLERANCES))
+def test_label_map_callers_match_scalar_oracle(seed, shape, tols):
+    assert_matches_oracle(random_model(seed, horizon=2, **shape), tols)
+
+
+@pytest.mark.parametrize("tols", TOLERANCES)
+def test_label_map_callers_match_scalar_oracle_on_coin2(coin2, tols):
+    assert_matches_oracle(coin2, tols)
+
+
+def test_label_map_callers_match_scalar_oracle_three_deep():
+    assert_matches_oracle(random_model(1, num_states=2, horizon=3, num_common_obs=2), (0.5, 0.5))
+
+
+# -- the label map itself --------------------------------------------------
+
+
+def test_label_map_gathers_label_rows_onto_histories(coin2):
+    tree = FcsTree(coin2)
+    pc = build_greedy(coin2, 0.5, 0.5, tree=tree)
+    for node in level_nodes(tree, 2):
+        domains, colmap = pc.label_map(node)
+        assert domains == scalar_label_domains(pc, node)
+        keys = [z for domain in domains for z in domain]
+        hists = [(n, h) for n, domain in enumerate(node.agent_domains) for h in domain]
+        assert len(colmap) == len(hists)
+        assert [keys[c] for c in colmap] == [pc.label_of(2, node.seq, n, h) for n, h in hists]
+
+
+def test_extension_rejects_a_prescription_over_other_labels(coin2):
+    tree = FcsTree(coin2)
+    pc = build_greedy(coin2, 0.5, 0.5, tree=tree)
+    _o0, root, _p = tree.roots()[0]
+    with pytest.raises(PrescriptionDomainError):
+        extension(tree, root, pc, Prescription(((("no such label", 0),), ((0, 0),))))
+
+
+# -- budgets ---------------------------------------------------------------
+
+
+def test_measurements_charge_the_budget(coin2):
+    tree = FcsTree(coin2)
+    pc = build_greedy(coin2, 0.5, 0.5, tree=tree)
+    cc = build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree)
+    private = sum(
+        len(tree.reachable_fps(node)) * coin2.num_joint_actions
+        for t in range(1, coin2.horizon + 1)
+        for node in level_nodes(tree, t)
+    )
+    common = sum(
+        len(compressed_prescriptions(coin2, tree, node, pc))
+        for level in compressed_subtree(coin2, tree, pc)
+        for node, _mass in level
+    )
+    assert measure_private(coin2, pc, tree=tree, budget=private).eps_p > 0.0
+    with pytest.raises(BudgetExceededError) as err:
+        measure_private(coin2, pc, tree=tree, budget=private - 1)
+    assert err.value.locus == ("private measure", coin2.horizon)
+    measure_common(coin2, pc, cc, tree=tree, budget=common)
+    with pytest.raises(BudgetExceededError) as err:
+        measure_common(coin2, pc, cc, tree=tree, budget=common - 1)
+    assert err.value.locus == ("common measure", coin2.horizon)
