@@ -10,14 +10,9 @@ each label's preimage nodes.
 
 from __future__ import annotations
 
-from .compression import (
-    CommonCompression,
-    PrivateCompression,
-    _common_classes,
-    _mixture,
-    compressed_subtree,
-    extension,
-)
+import numpy as np
+
+from .compression import CommonCompression, PrivateCompression, Session, extension
 from .exact_dp import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -42,7 +37,8 @@ def solve_fcs_asps(
     over extensions of label-domain prescriptions only; value entries are
     keyed by node sequence and satisfy V̂ ≤ V pointwise.
     """
-    return generic_solve(model, tree, pc=pc, budget=budget)
+    s = Session.of(model, pc, tree)
+    return generic_solve(model, s.tree, pc=s, budget=budget)
 
 
 def solve_ascs_asps(
@@ -62,31 +58,32 @@ def solve_ascs_asps(
     history-domain policy (the chosen label prescription extended at every
     preimage node), and the raw ``(t, label) -> prescription`` choice.
     """
-    tree = tree or FcsTree(model)
-    levels = compressed_subtree(model, tree, pc, mu)
+    s = Session.of(model, pc, tree, cc, mu)
+    tree = s.tree
     table = ValueTable(horizon=model.horizon)
     label_policy: dict = {}
     evals = 0
 
     for t in range(model.horizon, 0, -1):
-        for label, nodes, weights, domains, colmaps in _common_classes(pc, cc, t, levels[t - 1]):
+        for cls in s.classes(t):
+            label, _nodes, _weights, domains = cls
             rows = tree._action_rows(tuple(map(len, domains)))
-            best, qs = 0, []
-            for idx, row in enumerate(rows):
-                evals += 1
-                if evals > budget:
-                    raise BudgetExceededError((t, label), budget)
-                _profiles, q, mix_obs = _mixture(tree, nodes, weights, colmaps, row)
-                if t < model.horizon:
-                    lam_key = tree._prescription(domains, row).key
-                    for o0 in sorted(mix_obs):
-                        z_next = cc.next_label(t, label, lam_key, o0)
-                        q += mix_obs[o0] * table.entries[(t + 1, z_next)].value
-                qs.append(q)
-                # Ties resolve to the smallest canonical index.
-                if q > qs[best]:
-                    best = idx
+            evals += len(rows)
+            if evals > budget:
+                raise BudgetExceededError((t, label), budget)
+            q, law = s.mixture(t, cls)
+            q = q.copy()
+            if t < model.horizon:
+                keys = [tree._prescription(domains, row).key for row in rows]
+                # Row by row, the successors in ascending o0 with positive mass.
+                for o0 in range(law.shape[1]):
+                    for k in np.flatnonzero(law[:, o0] > 0.0).tolist():
+                        z_next = cc.next_label(t, label, keys[k], o0)
+                        q[k] += law[k, o0] * table.entries[(t + 1, z_next)].value
+            # Ties resolve to the smallest canonical index.
+            best = int(np.argmax(q))
             lam = tree._prescription(domains, rows[best])
+            qs = q.tolist()
             table.entries[(t, label)] = ValueEntry(
                 value=qs[best],
                 argmax_index=best,
@@ -96,10 +93,10 @@ def solve_ascs_asps(
             label_policy[(t, label)] = lam
 
     policy = CoordinatorPolicy()
-    for t in range(1, model.horizon + 1):
-        for node, _mass in levels[t - 1]:
+    for t, level in enumerate(s.subtree(), start=1):
+        for node, _mass in level:
             lam = label_policy[(t, cc.label_of(t, node.seq))]
-            policy.prescriptions[node.seq] = extension(tree, node, pc, lam)
+            policy.prescriptions[node.seq] = extension(tree, node, s, lam)
 
     overall = 0.0
     for _o0, root, p in tree.roots():

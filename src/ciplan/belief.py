@@ -208,13 +208,17 @@ def check_spi(
 ) -> ConditionReport:
     """Exhaustively evaluate the four sufficiency conditions at desk scale.
 
-    Only the compression's labels are read; its recursive update may be empty.
+    Only the compression's labels are read, through each node's label map;
+    its recursive update may be empty.  ``pc`` may be a session.
 
     The third condition conditions jointly on a prescription and an action;
     only consistent pairs (the action the prescription actually chooses for
     the evaluated history) are enumerated, which is recorded in the report.
     """
-    tree = tree or FcsTree(model)
+    from .compression import Session
+
+    s = Session.of(model, pc, tree)
+    tree, theta = s.tree, s.pc.theta
     report = ConditionReport()
 
     # Condition 1: well-defined recursive update.  Tuples with equal
@@ -224,6 +228,7 @@ def check_spi(
     for t in range(1, model.horizon):
         for node in level_nodes(tree, t):
             hist_domains = node.agent_domains
+            labels = s.labels(node)
             for gamma in enumerate_prescriptions(model, hist_domains):
                 for _o0, child, _p in tree.expand(node, gamma):
                     for n, domain in enumerate(hist_domains):
@@ -232,11 +237,11 @@ def check_spi(
                             for on in range(model.private_obs_sizes[n]):
                                 h_next = h + (an, on)
                                 key_next = (t + 1, child.seq, n, h_next)
-                                if key_next not in pc.theta:
+                                if key_next not in theta:
                                     continue
-                                z = pc.label_of(t, node.seq, n, h)
+                                z = labels[n][h]
                                 upd_key = (node.seq, n, z, gamma.key, child.last_common_obs, an, on)
-                                z_next = pc.theta[key_next]
+                                z_next = theta[key_next]
                                 prev = seen_updates.setdefault(upd_key, z_next)
                                 if prev != z_next and viol1 == 0.0:
                                     viol1 = 1.0
@@ -251,20 +256,19 @@ def check_spi(
     for t in range(1, model.horizon + 1):
         for node in level_nodes(tree, t):
             hist_domains = node.agent_domains
-            wmap = node.weight_map()
+            labels = s.labels(node)
+            joint_labels = [
+                tuple(lab[h] for lab, h in zip(labels, hjoint)) for (_s, hjoint), _w in node.weights
+            ]
 
-            # Per-agent marginals and label groupings.
+            # Per-agent label groupings.
             for n, domain in enumerate(hist_domains):
                 groups: dict[object, list[Hist]] = {}
-                hist_prob: dict[Hist, float] = {}
-                for (s, hjoint), w in node.weights:
-                    hist_prob[hjoint[n]] = hist_prob.get(hjoint[n], 0.0) + w
                 for h in domain:
-                    groups.setdefault(pc.label_of(t, node.seq, n, h), []).append(h)
+                    groups.setdefault(labels[n][h], []).append(h)
 
                 for h in domain:
-                    z = pc.label_of(t, node.seq, n, h)
-                    pre = groups[z]
+                    pre = groups[labels[n][h]]
                     sdist_h = _state_conditional(node, lambda hj: hj[n] == h)
                     sdist_z = _state_conditional(node, lambda hj: hj[n] in pre)
                     # Condition 2: reward sufficiency for every joint action.
@@ -276,24 +280,14 @@ def check_spi(
                         if d > viol2:
                             viol2, wit2 = d, (node.seq, n, h, a)
                     # Condition 4: predicting the other agents' labels.
-                    def other_labels(hj):
-                        return tuple(
-                            pc.label_of(t, node.seq, m, hj[m])
-                            for m in range(model.num_agents)
-                            if m != n
-                        )
-
                     dist_h: dict = {}
                     dist_z: dict = {}
-                    for (s, hjoint), w in node.weights:
+                    for ((_s, hjoint), w), z in zip(node.weights, joint_labels):
+                        others = z[:n] + z[n + 1:]
                         if hjoint[n] == h:
-                            dist_h[other_labels(hjoint)] = (
-                                dist_h.get(other_labels(hjoint), 0.0) + w
-                            )
+                            dist_h[others] = dist_h.get(others, 0.0) + w
                         if hjoint[n] in pre:
-                            dist_z[other_labels(hjoint)] = (
-                                dist_z.get(other_labels(hjoint), 0.0) + w
-                            )
+                            dist_z[others] = dist_z.get(others, 0.0) + w
                     mass_h = sum(dist_h.values())
                     mass_z = sum(dist_z.values())
                     d = tv_distance(
@@ -308,11 +302,7 @@ def check_spi(
             if t < model.horizon:
                 fps = tree.reachable_fps(node)
                 joint_label = {
-                    f.histories: tuple(
-                        pc.label_of(t, node.seq, m, f.histories[m])
-                        for m in range(model.num_agents)
-                    )
-                    for f in fps
+                    f.histories: tuple(lab[h] for lab, h in zip(labels, f.histories)) for f in fps
                 }
                 fps_prob = {f.histories: f.probability for f in fps}
                 for gamma in enumerate_prescriptions(model, hist_domains):
@@ -332,7 +322,7 @@ def check_spi(
                                 key = (("unreachable", o0), o0)
                             else:
                                 z_next = tuple(
-                                    pc.theta.get(
+                                    theta.get(
                                         (t + 1, child.seq, m, hjoint[m] + (a[m], opriv[m]))
                                     )
                                     for m in range(model.num_agents)
@@ -390,18 +380,19 @@ def solve_bcs_spi(
     Rejects compressions whose labels fail :func:`check_spi`; with passing
     labels the overall value matches the uncompressed sweep exactly.
     """
-    tree = tree or FcsTree(model)
-    report = check_spi(model, pc, tree)
+    from .compression import Session
+
+    s = Session.of(model, pc, tree)
+    report = check_spi(model, s)
     if not report.passed:
         failed = [r.condition for r in report.results if not r.passed]
         raise SpiConditionError(f"sufficiency conditions failed: {', '.join(failed)}")
 
     def key_fn(node: FcsNode):
-        return compute_bcs(
-            tree, node, label_of=lambda n, h: pc.label_of(node.t, node.seq, n, h)
-        ).fingerprint
+        labels = s.labels(node)
+        return compute_bcs(s.tree, node, label_of=lambda n, h: labels[n][h]).fingerprint
 
-    return generic_solve(model, tree, pc=pc, key_fn=key_fn, budget=budget)
+    return generic_solve(model, s.tree, pc=s, key_fn=key_fn, budget=budget)
 
 
 def verify_propositions(

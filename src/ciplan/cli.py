@@ -18,6 +18,7 @@ from .approx_dp import solve_ascs_asps, solve_fcs_asps
 from .compression import (
     CompressionFormatError,
     PrivateCompression,
+    Session,
     load_compression,
 )
 from .exact_dp import (
@@ -111,7 +112,8 @@ def _check_flags(args) -> None:
 def run_command(args) -> tuple[int, dict]:
     """Execute one parsed invocation; returns (exit status, report).
 
-    Every step of one command shares one coordinator tree.
+    Every step of one command shares one coordinator tree, and one session
+    per private compression it reads.
     """
     _check_flags(args)
     model = load_model(Path(args.model).read_text())
@@ -149,8 +151,8 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "measure":
         pc, cc = _load_compressions(args)
-        pc = _require(pc, "private")
-        mp = compression.measure_private(model, pc, tree=tree, budget=budget)
+        session = Session(tree, _require(pc, "private"), cc, args.mu)
+        mp = compression.measure_private(model, session, budget=budget)
         report = {
             "command": "measure",
             "mu": args.mu,
@@ -159,9 +161,7 @@ def run_command(args) -> tuple[int, dict]:
             "witnesses": {k: repr(v) for k, v in sorted(mp.witnesses.items())},
         }
         if cc is not None:
-            mc = compression.measure_common(
-                model, pc, cc, mu=args.mu, tree=tree, budget=budget
-            )
+            mc = compression.measure_common(model, session, cc, mu=args.mu, budget=budget)
             report["eps_c"] = mc.eps_c
             report["delta_c"] = mc.delta_c
             report["witnesses"].update(
@@ -171,40 +171,39 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "solve":
         pc, cc = _load_compressions(args)
+        if args.alg == "5" and pc is None:
+            pc = compression.identity_private(model, tree)
+        if args.alg in ("2", "3", "5"):
+            session = Session(tree, _require(pc, "private"), cc, args.mu)
         if args.alg == "1":
             table, _ = solve_fcs_fps(model, tree, budget=budget)
         elif args.alg == "2":
-            table, _ = solve_fcs_asps(model, _require(pc, "private"), tree, budget=budget)
+            table, _ = solve_fcs_asps(model, session, budget=budget)
         elif args.alg == "3":
             table, _, _ = solve_ascs_asps(
-                model, _require(pc, "private"), _require(cc, "common"),
-                mu=args.mu, tree=tree, budget=budget,
+                model, session, _require(cc, "common"), mu=args.mu, budget=budget
             )
         elif args.alg == "4":
             table, _ = belief.solve_bcs_fps(model, tree, budget=budget)
         else:
-            if pc is None:
-                pc = compression.identity_private(model, tree)
-            table, _ = belief.solve_bcs_spi(model, pc, tree, budget=budget)
+            table, _ = belief.solve_bcs_spi(model, session, budget=budget)
         report = solve_report(table, algorithm=f"alg{args.alg}")
         report["command"] = "solve"
         return EXIT_OK, report
 
     if args.command == "verify-gap":
         pc, cc = _load_compressions(args)
-        pc = _require(pc, "private")
-        cc = _require(cc, "common")
-        gaps = verify.verify_gaps(model, pc, cc, mu=args.mu, tree=tree, budget=budget)
+        session = Session(tree, _require(pc, "private"), _require(cc, "common"), args.mu)
+        gaps = verify.verify_gaps(model, session, cc, mu=args.mu, budget=budget)
         report = {"command": "verify-gap", **gaps.to_jsonable()}
         return (EXIT_OK if gaps.passed else EXIT_VERIFY), report
 
     if args.command == "check-conditions":
         pc, _cc = _load_compressions(args)
-        identity = compression.identity_private(model, tree)
-        if pc is None:
-            pc = identity
-        spi_report = belief.check_spi(model, identity, tree)
-        rec_report = compression.check_recursive(model, pc, tree=tree)
+        identity = Session(tree, compression.identity_private(model, tree))
+        session = identity if pc is None else Session(tree, pc)
+        spi_report = belief.check_spi(model, identity)
+        rec_report = compression.check_recursive(model, session)
         report = {
             "command": "check-conditions",
             "spi_identity": spi_report.to_jsonable(),
@@ -213,8 +212,8 @@ def run_command(args) -> tuple[int, dict]:
         ok = spi_report.passed and rec_report.passed
         if rec_report.passed:
             # The deeper identities presume a well-formed recursive update.
-            lemma_report = verify.check_lemmas(model, pc, tree=tree, budget=budget)
-            prop_report = belief.verify_propositions(model, [pc], tree=tree)
+            lemma_report = verify.check_lemmas(model, session, budget=budget)
+            prop_report = belief.verify_propositions(model, [session], tree=tree)
             report["lemmas"] = lemma_report.to_jsonable()
             report["propositions"] = prop_report.to_jsonable()
             ok = ok and lemma_report.passed and prop_report.passed

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .belief import (
 )
 from .exact_dp import DEFAULT_BUDGET, BudgetExceededError
 from .histories import (
+    Atoms,
     FcsKey,
     FcsNode,
     FcsTree,
@@ -34,6 +36,7 @@ from .histories import (
     Prescription,
     PrescriptionDomainError,
     _columns_by_agent,
+    _entries,
     level_nodes,
     prescription_count,
 )
@@ -185,78 +188,203 @@ def compressed_prescriptions(
     model: DecPomdpModel, tree: FcsTree, node: FcsNode, pc: PrivateCompression
 ) -> list[tuple[Prescription, Prescription]]:
     """All (label prescription, extension) pairs at a node, canonical order."""
-    domains, colmap = pc.label_map(node)
-    return [
-        (tree._prescription(domains, row), tree._prescription(node.agent_domains, row[colmap]))
-        for row in tree._action_rows(tuple(map(len, domains)))
-    ]
+    return Session.of(model, pc, tree).pairs(node)
 
 
 def compressed_subtree(
     model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression, mu: str = "uniform"
 ) -> list[list[tuple[FcsNode, float]]]:
     """Nodes per time step reachable using only compressed prescriptions, each
-    with its mass under the reference measure ``mu``.
+    with its mass under the reference measure ``mu``; see
+    :meth:`Session.subtree`."""
+    return Session.of(model, pc, tree, mu=mu).subtree()
 
-    The ``uniform`` measure draws the label prescription uniformly at every
-    node; each level's masses sum to one.  Distinct label prescriptions lift
-    to distinct prescriptions, so every node is reached once.
+
+# -- sessions ----------------------------------------------------------------
+
+
+class Session:
+    """What one frozen compression decides on one tree, each part built on
+    first use: every node's label map, labels, (label prescription,
+    extension) pairs and common profiles, the compressed subtree, the common
+    classes with their mixtures and the measured parameters.
+
+    Labels are read when first needed, so a compression must not change
+    while a session for it is in use; the tree keeps only what no label
+    decides.  Every public function taking ``pc`` takes a session too, and
+    a session passes for ``pc`` where only label maps are read.
     """
-    if mu != "uniform":
-        raise ValueError(f"unknown reference measure {mu!r}")
-    levels = [[(node, p) for _o0, node, p in tree.roots()]]
-    for _t in range(1, model.horizon):
-        nxt = []
-        for node, mass in levels[-1]:
-            pairs = compressed_prescriptions(model, tree, node, pc)
-            share = mass / len(pairs)
-            for _lam, gamma in pairs:
-                nxt.extend((child, share * p) for _o0, child, p in tree.expand(node, gamma))
-        levels.append(nxt)
-    return levels
+
+    def __init__(self, tree: FcsTree, pc: PrivateCompression, cc=None, mu: str = "uniform"):
+        if mu != "uniform":
+            raise ValueError(f"unknown reference measure {mu!r}")
+        self.tree, self.model, self.pc, self.cc, self.mu = tree, tree.model, pc, cc, mu
+        # Parts decided by ``pc`` alone, and parts ``cc`` decides too.
+        self._private: dict = {}
+        self._common: dict = {}
+
+    @classmethod
+    def of(cls, model: DecPomdpModel, pc, tree: FcsTree | None = None, cc=None, mu="uniform"):
+        """``pc`` when it is a session for ``cc`` (or ``cc`` is ``None``) and
+        ``mu``; a session sharing its private parts when it is a session for
+        another; else a new session on ``tree``."""
+        if not isinstance(pc, Session):
+            return cls(tree or FcsTree(model), pc, cc, mu)
+        if (cc is None or cc is pc.cc) and mu == pc.mu:
+            return pc
+        other = cls(pc.tree, pc.pc, cc, mu)
+        other._private = pc._private
+        return other
+
+    @staticmethod
+    def _memo(store: dict, key, build):
+        if key not in store:
+            store[key] = build()
+        return store[key]
+
+    def label_map(self, node: FcsNode) -> tuple[tuple[tuple, ...], np.ndarray]:
+        """:meth:`PrivateCompression.label_map`, built once per node."""
+        return self._memo(self._private, ("map", node.seq), lambda: self.pc.label_map(node))
+
+    def labels(self, node: FcsNode) -> list[dict]:
+        """Per agent, the label of each of the node's histories."""
+
+        def build():
+            domains, colmap = self.label_map(node)
+            keys = [z for domain in domains for z in domain]
+            return _columns_by_agent(node.agent_domains, [keys[c] for c in colmap.tolist()])
+
+        return self._memo(self._private, ("labels", node.seq), build)
+
+    def pairs(self, node: FcsNode) -> list[tuple[Prescription, Prescription]]:
+        """All (label prescription, extension) pairs at a node, canonical order."""
+
+        def build():
+            tree, (domains, colmap) = self.tree, self.label_map(node)
+            lift = node.agent_domains
+            return [
+                (tree._prescription(domains, row), tree._prescription(lift, row[colmap]))
+                for row in tree._action_rows(tuple(map(len, domains)))
+            ]
+
+        return self._memo(self._private, ("pairs", node.seq), build)
+
+    def subtree(self) -> list[list[tuple[FcsNode, float]]]:
+        """Nodes per time step reachable using only compressed prescriptions,
+        each with its mass under the reference measure.  The ``uniform``
+        measure draws the label prescription uniformly at every node, so each
+        level's masses sum to one; every node is reached once."""
+
+        def build():
+            levels = [[(node, p) for _o0, node, p in self.tree.roots()]]
+            for _t in range(1, self.model.horizon):
+                nxt = []
+                for node, mass in levels[-1]:
+                    pairs = self.pairs(node)
+                    share = mass / len(pairs)
+                    for _lam, gamma in pairs:
+                        nxt.extend(
+                            (child, share * p) for _o0, child, p in self.tree.expand(node, gamma)
+                        )
+                levels.append(nxt)
+            return levels
+
+        return self._memo(self._private, "subtree", build)
+
+    def profiles(self, node: FcsNode) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_node_profiles` of the node's label rows lifted to it; the
+        first call on a subtree level computes those of the whole level."""
+        memo = self._private
+        if ("profiles", node.seq) not in memo:
+            level = [n for n, _mass in self.subtree()[node.t - 1] if n.seq != node.seq]
+            nodes = [node] + [n for n in level if ("profiles", n.seq) not in memo]
+            tables = []
+            for n in nodes:
+                domains, colmap = self.label_map(n)
+                tables.append(self.tree._action_rows(tuple(map(len, domains)))[:, colmap])
+            for n, profile in zip(nodes, _node_profiles(self.tree, nodes, tables)):
+                memo[("profiles", n.seq)] = profile
+        return memo[("profiles", node.seq)]
+
+    def classes(self, t: int) -> list[tuple]:
+        """The subtree's level-``t`` nodes grouped by common label, as
+        ``(label, nodes, μ weights, label domains)``; a label must not merge
+        nodes with different private label domains."""
+
+        def build():
+            groups: dict = {}
+            for node, mass in self.subtree()[t - 1]:
+                groups.setdefault(self.cc.label_of(t, node.seq), []).append((node, mass))
+            out = []
+            for z0, members in groups.items():
+                nodes = [node for node, _mass in members]
+                domains = [self.label_map(node)[0] for node in nodes]
+                if any(other != domains[0] for other in domains[1:]):
+                    raise ValueError(
+                        f"common label {z0!r} merges nodes with different private label domains"
+                    )
+                total = sum(mass for _node, mass in members)
+                out.append((z0, nodes, [mass / total for _node, mass in members], domains[0]))
+            return out
+
+        return self._memo(self._common, ("classes", t), build)
+
+    def mixture(self, t: int, cls: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The μ-weighted mixture ``(r[k], law[k, o0])`` of a class's
+        profiles, added member by member from 0.0."""
+
+        def build():
+            mix_r = mix_law = 0.0
+            for w, node in zip(cls[2], cls[1]):
+                r, law = self.profiles(node)
+                mix_r = mix_r + w * r
+                mix_law = mix_law + w * law
+            return mix_r, mix_law
+
+        return self._memo(self._common, ("mixture", t, cls[0]), build)
+
+    def measured(self, kind: str, budget: int, measure) -> MeasuredParams:
+        """The parameters ``measure(budget)`` gives with the count it spent,
+        built once; a call whose budget the count exceeds measures anew, so
+        it raises where a fresh session would."""
+        store = self._private if kind == "private" else self._common
+        if kind not in store or store[kind][1] > budget:
+            store[kind] = measure(budget)
+        return store[kind][0]
 
 
 # -- recursive-update edges -----------------------------------------------
 
 
-def _private_edges(model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression):
+def _private_edges(s: Session):
     """Every labelled reachable edge of a private compression, as ``(phi key,
     source item, successor label)``, under every compressed prescription."""
+    model, tree, theta = s.model, s.tree, s.pc.theta
     for t in range(1, model.horizon):
         for node in level_nodes(tree, t):
-            domains, colmap = pc.label_map(node)
-            keys = [z for domain in domains for z in domain]
-            labels = [keys[c] for c in colmap.tolist()]
-            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
+            labels = s.labels(node)
+            for lam, gamma in s.pairs(node):
                 for o0, child, _p in tree.expand(node, gamma):
-                    column = iter(labels)
                     for n, table in enumerate(gamma.entries):
                         for h, a in table:
-                            z = next(column)
                             for on in range(model.private_obs_sizes[n]):
                                 tk = (t + 1, child.seq, n, h + (a, on))
-                                if tk in pc.theta:
+                                if tk in theta:
                                     yield (
-                                        (n, t, z, lam.key, o0, on),
+                                        (n, t, labels[n][h], lam.key, o0, on),
                                         (t, node.seq, n, h),
-                                        pc.theta[tk],
+                                        theta[tk],
                                     )
 
 
-def _common_edges(
-    model: DecPomdpModel,
-    tree: FcsTree,
-    pc: PrivateCompression,
-    cc: CommonCompression,
-    levels: list[list[tuple[FcsNode, float]]],
-):
-    """Every edge of the compressed subtree ``levels``, as ``(phi0 key, source
-    item, successor label)``; unlabelled nodes read as ``None``."""
-    for t in range(1, model.horizon):
-        for node, _mass in levels[t - 1]:
+def _common_edges(s: Session, cc: CommonCompression):
+    """Every edge of the compressed subtree, as ``(phi0 key, source item,
+    successor label)``; unlabelled nodes read as ``None``."""
+    for t, level in enumerate(s.subtree()[:-1], start=1):
+        for node, _mass in level:
             z0 = cc.theta0.get((t, node.seq))
-            for lam, gamma in compressed_prescriptions(model, tree, node, pc):
-                for o0, child, _p in tree.expand(node, gamma):
+            for lam, gamma in s.pairs(node):
+                for o0, child, _p in s.tree.expand(node, gamma):
                     z_next = cc.theta0.get((t + 1, child.seq))
                     yield (t, z0, lam.key, o0), (t, node.seq), z_next
 
@@ -280,25 +408,23 @@ def check_recursive(
 ) -> ConditionReport:
     """Verify that the label tables factor through the recursive update on
     every reachable edge.  Violating edges become report content, not errors.
+    A session checks its private compression.
     """
-    tree = tree or FcsTree(model)
-    if isinstance(compression, PrivateCompression):
+    if isinstance(compression, (PrivateCompression, Session)):
+        s = Session.of(model, compression, tree)
         name = "ASPS1"
         violations = [
             (seq, n, h, key[4], key[5], got, expected)
-            for key, (_t, seq, n, h), expected in _private_edges(model, tree, compression)
-            if (got := compression.phi.get(key)) != expected
+            for key, (_t, seq, n, h), expected in _private_edges(s)
+            if (got := s.pc.phi.get(key)) != expected
         ]
     elif isinstance(compression, CommonCompression):
         if pc is None:
             raise ValueError("checking a common compression requires the private one")
         name = "ASCS1"
-        edges = _common_edges(
-            model, tree, pc, compression, compressed_subtree(model, tree, pc)
-        )
         violations = [
             (seq, key[3], got, expected)
-            for key, (_t, seq), expected in edges
+            for key, (_t, seq), expected in _common_edges(Session.of(model, pc, tree), compression)
             if (got := compression.phi0.get(key)) != expected
         ]
     else:
@@ -319,16 +445,24 @@ def check_recursive(
 # -- measurement -----------------------------------------------------------
 
 
-def _joint_reward(model: DecPomdpModel, sdist: dict[int, float], a_idx: int) -> float:
-    return sum(w * float(model.reward[s, a_idx]) for s, w in sdist.items())
+def _joint_rewards(model: DecPomdpModel, sdists: list[dict[int, float]]) -> np.ndarray:
+    """Expected reward ``[i, a]`` of each state law ``sdists[i]`` under every
+    joint action, each adding ``w · R[s, a]`` in its own order from 0.0; a
+    shorter law is padded with zero weights, which add exact zeros."""
+    total = np.zeros((len(sdists), model.num_joint_actions))
+    for column in zip_longest(*(sdist.items() for sdist in sdists), fillvalue=(0, 0.0)):
+        state, weight = zip(*column)
+        total += np.array(weight)[:, None] * model.reward[list(state)]
+    return total
 
 
-def _history_laws(pc: PrivateCompression, node: FcsNode, fps):
+def _history_laws(s: Session, node: FcsNode, fps):
     """Per admissible joint history ``f`` of ``fps`` at ``node``: its
-    histories, its state law and the state law of its joint label's preimage,
-    the mixture of the same-node histories sharing every agent's label."""
-    columns = _columns_by_agent(node.agent_domains, pc.label_map(node)[1].tolist())
-    joint = [tuple(c[h] for c, h in zip(columns, f.histories)) for f in fps]
+    histories, its joint label, its state law and the state law of its joint
+    label's preimage, the mixture of the same-node histories sharing every
+    agent's label."""
+    labels = s.labels(node)
+    joint = [tuple(lab[h] for lab, h in zip(labels, f.histories)) for f in fps]
     classes: dict = {}
     for f, z in zip(fps, joint):
         classes.setdefault(z, []).append(f)
@@ -337,29 +471,16 @@ def _history_laws(pc: PrivateCompression, node: FcsNode, fps):
         mass = sum(g.probability for g in pre)
         sdist_z = preimage[z] = {}
         for g in pre:
-            for s, p in enumerate(g.state_probabilities):
+            for st, p in enumerate(g.state_probabilities):
                 if p > ADMISSIBILITY_THRESHOLD:
-                    sdist_z[s] = sdist_z.get(s, 0.0) + p / mass
+                    sdist_z[st] = sdist_z.get(st, 0.0) + p / mass
     for f, z in zip(fps, joint):
         sdist_h = {
-            s: p / f.probability
-            for s, p in enumerate(f.state_probabilities)
+            st: p / f.probability
+            for st, p in enumerate(f.state_probabilities)
             if p > ADMISSIBILITY_THRESHOLD
         }
-        yield f.histories, sdist_h, preimage[z]
-
-
-def _private_gaps(model, sdist_h, sdist_z, a_idx: int, with_obs: bool) -> tuple[float, float]:
-    """Folded reward and next-observation deviations of a history's state law
-    from its preimage's under one joint action; the second is 0 unless
-    ``with_obs``."""
-    eps = 4.0 * abs(_joint_reward(model, sdist_h, a_idx) - _joint_reward(model, sdist_z, a_idx))
-    if not with_obs:
-        return eps, 0.0
-    return eps, 8.0 * tv_distance(
-        _next_obs_distribution(model, sdist_h, a_idx),
-        _next_obs_distribution(model, sdist_z, a_idx),
-    )
+        yield f.histories, z, sdist_h, preimage[z]
 
 
 def measure_private(
@@ -378,11 +499,15 @@ def measure_private(
     supremum of total variation over next observations.  ``budget`` caps the
     (node, joint history, joint action) triples, charged a level at a time.
     """
-    tree = tree or FcsTree(model)
-    if check:
-        rep = check_recursive(model, pc, tree=tree)
-        if not rep.passed:
-            raise RecursiveCheckError("recursive private update check failed")
+    s = Session.of(model, pc, tree)
+    if check and not check_recursive(model, s).passed:
+        raise RecursiveCheckError("recursive private update check failed")
+    return s.measured("private", budget, lambda cap: _measure_private(s, cap))
+
+
+def _measure_private(s: Session, budget: int) -> tuple[MeasuredParams, int]:
+    model, tree = s.model, s.tree
+    actions = list(model.iter_joint_actions())
     eps_p, delta_p, spent = 0.0, 0.0, 0
     wit: dict = {}
     for t in range(1, model.horizon + 1):
@@ -390,17 +515,31 @@ def measure_private(
         spent += sum(len(fps) for _node, fps in level) * model.num_joint_actions
         if spent > budget:
             raise BudgetExceededError(("private measure", t), budget)
-        for node, fps in level:
-            for hjoint, sdist_h, sdist_z in _history_laws(pc, node, fps):
-                for a in model.iter_joint_actions():
-                    eps, delta = _private_gaps(
-                        model, sdist_h, sdist_z, model.joint_action_index(a), t < model.horizon
-                    )
-                    if eps > eps_p:
-                        eps_p, wit["eps_p"] = eps, ("eps_p", t, node.seq, hjoint, a)
-                    if delta > delta_p:
-                        delta_p, wit["delta_p"] = delta, ("delta_p", t, node.seq, hjoint, a)
-    return MeasuredParams(eps_p=eps_p, delta_p=delta_p, witnesses=wit)
+        # (node, joint history, joint label, its state law, its preimage's).
+        laws = [(node, *law) for node, fps in level for law in _history_laws(s, node, fps)]
+        # A preimage's laws are the same for every history of its class.
+        preimage = {(node.seq, z): sdist_z for node, _h, z, _sdist_h, sdist_z in laws}
+        row = {key: i for i, key in enumerate(preimage)}
+        r_h = _joint_rewards(model, [sdist_h for *_x, sdist_h, _sdist_z in laws])
+        r_z = _joint_rewards(model, list(preimage.values()))
+        eps = 4.0 * np.abs(r_h - r_z[[row[(node.seq, z)] for node, _h, z, *_x in laws]])
+        f, a = divmod(int(eps.argmax()), len(actions))
+        if eps[f, a] > eps_p:
+            node, hjoint = laws[f][:2]
+            eps_p, wit["eps_p"] = float(eps[f, a]), ("eps_p", t, node.seq, hjoint, actions[a])
+        if t == model.horizon:
+            continue
+        obs_z: dict = {}
+        for node, hjoint, z, sdist_h, sdist_z in laws:
+            for a_idx, a in enumerate(actions):
+                if (node.seq, z, a_idx) not in obs_z:
+                    obs_z[(node.seq, z, a_idx)] = _next_obs_distribution(model, sdist_z, a_idx)
+                delta = 8.0 * tv_distance(
+                    _next_obs_distribution(model, sdist_h, a_idx), obs_z[(node.seq, z, a_idx)]
+                )
+                if delta > delta_p:
+                    delta_p, wit["delta_p"] = delta, ("delta_p", t, node.seq, hjoint, a)
+    return MeasuredParams(eps_p=eps_p, delta_p=delta_p, witnesses=wit), spent
 
 
 def reevaluate_private_witness(
@@ -413,72 +552,75 @@ def reevaluate_private_witness(
     kind, t, seq, hjoint, a = witness
     if kind not in ("eps_p", "delta_p"):
         raise ValueError(f"unknown witness kind {kind!r}")
-    tree = tree or FcsTree(model)
-    node = tree.node(seq)
-    for h, sdist_h, sdist_z in _history_laws(pc, node, tree.reachable_fps(node)):
+    s = Session.of(model, pc, tree)
+    node = s.tree.node(seq)
+    a_idx = model.joint_action_index(a)
+    for h, _z, sdist_h, sdist_z in _history_laws(s, node, s.tree.reachable_fps(node)):
         if h == hjoint:
-            eps, delta = _private_gaps(
-                model, sdist_h, sdist_z, model.joint_action_index(a), kind == "delta_p"
+            if kind == "eps_p":
+                r_h, r_z = _joint_rewards(model, [sdist_h, sdist_z])[:, a_idx]
+                return float(4.0 * abs(r_h - r_z))
+            return 8.0 * tv_distance(
+                _next_obs_distribution(model, sdist_h, a_idx),
+                _next_obs_distribution(model, sdist_z, a_idx),
             )
-            return eps if kind == "eps_p" else delta
     raise ValueError(f"history {hjoint!r} is not admissible at node {seq!r}")
 
 
-def _node_reward_and_branches(tree: FcsTree, node: FcsNode, gamma: Prescription):
-    """Immediate expected reward and next-common-observation law at a node
-    under a history-domain prescription, memoised in ``tree.common_profiles``
-    by the node and the prescription's action row.  Every caller shares the
-    returned law, so none may change it."""
-    memo_key = (node.seq, tuple(a for table in gamma.entries for _h, a in table))
-    profile = tree.common_profiles.get(memo_key)
-    if profile is not None:
-        return profile
+#: Cells ``(entry, s', o)`` one common-profile step computes at once.
+_PROFILE_CELLS = 1 << 18
+
+
+def _node_profiles(tree: FcsTree, nodes: list[FcsNode], tables: list[np.ndarray]) -> list:
+    """Immediate expected reward ``r[k]`` and next-common-observation law
+    ``law[k, o0]`` of each node under each history-domain action row
+    ``tables[i][k]``, memoised in ``tree.common_profiles`` by the node and
+    its rows; one pass serves every node not memoised yet.  Every caller
+    shares the arrays, so none may change them.
+
+    Both are the scalar sums bit for bit: the reward adds ``w · R[s, a]``
+    atom by atom from 0.0.  Each joint observation's probability adds the
+    successor states :meth:`DecPomdpModel.step` admits, in index order, and
+    the law adds those atom by atom, each atom's in the order the step first
+    meets them: by the first successor admitting each, then by index.  A
+    term the step does not admit adds an exact zero.
+    """
+    keys = [(node.seq, table.tobytes()) for node, table in zip(nodes, tables)]
+    profiles = [tree.common_profiles.get(key) for key in keys]
+    todo = [i for i, profile in enumerate(profiles) if profile is None]
+    if not todo:
+        return profiles
     model = tree.model
-    r = 0.0
-    obs: dict[int, float] = {}
-    for (s, hjoint), w in node.weights:
-        a = gamma.act(hjoint)
-        a_idx = model.joint_action_index(a)
-        r += w * float(model.reward[s, a_idx])
-        for key, p in _next_obs_distribution(model, {s: w}, a_idx).items():
-            obs[key[0]] = obs.get(key[0], 0.0) + p
-    profile = tree.common_profiles[memo_key] = (r, obs)
-    return profile
+    atoms = Atoms.of([nodes[i] for i in todo])
+    rows = [tables[i] for i in todo]
+    pairs, _row, entry_pair, entry_atom, actions = _entries(atoms, atoms.columns(), rows)
+    joint = actions @ np.array([stride for _size, stride in model._action_strides])
+    state, weight = atoms.state[entry_atom], atoms.weight[entry_atom]
+    reward = np.zeros(len(pairs))
+    np.add.at(reward, entry_pair, weight * model.reward[state, joint])
+    num_obs, num_common, thr = model.num_joint_obs, len(model.common_obs), ADMISSIBILITY_THRESHOLD
+    common = np.arange(num_obs) // (num_obs // num_common)
+    law = np.zeros((len(pairs), num_common))
+    step = max(1, _PROFILE_CELLS // (model.num_states * num_obs))
+    for lo in range(0, len(entry_pair), step):
+        trans = model.transition[state[lo:lo + step], joint[lo:lo + step]]
+        p = (weight[lo:lo + step, None] * trans)[:, :, None] * model.observation
+        keep = (trans > thr)[:, :, None] & (p > thr)
+        per_obs = np.cumsum(np.where(keep, p, 0.0), axis=1)[:, -1]
+        met = np.argsort(keep.argmax(axis=1) * num_obs + np.arange(num_obs), axis=1)
+        index = (entry_pair[lo:lo + step, None], common[met])
+        np.add.at(law, index, np.take_along_axis(per_obs, met, axis=1))
+    bounds = np.cumsum([0] + [len(table) for table in rows]).tolist()
+    for j, i in enumerate(todo):
+        part = slice(bounds[j], bounds[j + 1])
+        profiles[i] = tree.common_profiles[keys[i]] = (reward[part], law[part])
+    return profiles
 
 
-def _common_classes(pc: PrivateCompression, cc: CommonCompression, t: int, level):
-    """The ``(node, mass)`` pairs of a subtree level grouped by common label,
-    as ``(label, nodes, μ weights, label domains, colmaps)``; a label must not
-    merge nodes with different private label domains."""
-    classes: dict = {}
-    for node, mass in level:
-        classes.setdefault(cc.label_of(t, node.seq), []).append((node, mass))
-    for z0, members in classes.items():
-        nodes = [node for node, _mass in members]
-        total = sum(mass for _node, mass in members)
-        maps = [pc.label_map(node) for node in nodes]
-        domains = maps[0][0]
-        if any(other != domains for other, _colmap in maps[1:]):
-            raise ValueError(
-                f"common label {z0!r} merges nodes with different private label domains"
-            )
-        weights = [mass / total for _node, mass in members]
-        yield z0, nodes, weights, domains, [colmap for _domains, colmap in maps]
-
-
-def _mixture(tree: FcsTree, nodes, weights, colmaps, row: np.ndarray):
-    """Each node's ``(reward, next-common-observation law)`` under label row
-    ``row`` lifted to it, and their μ-weighted mixture ``(reward, law)``."""
-    profiles = [
-        _node_reward_and_branches(tree, node, tree._prescription(node.agent_domains, row[colmap]))
-        for node, colmap in zip(nodes, colmaps)
-    ]
-    mix_r, mix_obs = 0.0, {}
-    for w, (r, branches) in zip(weights, profiles):
-        mix_r += w * r
-        for o0, p in branches.items():
-            mix_obs[o0] = mix_obs.get(o0, 0.0) + w * p
-    return profiles, mix_r, mix_obs
+def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Total variation over the last axis, added left to right as
+    :func:`tv_distance` adds the outcomes of two laws over small integers."""
+    return 0.5 * np.cumsum(np.abs(p - q), axis=-1)[..., -1]
 
 
 def measure_common(
@@ -499,34 +641,40 @@ def measure_common(
     variation over the next common observation.  ``budget`` caps the (node,
     label prescription) pairs, charged a level at a time.
     """
-    tree = tree or FcsTree(model)
-    if check:
-        rep = check_recursive(model, cc, pc=pc, tree=tree)
-        if not rep.passed:
-            raise RecursiveCheckError("recursive common update check failed")
-    sup_r, sup_o, spent = 0.0, 0.0, 0
+    s = Session.of(model, pc, tree, cc, mu)
+    if check and not check_recursive(model, cc, pc=s).passed:
+        raise RecursiveCheckError("recursive common update check failed")
+    return s.measured("common", budget, lambda cap: _measure_common(s, cap))
+
+
+def _measure_common(s: Session, budget: int) -> tuple[MeasuredParams, int]:
+    model, tree = s.model, s.tree
+    sup, spent = {"eps_c": 0.0, "delta_c": 0.0}, 0
     wit: dict = {}
-    for t, level in enumerate(compressed_subtree(model, tree, pc, mu), start=1):
-        classes = list(_common_classes(pc, cc, t, level))
+    for t in range(1, model.horizon + 1):
+        classes = s.classes(t)
         spent += sum(
-            len(nodes) * prescription_count(model, domains)
-            for _z0, nodes, _w, domains, _c in classes
+            len(nodes) * prescription_count(model, domains) for _z0, nodes, _w, domains in classes
         )
         if spent > budget:
             raise BudgetExceededError(("common measure", t), budget)
-        for _z0, nodes, weights, domains, colmaps in classes:
-            for row in tree._action_rows(tuple(map(len, domains))):
-                lam_key = tree._prescription(domains, row).key
-                profiles, mix_r, mix_obs = _mixture(tree, nodes, weights, colmaps, row)
-                for node, (r, branches) in zip(nodes, profiles):
-                    d = abs(r - mix_r)
-                    if d > sup_r:
-                        sup_r, wit["eps_c"] = d, ("eps_c", t, node.seq, lam_key)
-                    if t < model.horizon:
-                        d = tv_distance(branches, mix_obs)
-                        if d > sup_o:
-                            sup_o, wit["delta_c"] = d, ("delta_c", t, node.seq, lam_key)
-    return MeasuredParams(eps_c=sup_r, delta_c=2.0 * sup_o, witnesses=wit)
+        for cls in classes:
+            _z0, nodes, _w, domains = cls
+            mix_r, mix_law = s.mixture(t, cls)
+            profiles = [s.profiles(node) for node in nodes]
+            # Deviations per (label row, node), the order the sup scans them in.
+            rewards = np.stack([r for r, _law in profiles], axis=1)
+            dev = {"eps_c": np.abs(rewards - mix_r[:, None])}
+            if t < model.horizon:
+                laws = np.stack([law for _r, law in profiles], axis=1)
+                dev["delta_c"] = _tv(laws, mix_law[:, None])
+            for kind, d in dev.items():
+                k, i = divmod(int(d.argmax()), len(nodes))
+                if d[k, i] > sup[kind]:
+                    row = tree._action_rows(tuple(map(len, domains)))[k]
+                    lam = tree._prescription(domains, row)
+                    sup[kind], wit[kind] = float(d[k, i]), (kind, t, nodes[i].seq, lam.key)
+    return MeasuredParams(eps_c=sup["eps_c"], delta_c=2.0 * sup["delta_c"], witnesses=wit), spent
 
 
 def reevaluate_common_witness(
@@ -541,15 +689,17 @@ def reevaluate_common_witness(
     kind, t, seq, lam_key = witness
     if kind not in ("eps_c", "delta_c"):
         raise ValueError(f"unknown witness kind {kind!r}")
-    tree = tree or FcsTree(model)
-    level = compressed_subtree(model, tree, pc, mu)[t - 1]
+    s = Session.of(model, pc, tree, cc, mu)
     z0 = cc.label_of(t, seq)
-    for label, nodes, weights, domains, colmaps in _common_classes(pc, cc, t, level):
+    for cls in s.classes(t):
+        label, nodes, _w, domains = cls
         if label == z0:
+            rows = s.tree._action_rows(tuple(map(len, domains)))
             row = _label_row(Prescription(lam_key), domains)
-            profiles, mix_r, mix_obs = _mixture(tree, nodes, weights, colmaps, row)
-            r, branches = profiles[[node.seq for node in nodes].index(seq)]
-            return abs(r - mix_r) if kind == "eps_c" else 2.0 * tv_distance(branches, mix_obs)
+            k = int(np.flatnonzero((rows == row).all(axis=1))[0])
+            mix_r, mix_law = s.mixture(t, cls)
+            r, law = s.profiles(nodes[[node.seq for node in nodes].index(seq)])
+            return float(abs(r[k] - mix_r[k]) if kind == "eps_c" else 2.0 * _tv(law[k], mix_law[k]))
     raise ValueError(f"node {seq!r} is not in the compressed subtree at t = {t}")
 
 
@@ -566,7 +716,7 @@ def identity_private(model: DecPomdpModel, tree: FcsTree | None = None) -> Priva
                 for h in domain:
                     pc.theta[(t, node.seq, n, h)] = h
     # A label that is its history fixes its successor: no edge can conflict.
-    pc.phi, _conflict = _update_table(_private_edges(model, tree, pc))
+    pc.phi, _conflict = _update_table(_private_edges(Session(tree, pc)))
     return pc
 
 
@@ -680,7 +830,7 @@ def _private_matrix(
     """Compatibility of the items with state laws ``sdist``: the one-step
     reward of every joint action, and the next joint-observation law when
     ``with_laws``.  Both are summed state by state in the order of
-    ``_joint_reward`` and ``_next_obs_distribution``, so they are bit for bit
+    ``_joint_rewards`` and ``_next_obs_distribution``, so they are bit for bit
     the scalar values; absent states add exact zeros."""
     S, thr = model.num_states, ADMISSIBILITY_THRESHOLD
     rewards = sdist[:, :1] * model.reward[0]
@@ -743,12 +893,13 @@ def build_greedy(
     for _round in range(_MAX_REFINEMENT_ROUNDS):
         pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
         pc.theta = dict(blocks.labels())
-        phi, conflict = _update_table(_private_edges(model, tree, pc))
+        s = Session(tree, pc)
+        phi, conflict = _update_table(_private_edges(s))
         if conflict is not None:
             blocks.separate(*conflict[1:])
             continue
         if exact:
-            split = _exactness_split(model, tree, pc)
+            split = _exactness_split(s)
             if split:
                 for pair in split:
                     blocks.separate(*pair)
@@ -758,17 +909,15 @@ def build_greedy(
     raise RuntimeError("partition refinement did not reach a fixed point")
 
 
-def _exactness_split(model, tree, pc):
+def _exactness_split(s: Session):
     """Pairs to separate to zero the measured parameters, from one witness."""
-    mp = measure_private(model, pc, tree=tree, check=False)
+    mp = measure_private(s.model, s, check=False)
     for kind in ("eps_p", "delta_p"):
         value = getattr(mp, kind)
         if value > ADMISSIBILITY_THRESHOLD:
             _k, t, seq, hjoint, _a = mp.witnesses[kind]
-            node = tree.node(seq)
-            columns = _columns_by_agent(node.agent_domains, pc.label_map(node)[1].tolist())
-            for n, (column, h) in enumerate(zip(columns, hjoint)):
-                mates = [g for g in column if g != h and column[g] == column[h]]
+            for n, (labels, h) in enumerate(zip(s.labels(s.tree.node(seq)), hjoint)):
+                mates = [g for g in labels if g != h and labels[g] == labels[h]]
                 if mates:
                     return [((t, seq, n, h), (t, seq, n, g)) for g in mates]
     return []
@@ -786,14 +935,13 @@ def identity_common(
     model: DecPomdpModel, pc: PrivateCompression, tree: FcsTree | None = None
 ) -> CommonCompression:
     """Each coordinator node of the compressed subtree is its own label."""
-    tree = tree or FcsTree(model)
+    s = Session.of(model, pc, tree)
     cc = CommonCompression(horizon=model.horizon)
-    levels = compressed_subtree(model, tree, pc)
-    for t in range(1, model.horizon + 1):
-        for node, _mass in levels[t - 1]:
+    for t, level in enumerate(s.subtree(), start=1):
+        for node, _mass in level:
             cc.theta0[(t, node.seq)] = node.seq
     # Node labels fix their successors: no edge can conflict.
-    cc.phi0, _conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
+    cc.phi0, _conflict = _update_table(_common_edges(s, cc))
     return cc
 
 
@@ -806,16 +954,14 @@ def bcs_common(
     merge; the recursive update is read off the subtree edges and must be
     single-valued, which the Bayesian-update recursion guarantees.
     """
-    tree = tree or FcsTree(model)
+    s = Session.of(model, pc, tree)
     cc = CommonCompression(horizon=model.horizon)
-    levels = compressed_subtree(model, tree, pc)
-    for t in range(1, model.horizon + 1):
-        for node, _mass in levels[t - 1]:
-            fp = compute_bcs(
-                tree, node, label_of=lambda n, h: pc.label_of(t, node.seq, n, h)
-            ).fingerprint
+    for t, level in enumerate(s.subtree(), start=1):
+        for node, _mass in level:
+            labels = s.labels(node)
+            fp = compute_bcs(s.tree, node, label_of=lambda n, h: labels[n][h]).fingerprint
             cc.theta0[(t, node.seq)] = fp
-    phi0, conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
+    phi0, conflict = _update_table(_common_edges(s, cc))
     if conflict is not None:
         raise ValueError(
             "belief fingerprints do not evolve recursively; "
@@ -826,13 +972,7 @@ def bcs_common(
 
 
 def _common_matrix(
-    model: DecPomdpModel,
-    tree: FcsTree,
-    pc: PrivateCompression,
-    nodes: list[FcsNode],
-    with_laws: bool,
-    tol_r: float,
-    tol_o: float,
+    s: Session, nodes: list[FcsNode], with_laws: bool, tol_r: float, tol_o: float
 ) -> np.ndarray:
     """Compatibility of coordinator nodes: nodes with different private label
     domains never merge; within one domain group, the columns are the group's
@@ -840,31 +980,18 @@ def _common_matrix(
     ``with_laws``, its next-common-observation law."""
     groups: dict = {}
     for i, node in enumerate(nodes):
-        domains, colmap = pc.label_map(node)
-        groups.setdefault(domains, []).append((i, colmap))
+        groups.setdefault(s.label_map(node)[0], []).append(i)
     ok = np.zeros((len(nodes), len(nodes)), dtype=bool)
-    for domains, members in groups.items():
-        rows = tree._action_rows(tuple(map(len, domains)))
-
-        def profile(i, k):
-            node, colmap = nodes[members[i][0]], members[i][1]
-            gamma = tree._prescription(node.agent_domains, rows[k][colmap])
-            return _node_reward_and_branches(tree, node, gamma)
-
-        rewards = np.empty((len(members), len(rows)))
-        laws = np.zeros((len(members), len(rows), len(model.common_obs)))
-        for i in range(len(members)):
-            for k in range(len(rows)):
-                rewards[i, k], branches = profile(i, k)
-                for o0, p in branches.items():
-                    laws[i, k, o0] = p
+    for index in groups.values():
+        profiles = [s.profiles(nodes[i]) for i in index]
+        laws = np.stack([law for _r, law in profiles])
 
         def scalar_tv(i, j, k):
-            return tv_distance(profile(i, k)[1], profile(j, k)[1])
+            return float(_tv(laws[i, k], laws[j, k]))
 
-        index = [i for i, _colmap in members]
         ok[np.ix_(index, index)] = _compatibility(
-            rewards, laws if with_laws else None, tol_r, tol_o, scalar_tv
+            np.stack([r for r, _law in profiles]), laws if with_laws else None, tol_r, tol_o,
+            scalar_tv,
         )
     return ok
 
@@ -886,21 +1013,20 @@ def build_common_greedy(
     total variation.  Each time step is one block with one compatibility
     matrix; ``budget`` caps the total number of matrix cells.
     """
-    tree = tree or FcsTree(model)
-    levels = compressed_subtree(model, tree, pc)
+    s = Session.of(model, pc, tree)
     blocks = _Blocks(budget)
-    for t in range(1, model.horizon + 1):
-        nodes = [node for node, _mass in levels[t - 1]]
+    for t, level in enumerate(s.subtree(), start=1):
+        nodes = [node for node, _mass in level]
         blocks.charge(("common block", t), len(nodes))
         blocks.add(
             [(t, node.seq) for node in nodes],
-            _common_matrix(model, tree, pc, nodes, t < model.horizon, tol_r, tol_o),
+            _common_matrix(s, nodes, t < model.horizon, tol_r, tol_o),
         )
 
     for _round in range(_MAX_REFINEMENT_ROUNDS):
         cc = CommonCompression(horizon=model.horizon, mu_id=mu)
         cc.theta0 = dict(blocks.labels())
-        phi0, conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
+        phi0, conflict = _update_table(_common_edges(s, cc))
         if conflict is None:
             cc.phi0 = phi0
             return cc

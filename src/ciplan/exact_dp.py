@@ -316,7 +316,8 @@ def generic_solve(
     Parameters
     ----------
     pc
-        Private compression whose label domains the prescriptions range over.
+        Private compression (or a session for one) whose label domains the
+        prescriptions range over.
         Value entries record the label prescription; the policy records its
         extension to the node's histories, which also drives the dynamics.
         Defaults to the uncompressed space where the two coincide.

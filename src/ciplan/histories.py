@@ -239,9 +239,10 @@ class FcsTree:
     once.  Both are keyed by the tree only, never by a compression's labels:
 
     ``common_profiles``
-        ``(node.seq, action row of a history-domain prescription)`` to the
-        immediate expected reward and next-common-observation law; filled and
-        read by ``compression._node_reward_and_branches`` only.
+        ``(node.seq, bytes of a table of history-domain action rows)`` to the
+        immediate expected rewards and next-common-observation laws under
+        those rows, as arrays; filled and read by
+        ``compression._node_profiles`` only.
     ``exact_sweep``
         The alg-1 ``(table, policy, Q evaluations)``; filled and read by
         ``exact_dp.solve_fcs_fps`` only.
@@ -259,7 +260,7 @@ class FcsTree:
         # policies.
         self._tables: dict[tuple[int, ...], np.ndarray] = {}
         self._prescriptions: dict[tuple, Prescription] = {}
-        self.common_profiles: dict[tuple, tuple[float, dict[int, float]]] = {}
+        self.common_profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.exact_sweep: tuple | None = None
 
     # -- roots ------------------------------------------------------------

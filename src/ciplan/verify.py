@@ -17,8 +17,7 @@ from .compression import (
     CommonCompression,
     MeasuredParams,
     PrivateCompression,
-    compressed_prescriptions,
-    compressed_subtree,
+    Session,
     measure_common,
     measure_private,
 )
@@ -28,7 +27,7 @@ from .exact_dp import (
     solve_fcs_fps,
     supervisor_q,
 )
-from .histories import FcsTree, _columns_by_agent, enumerate_prescriptions, level_nodes
+from .histories import FcsTree, enumerate_prescriptions, level_nodes
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
 GAP_TOL = 1e-9
@@ -142,16 +141,16 @@ def verify_gaps(
     exact-vs-private gap, the private-vs-common gap (one-sided as stated),
     and their combination, plus one sup-over-nodes row per kind and time.
     """
-    tree = tree or FcsTree(model)
-    mp = measure_private(model, pc, tree=tree, budget=budget)
-    mc = measure_common(model, pc, cc, mu=mu, tree=tree, budget=budget)
+    s = Session.of(model, pc, tree, cc, mu)
+    mp = measure_private(model, s, budget=budget)
+    mc = measure_common(model, s, cc, mu=mu, budget=budget)
     params = mp.merged(mc)
-    exact_table, _ = solve_fcs_fps(model, tree, budget=budget)
-    asps_table, _ = solve_fcs_asps(model, pc, tree, budget=budget)
-    ascs_table, _, _ = solve_ascs_asps(model, pc, cc, mu=mu, tree=tree, budget=budget)
+    exact_table, _ = solve_fcs_fps(model, s.tree, budget=budget)
+    asps_table, _ = solve_fcs_asps(model, s, budget=budget)
+    ascs_table, _, _ = solve_ascs_asps(model, s, cc, mu=mu, budget=budget)
 
     report = GapReport(horizon=model.horizon, mu_id=mu, params=params)
-    levels = compressed_subtree(model, tree, pc, mu)
+    levels = s.subtree()
     rbar = model.reward_bound
     for t in range(1, model.horizon + 1):
         tbar = model.horizon - t
@@ -208,11 +207,12 @@ def check_lemmas(
     statistics given a history depend on the chosen prescription only through
     the action it assigns to that history (distribution equality).
     """
-    tree = tree or FcsTree(model)
+    s = Session.of(model, pc, tree)
+    tree = s.tree
     report = ConditionReport()
     exact_table, exact_policy = solve_fcs_fps(model, tree, budget=budget)
-    _asps_table, asps_policy = solve_fcs_asps(model, pc, tree, budget=budget)
-    mp = measure_private(model, pc, tree=tree, budget=budget)
+    _asps_table, asps_policy = solve_fcs_asps(model, s, budget=budget)
+    mp = measure_private(model, s, budget=budget)
     rbar = model.reward_bound
 
     # Mixture identity: Q(h0, gamma) = sum_h P(h|h0) Q^S(h0, h, gamma).
@@ -239,15 +239,14 @@ def check_lemmas(
     # compressed-optimal policy.
     viol2, wit2 = 0.0, None
     violc, witc = 0.0, None
-    levels = compressed_subtree(model, tree, pc)
-    for t in range(1, model.horizon + 1):
+    for t, level in enumerate(s.subtree(), start=1):
         tbar = model.horizon - t
         bound = gap_bound("lem2", tbar, model.horizon, rbar, mp)
-        for node, _mass in levels[t - 1]:
-            columns = _columns_by_agent(node.agent_domains, pc.label_map(node)[1].tolist())
+        for node, _mass in level:
+            labels = s.labels(node)
             classes: dict = {}
             for f in tree.reachable_fps(node):
-                z = tuple(c[h] for c, h in zip(columns, f.histories))
+                z = tuple(lab[h] for lab, h in zip(labels, f.histories))
                 classes.setdefault(z, []).append(f.histories)
             pairs = [
                 (hs[i], hs[j])
@@ -257,7 +256,7 @@ def check_lemmas(
             ]
             if not pairs:
                 continue
-            gammas = [g for _lam, g in compressed_prescriptions(model, tree, node, pc)]
+            gammas = [g for _lam, g in s.pairs(node)]
             for h1, h2 in pairs:
                 for gamma in gammas:
                     d = abs(

@@ -12,15 +12,14 @@ from ciplan.compression import (
     MeasuredParams,
     PrivateCompression,
     RecursiveCheckError,
+    Session,
     _common_edges,
     _common_matrix,
     _compatibility,
     _exactness_split,
     _greedy_partition,
     _history_state_laws,
-    _joint_reward,
     _next_obs_distribution,
-    _node_reward_and_branches,
     _private_edges,
     _private_matrix,
     _update_table,
@@ -48,6 +47,7 @@ from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
 from ciplan.model import ADMISSIBILITY_THRESHOLD
 
 from test_belief import uninformative_model
+from test_label_map import scalar_joint_reward, scalar_node_profile
 
 
 # -- total variation -------------------------------------------------------
@@ -233,7 +233,7 @@ def _scalar_private_stats(model, tree, levels):
                     rew, obs = {}, {}
                     for a in model.iter_joint_actions():
                         a_idx = model.joint_action_index(a)
-                        rew[a] = _joint_reward(model, sdist, a_idx)
+                        rew[a] = scalar_joint_reward(model, sdist, a_idx)
                         if t < model.horizon:
                             obs[a] = _next_obs_distribution(model, sdist, a_idx)
                     stats[(t, node.seq, n, h)] = (rew, obs)
@@ -257,9 +257,7 @@ def _scalar_common_stats(model, tree, pc, levels):
         for node, _mass in levels[t - 1]:
             domains = pc.label_map(node)[0]
             profile = {
-                lam.key: _node_reward_and_branches(
-                    tree, node, extension(tree, node, pc, lam)
-                )
+                lam.key: scalar_node_profile(tree, node, extension(tree, node, pc, lam))
                 for lam in enumerate_prescriptions(model, domains)
             }
             stats[(t, node.seq)] = (domains, profile)
@@ -315,12 +313,12 @@ def _scalar_build_greedy(model, tree, tol_r, tol_o):
                 for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
                     for item in cls:
                         pc.theta[item] = idx
-        phi, conflict = _update_table(_private_edges(model, tree, pc))
+        phi, conflict = _update_table(_private_edges(Session(tree, pc)))
         if conflict is not None:
             separated.add(frozenset(conflict[1:]))
             continue
         if tol_r == 0.0 and tol_o == 0.0:
-            split = _exactness_split(model, tree, pc)
+            split = _exactness_split(Session(tree, pc))
             if split:
                 separated.update(frozenset(pair) for pair in split)
                 continue
@@ -343,7 +341,7 @@ def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
             for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
                 for item in cls:
                     cc.theta0[item] = idx
-        phi0, conflict = _update_table(_common_edges(model, tree, pc, cc, levels))
+        phi0, conflict = _update_table(_common_edges(Session(tree, pc), cc))
         if conflict is None:
             cc.phi0 = phi0
             return cc
@@ -398,7 +396,7 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
     common_compatible = _scalar_common_stats(model, tree, pc, common_levels)
     for t in range(1, model.horizon + 1):
         nodes = [node for node, _mass in common_levels[t - 1]]
-        matrix = _common_matrix(model, tree, pc, nodes, t < model.horizon, tol_r, tol_o)
+        matrix = _common_matrix(Session(tree, pc), nodes, t < model.horizon, tol_r, tol_o)
         items = [(t, node.seq) for node in nodes]
         _assert_cells_match(matrix, items, common_compatible, tol_r, tol_o)
 
@@ -505,10 +503,7 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
     # any node pair is mergeable.
     import itertools
 
-    from ciplan.compression import (
-        _node_reward_and_branches,
-        compressed_prescriptions,
-    )
+    from ciplan.compression import compressed_prescriptions
 
     model = small_models[0]
     tree = FcsTree(model)
@@ -525,8 +520,8 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
                 for l2, g in compressed_prescriptions(model, tree, n2, pc)
                 if l2.key == lam.key
             )
-            r1, _ = _node_reward_and_branches(tree, n1, g1)
-            r2, _ = _node_reward_and_branches(tree, n2, g2)
+            r1, _ = scalar_node_profile(tree, n1, g1)
+            r2, _ = scalar_node_profile(tree, n2, g2)
             mix = (w1 * r1 + w2 * r2) / (w1 + w2)
             sup = max(sup, abs(r1 - mix), abs(r2 - mix))
         return sup
@@ -567,24 +562,23 @@ def test_common_greedy_passes_recursive_check(coin2):
         assert check_recursive(coin2, cc, pc=pc).passed
 
 
-def _common_session(model, pc, tree_for) -> tuple:
+def _common_steps(model, pc, tree_for):
     """``float.hex`` form of the common greedy build, its measurement and the
-    label sweep on it; ``tree_for()`` gives the tree of each call."""
+    label sweep on it, one step at a time; ``tree_for()`` gives the tree of
+    each call, and a session as ``pc`` gives its own."""
     cc = build_common_greedy(model, pc, 0.5, 0.5, tree=tree_for())
+    yield serialize_compression(cc)
     mc = measure_common(model, pc, cc, tree=tree_for())
+    yield mc.eps_c.hex(), mc.delta_c.hex(), sorted(mc.witnesses.items())
     table, policy, _labels = solve_ascs_asps(model, pc, cc, tree=tree_for())
-    return (
-        serialize_compression(cc),
-        mc.eps_c.hex(),
-        mc.delta_c.hex(),
-        sorted(mc.witnesses.items()),
-        table.overall_value.hex(),
-        sorted(
-            (repr(k), e.value.hex(), e.argmax_index, [q.hex() for q in e.q_values])
-            for k, e in table.entries.items()
-        ),
-        sorted(policy.prescriptions.items()),
-    )
+    yield table.overall_value.hex(), sorted(
+        (repr(k), e.value.hex(), e.argmax_index, [q.hex() for q in e.q_values])
+        for k, e in table.entries.items()
+    ), sorted(policy.prescriptions.items())
+
+
+def _common_session(model, pc, tree_for) -> tuple:
+    return tuple(_common_steps(model, pc, tree_for))
 
 
 class _Unmemoised(dict):
@@ -609,11 +603,38 @@ def test_shared_tree_memo_changes_no_bit():
     shared = FcsTree(model)
     pcs = [build_exact_private(model, shared), build_greedy(model, 0.5, 0.5, tree=shared)]
     assert pcs[0].theta != pcs[1].theta
-    for pc in pcs:
-        fresh = _common_session(model, pc, lambda: _unmemoised_tree(model))
-        assert _common_session(model, pc, lambda: shared) == fresh
-        assert _common_session(model, pc, lambda: shared) == fresh
+    fresh = [_common_session(model, pc, lambda: _unmemoised_tree(model)) for pc in pcs]
+    for pc, want in zip(pcs, fresh):
+        assert _common_session(model, pc, lambda: shared) == want
+        assert _common_session(model, pc, lambda: shared) == want
     assert shared.common_profiles
+
+    # The two compressions interleaved step by step on one tree, each through
+    # a session of its own.
+    steps = [_common_steps(model, Session(shared, pc), lambda: shared) for pc in pcs]
+    assert [tuple(outs) for outs in zip(*zip(*steps))] == fresh
+
+    # A compression relabelled after a session read its labels: later calls
+    # build their own sessions and see the new labels, as a fresh tree does.
+    model = random_model(2, num_states=2, horizon=2, private_obs_sizes=(2, 2))
+    shared = FcsTree(model)
+    pc = identity_private(model, shared)
+    session = Session(shared, pc)
+    assert measure_private(model, session, check=False).eps_p == 0.0
+    before = _common_session(model, session, lambda: shared)
+    _o0, root, _p = shared.roots()[0]
+    assert session.label_map(root)[0][0] == root.agent_domains[0]
+    for h in root.agent_domains[0]:
+        pc.theta[(1, root.seq, 0, h)] = "merged"
+    relabelled = measure_private(model, pc, tree=shared, check=False)
+    want = measure_private(model, pc, tree=_unmemoised_tree(model), check=False)
+    assert relabelled.eps_p > 0.0
+    assert (relabelled.eps_p.hex(), relabelled.delta_p.hex(), relabelled.witnesses) == (
+        want.eps_p.hex(), want.delta_p.hex(), want.witnesses
+    )
+    after = _common_session(model, pc, lambda: shared)
+    assert after != before
+    assert after == _common_session(model, pc, lambda: _unmemoised_tree(model))
 
 
 # -- refinement monotonicity (restricted form) ----------------------------

@@ -1,37 +1,38 @@
-"""The per-node label map and the common-side helpers against the scalar code
-they replaced.
+"""The per-node label map, the session and the batched common profiles
+against the scalar code they replaced.
 
 ``PrivateCompression.label_map`` is the one way a label prescription reaches a
-node's histories; one subtree walk gives each level's nodes with their masses,
-and one class helper and one mixture helper serve the common measurement, its
-witness re-evaluation and the alg-3 sweep.  The scalar per-history extension,
-the two subtree walks and the three mixture copies they replaced are kept
-here as the oracle, on a tree of their own; values are compared by
-``float.hex``.
+node's histories; a ``Session`` builds each node's map, the compressed subtree
+with its masses, the common classes and their mixtures once, and serves the
+common measurement, its witness re-evaluation and the alg-3 sweep.  The
+scalar per-history extension, the two subtree walks, the three mixture
+copies and the scalar common profile they replaced are kept here as the
+oracle, on a tree of their own; values are compared by ``float.hex``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciplan.approx_dp import solve_ascs_asps
+from ciplan.approx_dp import solve_ascs_asps, solve_fcs_asps
 from ciplan.compression import (
-    _joint_reward,
+    Session,
     _next_obs_distribution,
-    _node_reward_and_branches,
     bcs_common,
     build_common_greedy,
     build_greedy,
     compressed_prescriptions,
     compressed_subtree,
     extension,
+    identity_private,
     measure_common,
     measure_private,
     reevaluate_common_witness,
     reevaluate_private_witness,
     tv_distance,
 )
-from ciplan.exact_dp import BudgetExceededError
+from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
 from ciplan.histories import (
     FcsTree,
@@ -40,9 +41,32 @@ from ciplan.histories import (
     enumerate_prescriptions,
     level_nodes,
 )
-from ciplan.model import ADMISSIBILITY_THRESHOLD
+from ciplan.model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, validate
+from ciplan.verify import verify_gaps
 
 # -- the scalar oracle -----------------------------------------------------
+
+
+def scalar_joint_reward(model, sdist, a_idx):
+    return sum(w * float(model.reward[s, a_idx]) for s, w in sdist.items())
+
+
+def scalar_node_profile(tree, node, gamma):
+    """Immediate expected reward and next-common-observation law at a node
+    under a history-domain prescription, one ``_next_obs_distribution`` dict
+    per atom; kept per tree, as the tree memoised them."""
+    memo = tree.__dict__.setdefault("scalar_profiles", {})
+    if (node.seq, gamma.key) not in memo:
+        model = tree.model
+        r = 0.0
+        obs = {}
+        for (s, hjoint), w in node.weights:
+            a_idx = model.joint_action_index(gamma.act(hjoint))
+            r += w * float(model.reward[s, a_idx])
+            for key, p in _next_obs_distribution(model, {s: w}, a_idx).items():
+                obs[key[0]] = obs.get(key[0], 0.0) + p
+        memo[(node.seq, gamma.key)] = (r, obs)
+    return memo[(node.seq, gamma.key)]
 
 
 def scalar_label_domains(pc, node):
@@ -127,8 +151,8 @@ def scalar_measure_private(model, pc, tree):
                 for a in model.iter_joint_actions():
                     a_idx = model.joint_action_index(a)
                     d = abs(
-                        _joint_reward(model, sdist_h, a_idx)
-                        - _joint_reward(model, sdist_z, a_idx)
+                        scalar_joint_reward(model, sdist_h, a_idx)
+                        - scalar_joint_reward(model, sdist_z, a_idx)
                     )
                     if d > sup_r:
                         sup_r, wit["eps_p"] = d, ("eps_p", t, node.seq, f.histories, a)
@@ -160,7 +184,7 @@ def scalar_classes(model, tree, pc, cc, t):
 
 def scalar_profiles(tree, pc, members, lam):
     return {
-        n.seq: _node_reward_and_branches(tree, n, scalar_extension(pc, n, lam))
+        n.seq: scalar_node_profile(tree, n, scalar_extension(pc, n, lam))
         for n in members
     }
 
@@ -306,6 +330,76 @@ def test_label_map_callers_match_scalar_oracle_three_deep():
     assert_matches_oracle(random_model(1, num_states=2, horizon=3, num_common_obs=2), (0.5, 0.5))
 
 
+# -- batched common profiles ----------------------------------------------
+
+
+def assert_profiles_match_scalar(session, ref):
+    """Every subtree node's batched reward and law under every label row
+    equal the scalar profile of the row's extension, by ``float.hex``; an
+    observation the scalar law lacks is an exact 0.0."""
+    for level in session.subtree():
+        for node, _mass in level:
+            reward, law = session.profiles(node)
+            pairs = session.pairs(node)
+            assert reward.shape == (len(pairs),) and law.shape[0] == len(pairs)
+            for k, (_lam, gamma) in enumerate(pairs):
+                r, obs = scalar_node_profile(ref, node, gamma)
+                assert reward[k].hex() == r.hex()
+                row = law[k].tolist()
+                assert {o0: row[o0].hex() for o0 in obs} == {o0: p.hex() for o0, p in obs.items()}
+                assert all(p.hex() == "0x0.0p+0" for o0, p in enumerate(row) if o0 not in obs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), SHAPES, st.sampled_from(TOLERANCES))
+def test_batched_profiles_match_scalar_profile(seed, shape, tols):
+    model = random_model(seed, horizon=2, **shape)
+    tree = FcsTree(model)
+    for pc in (build_greedy(model, *tols, tree=tree), identity_private(model, tree)):
+        assert_profiles_match_scalar(Session(tree, pc), FcsTree(model))
+
+
+def sparse_model() -> DecPomdpModel:
+    """A model with zeros in its observation rows and inadmissible
+    transitions, so that a joint observation can be first admitted by a later
+    successor state than one with a higher index."""
+    rng = np.random.default_rng(7)
+    transition = rng.dirichlet(np.ones(3), size=(3, 4))
+    transition[0, 0] = [0.0, 0.6180339887, 0.3819660113]
+    transition[1, 3] = [0.7071067812, 0.0, 0.2928932188]
+    observation = rng.dirichlet(np.ones(4), size=3)
+    observation[0] = [0.0, 0.31415926, 0.4, 0.28584074]
+    observation[1] = [0.2718281828, 0.1414213562, 0.0, 0.5867504610]
+    reward = rng.uniform(-1, 1, size=(3, 4))
+    model = DecPomdpModel(
+        num_agents=2,
+        states=("s0", "s1", "s2"),
+        actions=(("a0", "a1"), ("b0", "b1")),
+        common_obs=("c0", "c1"),
+        private_obs=(("p0", "p1"), ("q0",)),
+        transition=transition,
+        observation=observation,
+        reward=reward,
+        initial=np.array([0.3, 0.45, 0.25]),
+        horizon=2,
+        reward_bound=float(np.abs(reward).max()),
+    )
+    validate(model)
+    return model
+
+
+def test_batched_profiles_follow_first_admission_order():
+    model = sparse_model()
+    # From s1 under joint action 0 the successor s0 admits observations 1-3
+    # before s1 admits observation 0, so the scalar law meets them in that order.
+    assert list(_next_obs_distribution(model, {1: 1.0}, 0)) == [
+        (0, (1, 0)), (1, (0, 0)), (1, (1, 0)), (0, (0, 0)),
+    ]
+    tree = FcsTree(model)
+    for pc in (identity_private(model, tree), build_greedy(model, 0.5, 0.5, tree=tree)):
+        assert_profiles_match_scalar(Session(tree, pc), FcsTree(model))
+
+
 # -- the label map itself --------------------------------------------------
 
 
@@ -354,3 +448,75 @@ def test_measurements_charge_the_budget(coin2):
     with pytest.raises(BudgetExceededError) as err:
         measure_common(coin2, pc, cc, tree=tree, budget=common - 1)
     assert err.value.locus == ("common measure", coin2.horizon)
+
+
+def _budget_inputs(model):
+    tree = FcsTree(model)
+    pc = build_greedy(model, 0.5, 0.5, tree=tree)
+    cc = build_common_greedy(model, pc, 0.5, 0.5, tree=tree)
+    return tree, pc, cc
+
+
+def test_session_memo_keeps_the_budget(coin2):
+    # Each count passes at N and raises at N - 1 where a fresh session does,
+    # the second time round after the session has memoised every measurement.
+    tree, pc, cc = _budget_inputs(coin2)
+    s = Session(tree, pc, cc)
+    private = sum(
+        len(tree.reachable_fps(node)) * coin2.num_joint_actions
+        for t in range(1, coin2.horizon + 1)
+        for node in level_nodes(tree, t)
+    )
+    common = sum(len(s.pairs(node)) for level in s.subtree() for node, _mass in level)
+    classes = [(t, cls) for t in range(coin2.horizon, 0, -1) for cls in s.classes(t)]
+    label_rows = sum(len(s.pairs(cls[1][0])) for _t, cls in classes)
+    last_t, last = classes[-1]
+    for _round in range(2):
+        measure_private(coin2, s, budget=private)
+        with pytest.raises(BudgetExceededError) as err:
+            measure_private(coin2, s, budget=private - 1)
+        assert err.value.locus == ("private measure", coin2.horizon)
+        measure_common(coin2, s, cc, budget=common)
+        with pytest.raises(BudgetExceededError) as err:
+            measure_common(coin2, s, cc, budget=common - 1)
+        assert err.value.locus == ("common measure", coin2.horizon)
+        solve_ascs_asps(coin2, s, cc, budget=label_rows)
+        with pytest.raises(BudgetExceededError) as err:
+            solve_ascs_asps(coin2, s, cc, budget=label_rows - 1)
+        assert err.value.locus == (last_t, last[0])
+
+
+def test_verify_gap_budget_holds_on_a_session(coin2):
+    # ``verify_gaps`` gives its whole budget to each step in turn, so it needs
+    # the largest count of them and, one short, raises where the first step
+    # with that count raises on a fresh tree.
+    tree, pc, cc = _budget_inputs(coin2)
+    steps = [
+        lambda t, b: measure_private(coin2, pc, tree=t, budget=b),
+        lambda t, b: measure_common(coin2, pc, cc, tree=t, budget=b),
+        lambda t, b: solve_fcs_fps(coin2, t, budget=b),
+        lambda t, b: solve_fcs_asps(coin2, pc, t, budget=b),
+        lambda t, b: solve_ascs_asps(coin2, pc, cc, tree=t, budget=b),
+    ]
+
+    def count(step):
+        low, high = 0, 10**6  # the smallest budget the step passes on
+        while low < high:
+            mid = (low + high) // 2
+            try:
+                step(FcsTree(coin2), mid)
+                high = mid
+            except BudgetExceededError:
+                low = mid + 1
+        return low
+
+    counts = [count(step) for step in steps]
+    need = max(counts)
+    with pytest.raises(BudgetExceededError) as first:
+        steps[counts.index(need)](FcsTree(coin2), need - 1)
+    s = Session(tree, pc, cc)
+    for _round in range(2):
+        assert verify_gaps(coin2, s, cc, budget=need).passed
+        with pytest.raises(BudgetExceededError) as err:
+            verify_gaps(coin2, s, cc, budget=need - 1)
+        assert err.value.locus == first.value.locus
