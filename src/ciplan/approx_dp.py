@@ -45,7 +45,6 @@ def solve_ascs_asps(
     model: DecPomdpModel,
     pc: PrivateCompression,
     cc: CommonCompression,
-    mu: str = "uniform",
     tree: FcsTree | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[ValueTable, CoordinatorPolicy, dict]:
@@ -58,7 +57,7 @@ def solve_ascs_asps(
     history-domain policy (the chosen label prescription extended at every
     preimage node), and the raw ``(t, label) -> prescription`` choice.
     """
-    s = Session.of(model, pc, tree, cc, mu)
+    s = Session.of(model, pc, tree, cc)
     tree = s.tree
     table = ValueTable(horizon=model.horizon)
     label_policy: dict = {}

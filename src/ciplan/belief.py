@@ -55,9 +55,6 @@ class BeliefState:
     t: int
     atoms: tuple[tuple[tuple[int, tuple], float], ...]
 
-    def atom_map(self) -> dict:
-        return dict(self.atoms)
-
     @property
     def fingerprint(self) -> tuple:
         return (
@@ -230,7 +227,7 @@ def check_spi(
             hist_domains = node.agent_domains
             labels = s.labels(node)
             for gamma in enumerate_prescriptions(model, hist_domains):
-                for _o0, child, _p in tree.expand(node, gamma):
+                for o0, child, _p in tree.expand(node, gamma):
                     for n, domain in enumerate(hist_domains):
                         for h in domain:
                             an = gamma.action_for(n, h)
@@ -240,7 +237,7 @@ def check_spi(
                                 if key_next not in theta:
                                     continue
                                 z = labels[n][h]
-                                upd_key = (node.seq, n, z, gamma.key, child.last_common_obs, an, on)
+                                upd_key = (node.seq, n, z, gamma.key, o0, an, on)
                                 z_next = theta[key_next]
                                 prev = seen_updates.setdefault(upd_key, z_next)
                                 if prev != z_next and viol1 == 0.0:

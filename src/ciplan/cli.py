@@ -16,6 +16,7 @@ from pathlib import Path
 from . import belief, compression, verify
 from .approx_dp import solve_ascs_asps, solve_fcs_asps
 from .compression import (
+    REFERENCE_MEASURE,
     CompressionFormatError,
     PrivateCompression,
     Session,
@@ -53,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=[],
                 help="compression file; repeat for private and common",
             )
-            p.add_argument("--mu", default="uniform", choices=["uniform"])
+            # One choice: kept so that existing command lines still parse.
+            p.add_argument("--mu", default=REFERENCE_MEASURE, choices=[REFERENCE_MEASURE])
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--out", default=None, help="directory for report files")
         p.add_argument(
@@ -151,17 +153,17 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "measure":
         pc, cc = _load_compressions(args)
-        session = Session(tree, _require(pc, "private"), cc, args.mu)
+        session = Session(tree, _require(pc, "private"), cc)
         mp = compression.measure_private(model, session, budget=budget)
         report = {
             "command": "measure",
-            "mu": args.mu,
+            "mu": REFERENCE_MEASURE,
             "eps_p": mp.eps_p,
             "delta_p": mp.delta_p,
             "witnesses": {k: repr(v) for k, v in sorted(mp.witnesses.items())},
         }
         if cc is not None:
-            mc = compression.measure_common(model, session, cc, mu=args.mu, budget=budget)
+            mc = compression.measure_common(model, session, cc, budget=budget)
             report["eps_c"] = mc.eps_c
             report["delta_c"] = mc.delta_c
             report["witnesses"].update(
@@ -174,15 +176,13 @@ def run_command(args) -> tuple[int, dict]:
         if args.alg == "5" and pc is None:
             pc = compression.identity_private(model, tree)
         if args.alg in ("2", "3", "5"):
-            session = Session(tree, _require(pc, "private"), cc, args.mu)
+            session = Session(tree, _require(pc, "private"), cc)
         if args.alg == "1":
             table, _ = solve_fcs_fps(model, tree, budget=budget)
         elif args.alg == "2":
             table, _ = solve_fcs_asps(model, session, budget=budget)
         elif args.alg == "3":
-            table, _, _ = solve_ascs_asps(
-                model, session, _require(cc, "common"), mu=args.mu, budget=budget
-            )
+            table, _, _ = solve_ascs_asps(model, session, _require(cc, "common"), budget=budget)
         elif args.alg == "4":
             table, _ = belief.solve_bcs_fps(model, tree, budget=budget)
         else:
@@ -193,8 +193,8 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "verify-gap":
         pc, cc = _load_compressions(args)
-        session = Session(tree, _require(pc, "private"), _require(cc, "common"), args.mu)
-        gaps = verify.verify_gaps(model, session, cc, mu=args.mu, budget=budget)
+        session = Session(tree, _require(pc, "private"), _require(cc, "common"))
+        gaps = verify.verify_gaps(model, session, cc, budget=budget)
         report = {"command": "verify-gap", **gaps.to_jsonable()}
         return (EXIT_OK if gaps.passed else EXIT_VERIFY), report
 

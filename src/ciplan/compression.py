@@ -43,6 +43,9 @@ from .histories import (
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
 _MAX_REFINEMENT_ROUNDS = 10_000
+#: The reference measure mixing a common label's preimage nodes, the one
+#: measure there is: the label prescription drawn uniformly at every node.
+REFERENCE_MEASURE = "uniform"
 
 
 class RecursiveCheckError(ValueError):
@@ -108,7 +111,6 @@ class CommonCompression:
     """Relabeling of coordinator nodes with a recursive update over labels."""
 
     horizon: int
-    mu_id: str = "uniform"
     theta0: dict = field(default_factory=dict)
     phi0: dict = field(default_factory=dict)
 
@@ -192,12 +194,11 @@ def compressed_prescriptions(
 
 
 def compressed_subtree(
-    model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression, mu: str = "uniform"
+    model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression
 ) -> list[list[tuple[FcsNode, float]]]:
     """Nodes per time step reachable using only compressed prescriptions, each
-    with its mass under the reference measure ``mu``; see
-    :meth:`Session.subtree`."""
-    return Session.of(model, pc, tree, mu=mu).subtree()
+    with its mass under the reference measure; see :meth:`Session.subtree`."""
+    return Session.of(model, pc, tree).subtree()
 
 
 # -- sessions ----------------------------------------------------------------
@@ -215,36 +216,26 @@ class Session:
     a session passes for ``pc`` where only label maps are read.
     """
 
-    def __init__(self, tree: FcsTree, pc: PrivateCompression, cc=None, mu: str = "uniform"):
-        if mu != "uniform":
-            raise ValueError(f"unknown reference measure {mu!r}")
-        self.tree, self.model, self.pc, self.cc, self.mu = tree, tree.model, pc, cc, mu
-        # Parts decided by ``pc`` alone, and parts ``cc`` decides too.
-        self._private: dict = {}
-        self._common: dict = {}
+    def __init__(self, tree: FcsTree, pc: PrivateCompression, cc=None):
+        self.tree, self.model, self.pc, self.cc = tree, tree.model, pc, cc
+        self._memo: dict = {}
 
     @classmethod
-    def of(cls, model: DecPomdpModel, pc, tree: FcsTree | None = None, cc=None, mu="uniform"):
-        """``pc`` when it is a session for ``cc`` (or ``cc`` is ``None``) and
-        ``mu``; a session sharing its private parts when it is a session for
-        another; else a new session on ``tree``."""
+    def of(cls, model: DecPomdpModel, pc, tree: FcsTree | None = None, cc=None):
+        """``pc`` when it is a session for ``cc`` (or ``cc`` is ``None``), else
+        a new session for ``cc``, on ``pc``'s tree when ``pc`` is a session."""
         if not isinstance(pc, Session):
-            return cls(tree or FcsTree(model), pc, cc, mu)
-        if (cc is None or cc is pc.cc) and mu == pc.mu:
-            return pc
-        other = cls(pc.tree, pc.pc, cc, mu)
-        other._private = pc._private
-        return other
+            return cls(tree or FcsTree(model), pc, cc)
+        return pc if cc is None or cc is pc.cc else cls(pc.tree, pc.pc, cc)
 
-    @staticmethod
-    def _memo(store: dict, key, build):
-        if key not in store:
-            store[key] = build()
-        return store[key]
+    def _built(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def label_map(self, node: FcsNode) -> tuple[tuple[tuple, ...], np.ndarray]:
         """:meth:`PrivateCompression.label_map`, built once per node."""
-        return self._memo(self._private, ("map", node.seq), lambda: self.pc.label_map(node))
+        return self._built(("map", node.seq), lambda: self.pc.label_map(node))
 
     def labels(self, node: FcsNode) -> list[dict]:
         """Per agent, the label of each of the node's histories."""
@@ -254,7 +245,7 @@ class Session:
             keys = [z for domain in domains for z in domain]
             return _columns_by_agent(node.agent_domains, [keys[c] for c in colmap.tolist()])
 
-        return self._memo(self._private, ("labels", node.seq), build)
+        return self._built(("labels", node.seq), build)
 
     def pairs(self, node: FcsNode) -> list[tuple[Prescription, Prescription]]:
         """All (label prescription, extension) pairs at a node, canonical order."""
@@ -267,7 +258,7 @@ class Session:
                 for row in tree._action_rows(tuple(map(len, domains)))
             ]
 
-        return self._memo(self._private, ("pairs", node.seq), build)
+        return self._built(("pairs", node.seq), build)
 
     def subtree(self) -> list[list[tuple[FcsNode, float]]]:
         """Nodes per time step reachable using only compressed prescriptions,
@@ -289,12 +280,12 @@ class Session:
                 levels.append(nxt)
             return levels
 
-        return self._memo(self._private, "subtree", build)
+        return self._built("subtree", build)
 
     def profiles(self, node: FcsNode) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_node_profiles` of the node's label rows lifted to it; the
         first call on a subtree level computes those of the whole level."""
-        memo = self._private
+        memo = self._memo
         if ("profiles", node.seq) not in memo:
             level = [n for n, _mass in self.subtree()[node.t - 1] if n.seq != node.seq]
             nodes = [node] + [n for n in level if ("profiles", n.seq) not in memo]
@@ -327,7 +318,7 @@ class Session:
                 out.append((z0, nodes, [mass / total for _node, mass in members], domains[0]))
             return out
 
-        return self._memo(self._common, ("classes", t), build)
+        return self._built(("classes", t), build)
 
     def mixture(self, t: int, cls: tuple) -> tuple[np.ndarray, np.ndarray]:
         """The μ-weighted mixture ``(r[k], law[k, o0])`` of a class's
@@ -341,16 +332,15 @@ class Session:
                 mix_law = mix_law + w * law
             return mix_r, mix_law
 
-        return self._memo(self._common, ("mixture", t, cls[0]), build)
+        return self._built(("mixture", t, cls[0]), build)
 
     def measured(self, kind: str, budget: int, measure) -> MeasuredParams:
         """The parameters ``measure(budget)`` gives with the count it spent,
         built once; a call whose budget the count exceeds measures anew, so
         it raises where a fresh session would."""
-        store = self._private if kind == "private" else self._common
-        if kind not in store or store[kind][1] > budget:
-            store[kind] = measure(budget)
-        return store[kind][0]
+        if kind not in self._memo or self._memo[kind][1] > budget:
+            self._memo[kind] = measure(budget)
+        return self._memo[kind][0]
 
 
 # -- recursive-update edges -----------------------------------------------
@@ -627,7 +617,6 @@ def measure_common(
     model: DecPomdpModel,
     pc: PrivateCompression,
     cc: CommonCompression,
-    mu: str = "uniform",
     tree: FcsTree | None = None,
     check: bool = True,
     budget: int = DEFAULT_BUDGET,
@@ -641,7 +630,7 @@ def measure_common(
     variation over the next common observation.  ``budget`` caps the (node,
     label prescription) pairs, charged a level at a time.
     """
-    s = Session.of(model, pc, tree, cc, mu)
+    s = Session.of(model, pc, tree, cc)
     if check and not check_recursive(model, cc, pc=s).passed:
         raise RecursiveCheckError("recursive common update check failed")
     return s.measured("common", budget, lambda cap: _measure_common(s, cap))
@@ -682,14 +671,13 @@ def reevaluate_common_witness(
     pc: PrivateCompression,
     cc: CommonCompression,
     witness,
-    mu: str = "uniform",
     tree: FcsTree | None = None,
 ) -> float:
     """Recompute the folded value a common-measurement witness attains."""
     kind, t, seq, lam_key = witness
     if kind not in ("eps_c", "delta_c"):
         raise ValueError(f"unknown witness kind {kind!r}")
-    s = Session.of(model, pc, tree, cc, mu)
+    s = Session.of(model, pc, tree, cc)
     z0 = cc.label_of(t, seq)
     for cls in s.classes(t):
         label, nodes, _w, domains = cls
@@ -1001,7 +989,6 @@ def build_common_greedy(
     pc: PrivateCompression,
     tol_r: float = 0.0,
     tol_o: float = 0.0,
-    mu: str = "uniform",
     tree: FcsTree | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CommonCompression:
@@ -1024,7 +1011,7 @@ def build_common_greedy(
         )
 
     for _round in range(_MAX_REFINEMENT_ROUNDS):
-        cc = CommonCompression(horizon=model.horizon, mu_id=mu)
+        cc = CommonCompression(horizon=model.horizon)
         cc.theta0 = dict(blocks.labels())
         phi0, conflict = _update_table(_common_edges(s, cc))
         if conflict is None:
@@ -1037,14 +1024,12 @@ def build_common_greedy(
 # -- serialization ---------------------------------------------------------
 
 
-def _enc(obj) -> str:
-    return repr(obj)
-
-
 def _dec(text: str):
+    # Too deep a nesting overflows the parser's stack (MemoryError) or the
+    # evaluator's recursion limit.
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
         raise CompressionFormatError(f"unparseable entry {text!r}") from exc
 
 
@@ -1055,16 +1040,16 @@ def serialize_compression(compression, measured: MeasuredParams | None = None) -
             "kind": "private",
             "num_agents": compression.num_agents,
             "horizon": compression.horizon,
-            "theta": [[_enc(k), _enc(v)] for k, v in sorted(compression.theta.items(), key=repr)],
-            "phi": [[_enc(k), _enc(v)] for k, v in sorted(compression.phi.items(), key=repr)],
+            "theta": [[repr(k), repr(v)] for k, v in sorted(compression.theta.items(), key=repr)],
+            "phi": [[repr(k), repr(v)] for k, v in sorted(compression.phi.items(), key=repr)],
         }
     elif isinstance(compression, CommonCompression):
         doc = {
             "kind": "common",
             "horizon": compression.horizon,
-            "mu": compression.mu_id,
-            "theta0": [[_enc(k), _enc(v)] for k, v in sorted(compression.theta0.items(), key=repr)],
-            "phi0": [[_enc(k), _enc(v)] for k, v in sorted(compression.phi0.items(), key=repr)],
+            "mu": REFERENCE_MEASURE,
+            "theta0": [[repr(k), repr(v)] for k, v in sorted(compression.theta0.items(), key=repr)],
+            "phi0": [[repr(k), repr(v)] for k, v in sorted(compression.phi0.items(), key=repr)],
         }
     else:
         raise TypeError(f"not a compression: {type(compression).__name__}")
@@ -1074,7 +1059,7 @@ def serialize_compression(compression, measured: MeasuredParams | None = None) -
             "delta_p": measured.delta_p,
             "eps_c": measured.eps_c,
             "delta_c": measured.delta_c,
-            "witnesses": {k: _enc(v) for k, v in sorted(measured.witnesses.items())},
+            "witnesses": {k: repr(v) for k, v in sorted(measured.witnesses.items())},
         }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -1085,6 +1070,8 @@ def load_compression(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CompressionFormatError(str(exc)) from exc
+    except RecursionError:
+        raise CompressionFormatError("compression document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise CompressionFormatError("compression document must be a JSON object")
     kind = doc.get("kind")
@@ -1097,7 +1084,10 @@ def load_compression(text: str):
             pc.phi = {_dec(k): _dec(v) for k, v in doc["phi"]}
             return pc
         if kind == "common":
-            cc = CommonCompression(horizon=int(doc["horizon"]), mu_id=doc.get("mu", "uniform"))
+            measure = doc.get("mu", REFERENCE_MEASURE)
+            if measure != REFERENCE_MEASURE:
+                raise CompressionFormatError(f"unknown reference measure {measure!r}")
+            cc = CommonCompression(horizon=int(doc["horizon"]))
             cc.theta0 = {_dec(k): _dec(v) for k, v in doc["theta0"]}
             cc.phi0 = {_dec(k): _dec(v) for k, v in doc["phi0"]}
             return cc

@@ -66,9 +66,6 @@ class ValueTable:
     entries: dict[tuple[int, object], ValueEntry] = field(default_factory=dict)
     overall_value: float = 0.0
 
-    def value(self, t: int, key) -> float:
-        return self.entries[(t, key)].value
-
 
 @dataclass
 class CoordinatorPolicy:

@@ -67,9 +67,6 @@ class Prescription:
         """Joint action for one per-agent key tuple."""
         return tuple(self.action_for(n, k) for n, k in enumerate(keys))
 
-    def as_maps(self) -> tuple[dict, ...]:
-        return tuple(dict(table) for table in self.entries)
-
 
 @dataclass(frozen=True)
 class FpsTuple:
@@ -89,13 +86,6 @@ class FcsNode:
     seq: FcsKey
     # Sorted ((s, joint history), probability) pairs; conditional on seq.
     weights: tuple[tuple[tuple[int, JointHist], float], ...]
-
-    @property
-    def last_common_obs(self) -> int:
-        return self.seq[-1]
-
-    def weight_map(self) -> dict[tuple[int, JointHist], float]:
-        return dict(self.weights)
 
     @cached_property
     def agent_domains(self) -> tuple[tuple[Hist, ...], ...]:

@@ -42,12 +42,6 @@ class ModelValidationError(ValueError):
         super().__init__("model validation failed:\n" + "\n".join(self.violations))
 
 
-class JointAction(NamedTuple):
-    """Per-agent action indices ``(a1, ..., aN)``."""
-
-    indices: tuple[int, ...]
-
-
 class JointObservation(NamedTuple):
     """Common observation index plus per-agent private indices."""
 
@@ -349,6 +343,8 @@ def load_model(text: str) -> DecPomdpModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ModelFormatError("model document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     return from_dict(doc)
@@ -378,37 +374,3 @@ def to_dict(model: DecPomdpModel) -> dict:
 
 def serialize(model: DecPomdpModel) -> str:
     return json.dumps(to_dict(model), indent=2, sort_keys=True)
-
-
-def next_joint_distribution(
-    model: DecPomdpModel, s: int, a: JointAction | tuple[int, ...]
-) -> dict[tuple[int, JointObservation], float]:
-    """One-step law ``P(s', o) = P_T(s' | s, a) * P_O(o | s')``.
-
-    Returns only atoms above the admissibility threshold; they sum to one
-    within :data:`SUM_TOL` up to the pruned mass.
-    """
-    a_idx = _action_index(model, a)
-    if not (0 <= s < model.num_states):
-        raise IndexError(f"state index {s} out of range")
-    return {(s_next, obs): p for s_next, obs, p in model.step(s, a_idx, 1.0)}
-
-
-def expected_reward(model: DecPomdpModel, s: int, a: JointAction | tuple[int, ...]) -> float:
-    """Mean reward for ``(s, a)``; the only reward statistic the DPs use."""
-    a_idx = _action_index(model, a)
-    if not (0 <= s < model.num_states):
-        raise IndexError(f"state index {s} out of range")
-    return float(model.reward[s, a_idx])
-
-
-def _action_index(model: DecPomdpModel, a) -> int:
-    if isinstance(a, JointAction):
-        a = a.indices
-    a = tuple(a)
-    if len(a) != model.num_agents:
-        raise IndexError(f"joint action {a} has wrong arity")
-    for n, (idx, size) in enumerate(zip(a, model.action_sizes)):
-        if not (0 <= idx < size):
-            raise IndexError(f"action index {idx} out of range for agent {n}")
-    return model.joint_action_index(a)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .approx_dp import solve_ascs_asps, solve_fcs_asps
 from .belief import ConditionReport, ConditionResult, tv_distance
 from .compression import (
+    REFERENCE_MEASURE,
     CommonCompression,
     MeasuredParams,
     PrivateCompression,
@@ -23,7 +24,6 @@ from .compression import (
 )
 from .exact_dp import (
     DEFAULT_BUDGET,
-    CoordinatorPolicy,
     solve_fcs_fps,
     supervisor_q,
 )
@@ -89,7 +89,6 @@ class GapReport:
     """Observed value gaps of the compressed sweeps against their bounds."""
 
     horizon: int
-    mu_id: str
     params: MeasuredParams
     rows: list[GapRow] = field(default_factory=list)
 
@@ -103,7 +102,7 @@ class GapReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "mu": self.mu_id,
+            "mu": REFERENCE_MEASURE,
             "params": {
                 "eps_p": self.params.eps_p,
                 "delta_p": self.params.delta_p,
@@ -130,7 +129,6 @@ def verify_gaps(
     model: DecPomdpModel,
     pc: PrivateCompression,
     cc: CommonCompression,
-    mu: str = "uniform",
     tree: FcsTree | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> GapReport:
@@ -141,15 +139,15 @@ def verify_gaps(
     exact-vs-private gap, the private-vs-common gap (one-sided as stated),
     and their combination, plus one sup-over-nodes row per kind and time.
     """
-    s = Session.of(model, pc, tree, cc, mu)
+    s = Session.of(model, pc, tree, cc)
     mp = measure_private(model, s, budget=budget)
-    mc = measure_common(model, s, cc, mu=mu, budget=budget)
+    mc = measure_common(model, s, cc, budget=budget)
     params = mp.merged(mc)
     exact_table, _ = solve_fcs_fps(model, s.tree, budget=budget)
     asps_table, _ = solve_fcs_asps(model, s, budget=budget)
-    ascs_table, _, _ = solve_ascs_asps(model, s, cc, mu=mu, budget=budget)
+    ascs_table, _, _ = solve_ascs_asps(model, s, cc, budget=budget)
 
-    report = GapReport(horizon=model.horizon, mu_id=mu, params=params)
+    report = GapReport(horizon=model.horizon, params=params)
     levels = s.subtree()
     rbar = model.reward_bound
     for t in range(1, model.horizon + 1):

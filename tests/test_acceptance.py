@@ -128,8 +128,8 @@ def test_criterion_6_belief_consistency(coin2, small_models):
                 belief = compute_bcs(tree, node)
                 for gamma in enumerate_prescriptions(model, node.agent_domains):
                     for o0, child, _p in tree.expand(node, gamma):
-                        upd = bayes_update(model, belief, gamma, o0).atom_map()
-                        direct = compute_bcs(tree, child).atom_map()
+                        upd = dict(bayes_update(model, belief, gamma, o0).atoms)
+                        direct = dict(compute_bcs(tree, child).atoms)
                         ok = ok and set(upd) == set(direct)
                         ok = ok and all(
                             abs(upd[k] - v) <= 1e-9 for k, v in direct.items()

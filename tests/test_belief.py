@@ -66,9 +66,9 @@ def test_recursive_update_matches_direct_bcs(coin2, small_models):
                     for o0, child, _p in tree.expand(node, gamma):
                         updated = bayes_update(model, belief, gamma, o0)
                         direct = compute_bcs(tree, child)
-                        assert set(updated.atom_map()) == set(direct.atom_map())
-                        for k, v in direct.atom_map().items():
-                            assert updated.atom_map()[k] == pytest.approx(v, abs=1e-9)
+                        assert set(dict(updated.atoms)) == set(dict(direct.atoms))
+                        for k, v in direct.atoms:
+                            assert dict(updated.atoms)[k] == pytest.approx(v, abs=1e-9)
 
 
 def test_zero_probability_branch_rejected(coin2):
@@ -151,6 +151,21 @@ def test_exact_compression_spi_sweep_matches_exact(coin2):
     exact, _ = solve_fcs_fps(coin2)
     table, _ = solve_bcs_spi(coin2, spi)
     assert table.overall_value == pytest.approx(exact.overall_value, abs=1e-9)
+
+
+def test_shared_root_label_fails_spi1(coin2):
+    # Agent 0's two root histories share one label while their successors
+    # keep their own, so one (label, prescription, increments) update has
+    # two successor labels.
+    spi = identity_private(coin2)
+    roots = [key for key in spi.theta if key[0] == 1 and key[2] == 0]
+    assert len({key[3] for key in roots}) == 2
+    for key in roots:
+        spi.theta[key] = "shared"
+    spi1 = check_spi(coin2, spi).result("SPI1")
+    assert not spi1.passed
+    assert spi1.max_violation == 1.0
+    assert spi1.witness == ((0,), 0, (1,), (1, 0, 0), (0, 0, 0), (1, 0, 0))
 
 
 def test_failing_spi_map_rejected_by_solver(coin2):

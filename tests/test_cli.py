@@ -69,6 +69,62 @@ def test_malformed_compression_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _deep_list(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def _private_keyed(key: str) -> str:
+    doc = {"kind": "private", "num_agents": 2, "horizon": 2, "theta": [[key, "0"]], "phi": []}
+    return json.dumps(doc)
+
+
+def _common_measured(value) -> str:
+    return json.dumps({"kind": "common", "horizon": 2, "mu": value, "theta0": [], "phi0": []})
+
+
+# case -> (subcommand argv, model text or None for coin2, compression text or
+# None, error message).  Nesting too deep for the JSON decoder or the literal
+# parser is malformed input, and so is any reference measure but uniform.
+BAD_INPUTS = {
+    "deep-model": (
+        ["validate"], _deep_list(100_000), None, "model document is nested too deeply",
+    ),
+    "deep-compression": (
+        ["solve", "--alg", "2"], None, _deep_list(100_000),
+        "compression document is nested too deeply",
+    ),
+    "deep-entry": (
+        ["solve", "--alg", "2"], None, _private_keyed("-" * 3000 + "1"),
+        "unparseable entry '" + "-" * 3000 + "1'",
+    ),
+    "deeper-entry": (
+        ["solve", "--alg", "2"], None, _private_keyed("-" * 200_000 + "1"),
+        "unparseable entry '" + "-" * 200_000 + "1'",
+    ),
+    "mu-gaussian": (
+        ["measure"], None, _common_measured("gaussian"), "unknown reference measure 'gaussian'",
+    ),
+    "mu-number": (["measure"], None, _common_measured(7), "unknown reference measure 7"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_line_input_error(tmp_path, capsys, case):
+    argv, model_text, compression_text, message = BAD_INPUTS[case]
+    model = COIN2
+    if model_text is not None:
+        model = tmp_path / "model.json"
+        model.write_text(model_text)
+    argv = [*argv, "--model", str(model)]
+    if compression_text is not None:
+        (tmp_path / "compression.json").write_text(compression_text)
+        argv += ["--compression", str(tmp_path / "compression.json")]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # case -> (alg, compression with no entries, expected message).  The empty
 # private compression lacks the first root history; with the exact private
 # compression, the empty common one lacks the first time-2 node, and the belief
@@ -321,12 +377,15 @@ FUZZ_COMMANDS = [["solve", "--alg", alg] for alg in "12345"] + [
     ["measure"], ["verify-gap"], ["check-conditions"],
 ]
 WRONG_TYPES = [None, "x", {"k": 1}, [None], True]
+#: Stands for a list nested 2,000 levels deep, deeper than ``json.dumps`` can
+#: write; the documents are written with this string replaced in their text.
+DEEP = "<a list nested 2,000 levels deep>"
 
 
 @st.composite
 def mutated(draw, doc):
     """``doc`` with one entry, up to three levels down, dropped, emptied,
-    replaced by a value of the wrong type or by NaN."""
+    replaced by a value of the wrong type, by NaN or by a deeply nested list."""
     doc = copy.deepcopy(doc)
     parent, key = doc, draw(st.sampled_from(sorted(doc)))
     for _level in range(draw(st.integers(0, 2))):
@@ -335,15 +394,17 @@ def mutated(draw, doc):
             parent, key = child, draw(st.integers(0, len(child) - 1))
         elif isinstance(child, dict) and child:
             parent, key = child, draw(st.sampled_from(sorted(child)))
-    kind = draw(st.sampled_from(["drop", "empty", "wrong type", "nan"]))
+    kind = draw(st.sampled_from(["drop", "empty", "wrong type", "nan", "deep"]))
     if kind == "drop":
         del parent[key]
     elif kind == "empty":
         parent[key] = type(parent[key])() if isinstance(parent[key], (list, dict, str)) else []
     elif kind == "wrong type":
         parent[key] = draw(st.sampled_from(WRONG_TYPES))
-    else:
+    elif kind == "nan":
         parent[key] = float("nan")
+    else:
+        parent[key] = DEEP
     return doc
 
 
@@ -376,7 +437,7 @@ def test_cli_exit_status_contract_under_mutated_inputs(inputs):
         paths = {}
         for name, doc in docs.items():
             paths[name] = Path(tmp) / f"{name}.json"
-            paths[name].write_text(json.dumps(doc))
+            paths[name].write_text(json.dumps(doc).replace(json.dumps(DEEP), _deep_list(2000)))
         argv = [*command, "--model", str(paths["model"])]
         argv += ["--compression", str(paths["pc"]), "--compression", str(paths["cc"])]
         out, err = io.StringIO(), io.StringIO()

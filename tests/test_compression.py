@@ -712,6 +712,11 @@ def test_malformed_compression_rejected():
         load_compression('{"kind": "common", "horizon": 2, "theta0": 5, "phi0": []}')
     with pytest.raises(CompressionFormatError):
         load_compression("[]")
+    common = '{"kind": "common", "horizon": 2, "theta0": [], "phi0": []'
+    for measure in ('"gaussian"', "7", "null"):
+        with pytest.raises(CompressionFormatError, match="unknown reference measure"):
+            load_compression(common + ', "mu": ' + measure + "}")
+    assert load_compression(common + "}").theta0 == {}
 
 
 def test_measured_params_merge():

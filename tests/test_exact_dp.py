@@ -370,7 +370,7 @@ def test_memo_hits_record_complete_policies(coin2):
             * supervisor_q(coin2, tree, node, f.histories, policy.at(node.seq), policy)
             for f in tree.reachable_fps(node)
         )
-        assert replay == pytest.approx(table.value(node.t, key), abs=1e-9)
+        assert replay == pytest.approx(table.entries[(node.t, key)].value, abs=1e-9)
 
 
 def test_compressed_and_belief_policies_replay_to_their_values(coin2, small_models):

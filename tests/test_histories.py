@@ -80,7 +80,7 @@ def test_child_weights_match_trajectory_oracle(coin2):
     for gamma in enumerate_prescriptions(coin2, root.agent_domains):
         for o0, child, p_branch in tree.expand(root, gamma):
             expected, total = oracle_level2_weights(coin2, gamma, root.seq[0], o0)
-            got = child.weight_map()
+            got = dict(child.weights)
             assert set(got) == set(expected)
             for k, v in expected.items():
                 assert got[k] == pytest.approx(v, abs=1e-12)
@@ -96,7 +96,7 @@ def test_child_weights_match_oracle_random(small_models):
             gamma = enumerate_prescriptions(model, root.agent_domains)[0]
             for o0, child, _pb in tree.expand(root, gamma):
                 expected, _tot = oracle_level2_weights(model, gamma, root.seq[0], o0)
-                got = child.weight_map()
+                got = dict(child.weights)
                 assert set(got) == set(expected)
                 for k, v in expected.items():
                     assert got[k] == pytest.approx(v, abs=1e-12)
@@ -128,7 +128,7 @@ def test_prescription_lookup_and_errors():
     p = Prescription((((("h",), 1),), ((("g",), 0),)))
     assert p.action_for(0, ("h",)) == 1
     assert p.act((("h",), ("g",))) == (1, 0)
-    assert p.as_maps()[0] == {("h",): 1}
+    assert dict(p.entries[0]) == {("h",): 1}
     with pytest.raises(PrescriptionDomainError):
         p.action_for(0, ("missing",))
 

@@ -10,10 +10,8 @@ from ciplan.model import (
     DecPomdpModel,
     ModelFormatError,
     ModelValidationError,
-    expected_reward,
     from_dict,
     load_model,
-    next_joint_distribution,
     serialize,
     to_dict,
     validate,
@@ -147,7 +145,7 @@ def test_next_joint_distribution_product_rule():
     # Uniform transition over two states with deterministic sensing gives
     # two atoms of mass one half.
     m = from_dict(tiny_model())
-    dist = next_joint_distribution(m, 0, (0, 0))
+    dist = {(s_next, obs): p for s_next, obs, p in m.step(0, m.joint_action_index((0, 0)), 1.0)}
     assert len(dist) == 2
     for p in dist.values():
         assert p == pytest.approx(0.5)
@@ -158,21 +156,9 @@ def test_next_joint_distribution_prunes_null_atoms():
     doc = tiny_model()
     doc["transition"] = [[[[1.0, 0.0]] * 2] * 2] * 2
     m = from_dict(doc)
-    dist = next_joint_distribution(m, 1, (1, 1))
-    assert all(p > ADMISSIBILITY_THRESHOLD for p in dist.values())
+    dist = [p for _s_next, _obs, p in m.step(1, m.joint_action_index((1, 1)), 1.0)]
+    assert all(p > ADMISSIBILITY_THRESHOLD for p in dist)
     assert len(dist) == 1
-
-
-def test_expected_reward_and_range_checks():
-    m = from_dict(tiny_model())
-    assert expected_reward(m, 0, (0, 0)) == pytest.approx(1.0)
-    assert expected_reward(m, 1, (1, 1)) == pytest.approx(1.0)
-    with pytest.raises(IndexError):
-        expected_reward(m, 5, (0, 0))
-    with pytest.raises(IndexError):
-        expected_reward(m, 0, (0, 3))
-    with pytest.raises(IndexError):
-        expected_reward(m, 0, (0,))
 
 
 def test_tensors_are_frozen():
