@@ -42,7 +42,6 @@ from .histories import (
 )
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
-_MAX_REFINEMENT_ROUNDS = 10_000
 #: The reference measure mixing a common label's preimage nodes, the one
 #: measure there is: the label prescription drawn uniformly at every node.
 REFERENCE_MEASURE = "uniform"
@@ -211,10 +210,14 @@ class Session:
     classes with their mixtures and the measured parameters.
 
     Labels are read when first needed, so a compression must not change
-    while a session for it is in use; the tree keeps only what no label
-    decides.  Every public function taking ``pc`` takes a session too, and
-    a session passes for ``pc`` where only label maps are read.
+    while a session for it is in use, except through :meth:`relabel`; the
+    tree keeps only what no label decides.  Every public function taking
+    ``pc`` takes a session too, and a session passes for ``pc`` where only
+    label maps are read.
     """
+
+    #: The parts built per node, memoised under ``(part, node.seq)``.
+    _NODE_PARTS = frozenset({"map", "labels", "pairs", "profiles", "edges"})
 
     def __init__(self, tree: FcsTree, pc: PrivateCompression, cc=None):
         self.tree, self.model, self.pc, self.cc = tree, tree.model, pc, cc
@@ -259,6 +262,41 @@ class Session:
             ]
 
         return self._built(("pairs", node.seq), build)
+
+    def edges(self, node: FcsNode) -> list[tuple]:
+        """The node's labelled recursive-update edges under every compressed
+        prescription in scan order, as ``(phi key, source item, successor)``."""
+
+        def build():
+            t, theta, labels, out = node.t, self.pc.theta, self.labels(node), []
+            for lam, gamma in self.pairs(node):
+                for o0, child, _p in self.tree.expand(node, gamma):
+                    for n, table in enumerate(gamma.entries):
+                        for h, a in table:
+                            for on in range(self.model.private_obs_sizes[n]):
+                                tk = (t + 1, child.seq, n, h + (a, on))
+                                if tk in theta:
+                                    key = (n, t, labels[n][h], lam.key, o0, on)
+                                    out.append((key, (t, node.seq, n, h), theta[tk]))
+            return out
+
+        return self._built(("edges", node.seq), build)
+
+    def relabel(self, items) -> None:
+        """Write the ``(item, label)`` pairs into the compression's ``theta``
+        and drop what they change: everything a relabelled node built, the
+        edges of its parent, and every level-wide part."""
+        theta, changed = self.pc.theta, set()
+        for item, label in items:
+            if theta[item] != label:
+                theta[item] = label
+                changed.add(item[1])
+        parents = {seq[:-2] for seq in changed}
+        self._memo = {
+            key: value for key, value in self._memo.items()
+            if type(key) is tuple and key[0] in self._NODE_PARTS and key[1] not in changed
+            and (key[0] != "edges" or key[1] not in parents)
+        }
 
     def subtree(self) -> list[list[tuple[FcsNode, float]]]:
         """Nodes per time step reachable using only compressed prescriptions,
@@ -347,24 +385,11 @@ class Session:
 
 
 def _private_edges(s: Session):
-    """Every labelled reachable edge of a private compression, as ``(phi key,
-    source item, successor label)``, under every compressed prescription."""
-    model, tree, theta = s.model, s.tree, s.pc.theta
-    for t in range(1, model.horizon):
-        for node in level_nodes(tree, t):
-            labels = s.labels(node)
-            for lam, gamma in s.pairs(node):
-                for o0, child, _p in tree.expand(node, gamma):
-                    for n, table in enumerate(gamma.entries):
-                        for h, a in table:
-                            for on in range(model.private_obs_sizes[n]):
-                                tk = (t + 1, child.seq, n, h + (a, on))
-                                if tk in theta:
-                                    yield (
-                                        (n, t, labels[n][h], lam.key, o0, on),
-                                        (t, node.seq, n, h),
-                                        theta[tk],
-                                    )
+    """Every labelled reachable edge of a private compression in scan order,
+    node by node: :meth:`Session.edges`."""
+    for t in range(1, s.model.horizon):
+        for node in level_nodes(s.tree, t):
+            yield from s.edges(node)
 
 
 def _common_edges(s: Session, cc: CommonCompression):
@@ -714,8 +739,9 @@ _TV_MARGIN = 1e-9
 
 
 class _Blocks:
-    """The items of each block with their ``(n, n)`` admission matrix: the
-    pairwise compatibility of the block's items, separated pairs cleared.
+    """The items of each block with their ``(n, n)`` admission matrix, the
+    pairwise compatibility of the block's items with separated pairs
+    cleared, and their greedy labels.
 
     Building a matrix charges its ``n²`` cells to ``budget``.
     """
@@ -725,6 +751,7 @@ class _Blocks:
         self.cells = 0
         self.items: list[list] = []
         self.admit: list[np.ndarray] = []
+        self.labels: list[list[int]] = []
         self._where: dict = {}
 
     def charge(self, locus, n: int) -> None:
@@ -732,31 +759,47 @@ class _Blocks:
         if self.cells > self.budget:
             raise BudgetExceededError(locus, self.budget)
 
-    def add(self, items: list, admit: np.ndarray) -> None:
+    def add(self, items: list, admit: np.ndarray):
+        """Add a block; gives ``(item, class index)`` of each of its items."""
         k = len(self.items)
         self._where.update((item, (k, i)) for i, item in enumerate(items))
         self.items.append(items)
         self.admit.append(admit)
+        self.labels.append(_greedy_partition(admit))
+        return zip(items, self.labels[k])
 
-    def separate(self, a, b) -> None:
-        k, i = self._where[a]
-        _k, j = self._where[b]
-        self.admit[k][i, j] = self.admit[k][j, i] = False
+    def separate(self, pairs) -> list:
+        """Clear each pair's cells and partition each block anew from its
+        earliest later item of a pair; gives ``(item, class index)`` of every
+        item partitioned anew.  An item's class depends only on the cells
+        between earlier items and it, so no earlier label can change."""
+        start: dict = {}
+        for a, b in pairs:
+            (k, i), (_k, j) = self._where[a], self._where[b]
+            self.admit[k][i, j] = self.admit[k][j, i] = False
+            start[k] = min(start.get(k, len(self.items[k])), max(i, j))
+        out = []
+        for k, b in start.items():
+            self.labels[k] = _greedy_partition(self.admit[k], self.labels[k][:b])
+            out.extend(zip(self.items[k][b:], self.labels[k][b:]))
+        return out
 
-    def labels(self):
-        """``(item, class index)`` of every item, block by block."""
-        for items, admit in zip(self.items, self.admit):
-            yield from zip(items, _greedy_partition(admit))
 
-
-def _greedy_partition(admit: np.ndarray) -> list[int]:
+def _greedy_partition(admit: np.ndarray, kept: list[int] | tuple = ()) -> list[int]:
     """Agglomerate items in order: each joins the first class that admits it,
     else opens a new one.  A class admits an item when all its members do, so
-    a class's row is the AND of its members' rows of ``admit``."""
+    a class's row is the AND of its members' rows of ``admit``.  The first
+    items keep their labels ``kept``, which opened classes ``0, 1, ...`` in
+    order."""
+    labels = list(kept)
+    k = max(labels, default=-1) + 1
     rows = np.empty_like(admit)
-    labels = []
-    k = 0
-    for i, row in enumerate(admit):
+    if k:
+        order = np.argsort(labels, kind="stable")
+        heads = np.searchsorted(np.array(labels)[order], np.arange(k))
+        rows[:k] = np.logical_and.reduceat(admit[order], heads)
+    for i in range(len(labels), len(admit)):
+        row = admit[i]
         c = int(rows[:k, i].argmax()) if k else 0
         if k and rows[c, i]:
             rows[c] &= row
@@ -857,10 +900,10 @@ def build_greedy(
     profiles differ at most ``tol_r`` and their observation profiles at most
     ``tol_o`` in total variation, scanning in canonical order.  The partition
     is then repaired to a fixed point: any two items whose merged label would
-    make the recursive update multivalued are forced apart and the
-    agglomeration rerun.  At zero tolerance the repair additionally splits
-    classes until the measured parameters are exactly zero, so this partition
-    doubles as the exact construction.
+    make the recursive update multivalued are forced apart, and their block
+    agglomerated anew from the later one.  At zero tolerance the repair also
+    splits classes until the measured parameters are exactly zero, so this
+    partition doubles as the exact construction.
 
     Each block of items, one per ``(t, agent)``, gets its compatibility matrix
     once; ``budget`` caps the total number of matrix cells.
@@ -868,6 +911,7 @@ def build_greedy(
     tree = tree or FcsTree(model)
     levels = full_levels(model, tree)
     blocks = _Blocks(budget)
+    pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     for t in range(1, model.horizon + 1):
         nodes = levels[t - 1]
         for n in range(model.num_agents):
@@ -875,26 +919,23 @@ def build_greedy(
             items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]
             blocks.charge(("private block", t, n), len(items))
             sdist = _history_state_laws(model, nodes, domains, n)
-            blocks.add(items, _private_matrix(model, sdist, t < model.horizon, tol_r, tol_o))
+            admit = _private_matrix(model, sdist, t < model.horizon, tol_r, tol_o)
+            pc.theta.update(blocks.add(items, admit))
 
-    exact = tol_r == 0.0 and tol_o == 0.0
-    for _round in range(_MAX_REFINEMENT_ROUNDS):
-        pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
-        pc.theta = dict(blocks.labels())
-        s = Session(tree, pc)
+    s = Session(tree, pc)
+    # Every round separates items of one class, so clears an admission cell
+    # that was set, and no cell is ever set again: the loop ends within as
+    # many rounds as there are admitted pairs.
+    while True:
         phi, conflict = _update_table(_private_edges(s))
         if conflict is not None:
-            blocks.separate(*conflict[1:])
-            continue
-        if exact:
-            split = _exactness_split(s)
-            if split:
-                for pair in split:
-                    blocks.separate(*pair)
-                continue
-        pc.phi = phi
-        return pc
-    raise RuntimeError("partition refinement did not reach a fixed point")
+            split = [conflict[1:]]
+        else:
+            split = _exactness_split(s) if tol_r == tol_o == 0.0 else []
+        if not split:
+            pc.phi = phi
+            return pc
+        s.relabel(blocks.separate(split))
 
 
 def _exactness_split(s: Session):
@@ -1002,23 +1043,20 @@ def build_common_greedy(
     """
     s = Session.of(model, pc, tree)
     blocks = _Blocks(budget)
+    cc = CommonCompression(horizon=model.horizon)
     for t, level in enumerate(s.subtree(), start=1):
         nodes = [node for node, _mass in level]
         blocks.charge(("common block", t), len(nodes))
-        blocks.add(
-            [(t, node.seq) for node in nodes],
-            _common_matrix(s, nodes, t < model.horizon, tol_r, tol_o),
-        )
+        admit = _common_matrix(s, nodes, t < model.horizon, tol_r, tol_o)
+        cc.theta0.update(blocks.add([(t, node.seq) for node in nodes], admit))
 
-    for _round in range(_MAX_REFINEMENT_ROUNDS):
-        cc = CommonCompression(horizon=model.horizon)
-        cc.theta0 = dict(blocks.labels())
+    # Ends as the private repair in ``build_greedy`` does.
+    while True:
         phi0, conflict = _update_table(_common_edges(s, cc))
         if conflict is None:
             cc.phi0 = phi0
             return cc
-        blocks.separate(*conflict[1:])
-    raise RuntimeError("common refinement did not reach a fixed point")
+        cc.theta0.update(blocks.separate([conflict[1:]]))
 
 
 # -- serialization ---------------------------------------------------------
@@ -1030,7 +1068,9 @@ def _dec(text: str):
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
-        raise CompressionFormatError(f"unparseable entry {text!r}") from exc
+        raise CompressionFormatError(
+            f"unparseable entry {text[:80]!r} ({len(text)} characters)"
+        ) from exc
 
 
 def serialize_compression(compression, measured: MeasuredParams | None = None) -> str:

@@ -95,11 +95,11 @@ BAD_INPUTS = {
     ),
     "deep-entry": (
         ["solve", "--alg", "2"], None, _private_keyed("-" * 3000 + "1"),
-        "unparseable entry '" + "-" * 3000 + "1'",
+        "unparseable entry '" + "-" * 80 + "' (3001 characters)",
     ),
     "deeper-entry": (
         ["solve", "--alg", "2"], None, _private_keyed("-" * 200_000 + "1"),
-        "unparseable entry '" + "-" * 200_000 + "1'",
+        "unparseable entry '" + "-" * 80 + "' (200001 characters)",
     ),
     "mu-gaussian": (
         ["measure"], None, _common_measured("gaussian"), "unknown reference measure 'gaussian'",

@@ -13,6 +13,7 @@ from ciplan.compression import (
     PrivateCompression,
     RecursiveCheckError,
     Session,
+    _Blocks,
     _common_edges,
     _common_matrix,
     _compatibility,
@@ -20,9 +21,7 @@ from ciplan.compression import (
     _greedy_partition,
     _history_state_laws,
     _next_obs_distribution,
-    _private_edges,
     _private_matrix,
-    _update_table,
     bcs_common,
     build_common_greedy,
     build_exact_private,
@@ -212,10 +211,12 @@ def test_greedy_huge_tolerance_gives_one_label_per_time():
 
 # -- compatibility matrices against the scalar construction ---------------
 #
-# The builders decide merges from one boolean matrix per block.  The scalar
-# pairwise predicates and the agglomeration loop they replaced are kept here as
+# The builders decide merges from one boolean matrix per block and repair in
+# place.  The scalar pairwise predicates, the agglomeration loop and the full
+# edge scan rerun from scratch each round that they replaced are kept here as
 # the oracle: every matrix cell must equal its predicate, and both builders
-# must serialise byte for byte what the scalar construction gives.
+# must separate the same pairs round by round and serialise byte for byte
+# what the scalar construction gives.
 
 
 def _scalar_private_stats(model, tree, levels):
@@ -293,14 +294,43 @@ def _scalar_partition(items, compatible, separated):
     return classes
 
 
+def _scalar_private_edges(tree, pc):
+    """Every labelled reachable edge of ``pc`` as ``(phi key, source item,
+    successor label)``, node by node in level order, under the extension of
+    every label prescription in canonical order."""
+    model, theta = tree.model, pc.theta
+    for t in range(1, model.horizon):
+        for node in level_nodes(tree, t):
+            for lam in enumerate_prescriptions(model, pc.label_map(node)[0]):
+                gamma = extension(tree, node, pc, lam)
+                for o0, child, _p in tree.expand(node, gamma):
+                    for n, table in enumerate(gamma.entries):
+                        for h, a in table:
+                            for on in range(model.private_obs_sizes[n]):
+                                tk = (t + 1, child.seq, n, h + (a, on))
+                                if tk in theta:
+                                    item = (t, node.seq, n, h)
+                                    yield (n, t, theta[item], lam.key, o0, on), item, theta[tk]
+
+
+def _scalar_update_table(edges):
+    first = {}
+    for key, item, succ in edges:
+        prev = first.setdefault(key, (succ, item))
+        if prev[0] != succ:
+            return None, (key, prev[1], item)
+    return {key: succ for key, (succ, _item) in first.items()}, None
+
+
 def _scalar_build_greedy(model, tree, tol_r, tol_o):
+    """The compression and the pairs each repair round separated."""
     levels = full_levels(model, tree)
     stats = _scalar_private_stats(model, tree, levels)
 
     def compatible(a, b):
         return stats(a, b, tol_r, tol_o)
 
-    separated = set()
+    separated, rounds = set(), []
     while True:
         pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
         for t in range(1, model.horizon + 1):
@@ -313,27 +343,27 @@ def _scalar_build_greedy(model, tree, tol_r, tol_o):
                 for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
                     for item in cls:
                         pc.theta[item] = idx
-        phi, conflict = _update_table(_private_edges(Session(tree, pc)))
+        phi, conflict = _scalar_update_table(_scalar_private_edges(tree, pc))
         if conflict is not None:
-            separated.add(frozenset(conflict[1:]))
-            continue
-        if tol_r == 0.0 and tol_o == 0.0:
-            split = _exactness_split(Session(tree, pc))
-            if split:
-                separated.update(frozenset(pair) for pair in split)
-                continue
-        pc.phi = phi
-        return pc
+            split = [conflict[1:]]
+        else:
+            split = _exactness_split(Session(tree, pc)) if tol_r == tol_o == 0.0 else []
+        if not split:
+            pc.phi = phi
+            return pc, rounds
+        rounds.append(split)
+        separated.update(frozenset(pair) for pair in split)
 
 
 def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
+    """The compression and the pairs each repair round separated."""
     levels = compressed_subtree(model, tree, pc)
     stats = _scalar_common_stats(model, tree, pc, levels)
 
     def compatible(a, b):
         return stats(a, b, tol_r, tol_o)
 
-    separated = set()
+    separated, rounds = set(), []
     while True:
         cc = CommonCompression(horizon=model.horizon)
         for t in range(1, model.horizon + 1):
@@ -341,11 +371,43 @@ def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
             for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
                 for item in cls:
                     cc.theta0[item] = idx
-        phi0, conflict = _update_table(_common_edges(Session(tree, pc), cc))
+        phi0, conflict = _scalar_update_table(_common_edges(Session(tree, pc), cc))
         if conflict is None:
             cc.phi0 = phi0
-            return cc
+            return cc, rounds
+        rounds.append([conflict[1:]])
         separated.add(frozenset(conflict[1:]))
+
+
+def _recorded(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` and the pairs each repair round separated."""
+    rounds = []
+    separate = _Blocks.separate
+
+    def record(blocks, pairs):
+        rounds.append(list(pairs))
+        return separate(blocks, pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Blocks, "separate", record)
+        return build(*args, **kwargs), rounds
+
+
+def _assert_builds_match_scalar(model, tree, tol_r, tol_o, common_tols=None):
+    """Both builders separate the scalar construction's pairs round by round
+    and serialise its bytes, the common one at ``common_tols`` (by default
+    the private tolerances); gives the private compression and the number of
+    repair rounds of each build."""
+    pc, rounds = _recorded(build_greedy, model, tol_r, tol_o, tree=tree)
+    want, want_rounds = _scalar_build_greedy(model, tree, tol_r, tol_o)
+    assert rounds == want_rounds
+    assert serialize_compression(pc) == serialize_compression(want)
+    common_tols = common_tols or (tol_r, tol_o)
+    cc, common_rounds = _recorded(build_common_greedy, model, pc, *common_tols, tree=tree)
+    want, want_rounds = _scalar_build_common_greedy(model, tree, pc, *common_tols)
+    assert common_rounds == want_rounds
+    assert serialize_compression(cc) == serialize_compression(want)
+    return pc, len(rounds) + 1, len(common_rounds) + 1
 
 
 def _assert_cells_match(matrix, items, compatible, tol_r, tol_o):
@@ -364,6 +426,7 @@ MATRIX_SHAPES = [
     dict(num_states=3, private_obs_sizes=(1, 2), num_common_obs=2),
 ]
 MATRIX_TOLERANCES = [(0.0, 0.0), (0.2, 0.1), (0.4, 0.4), (0.5, 0.5)]
+SEQUENCE_SEED = 3
 
 
 @settings(max_examples=12, deadline=None)
@@ -387,11 +450,7 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
             matrix = _private_matrix(model, sdist, t < model.horizon, tol_r, tol_o)
             _assert_cells_match(matrix, items, private_compatible, tol_r, tol_o)
 
-    pc = build_greedy(model, tol_r, tol_o, tree=tree)
-    assert serialize_compression(pc) == serialize_compression(
-        _scalar_build_greedy(model, tree, tol_r, tol_o)
-    )
-
+    pc, *_rounds = _assert_builds_match_scalar(model, tree, tol_r, tol_o)
     common_levels = compressed_subtree(model, tree, pc)
     common_compatible = _scalar_common_stats(model, tree, pc, common_levels)
     for t in range(1, model.horizon + 1):
@@ -400,9 +459,22 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
         items = [(t, node.seq) for node in nodes]
         _assert_cells_match(matrix, items, common_compatible, tol_r, tol_o)
 
-    assert serialize_compression(
-        build_common_greedy(model, pc, tol_r, tol_o, tree=tree)
-    ) == serialize_compression(_scalar_build_common_greedy(model, tree, pc, tol_r, tol_o))
+
+@pytest.mark.parametrize("tols", MATRIX_TOLERANCES)
+@pytest.mark.parametrize("shape", range(len(MATRIX_SHAPES)))
+def test_repair_separates_the_scalar_sequence(shape, tols):
+    model = random_model(SEQUENCE_SEED, **MATRIX_SHAPES[shape])
+    _assert_builds_match_scalar(model, FcsTree(model), *tols)
+
+
+def test_repair_resumes_one_block_over_many_rounds():
+    # Every private separation of this build falls in one block of time 2,
+    # whose relabelled nodes change the edges of their parents at time 1.
+    model = random_model(5, num_states=2, horizon=3, num_common_obs=2, action_sizes=(3, 2))
+    _pc, rounds, common_rounds = _assert_builds_match_scalar(
+        model, FcsTree(model), 0.5, 0.5, common_tols=(0.2, 0.2)
+    )
+    assert rounds >= 10 and common_rounds >= 5
 
 
 def test_compatibility_defers_borderline_variation_to_scalar_sum():
@@ -443,6 +515,8 @@ def test_greedy_partition_reads_class_rows():
     assert _greedy_partition(admit) == [0, 0, 1, 1]
     admit[0, 1] = admit[1, 0] = False
     assert _greedy_partition(admit) == [0, 1, 0, 1]
+    # Resumed after the kept labels of the first two items.
+    assert _greedy_partition(admit, [0, 1]) == [0, 1, 0, 1]
 
 
 def test_builders_charge_matrix_cells_to_budget(coin2):
