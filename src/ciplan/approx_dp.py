@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compression import CommonCompression, PrivateCompression, Session, extension
+from .compression import CommonCompression, PrivateCompression, Session
 from .exact_dp import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -61,6 +61,7 @@ def solve_ascs_asps(
     tree = s.tree
     table = ValueTable(horizon=model.horizon)
     label_policy: dict = {}
+    chosen: dict = {}
     evals = 0
 
     for t in range(model.horizon, 0, -1):
@@ -90,12 +91,14 @@ def solve_ascs_asps(
                 q_values=tuple(qs),
             )
             label_policy[(t, label)] = lam
+            chosen[(t, label)] = rows[best]
 
     policy = CoordinatorPolicy()
     for t, level in enumerate(s.subtree(), start=1):
         for node, _mass in level:
-            lam = label_policy[(t, cc.label_of(t, node.seq))]
-            policy.prescriptions[node.seq] = extension(tree, node, s, lam)
+            row = chosen[(t, cc.label_of(t, node.seq))]
+            policy.prescriptions[node.seq] = tree._prescription(
+                node.agent_domains, row[s.label_map(node)[1]])
 
     overall = 0.0
     for _o0, root, p in tree.roots():

@@ -27,6 +27,7 @@ from .histories import (
     FcsTree,
     Hist,
     Prescription,
+    _successor_labels,
     _successor_weights,
     enumerate_prescriptions,
     level_nodes,
@@ -224,25 +225,14 @@ def check_spi(
     seen_updates: dict[tuple, object] = {}
     for t in range(1, model.horizon):
         for node in level_nodes(tree, t):
-            hist_domains = node.agent_domains
             labels = s.labels(node)
-            for gamma in enumerate_prescriptions(model, hist_domains):
-                for o0, child, _p in tree.expand(node, gamma):
-                    for n, domain in enumerate(hist_domains):
-                        for h in domain:
-                            an = gamma.action_for(n, h)
-                            for on in range(model.private_obs_sizes[n]):
-                                h_next = h + (an, on)
-                                key_next = (t + 1, child.seq, n, h_next)
-                                if key_next not in theta:
-                                    continue
-                                z = labels[n][h]
-                                upd_key = (node.seq, n, z, gamma.key, o0, an, on)
-                                z_next = theta[key_next]
-                                prev = seen_updates.setdefault(upd_key, z_next)
-                                if prev != z_next and viol1 == 0.0:
-                                    viol1 = 1.0
-                                    wit1 = (node.seq, n, h, h_next, prev, z_next)
+            for gamma in enumerate_prescriptions(model, node.agent_domains):
+                for o0, n, h, an, on, z_next in _successor_labels(tree, node, gamma, theta):
+                    upd_key = (node.seq, n, labels[n][h], gamma.key, o0, an, on)
+                    prev = seen_updates.setdefault(upd_key, z_next)
+                    if prev != z_next and viol1 == 0.0:
+                        viol1 = 1.0
+                        wit1 = (node.seq, n, h, h + (an, on), prev, z_next)
     report.results.append(
         ConditionResult("SPI1", viol1 <= CHECK_TOL, viol1, wit1)
     )

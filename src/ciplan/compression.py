@@ -34,9 +34,10 @@ from .histories import (
     FcsTree,
     Hist,
     Prescription,
-    PrescriptionDomainError,
     _columns_by_agent,
     _entries,
+    _successor_labels,
+    _successors,
     level_nodes,
     prescription_count,
 )
@@ -159,47 +160,6 @@ class MeasuredParams:
         )
 
 
-# -- tree traversal helpers ------------------------------------------------
-
-
-def full_levels(model: DecPomdpModel, tree: FcsTree) -> list[list[FcsNode]]:
-    """Reachable nodes per time step under every prescription."""
-    return [level_nodes(tree, t) for t in range(1, model.horizon + 1)]
-
-
-def _label_row(lam: Prescription, domains: tuple[tuple, ...]) -> np.ndarray:
-    """The action row of a label prescription over ``domains``."""
-    if tuple(tuple(z for z, _a in table) for table in lam.entries) != domains:
-        raise PrescriptionDomainError(
-            f"prescription {lam.key!r} is not over the label domains {domains!r}"
-        )
-    return np.array([a for table in lam.entries for _z, a in table], dtype=np.intp)
-
-
-def extension(
-    tree: FcsTree, node: FcsNode, pc: PrivateCompression, lam: Prescription
-) -> Prescription:
-    """Lift a label-domain prescription to this node's history domains; the
-    extension acts identically on every history within a label class."""
-    domains, colmap = pc.label_map(node)
-    return tree._prescription(node.agent_domains, _label_row(lam, domains)[colmap])
-
-
-def compressed_prescriptions(
-    model: DecPomdpModel, tree: FcsTree, node: FcsNode, pc: PrivateCompression
-) -> list[tuple[Prescription, Prescription]]:
-    """All (label prescription, extension) pairs at a node, canonical order."""
-    return Session.of(model, pc, tree).pairs(node)
-
-
-def compressed_subtree(
-    model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression
-) -> list[list[tuple[FcsNode, float]]]:
-    """Nodes per time step reachable using only compressed prescriptions, each
-    with its mass under the reference measure; see :meth:`Session.subtree`."""
-    return Session.of(model, pc, tree).subtree()
-
-
 # -- sessions ----------------------------------------------------------------
 
 
@@ -268,16 +228,10 @@ class Session:
         prescription in scan order, as ``(phi key, source item, successor)``."""
 
         def build():
-            t, theta, labels, out = node.t, self.pc.theta, self.labels(node), []
+            t, labels, out = node.t, self.labels(node), []
             for lam, gamma in self.pairs(node):
-                for o0, child, _p in self.tree.expand(node, gamma):
-                    for n, table in enumerate(gamma.entries):
-                        for h, a in table:
-                            for on in range(self.model.private_obs_sizes[n]):
-                                tk = (t + 1, child.seq, n, h + (a, on))
-                                if tk in theta:
-                                    key = (n, t, labels[n][h], lam.key, o0, on)
-                                    out.append((key, (t, node.seq, n, h), theta[tk]))
+                for o0, n, h, _a, on, z in _successor_labels(self.tree, node, gamma, self.pc.theta):
+                    out.append(((n, t, labels[n][h], lam.key, o0, on), (t, node.seq, n, h), z))
             return out
 
         return self._built(("edges", node.seq), build)
@@ -557,35 +511,6 @@ def _measure_private(s: Session, budget: int) -> tuple[MeasuredParams, int]:
     return MeasuredParams(eps_p=eps_p, delta_p=delta_p, witnesses=wit), spent
 
 
-def reevaluate_private_witness(
-    model: DecPomdpModel,
-    pc: PrivateCompression,
-    witness,
-    tree: FcsTree | None = None,
-) -> float:
-    """Recompute the folded value a private-measurement witness attains."""
-    kind, t, seq, hjoint, a = witness
-    if kind not in ("eps_p", "delta_p"):
-        raise ValueError(f"unknown witness kind {kind!r}")
-    s = Session.of(model, pc, tree)
-    node = s.tree.node(seq)
-    a_idx = model.joint_action_index(a)
-    for h, _z, sdist_h, sdist_z in _history_laws(s, node, s.tree.reachable_fps(node)):
-        if h == hjoint:
-            if kind == "eps_p":
-                r_h, r_z = _joint_rewards(model, [sdist_h, sdist_z])[:, a_idx]
-                return float(4.0 * abs(r_h - r_z))
-            return 8.0 * tv_distance(
-                _next_obs_distribution(model, sdist_h, a_idx),
-                _next_obs_distribution(model, sdist_z, a_idx),
-            )
-    raise ValueError(f"history {hjoint!r} is not admissible at node {seq!r}")
-
-
-#: Cells ``(entry, s', o)`` one common-profile step computes at once.
-_PROFILE_CELLS = 1 << 18
-
-
 def _node_profiles(tree: FcsTree, nodes: list[FcsNode], tables: list[np.ndarray]) -> list:
     """Immediate expected reward ``r[k]`` and next-common-observation law
     ``law[k, o0]`` of each node under each history-domain action row
@@ -594,11 +519,11 @@ def _node_profiles(tree: FcsTree, nodes: list[FcsNode], tables: list[np.ndarray]
     shares the arrays, so none may change them.
 
     Both are the scalar sums bit for bit: the reward adds ``w · R[s, a]``
-    atom by atom from 0.0.  Each joint observation's probability adds the
-    successor states :meth:`DecPomdpModel.step` admits, in index order, and
-    the law adds those atom by atom, each atom's in the order the step first
-    meets them: by the first successor admitting each, then by index.  A
-    term the step does not admit adds an exact zero.
+    atom by atom from 0.0.  The successors come from the batched forward
+    step ``histories._successors``: each joint observation's probability
+    adds the successor states it admits, in index order, and the law adds
+    those atom by atom, each atom's in the order the step first meets them:
+    by the first successor admitting each, then by index.
     """
     keys = [(node.seq, table.tobytes()) for node, table in zip(nodes, tables)]
     profiles = [tree.common_profiles.get(key) for key in keys]
@@ -611,20 +536,19 @@ def _node_profiles(tree: FcsTree, nodes: list[FcsNode], tables: list[np.ndarray]
     pairs, _row, entry_pair, entry_atom, actions = _entries(atoms, atoms.columns(), rows)
     joint = actions @ np.array([stride for _size, stride in model._action_strides])
     state, weight = atoms.state[entry_atom], atoms.weight[entry_atom]
-    reward = np.zeros(len(pairs))
-    np.add.at(reward, entry_pair, weight * model.reward[state, joint])
-    num_obs, num_common, thr = model.num_joint_obs, len(model.common_obs), ADMISSIBILITY_THRESHOLD
-    common = np.arange(num_obs) // (num_obs // num_common)
-    law = np.zeros((len(pairs), num_common))
-    step = max(1, _PROFILE_CELLS // (model.num_states * num_obs))
-    for lo in range(0, len(entry_pair), step):
-        trans = model.transition[state[lo:lo + step], joint[lo:lo + step]]
-        p = (weight[lo:lo + step, None] * trans)[:, :, None] * model.observation
-        keep = (trans > thr)[:, :, None] & (p > thr)
-        per_obs = np.cumsum(np.where(keep, p, 0.0), axis=1)[:, -1]
-        met = np.argsort(keep.argmax(axis=1) * num_obs + np.arange(num_obs), axis=1)
-        index = (entry_pair[lo:lo + step, None], common[met])
-        np.add.at(law, index, np.take_along_axis(per_obs, met, axis=1))
+    reward = np.bincount(entry_pair, weight * model.reward[state, joint], len(pairs))
+    entry, _s_next, obs, p = _successors(model, atoms.state, atoms.weight, entry_atom, actions)
+    num_obs, num_common = model.num_joint_obs, len(model.common_obs)
+    # Per (entry, o), the successor states in index order; then per entry,
+    # the cells in the order their first successor was met.
+    cell, first, where = np.unique(entry * num_obs + obs, return_index=True, return_inverse=True)
+    per_cell = np.bincount(where, p, len(cell))
+    met = np.argsort(first)
+    entry, obs = np.divmod(cell[met], num_obs)
+    law = np.bincount(
+        entry_pair[entry] * num_common + obs // (num_obs // num_common), per_cell[met],
+        len(pairs) * num_common,
+    ).reshape(len(pairs), num_common)
     bounds = np.cumsum([0] + [len(table) for table in rows]).tolist()
     for j, i in enumerate(todo):
         part = slice(bounds[j], bounds[j + 1])
@@ -689,31 +613,6 @@ def _measure_common(s: Session, budget: int) -> tuple[MeasuredParams, int]:
                     lam = tree._prescription(domains, row)
                     sup[kind], wit[kind] = float(d[k, i]), (kind, t, nodes[i].seq, lam.key)
     return MeasuredParams(eps_c=sup["eps_c"], delta_c=2.0 * sup["delta_c"], witnesses=wit), spent
-
-
-def reevaluate_common_witness(
-    model: DecPomdpModel,
-    pc: PrivateCompression,
-    cc: CommonCompression,
-    witness,
-    tree: FcsTree | None = None,
-) -> float:
-    """Recompute the folded value a common-measurement witness attains."""
-    kind, t, seq, lam_key = witness
-    if kind not in ("eps_c", "delta_c"):
-        raise ValueError(f"unknown witness kind {kind!r}")
-    s = Session.of(model, pc, tree, cc)
-    z0 = cc.label_of(t, seq)
-    for cls in s.classes(t):
-        label, nodes, _w, domains = cls
-        if label == z0:
-            rows = s.tree._action_rows(tuple(map(len, domains)))
-            row = _label_row(Prescription(lam_key), domains)
-            k = int(np.flatnonzero((rows == row).all(axis=1))[0])
-            mix_r, mix_law = s.mixture(t, cls)
-            r, law = s.profiles(nodes[[node.seq for node in nodes].index(seq)])
-            return float(abs(r[k] - mix_r[k]) if kind == "eps_c" else 2.0 * _tv(law[k], mix_law[k]))
-    raise ValueError(f"node {seq!r} is not in the compressed subtree at t = {t}")
 
 
 # -- construction ----------------------------------------------------------
@@ -862,20 +761,21 @@ def _private_matrix(
     reward of every joint action, and the next joint-observation law when
     ``with_laws``.  Both are summed state by state in the order of
     ``_joint_rewards`` and ``_next_obs_distribution``, so they are bit for bit
-    the scalar values; absent states add exact zeros."""
-    S, thr = model.num_states, ADMISSIBILITY_THRESHOLD
+    the scalar values; absent states add exact zeros.  The laws add the
+    successors of the batched forward step, whose entries are ``(item, joint
+    action, state)``."""
+    S = model.num_states
     rewards = sdist[:, :1] * model.reward[0]
     for s in range(1, S):
         rewards = rewards + sdist[:, s:s + 1] * model.reward[s]
     laws = None
     if with_laws:
-        laws = np.zeros((len(sdist), model.num_joint_actions, model.num_joint_obs))
-        for s in range(S):
-            for s_next in range(S):
-                p_trans = model.transition[s, :, s_next]
-                base = sdist[:, s:s + 1] * np.where(p_trans > thr, p_trans, 0.0)
-                p = base[:, :, None] * model.observation[s_next]
-                laws += np.where(p > thr, p, 0.0)
+        shape = (len(sdist), model.num_joint_actions, model.num_joint_obs)
+        item, joint, state = np.indices(shape[:2] + (S,)).reshape(3, -1)
+        actions = np.array(np.unravel_index(joint, model.action_sizes)).T
+        entry, _s_next, obs, p = _successors(
+            model, np.tile(np.arange(S), len(sdist)), sdist.ravel(), item * S + state, actions)
+        laws = np.bincount(entry // S * shape[2] + obs, p, np.prod(shape)).reshape(shape)
 
     def scalar_tv(i, j, a_idx):
         def law(x):
@@ -909,11 +809,10 @@ def build_greedy(
     once; ``budget`` caps the total number of matrix cells.
     """
     tree = tree or FcsTree(model)
-    levels = full_levels(model, tree)
     blocks = _Blocks(budget)
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     for t in range(1, model.horizon + 1):
-        nodes = levels[t - 1]
+        nodes = level_nodes(tree, t)
         for n in range(model.num_agents):
             domains = [node.agent_domains[n] for node in nodes]
             items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]

@@ -199,17 +199,19 @@ def _entries(atoms: Atoms, columns: np.ndarray, tables: list[np.ndarray]):
     return pair_node, pair_row, entry_pair, entry_atom, actions
 
 
-def _successors(model: DecPomdpModel, atoms: Atoms, entry_atom, actions):
+def _successors(model: DecPomdpModel, state, weight, entry_atom, actions):
     """The admissible successors ``(entry, s', o, p)`` of every entry, in
-    ``(entry, s', o)`` order, with ``p = (w * P(s'|s,a)) * P(o|s')`` and the
-    two admissibility tests of :meth:`DecPomdpModel.step`."""
+    ``(entry, s', o)`` order, where entry ``i`` takes the per-agent
+    ``actions[i]`` from atom ``entry_atom[i]`` in ``state`` with ``weight``:
+    ``p = (w * P(s'|s,a)) * P(o|s')`` under the two admissibility tests of
+    :meth:`DecPomdpModel.step`.  This is the one batched forward step."""
     joint = actions @ np.array([stride for _size, stride in model._action_strides], dtype=np.intp)
-    step = max(1, _CHUNK_CELLS // (model.num_states * model.num_joint_obs))
+    step = max(1, _CHUNK_CELLS // model.observation.size)
     found = []
     for lo in range(0, max(len(entry_atom), 1), step):
         atom = entry_atom[lo:lo + step]
-        trans = model.transition[atoms.state[atom], joint[lo:lo + step]]
-        p = (atoms.weight[atom][:, None] * trans)[:, :, None] * model.observation
+        trans = model.transition[state[atom], joint[lo:lo + step]]
+        p = (weight[atom][:, None] * trans)[:, :, None] * model.observation
         keep = (trans > ADMISSIBILITY_THRESHOLD)[:, :, None] & (p > ADMISSIBILITY_THRESHOLD)
         entry, s_next, obs = np.nonzero(keep)
         found.append((entry + lo, s_next, obs, p[keep]))
@@ -395,7 +397,7 @@ class FcsTree:
             return [], Atoms.of([])
         agents, obs_sizes = m.num_agents, m.private_obs_sizes
         pair_node, pair_row, entry_pair, entry_atom, actions = _entries(atoms, columns, tables)
-        entry, s_next, obs, prob = _successors(m, atoms, entry_atom, actions)
+        entry, s_next, obs, prob = _successors(m, atoms.state, atoms.weight, entry_atom, actions)
         o0, private = np.divmod(obs, int(np.prod(obs_sizes)))
         own_obs = np.unravel_index(private, obs_sizes)
         atom = entry_atom[entry]
@@ -571,6 +573,21 @@ def _columns_by_agent(domains: tuple[tuple, ...], columns) -> list[dict]:
     agent by agent in domain order."""
     rest = iter(columns)
     return [dict(zip(domain, rest)) for domain in domains]
+
+
+def _successor_labels(tree: FcsTree, node: FcsNode, gamma: Prescription, theta: dict):
+    """The labelled successors of ``node`` under ``gamma``, as ``(o0, agent,
+    h, a, o_n, label)``: for each child, agent, history ``h`` in domain order
+    and private observation ``o_n``, the ``theta`` label of ``h + (a, o_n)``
+    where ``theta`` has one, ``theta`` being keyed ``(t, seq, agent, h)``."""
+    t, sizes = node.t + 1, tree.model.private_obs_sizes
+    for o0, child, _p in tree.expand(node, gamma):
+        for n, table in enumerate(gamma.entries):
+            for h, a in table:
+                for on in range(sizes[n]):
+                    key = (t, child.seq, n, h + (a, on))
+                    if key in theta:
+                        yield o0, n, h, a, on, theta[key]
 
 
 def level_nodes(tree: FcsTree, t: int) -> list[FcsNode]:

@@ -264,11 +264,8 @@ def validate(model: DecPomdpModel) -> None:
 
 def _nested_to_flat_actions(model_dims: tuple[int, ...], nested, what: str) -> np.ndarray:
     arr = np.asarray(nested, dtype=float)
-    expected_ndim = len(model_dims)
-    if arr.ndim != expected_ndim:
-        raise ModelFormatError(
-            f"{what}: expected {expected_ndim} nested levels, got {arr.ndim}"
-        )
+    if arr.shape != model_dims:
+        raise ModelFormatError(f"{what}: expected nested shape {model_dims}, got {arr.shape}")
     return arr
 
 

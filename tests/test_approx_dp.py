@@ -5,11 +5,10 @@ import pytest
 
 from ciplan.approx_dp import solve_ascs_asps, solve_fcs_asps
 from ciplan.compression import (
+    Session,
     bcs_common,
     build_exact_private,
     build_greedy,
-    compressed_subtree,
-    extension,
     identity_common,
     identity_private,
 )
@@ -27,17 +26,19 @@ def test_identity_extension_is_verbatim(coin2):
     tree = FcsTree(coin2)
     pc = identity_private(coin2, tree)
     _o0, root, _p = tree.roots()[0]
-    for lam in enumerate_prescriptions(coin2, root.agent_domains):
-        assert extension(tree, root, pc, lam).key == lam.key
+    pairs = Session(tree, pc).pairs(root)
+    assert [lam.key for lam, _gamma in pairs] == [
+        lam.key for lam in enumerate_prescriptions(coin2, root.agent_domains)
+    ]
+    for lam, gamma in pairs:
+        assert gamma.key == lam.key
 
 
 def test_extension_acts_classwise(coin2):
     tree = FcsTree(coin2)
     pc = build_greedy(coin2, 10.0, 2.0, tree=tree)
     _o0, root, _p = tree.roots()[0]
-    domains = pc.label_map(root)[0]
-    for lam in enumerate_prescriptions(coin2, domains):
-        gamma = extension(tree, root, pc, lam)
+    for lam, gamma in Session(tree, pc).pairs(root):
         for n, domain in enumerate(root.agent_domains):
             for h in domain:
                 z = pc.label_of(1, root.seq, n, h)
@@ -79,7 +80,7 @@ def test_label_sweep_matches_restricted_under_identity_common(coin2):
     cc = identity_common(coin2, pc, tree)
     restricted, _ = solve_fcs_asps(coin2, pc, tree=tree)
     table, policy, label_policy = solve_ascs_asps(coin2, pc, cc, tree=tree)
-    levels = compressed_subtree(coin2, tree, pc)
+    levels = Session(tree, pc).subtree()
     for t in range(1, coin2.horizon + 1):
         for node, _mass in levels[t - 1]:
             assert table.entries[(t, cc.label_of(t, node.seq))].value == pytest.approx(

@@ -82,6 +82,16 @@ def _common_measured(value) -> str:
     return json.dumps({"kind": "common", "horizon": 2, "mu": value, "theta0": [], "phi0": []})
 
 
+def _swapped_agent_axes() -> str:
+    """coin2 with a third action for agent 1, its transition and reward
+    nested agent 1 before agent 0: they flatten to the right shapes."""
+    doc = json.loads((DATA / "coin2.json").read_text())
+    doc["actions"][1].append("pass")
+    doc["transition"] = [[[[0.5, 0.5]] * 2] * 3] * 2
+    doc["reward"] = [[[0.0] * 2] * 3] * 2
+    return json.dumps(doc)
+
+
 # case -> (subcommand argv, model text or None for coin2, compression text or
 # None, error message).  Nesting too deep for the JSON decoder or the literal
 # parser is malformed input, and so is any reference measure but uniform.
@@ -105,6 +115,10 @@ BAD_INPUTS = {
         ["measure"], None, _common_measured("gaussian"), "unknown reference measure 'gaussian'",
     ),
     "mu-number": (["measure"], None, _common_measured(7), "unknown reference measure 7"),
+    "swapped-agent-axes": (
+        ["validate"], _swapped_agent_axes(), None,
+        "malformed tensor: transition: expected nested shape (2, 2, 3, 2), got (2, 3, 2, 2)",
+    ),
 }
 
 

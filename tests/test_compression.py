@@ -27,16 +27,11 @@ from ciplan.compression import (
     build_exact_private,
     build_greedy,
     check_recursive,
-    compressed_subtree,
-    extension,
-    full_levels,
     identity_common,
     identity_private,
     load_compression,
     measure_common,
     measure_private,
-    reevaluate_common_witness,
-    reevaluate_private_witness,
     serialize_compression,
     tv_distance,
 )
@@ -46,7 +41,13 @@ from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
 from ciplan.model import ADMISSIBILITY_THRESHOLD
 
 from test_belief import uninformative_model
-from test_label_map import scalar_joint_reward, scalar_node_profile
+from test_label_map import (
+    scalar_extension,
+    scalar_joint_reward,
+    scalar_node_profile,
+    scalar_reevaluate_common,
+    scalar_reevaluate_private,
+)
 
 
 # -- total variation -------------------------------------------------------
@@ -193,12 +194,10 @@ def test_lossy_merge_matches_hand_mixture(coin2):
 def test_private_witnesses_reproduce_suprema(coin2):
     pc = build_greedy(coin2, 0.5, 0.5)
     mp = measure_private(coin2, pc)
-    if mp.eps_p > 0:
-        assert reevaluate_private_witness(coin2, pc, mp.witnesses["eps_p"]) == mp.eps_p
-    if mp.delta_p > 0:
-        assert (
-            reevaluate_private_witness(coin2, pc, mp.witnesses["delta_p"]) == mp.delta_p
-        )
+    for kind in ("eps_p", "delta_p"):
+        if getattr(mp, kind) > 0:
+            value = scalar_reevaluate_private(coin2, pc, mp.witnesses[kind], FcsTree(coin2))
+            assert value == getattr(mp, kind)
 
 
 def test_greedy_huge_tolerance_gives_one_label_per_time():
@@ -258,7 +257,7 @@ def _scalar_common_stats(model, tree, pc, levels):
         for node, _mass in levels[t - 1]:
             domains = pc.label_map(node)[0]
             profile = {
-                lam.key: scalar_node_profile(tree, node, extension(tree, node, pc, lam))
+                lam.key: scalar_node_profile(tree, node, scalar_extension(pc, node, lam))
                 for lam in enumerate_prescriptions(model, domains)
             }
             stats[(t, node.seq)] = (domains, profile)
@@ -296,13 +295,13 @@ def _scalar_partition(items, compatible, separated):
 
 def _scalar_private_edges(tree, pc):
     """Every labelled reachable edge of ``pc`` as ``(phi key, source item,
-    successor label)``, node by node in level order, under the extension of
-    every label prescription in canonical order."""
+    successor label)``, node by node in level order, under the scalar
+    extension of every label prescription in canonical order."""
     model, theta = tree.model, pc.theta
     for t in range(1, model.horizon):
         for node in level_nodes(tree, t):
             for lam in enumerate_prescriptions(model, pc.label_map(node)[0]):
-                gamma = extension(tree, node, pc, lam)
+                gamma = scalar_extension(pc, node, lam)
                 for o0, child, _p in tree.expand(node, gamma):
                     for n, table in enumerate(gamma.entries):
                         for h, a in table:
@@ -324,7 +323,7 @@ def _scalar_update_table(edges):
 
 def _scalar_build_greedy(model, tree, tol_r, tol_o):
     """The compression and the pairs each repair round separated."""
-    levels = full_levels(model, tree)
+    levels = [level_nodes(tree, t) for t in range(1, model.horizon + 1)]
     stats = _scalar_private_stats(model, tree, levels)
 
     def compatible(a, b):
@@ -357,7 +356,7 @@ def _scalar_build_greedy(model, tree, tol_r, tol_o):
 
 def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
     """The compression and the pairs each repair round separated."""
-    levels = compressed_subtree(model, tree, pc)
+    levels = Session(tree, pc).subtree()
     stats = _scalar_common_stats(model, tree, pc, levels)
 
     def compatible(a, b):
@@ -439,7 +438,7 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
     tol_r, tol_o = tols
     model = random_model(seed, **shape)
     tree = FcsTree(model)
-    levels = full_levels(model, tree)
+    levels = [level_nodes(tree, t) for t in range(1, model.horizon + 1)]
     private_compatible = _scalar_private_stats(model, tree, levels)
     for t in range(1, model.horizon + 1):
         nodes = levels[t - 1]
@@ -451,7 +450,7 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
             _assert_cells_match(matrix, items, private_compatible, tol_r, tol_o)
 
     pc, *_rounds = _assert_builds_match_scalar(model, tree, tol_r, tol_o)
-    common_levels = compressed_subtree(model, tree, pc)
+    common_levels = Session(tree, pc).subtree()
     common_compatible = _scalar_common_stats(model, tree, pc, common_levels)
     for t in range(1, model.horizon + 1):
         nodes = [node for node, _mass in common_levels[t - 1]]
@@ -521,9 +520,8 @@ def test_greedy_partition_reads_class_rows():
 
 def test_builders_charge_matrix_cells_to_budget(coin2):
     tree = FcsTree(coin2)
-    levels = full_levels(coin2, tree)
     cells = sum(
-        sum(len(node.agent_domains[n]) for node in levels[t - 1]) ** 2
+        sum(len(node.agent_domains[n]) for node in level_nodes(tree, t)) ** 2
         for t in range(1, coin2.horizon + 1)
         for n in range(coin2.num_agents)
     )
@@ -535,7 +533,7 @@ def test_builders_charge_matrix_cells_to_budget(coin2):
         build_exact_private(coin2, tree, budget=cells - 1)
 
     pc = build_exact_private(coin2, tree)
-    common_cells = sum(len(level) ** 2 for level in compressed_subtree(coin2, tree, pc))
+    common_cells = sum(len(level) ** 2 for level in Session(tree, pc).subtree())
     build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells)
     with pytest.raises(BudgetExceededError) as err:
         build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells - 1)
@@ -577,23 +575,18 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
     # any node pair is mergeable.
     import itertools
 
-    from ciplan.compression import compressed_prescriptions
-
     model = small_models[0]
     tree = FcsTree(model)
     pc = build_greedy(model, 10.0, 2.0, tree=tree)
-    levels = compressed_subtree(model, tree, pc)
+    s = Session(tree, pc)
+    levels = s.subtree()
     masses = [{node.seq: mass for node, mass in level} for level in levels]
 
     def deviation(n1, n2):
         w1, w2 = masses[1][n1.seq], masses[1][n2.seq]
         sup = 0.0
-        for lam, g1 in compressed_prescriptions(model, tree, n1, pc):
-            g2 = next(
-                g
-                for l2, g in compressed_prescriptions(model, tree, n2, pc)
-                if l2.key == lam.key
-            )
+        for lam, g1 in s.pairs(n1):
+            g2 = next(g for l2, g in s.pairs(n2) if l2.key == lam.key)
             r1, _ = scalar_node_profile(tree, n1, g1)
             r2, _ = scalar_node_profile(tree, n2, g2)
             mix = (w1 * r1 + w2 * r2) / (w1 + w2)
@@ -618,15 +611,10 @@ def test_common_witnesses_reproduce_suprema(coin2):
     pc = build_exact_private(coin2)
     cc = build_common_greedy(coin2, pc, 0.5, 0.5)
     mc = measure_common(coin2, pc, cc)
-    if mc.eps_c > 0:
-        assert (
-            reevaluate_common_witness(coin2, pc, cc, mc.witnesses["eps_c"]) == mc.eps_c
-        )
-    if mc.delta_c > 0:
-        assert (
-            reevaluate_common_witness(coin2, pc, cc, mc.witnesses["delta_c"])
-            == mc.delta_c
-        )
+    for kind in ("eps_c", "delta_c"):
+        if getattr(mc, kind) > 0:
+            value = scalar_reevaluate_common(coin2, pc, cc, mc.witnesses[kind], FcsTree(coin2))
+            assert value == getattr(mc, kind)
 
 
 def test_common_greedy_passes_recursive_check(coin2):

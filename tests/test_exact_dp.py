@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ciplan.approx_dp import solve_fcs_asps
 from ciplan.belief import compute_bcs, solve_bcs_fps, solve_bcs_spi
-from ciplan.compression import build_exact_private, compressed_prescriptions
+from ciplan.compression import Session, build_exact_private
 from ciplan.exact_dp import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -183,12 +183,13 @@ def kernel_solves(model):
     alg 2 and alg 5 on the exact private compression."""
     tree = FcsTree(model)
     pc = build_exact_private(model, tree)
+    session = Session(tree, pc)
 
     def identity(node):
         return [(g, g) for g in enumerate_prescriptions(model, node.agent_domains)]
 
     def compressed(node):
-        return compressed_prescriptions(model, tree, node, pc)
+        return session.pairs(node)
 
     def seq(node):
         return node.seq

@@ -1,19 +1,16 @@
 """Coordinator tree construction against a raw trajectory-enumeration oracle."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ciplan
 from ciplan.approx_dp import solve_fcs_asps
-from ciplan.compression import (
-    PrivateCompression,
-    build_greedy,
-    compressed_prescriptions,
-    compressed_subtree,
-    extension,
-)
+from ciplan.compression import PrivateCompression, Session, build_greedy
 from ciplan.generate import random_model
 from ciplan.histories import (
     FcsTree,
@@ -171,7 +168,7 @@ def test_extend_by_labels_constant_on_classes(coin2):
     }
     pc = PrivateCompression(coin2.num_agents, coin2.horizon, theta=theta)
     lam = Prescription((((0, 1),), ((0, 0),)))
-    gamma = extension(tree, root, pc, lam)
+    gamma = dict(Session(tree, pc).pairs(root))[lam]
     assert all(len(domain) > 1 for domain in domains)
     assert all(a == 1 for _h, a in gamma.entries[0])
     assert all(a == 0 for _h, a in gamma.entries[1])
@@ -202,10 +199,11 @@ def assert_batch_matches_scalar(model, pc=None):
             return enumerate_prescriptions(model, node.agent_domains)
     else:
         solve_fcs_asps(model, pc, tree)
-        levels = [[node for node, _mass in level] for level in compressed_subtree(model, tree, pc)]
+        s = Session(tree, pc)
+        levels = [[node for node, _mass in level] for level in s.subtree()]
 
         def gammas(node):
-            return [gamma for _lam, gamma in compressed_prescriptions(model, tree, node, pc)]
+            return [gamma for _lam, gamma in s.pairs(node)]
     scalar = FcsTree(model)
     for nodes, below in zip(levels, levels[1:]):
         made = []
@@ -248,8 +246,52 @@ def test_batch_expansion_matches_scalar_expand_on_coin2(coin2):
     # The labels merge histories, so label and history columns differ.
     assert any(
         len(labels) < len(hists)
-        for level in compressed_subtree(coin2, tree, pc)
+        for level in Session(tree, pc).subtree()
         for node, _mass in level
         for labels, hists in zip(pc.label_map(node)[0], node.agent_domains)
     )
     assert_batch_matches_scalar(coin2, pc)
+
+
+# -- one forward step ------------------------------------------------------
+
+
+def _dynamics_readers(path: Path) -> set[str]:
+    """The functions, as dotted scopes, that read ``.transition`` or
+    ``.observation`` in one source file."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in ("transition", "observation")
+                and isinstance(child.ctx, ast.Load)
+            ):
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return readers
+
+
+def test_only_the_forward_step_and_the_oracle_read_the_dynamics():
+    # Outside the model itself, the batched forward step is the one code that
+    # multiplies the transition by the observation tensor; the brute-force
+    # oracle keeps its own scalar reads so that it stays independent of it.
+    allowed = {
+        ("histories", "_successors"),
+        ("exact_dp", "_evaluate_policy_forward"),
+        ("exact_dp", "_TrajectoryCache.items_at"),
+    }
+    readers = {
+        (path.stem, scope)
+        for path in Path(ciplan.__file__).parent.glob("*.py")
+        if path.name != "model.py"
+        for scope in _dynamics_readers(path)
+    }
+    assert ("histories", "_successors") in readers
+    assert readers <= allowed

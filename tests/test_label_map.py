@@ -4,10 +4,10 @@ against the scalar code they replaced.
 ``PrivateCompression.label_map`` is the one way a label prescription reaches a
 node's histories; a ``Session`` builds each node's map, the compressed subtree
 with its masses, the common classes and their mixtures once, and serves the
-common measurement, its witness re-evaluation and the alg-3 sweep.  The
-scalar per-history extension, the two subtree walks, the three mixture
-copies and the scalar common profile they replaced are kept here as the
-oracle, on a tree of their own; values are compared by ``float.hex``.
+common measurement and the alg-3 sweep.  The scalar per-history extension,
+the two subtree walks, the three mixture copies and the scalar common profile
+they replaced are kept here as the oracle, on a tree of their own, with the
+witness re-evaluations; values are compared by ``float.hex``.
 """
 
 import numpy as np
@@ -22,25 +22,14 @@ from ciplan.compression import (
     bcs_common,
     build_common_greedy,
     build_greedy,
-    compressed_prescriptions,
-    compressed_subtree,
-    extension,
     identity_private,
     measure_common,
     measure_private,
-    reevaluate_common_witness,
-    reevaluate_private_witness,
     tv_distance,
 )
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
-from ciplan.histories import (
-    FcsTree,
-    Prescription,
-    PrescriptionDomainError,
-    enumerate_prescriptions,
-    level_nodes,
-)
+from ciplan.histories import FcsTree, Prescription, enumerate_prescriptions, level_nodes
 from ciplan.model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, validate
 from ciplan.verify import verify_gaps
 
@@ -121,33 +110,38 @@ def scalar_mu_levels(model, tree, pc):
     return masses
 
 
+def scalar_history_laws(pc, tree, node):
+    """Per admissible joint history at ``node``: the history, its state law
+    and the state law of its joint label's same-node preimage."""
+    fps = tree.reachable_fps(node)
+    jlabel = {
+        f.histories: tuple(pc.label_of(node.t, node.seq, n, h) for n, h in enumerate(f.histories))
+        for f in fps
+    }
+    classes = {}
+    for f in fps:
+        classes.setdefault(jlabel[f.histories], []).append(f)
+    for f in fps:
+        pre = classes[jlabel[f.histories]]
+        mass = sum(g.probability for g in pre)
+        sdist_h = {
+            s: p / f.probability
+            for s, p in enumerate(f.state_probabilities)
+            if p > ADMISSIBILITY_THRESHOLD
+        }
+        sdist_z = {}
+        for g in pre:
+            for s, p in enumerate(g.state_probabilities):
+                if p > ADMISSIBILITY_THRESHOLD:
+                    sdist_z[s] = sdist_z.get(s, 0.0) + p / mass
+        yield f.histories, sdist_h, sdist_z
+
+
 def scalar_measure_private(model, pc, tree):
     sup_r, sup_o, wit = 0.0, 0.0, {}
     for t in range(1, model.horizon + 1):
         for node in level_nodes(tree, t):
-            fps = tree.reachable_fps(node)
-            jlabel = {
-                f.histories: tuple(
-                    pc.label_of(t, node.seq, n, h) for n, h in enumerate(f.histories)
-                )
-                for f in fps
-            }
-            classes = {}
-            for f in fps:
-                classes.setdefault(jlabel[f.histories], []).append(f)
-            for f in fps:
-                pre = classes[jlabel[f.histories]]
-                mass = sum(g.probability for g in pre)
-                sdist_h = {
-                    s: p / f.probability
-                    for s, p in enumerate(f.state_probabilities)
-                    if p > ADMISSIBILITY_THRESHOLD
-                }
-                sdist_z = {}
-                for g in pre:
-                    for s, p in enumerate(g.state_probabilities):
-                        if p > ADMISSIBILITY_THRESHOLD:
-                            sdist_z[s] = sdist_z.get(s, 0.0) + p / mass
+            for hjoint, sdist_h, sdist_z in scalar_history_laws(pc, tree, node):
                 for a in model.iter_joint_actions():
                     a_idx = model.joint_action_index(a)
                     d = abs(
@@ -155,15 +149,33 @@ def scalar_measure_private(model, pc, tree):
                         - scalar_joint_reward(model, sdist_z, a_idx)
                     )
                     if d > sup_r:
-                        sup_r, wit["eps_p"] = d, ("eps_p", t, node.seq, f.histories, a)
+                        sup_r, wit["eps_p"] = d, ("eps_p", t, node.seq, hjoint, a)
                     if t < model.horizon:
                         d = tv_distance(
                             _next_obs_distribution(model, sdist_h, a_idx),
                             _next_obs_distribution(model, sdist_z, a_idx),
                         )
                         if d > sup_o:
-                            sup_o, wit["delta_p"] = d, ("delta_p", t, node.seq, f.histories, a)
+                            sup_o, wit["delta_p"] = d, ("delta_p", t, node.seq, hjoint, a)
     return 4.0 * sup_r, 8.0 * sup_o, wit
+
+
+def scalar_reevaluate_private(model, pc, witness, tree):
+    """The folded value a private-measurement witness attains."""
+    kind, _t, seq, hjoint, a = witness
+    a_idx = model.joint_action_index(a)
+    for h, sdist_h, sdist_z in scalar_history_laws(pc, tree, tree.node(seq)):
+        if h == hjoint:
+            if kind == "eps_p":
+                return 4.0 * abs(
+                    scalar_joint_reward(model, sdist_h, a_idx)
+                    - scalar_joint_reward(model, sdist_z, a_idx)
+                )
+            return 8.0 * tv_distance(
+                _next_obs_distribution(model, sdist_h, a_idx),
+                _next_obs_distribution(model, sdist_z, a_idx),
+            )
+    raise ValueError(f"history {hjoint!r} is not admissible at node {seq!r}")
 
 
 def scalar_classes(model, tree, pc, cc, t):
@@ -266,7 +278,8 @@ def assert_matches_oracle(model, tols):
     tree, ref = FcsTree(model), FcsTree(model)
     pc = build_greedy(model, *tols, tree=tree)
 
-    levels = compressed_subtree(model, tree, pc)
+    s = Session(tree, pc)
+    levels = s.subtree()
     masses = scalar_mu_levels(model, ref, pc)
     assert [[(node.seq, mass.hex()) for node, mass in level] for level in levels] == [
         [(node.seq, masses[t][node.seq].hex()) for node in level]
@@ -274,25 +287,23 @@ def assert_matches_oracle(model, tols):
     ]
     for level in levels:
         for node, _mass in level:
-            pairs = compressed_prescriptions(model, tree, node, pc)
-            assert [(lam.key, gamma.key) for lam, gamma in pairs] == [
+            assert [(lam.key, gamma.key) for lam, gamma in s.pairs(node)] == [
                 (lam.key, gamma.key) for lam, gamma in scalar_pairs(model, pc, node)
             ]
-            assert all(extension(tree, node, pc, lam) == gamma for lam, gamma in pairs)
 
     mp = measure_private(model, pc, tree=tree)
     eps_p, delta_p, wit = scalar_measure_private(model, pc, ref)
     assert (mp.eps_p.hex(), mp.delta_p.hex(), mp.witnesses) == (eps_p.hex(), delta_p.hex(), wit)
     for kind, witness in mp.witnesses.items():
-        assert reevaluate_private_witness(model, pc, witness, tree=tree) == getattr(mp, kind)
+        assert scalar_reevaluate_private(model, pc, witness, ref).hex() == getattr(mp, kind).hex()
 
     for cc in (bcs_common(model, pc, tree), build_common_greedy(model, pc, 0.5, 0.5, tree=tree)):
         mc = measure_common(model, pc, cc, tree=tree)
         eps_c, delta_c, wit = scalar_measure_common(model, pc, cc, ref)
         assert (mc.eps_c.hex(), mc.delta_c.hex(), mc.witnesses) == (eps_c.hex(), delta_c.hex(), wit)
-        for witness in mc.witnesses.values():
-            value = reevaluate_common_witness(model, pc, cc, witness, tree=tree)
-            assert value.hex() == scalar_reevaluate_common(model, pc, cc, witness, ref).hex()
+        for kind, witness in mc.witnesses.items():
+            value = scalar_reevaluate_common(model, pc, cc, witness, ref)
+            assert value.hex() == getattr(mc, kind).hex()
 
         table, policy, label_policy = solve_ascs_asps(model, pc, cc, tree=tree)
         got = {
@@ -415,14 +426,6 @@ def test_label_map_gathers_label_rows_onto_histories(coin2):
         assert [keys[c] for c in colmap] == [pc.label_of(2, node.seq, n, h) for n, h in hists]
 
 
-def test_extension_rejects_a_prescription_over_other_labels(coin2):
-    tree = FcsTree(coin2)
-    pc = build_greedy(coin2, 0.5, 0.5, tree=tree)
-    _o0, root, _p = tree.roots()[0]
-    with pytest.raises(PrescriptionDomainError):
-        extension(tree, root, pc, Prescription(((("no such label", 0),), ((0, 0),))))
-
-
 # -- budgets ---------------------------------------------------------------
 
 
@@ -435,11 +438,8 @@ def test_measurements_charge_the_budget(coin2):
         for t in range(1, coin2.horizon + 1)
         for node in level_nodes(tree, t)
     )
-    common = sum(
-        len(compressed_prescriptions(coin2, tree, node, pc))
-        for level in compressed_subtree(coin2, tree, pc)
-        for node, _mass in level
-    )
+    s = Session(tree, pc)
+    common = sum(len(s.pairs(node)) for level in s.subtree() for node, _mass in level)
     assert measure_private(coin2, pc, tree=tree, budget=private).eps_p > 0.0
     with pytest.raises(BudgetExceededError) as err:
         measure_private(coin2, pc, tree=tree, budget=private - 1)

@@ -59,6 +59,30 @@ def test_missing_field_is_format_error():
         from_dict(doc)
 
 
+def test_agent_axes_in_the_wrong_order_are_format_error():
+    # With action sizes (2, 3) the agent axes in the wrong order flatten to the
+    # same (S, 6, S) transition and (S, 6) reward, so only the nested shape
+    # tells them apart; likewise the private observation axes.
+    doc = tiny_model(actions=[["a", "b"], ["a", "b", "c"]])
+    doc["transition"] = [[[[0.5, 0.5]] * 2] * 3] * 2
+    doc["reward"] = [[[0.0] * 3] * 2] * 2
+    with pytest.raises(ModelFormatError) as err:
+        from_dict(doc)
+    assert str(err.value) == (
+        "malformed tensor: transition: expected nested shape (2, 2, 3, 2), got (2, 3, 2, 2)"
+    )
+    doc["transition"] = [[[[0.5, 0.5]] * 3] * 2] * 2
+    doc["reward"] = [[[0.0] * 2] * 3] * 2
+    with pytest.raises(ModelFormatError, match=r"^malformed tensor: reward: .* \(2, 2, 3\), got"):
+        from_dict(doc)
+    doc["reward"] = [[[0.0] * 3] * 2] * 2
+    assert from_dict(doc).transition.shape == (2, 6, 2)
+    doc = tiny_model(private_obs=[["o0", "o1"], ["o0"]])
+    doc["observation"] = [[[[0.5, 0.5]]]] * 2
+    with pytest.raises(ModelFormatError, match=r"^malformed tensor: observation: expected"):
+        from_dict(doc)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("num_agents", None), ("horizon", {"k": 1}), ("private_obs", [1.5]),
