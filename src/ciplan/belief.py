@@ -58,10 +58,17 @@ class BeliefState:
 
     @property
     def fingerprint(self) -> tuple:
-        return (
-            self.t,
-            tuple((k, round(p, FINGERPRINT_DECIMALS)) for k, p in self.atoms),
-        )
+        return _fingerprint(self.t, self.atoms)
+
+
+def _fingerprint(t: int, atoms, total: float = 1.0) -> tuple:
+    """``(t, atoms)`` with each weight divided by ``total``, then rounded."""
+    return (t, tuple([(k, round(w / total, FINGERPRINT_DECIMALS)) for k, w in atoms]))
+
+
+def _node_fingerprint(node: FcsNode) -> tuple:
+    """``compute_bcs(tree, node).fingerprint``, without building the belief."""
+    return _fingerprint(node.t, node.weights, sum([w for _k, w in node.weights]))
 
 
 def _belief_from_raw(t: int, raw: dict) -> BeliefState:
@@ -112,13 +119,7 @@ def solve_bcs_fps(
 
     Coordinator histories with equal (rounded) beliefs share one value entry.
     """
-    tree = tree or FcsTree(model)
-    return generic_solve(
-        model,
-        tree,
-        key_fn=lambda node: compute_bcs(tree, node).fingerprint,
-        budget=budget,
-    )
+    return generic_solve(model, tree, key_fn=_node_fingerprint, budget=budget)
 
 
 # -- sufficient private information ---------------------------------------

@@ -88,8 +88,8 @@ _BATCH_ENTRIES = 1 << 16
 
 
 class _Level:
-    """The prescription spaces and immediate rewards of a list of nodes at one
-    depth, as the backward sweep reads them.
+    """The prescription spaces, immediate rewards and children of a list of
+    nodes at one depth, as the backward sweep reads them.
 
     Under ``pc`` a node's prescriptions range over its label domains and
     ``colmaps[i]`` maps each history column to its label column; otherwise
@@ -97,13 +97,16 @@ class _Level:
     its node's action rows, and nodes are grouped by the shape of their
     domains, which fixes their action table.  The prescription counts come
     from the shapes alone; no table is built and nothing is scored before
-    the first :meth:`rewards` call.
+    the first :meth:`rewards` call.  Once :meth:`link` has given the level
+    its edges to the prepared level ``below``, :meth:`children` reads them
+    by position; until then it asks the tree's expansion cache.
     """
+
+    below: _Level | None = None
 
     def __init__(self, solver: _Solver, nodes: list[FcsNode], atoms: Atoms):
         pc = solver.pc
-        self.solver = solver
-        self.atoms = atoms
+        self.solver, self.nodes, self.atoms = solver, nodes, atoms
         self.hist_domains = [node.agent_domains for node in nodes]
         if pc is None:
             self.domains = self.hist_domains
@@ -124,11 +127,12 @@ class _Level:
         new = np.ones(len(ordered), dtype=bool)
         new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
         self.bounds = np.append(np.flatnonzero(new), len(ordered))
-        self.shape_of = np.empty(len(ordered), dtype=np.intp)
-        self.shape_of[self.order] = np.cumsum(new) - 1
+        shape_of = np.empty(len(ordered), dtype=np.intp)
+        shape_of[self.order] = np.cumsum(new) - 1
+        self.shape_of = shape_of.tolist()
         self.shapes = [tuple(shape) for shape in ordered[new].tolist()]
         counts = [solver.count(shape) for shape in self.shapes]
-        self.counts = [counts[g] for g in self.shape_of.tolist()]
+        self.counts = [counts[g] for g in self.shape_of]
         self.q = None
 
     def table(self, i: int) -> np.ndarray:
@@ -182,22 +186,37 @@ class _Level:
             self.score()
         return self.best[self.block[i]][self.row[i]]
 
-    def rows(self, i: int) -> np.ndarray:
-        """Node ``i``'s action rows over its history domains."""
-        if self.colmaps is None:
-            return self.table(i)
-        return self.table(i)[:, self.colmaps[i]]
+    def link(self, below: _Level, gammas: list[list[Prescription]], first: list[int],
+             mass: list[float]) -> None:
+        """Row ``k`` of node ``i`` is ``gammas[i][k]``, and its children are
+        the nodes ``first[pair]:first[pair + 1]`` of ``below``, with the
+        masses ``mass[c]``, ``pair`` counting the rows node by node."""
+        self.below, self.kept, self.first, self.mass = below, gammas, first, mass
+        self.pair0 = np.cumsum([0, *self.counts]).tolist()
+
+    def children(self, i: int, k: int):
+        """``(level, position, P(o0))`` of each child of node ``i`` under row
+        ``k``, in ``o0`` order; a child no level holds is prepared alone."""
+        if self.below is None:
+            expand = self.solver.tree.expand(self.nodes[i], self.gamma(i, k))
+            return [(_Alone(self.solver, child), 0, p) for _o0, child, p in expand]
+        pair = self.pair0[i] + k
+        lo, hi = self.first[pair], self.first[pair + 1]
+        return zip(itertools.repeat(self.below), range(lo, hi), self.mass[lo:hi])
 
     def gamma(self, i: int, k: int) -> Prescription:
         """The history-domain prescription of row ``k`` at node ``i``."""
+        if self.below is not None:
+            return self.kept[i][k]
         row = self.table(i)[k]
         if self.colmaps is not None:
             row = row[self.colmaps[i]]
         return self.solver.tree._prescription(self.hist_domains[i], row)
 
     def gammas(self, i: int) -> list[Prescription]:
+        rows = self.table(i) if self.colmaps is None else self.table(i)[:, self.colmaps[i]]
         tree, domains = self.solver.tree, self.hist_domains[i]
-        return [tree._prescription(domains, row) for row in self.rows(i)]
+        return [tree._prescription(domains, row) for row in rows]
 
     def lam(self, i: int, k: int) -> Prescription:
         """The label prescription of row ``k`` at node ``i``."""
@@ -210,7 +229,7 @@ class _Alone(_Level):
     scalar sum ``q += w * r`` again."""
 
     def __init__(self, solver: _Solver, node: FcsNode):
-        self.solver, self.node, self.q = solver, node, None
+        self.solver, self.nodes, self.q = solver, [node], None
         hist_domains = node.agent_domains
         if solver.pc is None:
             domains, self.colmaps = hist_domains, None
@@ -227,7 +246,7 @@ class _Alone(_Level):
         reward = self.solver.model.reward
         contrib = self.solver.contrib(self.shapes[0])
         q = np.zeros(contrib.shape[1])
-        for (s, hjoint), w in self.node.weights:
+        for (s, hjoint), w in self.nodes[0].weights:
             joint = contrib[[self.columns[n][h] for n, h in enumerate(hjoint)]].sum(axis=0)
             q += w * reward[s][joint]
         self.q, self.best = [q[None]], [[int(np.argmax(q))]]
@@ -255,9 +274,9 @@ class _Solver:
             self._counts[shape] = prescription_count(self.model, tuple(map(range, shape)))
         return self._counts[shape]
 
-    def forward(self, budget: int, depth: int) -> dict[int, tuple[_Level, int]]:
-        """Prepare levels ``1 .. depth`` whole, from the roots down, and map
-        each prepared node's ``id`` to its level and position there.
+    def forward(self, budget: int, depth: int) -> _Level | None:
+        """Prepare levels ``1 .. depth`` whole, from the roots down, each
+        linked to the next, and return the first.
 
         The pass stops at the first level whose cumulative prescription count
         passes ``budget``, or whose expansion from the level above would take
@@ -265,7 +284,7 @@ class _Solver:
         below one at a time, as it meets them.
         """
         tree, pc = self.tree, self.pc
-        where: dict[int, tuple[_Level, int]] = {}
+        top = level = None
         spent = 0
         for t in range(1, depth + 1):
             if t > 1 and (pc is not None or t > len(tree._levels)):
@@ -274,20 +293,26 @@ class _Solver:
                     break
             if pc is None:
                 nodes, atoms = tree.full_level(t)
+                edges = tree._edges[t - 2] if t > 1 else None
             elif t == 1:
                 nodes = [node for _o0, node, _p in tree.roots()]
                 atoms = Atoms.of(nodes)
             else:
                 tables = [level.table(i) for i in range(len(nodes))]
                 gammas = [level.gammas(i) for i in range(len(nodes))]
-                nodes, atoms = tree.expand_rows(nodes, atoms, level.columns, tables, gammas)
-            level = _Level(self, nodes, atoms)
-            spent += sum(level.counts)
+                nodes, atoms, first, mass = tree.expand_rows(
+                    nodes, atoms, level.columns, tables, gammas)
+                edges = gammas, first, mass
+            below = _Level(self, nodes, atoms)
+            spent += sum(below.counts)
             if spent > budget:
                 break
-            for i, node in enumerate(nodes):
-                where[id(node)] = (level, i)
-        return where
+            if level is None:
+                top = below
+            else:
+                level.link(below, *edges)
+            level = below
+        return top
 
 
 def generic_solve(
@@ -300,15 +325,15 @@ def generic_solve(
 ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep shared by the exact and compressed dynamic programs.
 
-    A forward pass first prepares the sweep one whole depth at a time: the
-    tree's :meth:`~FcsTree.full_level` (or, under ``pc``, the subtree the
-    label prescriptions reach, through :meth:`~FcsTree.expand_rows`) and the
-    immediate rewards of every prescription of every node of that depth.
-    The depth-first sweep then backs the values up, so the first node to
-    reach a key fills its entry.  Ties go to the smallest canonical index.
-    A ``key_fn`` lets the sweep skip the subtrees below a solved key, so
-    the pass then prepares only the full levels the tree already holds;
-    the sweep prepares every other node alone, when it first meets it.
+    A forward pass first prepares whole depths: the tree's full levels (or,
+    under ``pc``, the subtree the label prescriptions reach), each with the
+    rewards of its rows and its edges to the next, as ``expand_rows`` gave
+    them.  The depth-first sweep then visits ``(level, position)`` pairs and
+    reads a row's children as a range of positions below, so the first node
+    to reach a key fills its entry.  Ties go to the smallest canonical index.
+    A ``key_fn`` lets the sweep skip the subtrees below a solved key, so the
+    pass then prepares only the full levels the tree already holds; below
+    them the children come from ``tree.expand``, each node prepared alone.
 
     Parameters
     ----------
@@ -331,50 +356,40 @@ def generic_solve(
         key_fn = lambda node: node.seq
     solver = _Solver(model, tree, pc)
     depth = model.horizon if by_seq else len(tree._levels) if pc is None else 0
-    where = solver.forward(budget, depth)
+    top = solver.forward(budget, depth)
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
     evals = 0
 
-    def space(node: FcsNode) -> tuple[_Level, int]:
-        """The node's level and position; a node no level holds is prepared
-        alone, and not kept, so its rewards go with its visit."""
-        return where.get(id(node)) or (_Alone(solver, node), 0)
-
-    def revisit(node: FcsNode, entry: ValueEntry) -> float:
-        level, i = space(node)
-        gamma = level.gamma(i, entry.argmax_index)
-        policy.prescriptions.setdefault(node.seq, gamma)
-        if node.t < model.horizon:
-            for _o0, child, _p in tree.expand(node, gamma):
-                solve(child)
-        return entry.value
-
-    def solve(node: FcsNode) -> float:
+    def solve(level: _Level, i: int) -> float:
         nonlocal evals
-        key = key_fn(node)
-        entry = table.entries.get((node.t, key))
+        node = level.nodes[i]
+        key = (node.t, key_fn(node))
+        # A node sequence is met once, so only a ``key_fn`` can find an entry.
+        entry = None if by_seq else table.entries.get(key)
         if entry is not None:
-            return revisit(node, entry)
-        level, i = space(node)
+            best = entry.argmax_index
+            policy.prescriptions.setdefault(node.seq, level.gamma(i, best))
+            if node.t < model.horizon:
+                for child, c, _p in level.children(i, best):
+                    solve(child, c)
+            return entry.value
         evals += level.counts[i]
         if evals > budget:
             raise BudgetExceededError(node.seq, budget)
         q = level.rewards(i)
         if node.t < model.horizon:
-            gammas = level.gammas(i)
-            for k, gamma in enumerate(gammas):
+            for k in range(len(q)):
                 total = q[k]
-                for _o0, child, p in tree.expand(node, gamma):
-                    total += p * solve(child)
+                for child, c, p in level.children(i, k):
+                    total += p * solve(child, c)
                 q[k] = total
-            best = int(np.argmax(q))
-            gamma = gammas[best]
+            best = q.index(max(q))
         else:
             best = level.best_row(i)
-            gamma = level.gamma(i, best)
+        gamma = level.gamma(i, best)
         lam = gamma if pc is None else level.lam(i, best)
-        table.entries[(node.t, key)] = ValueEntry(
+        table.entries[key] = ValueEntry(
             value=q[best],
             argmax_index=best,
             argmax_key=lam.key,
@@ -385,13 +400,13 @@ def generic_solve(
 
     overall = 0.0
     try:
-        for _o0, root, p_root in tree.roots():
-            overall += p_root * solve(root)
+        for j, (_o0, root, p_root) in enumerate(tree.roots()):
+            overall += p_root * (solve(top, j) if top else solve(_Alone(solver, root), 0))
     finally:
-        # ``solve`` and ``revisit`` reach each other through their closure
-        # cells; emptying the cells lets the tree and tables go by reference
-        # counting instead of waiting for a cyclic collection.
-        del solve, revisit
+        # ``solve`` reaches itself through its closure cell; emptying the cell
+        # lets the tree and tables go by reference counting instead of
+        # waiting for a cyclic collection.
+        del solve
     table.overall_value = overall
     return table, policy
 

@@ -224,7 +224,10 @@ class FcsTree:
     Nodes are made one expansion at a time by :meth:`expand`, or a level at a
     time by :meth:`expand_rows`; both fill one expansion cache with the same
     nodes.  :meth:`full_level` keeps the full levels it expanded, with their
-    atoms, and :func:`level_nodes` reads them.
+    atoms, and :func:`level_nodes` reads them.  It also keeps each level's
+    edges to the level below (``_edges``): the prescriptions it expanded every
+    node under, where each (node, row) pair's children start in the level
+    below, and each child's mass, so a sweep walks them by position.
 
     Besides its nodes, a tree memoises two quantities that depend on the
     common information alone, so every call sharing the tree computes each
@@ -245,8 +248,10 @@ class FcsTree:
         self._nodes: dict[FcsKey, FcsNode] = {}
         self._children: dict[tuple, dict[int, tuple[FcsNode, float]]] = {}
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
-        # Full levels 1, 2, ... with their atoms, as ``full_level`` built them.
+        # Full levels 1, 2, ... with their atoms, as ``full_level`` built them,
+        # and the ``(gammas, first, mass)`` edges from level t to t + 1.
         self._levels: list[tuple[list[FcsNode], Atoms]] = []
+        self._edges: list[tuple[list[list[Prescription]], list[int], list[float]]] = []
         # Action tables per domain shape, and one prescription object per
         # (domains, row), shared by the expansion cache keys and the sweeps'
         # policies.
@@ -368,9 +373,10 @@ class FcsTree:
                 [self._prescription(node.agent_domains, row) for row in rows]
                 for node, rows in zip(nodes, tables)
             ]
-            self._levels.append(
-                self.expand_rows(nodes, atoms, atoms.columns(), tables, gammas)
-            )
+            children, child_atoms, first, mass = self.expand_rows(
+                nodes, atoms, atoms.columns(), tables, gammas)
+            self._levels.append((children, child_atoms))
+            self._edges.append((gammas, first, mass))
         return self._levels[t - 1]
 
     def expand_rows(
@@ -380,21 +386,24 @@ class FcsTree:
         columns: np.ndarray,
         tables: list[np.ndarray],
         gammas: list[list[Prescription]],
-    ) -> tuple[list[FcsNode], Atoms]:
+    ) -> tuple[list[FcsNode], Atoms, list[int], list[float]]:
         """Expand every node under every row of its action table in one pass.
 
         Row ``k`` of ``tables[i]`` stands for the history-domain prescription
         ``gammas[i][k]``; agent ``n`` of atom ``j`` takes the action in column
         ``columns[j, n]`` of its node's rows.  The children, bit for bit those
         of :meth:`expand`, go into the expansion cache and are returned for
-        node, for row, for ``o0``, with their atoms.
+        node, for row, for ``o0``, with their atoms.  Pair ``(i, k)``, the
+        ``k``-th row of node ``i`` counting over the nodes in order, has the
+        children ``first[pair]:first[pair + 1]``, and child ``c`` has the mass
+        ``mass[c]`` that :meth:`expand` gives it.
 
         The successor weights are summed per ``(s', joint history)`` and then
         per child in the order the scalar expansion meets them.
         """
         m = self.model
         if not nodes:
-            return [], Atoms.of([])
+            return [], Atoms.of([]), [0], []
         agents, obs_sizes = m.num_agents, m.private_obs_sizes
         pair_node, pair_row, entry_pair, entry_atom, actions = _entries(atoms, columns, tables)
         entry, s_next, obs, prob = _successors(m, atoms.state, atoms.weight, entry_atom, actions)
@@ -461,6 +470,7 @@ class FcsTree:
         bounds = np.searchsorted(group_child, np.arange(len(child_slot) + 1)).tolist()
         # Materialise the children pair by pair, into the cache.
         children: list[FcsNode] = []
+        first, mass = [0], []
         slots = child_slot.tolist()
         masses = child_mass.tolist()
         c = 0
@@ -483,7 +493,9 @@ class FcsTree:
                 else:
                     result[o0] = cached[o0]
                 children.append(result[o0][0])
+                mass.append(result[o0][1])
                 c += 1
+            first.append(c)
             if cached is None:
                 self._children[cache_key] = result
         return children, Atoms(
@@ -492,7 +504,7 @@ class FcsTree:
             weight=weight,
             hist=np.stack(hist_cols, axis=1),
             sizes=np.stack(size_cols, axis=1),
-        )
+        ), first, mass
 
     # -- reachable private structure -------------------------------------
 
@@ -553,12 +565,8 @@ def prescription_actions(model: DecPomdpModel, domains: tuple[tuple, ...]) -> np
 
 def prescription_from_row(domains: tuple[tuple, ...], row) -> Prescription:
     """The prescription one row of :func:`prescription_actions` stands for."""
-    actions = [int(a) for a in row]
-    entries, start = [], 0
-    for domain in domains:
-        entries.append(tuple(zip(domain, actions[start:start + len(domain)])))
-        start += len(domain)
-    return Prescription(tuple(entries))
+    actions = map(int, row)
+    return Prescription(tuple([tuple(zip(domain, actions)) for domain in domains]))
 
 
 def prescription_count(model: DecPomdpModel, domains: tuple[tuple, ...]) -> int:

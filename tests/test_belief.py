@@ -7,6 +7,7 @@ import pytest
 from ciplan.belief import (
     SpiConditionError,
     ZeroProbabilityBranchError,
+    _node_fingerprint,
     bayes_update,
     check_spi,
     compute_bcs,
@@ -88,6 +89,16 @@ def test_fingerprint_rounds_to_nine_decimals(coin2):
     from ciplan.belief import BeliefState
 
     assert BeliefState(t=b.t, atoms=jitter).fingerprint == b.fingerprint
+
+
+def test_node_fingerprint_is_the_belief_fingerprint(coin2, small_models):
+    # The alg-4 key reads the fingerprint straight off a node's weights; it
+    # must be the belief's own fingerprint, tuple for tuple.
+    for model in (coin2, small_models[1], small_models[3]):
+        tree = FcsTree(model)
+        for t in range(1, model.horizon + 1):
+            for node in level_nodes(tree, t):
+                assert _node_fingerprint(node) == compute_bcs(tree, node).fingerprint
 
 
 def test_belief_keyed_sweep_matches_exact(coin2, small_models):

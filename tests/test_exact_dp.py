@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ciplan import exact_dp
 from ciplan.approx_dp import solve_fcs_asps
 from ciplan.belief import compute_bcs, solve_bcs_fps, solve_bcs_spi
 from ciplan.compression import Session, build_exact_private
@@ -178,18 +179,13 @@ def scalar_sweep(model, tree, pairs, key_fn) -> dict:
     return entries
 
 
-def kernel_solves(model):
-    """``name -> (table, policy, scalar entries)`` for algs 1, 2, 4 and 5, with
-    alg 2 and alg 5 on the exact private compression."""
-    tree = FcsTree(model)
-    pc = build_exact_private(model, tree)
+def scalar_specs(model, tree, pc) -> dict:
+    """``name -> (pairs, key_fn)`` of the scalar sweep that each of algs 1, 2,
+    4 and 5 reproduces, with alg 2 and alg 5 on ``pc``."""
     session = Session(tree, pc)
 
     def identity(node):
         return [(g, g) for g in enumerate_prescriptions(model, node.agent_domains)]
-
-    def compressed(node):
-        return session.pairs(node)
 
     def seq(node):
         return node.seq
@@ -202,18 +198,36 @@ def kernel_solves(model):
         return compute_bcs(tree, node, label_of=label_of).fingerprint
 
     return {
-        "alg1": (*solve_fcs_fps(model, tree), scalar_sweep(model, tree, identity, seq)),
-        "alg2": (*solve_fcs_asps(model, pc, tree), scalar_sweep(model, tree, compressed, seq)),
-        "alg4": (*solve_bcs_fps(model, tree), scalar_sweep(model, tree, identity, belief)),
-        "alg5": (
-            *solve_bcs_spi(model, pc, tree),
-            scalar_sweep(model, tree, compressed, label_belief),
-        ),
+        "alg1": (identity, seq),
+        "alg2": (session.pairs, seq),
+        "alg4": (identity, belief),
+        "alg5": (session.pairs, label_belief),
+    }
+
+
+def kernel_solves(model):
+    """``name -> (table, policy, scalar entries)`` for algs 1, 2, 4 and 5, with
+    alg 2 and alg 5 on the exact private compression."""
+    tree = FcsTree(model)
+    pc = build_exact_private(model, tree)
+    specs = scalar_specs(model, tree, pc)
+    solves = {
+        "alg1": lambda: solve_fcs_fps(model, tree),
+        "alg2": lambda: solve_fcs_asps(model, pc, tree),
+        "alg4": lambda: solve_bcs_fps(model, tree),
+        "alg5": lambda: solve_bcs_spi(model, pc, tree),
+    }
+    return {
+        name: (*solve(), scalar_sweep(model, tree, *specs[name]))
+        for name, solve in solves.items()
     }
 
 
 def assert_kernel_matches_scalar(model):
-    solves = kernel_solves(model)
+    assert_solves_match_scalar(kernel_solves(model))
+
+
+def assert_solves_match_scalar(solves):
     exact = solves["alg1"][0].overall_value
     for name, (table, _policy, scalar) in solves.items():
         # Lossless compression and belief keys keep the exact value.
@@ -234,6 +248,61 @@ def test_kernel_matches_scalar_sweep_on_coin2(coin2):
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SHAPES))
 def test_kernel_matches_scalar_sweep(seed, shape):
     assert_kernel_matches_scalar(random_model(seed, **{"horizon": 2, **shape}))
+
+
+def test_sweeps_keep_the_scalar_bits_across_the_hand_over(coin2, monkeypatch):
+    # With a small batch limit the forward pass stops above the leaves: at
+    # depth 1 on the horizon-2 models and at depth 2 on the horizon-3 one.
+    # Below it the sweeps leave the level edges for the expansion cache.
+    monkeypatch.setattr(exact_dp, "_BATCH_ENTRIES", 64)
+    shallow = random_model(7, **{"horizon": 2, **KERNEL_SHAPES[1]})
+    for model in (coin2, shallow, random_model(7, **KERNEL_SHAPES[2])):
+        tree = FcsTree(model)
+        alg1, alg4 = solve_fcs_fps(model, tree), solve_bcs_fps(model, tree)
+        assert len(tree._levels) == model.horizon - 1
+        pc = build_exact_private(model, tree)
+        solved = {
+            "alg1": alg1,
+            "alg2": solve_fcs_asps(model, pc, tree),
+            "alg4": alg4,
+            "alg5": solve_bcs_spi(model, pc, tree),
+        }
+        specs = scalar_specs(model, tree, pc)
+        assert_solves_match_scalar(
+            {name: (*solved[name], scalar_sweep(model, tree, *specs[name])) for name in solved})
+
+
+def table_bits(table, policy) -> tuple:
+    """Everything a sweep returns, floats as ``float.hex``, in entry order."""
+    entries = [
+        (key, e.value.hex(), e.argmax_index, e.argmax_key, [q.hex() for q in e.q_values])
+        for key, e in table.entries.items()
+    ]
+    return table.overall_value.hex(), entries, list(policy.prescriptions.items())
+
+
+def test_prepared_levels_make_no_cache_lookups(coin2, monkeypatch):
+    # Once every level is prepared, algs 1, 2 and 4 walk the level edges by
+    # position and never ask the expansion cache.
+    for model in (coin2, random_model(5, **KERNEL_SHAPES[2])):
+        pc = build_exact_private(model)
+        want = [
+            table_bits(*solve_fcs_fps(model)),
+            table_bits(*solve_fcs_asps(model, pc)),
+            table_bits(*solve_bcs_fps(model)),
+        ]
+        tree = FcsTree(model)
+        pc = build_exact_private(model, tree)
+        for t in range(1, model.horizon + 1):
+            level_nodes(tree, t)
+        with monkeypatch.context() as patch:
+            patch.setattr(FcsTree, "expand", lambda *args: pytest.fail("expand called"))
+            got = [
+                table_bits(*solve_fcs_fps(model, tree)),
+                table_bits(*solve_fcs_asps(model, pc, tree)),
+                table_bits(*solve_bcs_fps(model, tree)),
+            ]
+        assert got == want
 
 
 def test_prescription_rows_follow_canonical_order(coin2):
