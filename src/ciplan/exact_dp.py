@@ -205,7 +205,8 @@ class _Level:
         return zip(itertools.repeat(self.below), range(lo, hi), self.mass[lo:hi])
 
     def gamma(self, i: int, k: int) -> Prescription:
-        """The history-domain prescription of row ``k`` at node ``i``."""
+        """The history-domain prescription of row ``k`` at node ``i``; a
+        linked level reads the one the forward pass expanded it under."""
         if self.below is not None:
             return self.kept[i][k]
         row = self.table(i)[k]
@@ -292,8 +293,7 @@ class _Solver:
                 if sum(c * n for c, n in zip(level.counts, sizes)) > _BATCH_ENTRIES:
                     break
             if pc is None:
-                nodes, atoms = tree.full_level(t)
-                edges = tree._edges[t - 2] if t > 1 else None
+                nodes, atoms, *edges = tree.full_level(t)
             elif t == 1:
                 nodes = [node for _o0, node, _p in tree.roots()]
                 atoms = Atoms.of(nodes)

@@ -224,10 +224,10 @@ class FcsTree:
     Nodes are made one expansion at a time by :meth:`expand`, or a level at a
     time by :meth:`expand_rows`; both fill one expansion cache with the same
     nodes.  :meth:`full_level` keeps the full levels it expanded, with their
-    atoms, and :func:`level_nodes` reads them.  It also keeps each level's
-    edges to the level below (``_edges``): the prescriptions it expanded every
-    node under, where each (node, row) pair's children start in the level
-    below, and each child's mass, so a sweep walks them by position.
+    atoms and the edges that reach them from the level above, and
+    :func:`level_nodes` reads them.  The edges are the prescriptions each
+    node above was expanded under, where each (node, row) pair's children
+    start, and each child's mass, so a sweep walks them by position.
 
     Besides its nodes, a tree memoises two quantities that depend on the
     common information alone, so every call sharing the tree computes each
@@ -248,10 +248,8 @@ class FcsTree:
         self._nodes: dict[FcsKey, FcsNode] = {}
         self._children: dict[tuple, dict[int, tuple[FcsNode, float]]] = {}
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
-        # Full levels 1, 2, ... with their atoms, as ``full_level`` built them,
-        # and the ``(gammas, first, mass)`` edges from level t to t + 1.
-        self._levels: list[tuple[list[FcsNode], Atoms]] = []
-        self._edges: list[tuple[list[list[Prescription]], list[int], list[float]]] = []
+        # Full levels 1, 2, ... as ``full_level`` returns them.
+        self._levels: list[tuple] = []
         # Action tables per domain shape, and one prescription object per
         # (domains, row), shared by the expansion cache keys and the sweeps'
         # policies.
@@ -359,15 +357,17 @@ class FcsTree:
             gamma = self._prescriptions[key] = prescription_from_row(domains, row.tolist())
         return gamma
 
-    def full_level(self, t: int) -> tuple[list[FcsNode], Atoms]:
+    def full_level(self, t: int) -> tuple:
         """The depth-``t`` nodes under every prescription at every node, in
-        :func:`level_nodes` order, with their atoms; each level is expanded
-        once, from the level above, by :meth:`expand_rows`."""
+        :func:`level_nodes` order, as ``(nodes, atoms, gammas, first, mass)``:
+        ``gammas[i][k]`` is row ``k`` of node ``i`` at depth ``t - 1`` (none
+        at the roots), and ``first`` and ``mass`` are what :meth:`expand_rows`
+        returned for those rows.  Each level is expanded once, from above."""
         if not self._levels:
             roots = [node for _o0, node, _p in self.roots()]
-            self._levels.append((roots, Atoms.of(roots)))
+            self._levels.append((roots, Atoms.of(roots), [], [0], []))
         while len(self._levels) < t:
-            nodes, atoms = self._levels[-1]
+            nodes, atoms, *_edges = self._levels[-1]
             tables = [self._action_rows(tuple(sizes)) for sizes in atoms.sizes.tolist()]
             gammas = [
                 [self._prescription(node.agent_domains, row) for row in rows]
@@ -375,8 +375,7 @@ class FcsTree:
             ]
             children, child_atoms, first, mass = self.expand_rows(
                 nodes, atoms, atoms.columns(), tables, gammas)
-            self._levels.append((children, child_atoms))
-            self._edges.append((gammas, first, mass))
+            self._levels.append((children, child_atoms, gammas, first, mass))
         return self._levels[t - 1]
 
     def expand_rows(

@@ -1,6 +1,7 @@
 """Exact backward sweep vs brute-force policy enumeration, plus the
 omniscient per-history Q function."""
 
+import collections
 import dataclasses
 import gc
 import weakref
@@ -253,23 +254,45 @@ def test_kernel_matches_scalar_sweep(seed, shape):
 def test_sweeps_keep_the_scalar_bits_across_the_hand_over(coin2, monkeypatch):
     # With a small batch limit the forward pass stops above the leaves: at
     # depth 1 on the horizon-2 models and at depth 2 on the horizon-3 one.
-    # Below it the sweeps leave the level edges for the expansion cache.
+    # Algs 1, 2 and 4 walk the edges of every linked level by position, then
+    # ask the expansion cache below the last prepared one; alg 5 prepares no
+    # level, so it asks the cache at every node.
     monkeypatch.setattr(exact_dp, "_BATCH_ENTRIES", 64)
+    calls = collections.Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(exact_dp._Level, "link", counted("link", exact_dp._Level.link))
+    monkeypatch.setattr(FcsTree, "expand", counted("expand", FcsTree.expand))
+
+    def crossing(solve):
+        calls.clear()
+        return (*solve(), calls["link"], calls["expand"] > 0)
+
     shallow = random_model(7, **{"horizon": 2, **KERNEL_SHAPES[1]})
     for model in (coin2, shallow, random_model(7, **KERNEL_SHAPES[2])):
         tree = FcsTree(model)
-        alg1, alg4 = solve_fcs_fps(model, tree), solve_bcs_fps(model, tree)
+        alg1 = crossing(lambda: solve_fcs_fps(model, tree))
+        alg4 = crossing(lambda: solve_bcs_fps(model, tree))
         assert len(tree._levels) == model.horizon - 1
         pc = build_exact_private(model, tree)
         solved = {
             "alg1": alg1,
-            "alg2": solve_fcs_asps(model, pc, tree),
+            "alg2": crossing(lambda: solve_fcs_asps(model, pc, tree)),
             "alg4": alg4,
-            "alg5": solve_bcs_spi(model, pc, tree),
+            "alg5": crossing(lambda: solve_bcs_spi(model, pc, tree)),
         }
+        for name, (*_solve, links, expanded) in solved.items():
+            assert (links, expanded) == (0 if name == "alg5" else model.horizon - 2, True)
         specs = scalar_specs(model, tree, pc)
-        assert_solves_match_scalar(
-            {name: (*solved[name], scalar_sweep(model, tree, *specs[name])) for name in solved})
+        assert_solves_match_scalar({
+            name: (table, policy, scalar_sweep(model, tree, *specs[name]))
+            for name, (table, policy, *_crossing) in solved.items()
+        })
 
 
 def table_bits(table, policy) -> tuple:
