@@ -166,14 +166,14 @@ class MeasuredParams:
 class Session:
     """What one frozen compression decides on one tree, each part built on
     first use: every node's label map, labels, (label prescription,
-    extension) pairs and common profiles, the compressed subtree, the common
-    classes with their mixtures and the measured parameters.
+    extension) pairs and common profiles, the compressed subtree's levels
+    (:meth:`level`, its one builder) and μ masses, the common classes with
+    their mixtures and the measured parameters.
 
     Labels are read when first needed, so a compression must not change
     while a session for it is in use, except through :meth:`relabel`; the
     tree keeps only what no label decides.  Every public function taking
-    ``pc`` takes a session too, and a session passes for ``pc`` where only
-    label maps are read.
+    ``pc`` takes a session too.
     """
 
     #: The parts built per node, memoised under ``(part, node.seq)``.
@@ -182,6 +182,7 @@ class Session:
     def __init__(self, tree: FcsTree, pc: PrivateCompression, cc=None):
         self.tree, self.model, self.pc, self.cc = tree, tree.model, pc, cc
         self._memo: dict = {}
+        self._levels: list[tuple] = []  # as ``level`` returns them
 
     @classmethod
     def of(cls, model: DecPomdpModel, pc, tree: FcsTree | None = None, cc=None):
@@ -239,7 +240,7 @@ class Session:
     def relabel(self, items) -> None:
         """Write the ``(item, label)`` pairs into the compression's ``theta``
         and drop what they change: everything a relabelled node built, the
-        edges of its parent, and every level-wide part."""
+        edges of its parent, and every level-wide part, the levels too."""
         theta, changed = self.pc.theta, set()
         for item, label in items:
             if theta[item] != label:
@@ -251,24 +252,41 @@ class Session:
             if type(key) is tuple and key[0] in self._NODE_PARTS and key[1] not in changed
             and (key[0] != "edges" or key[1] not in parents)
         }
+        self._levels = []
+
+    def level(self, t: int) -> tuple:
+        """Depth ``t`` of the compressed subtree in the record of
+        :meth:`FcsTree.full_level`, ``gammas[i]`` being the extensions of node
+        ``i``'s label rows above; each depth is expanded once, from above."""
+        levels, tree = self._levels, self.tree
+        if not levels:
+            roots = [node for _o0, node, _p in tree.roots()]
+            levels.append((roots, Atoms.of(roots), [], [0], []))
+        while len(levels) < t:
+            nodes, atoms, *_edges = levels[-1]
+            domains, colmaps = zip(*map(self.label_map, nodes))
+            tables = [tree._action_rows(tuple(map(len, labels))) for labels in domains]
+            gammas = [[gamma for _lam, gamma in self.pairs(node)] for node in nodes]
+            below, below_atoms, first, mass = tree.expand_rows(
+                nodes, atoms, atoms.columns(colmaps), tables, gammas)
+            levels.append((below, below_atoms, gammas, first, mass))
+        return levels[t - 1]
 
     def subtree(self) -> list[list[tuple[FcsNode, float]]]:
         """Nodes per time step reachable using only compressed prescriptions,
-        each with its mass under the reference measure.  The ``uniform``
-        measure draws the label prescription uniformly at every node, so each
-        level's masses sum to one; every node is reached once."""
+        each with its mass under the reference measure, read off
+        :meth:`level`.  The ``uniform`` measure draws the label prescription
+        uniformly at every node, so each level's masses sum to one."""
 
         def build():
             levels = [[(node, p) for _o0, node, p in self.tree.roots()]]
-            for _t in range(1, self.model.horizon):
-                nxt = []
-                for node, mass in levels[-1]:
-                    pairs = self.pairs(node)
-                    share = mass / len(pairs)
-                    for _lam, gamma in pairs:
-                        nxt.extend(
-                            (child, share * p) for _o0, child, p in self.tree.expand(node, gamma)
-                        )
+            for t in range(2, self.model.horizon + 1):
+                nodes, _atoms, gammas, first, mass = self.level(t)
+                nxt, pair = [], 0
+                for (_node, weight), rows in zip(levels[-1], gammas):
+                    share = weight / len(rows)
+                    lo, pair = first[pair], pair + len(rows)
+                    nxt.extend((nodes[c], share * mass[c]) for c in range(lo, first[pair]))
                 levels.append(nxt)
             return levels
 
@@ -348,14 +366,18 @@ def _private_edges(s: Session):
 
 def _common_edges(s: Session, cc: CommonCompression):
     """Every edge of the compressed subtree, as ``(phi0 key, source item,
-    successor label)``; unlabelled nodes read as ``None``."""
-    for t, level in enumerate(s.subtree()[:-1], start=1):
-        for node, _mass in level:
+    successor label)``, each (node, label row) pair's children read by
+    position off :meth:`Session.level`; unlabelled nodes read as ``None``."""
+    for t in range(1, s.model.horizon):
+        children, _atoms, _gammas, first, _mass = s.level(t + 1)
+        pair = 0
+        for node in s.level(t)[0]:
             z0 = cc.theta0.get((t, node.seq))
-            for lam, gamma in s.pairs(node):
-                for o0, child, _p in s.tree.expand(node, gamma):
+            for lam, _gamma in s.pairs(node):
+                for child in children[first[pair]:first[pair + 1]]:
                     z_next = cc.theta0.get((t + 1, child.seq))
-                    yield (t, z0, lam.key, o0), (t, node.seq), z_next
+                    yield (t, z0, lam.key, child.seq[-1]), (t, node.seq), z_next
+                pair += 1
 
 
 def _update_table(edges) -> tuple[dict | None, tuple | None]:
@@ -632,8 +654,8 @@ def identity_private(model: DecPomdpModel, tree: FcsTree | None = None) -> Priva
     return pc
 
 
-#: A total variation this close to its tolerance is settled by the scalar
-#: ``tv_distance``, whose term order the matrix does not follow.
+#: A private total variation this close to its tolerance is settled by the
+#: scalar ``tv_distance``, whose term order the matrix does not follow.
 _TV_MARGIN = 1e-9
 
 
@@ -710,15 +732,15 @@ def _greedy_partition(admit: np.ndarray, kept: list[int] | tuple = ()) -> list[i
     return labels
 
 
-def _compatibility(rewards, laws, tol_r: float, tol_o: float, scalar_tv) -> np.ndarray:
+def _compatibility(rewards, laws, tol_r: float, tol_o: float, scalar_tv=None) -> np.ndarray:
     """``ok[i, j]``: items ``i`` and ``j`` differ at most ``tol_r`` in every
     reward column ``rewards[:, k]`` and at most ``tol_o`` in total variation
     between the laws ``laws[:, k, :]`` (skipped when ``laws`` is ``None``).
 
     Built one column, and one outcome of a law, at a time, so no temporary
-    exceeds ``n × n``.  A total variation within ``_TV_MARGIN`` of a positive
-    ``tol_o`` is replaced by ``scalar_tv(i, j, k)`` for ``i > j``: the value
-    the pairwise check computed, in its own term order.
+    exceeds ``n × n``.  Given ``scalar_tv``, a total variation within
+    ``_TV_MARGIN`` of a positive ``tol_o`` is replaced by ``scalar_tv(i, j,
+    k)`` for ``i > j``, the pairwise check's value in its own term order.
     """
     m, columns = rewards.shape
     ok = np.ones((m, m), dtype=bool)
@@ -733,7 +755,7 @@ def _compatibility(rewards, laws, tol_r: float, tol_o: float, scalar_tv) -> np.n
             diff = np.subtract.outer(laws[:, k, o], laws[:, k, o])
             tv += np.abs(diff, out=diff)
         tv *= 0.5
-        if tol_o > 0.0:
+        if scalar_tv is not None and tol_o > 0.0:
             near = np.tril(ok & (np.abs(tv - tol_o) <= _TV_MARGIN), -1)
             for i, j in zip(*near.nonzero()):
                 tv[i, j] = tv[j, i] = scalar_tv(i, j, k)
@@ -912,15 +934,10 @@ def _common_matrix(
     ok = np.zeros((len(nodes), len(nodes)), dtype=bool)
     for index in groups.values():
         profiles = [s.profiles(nodes[i]) for i in index]
-        laws = np.stack([law for _r, law in profiles])
-
-        def scalar_tv(i, j, k):
-            return float(_tv(laws[i, k], laws[j, k]))
-
+        laws = np.stack([law for _r, law in profiles]) if with_laws else None
+        # The cells add each |Δ_o| in ``_tv``'s order: no scalar rule is needed.
         ok[np.ix_(index, index)] = _compatibility(
-            np.stack([r for r, _law in profiles]), laws if with_laws else None, tol_r, tol_o,
-            scalar_tv,
-        )
+            np.stack([r for r, _law in profiles]), laws, tol_r, tol_o)
     return ok
 
 

@@ -31,10 +31,9 @@ from .histories import (
 from .model import DecPomdpModel
 
 if TYPE_CHECKING:
-    from .compression import PrivateCompression
+    from .compression import Session
 
 DEFAULT_BUDGET = 10**7
-VALUE_TOL = 1e-9
 
 
 class BudgetExceededError(RuntimeError):
@@ -88,8 +87,8 @@ _BATCH_ENTRIES = 1 << 16
 
 
 class _Level:
-    """The prescription spaces, immediate rewards and children of a list of
-    nodes at one depth, as the backward sweep reads them.
+    """The prescription spaces, immediate rewards and children of one level
+    record's nodes, as the backward sweep reads them.
 
     Under ``pc`` a node's prescriptions range over its label domains and
     ``colmaps[i]`` maps each history column to its label column; otherwise
@@ -98,29 +97,21 @@ class _Level:
     domains, which fixes their action table.  The prescription counts come
     from the shapes alone; no table is built and nothing is scored before
     the first :meth:`rewards` call.  Once :meth:`link` has given the level
-    its edges to the prepared level ``below``, :meth:`children` reads them
-    by position; until then it asks the tree's expansion cache.
+    the edges of the record below, :meth:`children` reads them by position;
+    until then it asks the tree's expansion cache.
     """
 
     below: _Level | None = None
 
     def __init__(self, solver: _Solver, nodes: list[FcsNode], atoms: Atoms):
-        pc = solver.pc
         self.solver, self.nodes, self.atoms = solver, nodes, atoms
         self.hist_domains = [node.agent_domains for node in nodes]
-        if pc is None:
-            self.domains = self.hist_domains
-            self.colmaps = None
-            self.columns = atoms.columns()
-            sizes = atoms.sizes
+        if solver.pc is None:
+            self.domains, self.colmaps, sizes = self.hist_domains, None, atoms.sizes
         else:
-            maps = [pc.label_map(node) for node in nodes]
-            self.domains = [domains for domains, _colmap in maps]
-            self.colmaps = [colmap for _domains, colmap in maps]
-            widths = np.array([len(colmap) for colmap in self.colmaps], dtype=np.intp)
-            base = (np.cumsum(widths) - widths)[atoms.node_index()]
-            self.columns = np.concatenate(self.colmaps)[base[:, None] + atoms.columns()]
+            self.domains, self.colmaps = zip(*map(solver.pc.label_map, nodes))
             sizes = np.array([[len(d) for d in domains] for domains in self.domains])
+        self.columns = atoms.columns(self.colmaps)
         # Nodes by shape, in node order within a shape.
         self.order = np.lexsort(sizes.T[::-1])
         ordered = sizes[self.order]
@@ -214,11 +205,6 @@ class _Level:
             row = row[self.colmaps[i]]
         return self.solver.tree._prescription(self.hist_domains[i], row)
 
-    def gammas(self, i: int) -> list[Prescription]:
-        rows = self.table(i) if self.colmaps is None else self.table(i)[:, self.colmaps[i]]
-        tree, domains = self.solver.tree, self.hist_domains[i]
-        return [tree._prescription(domains, row) for row in rows]
-
     def lam(self, i: int, k: int) -> Prescription:
         """The label prescription of row ``k`` at node ``i``."""
         return prescription_from_row(self.domains[i], self.table(i)[k])
@@ -258,8 +244,9 @@ class _Solver:
     """Per-sweep caches: joint-action contributions and prescription counts
     per domain shape."""
 
-    def __init__(self, model: DecPomdpModel, tree: FcsTree, pc: PrivateCompression | None):
+    def __init__(self, model: DecPomdpModel, tree: FcsTree, pc: Session | None):
         self.model, self.tree, self.pc = model, tree, pc
+        self.source = tree if pc is None else pc  # what holds the levels
         self.strides = [stride for _size, stride in model._action_strides]
         self._contribs: dict[tuple[int, ...], np.ndarray] = {}
         self._counts: dict[tuple[int, ...], int] = {}
@@ -279,30 +266,21 @@ class _Solver:
         """Prepare levels ``1 .. depth`` whole, from the roots down, each
         linked to the next, and return the first.
 
+        Each level is ``tree.full_level(t)``, or ``pc.level(t)`` under ``pc``.
         The pass stops at the first level whose cumulative prescription count
-        passes ``budget``, or whose expansion from the level above would take
-        more than ``_BATCH_ENTRIES`` entries; the sweep prepares the nodes
-        below one at a time, as it meets them.
+        passes ``budget``, or that the source does not hold yet and whose
+        expansion would take more than ``_BATCH_ENTRIES`` entries; the sweep
+        prepares the nodes below one at a time, as it meets them.
         """
-        tree, pc = self.tree, self.pc
+        level_at = self.tree.full_level if self.pc is None else self.pc.level
         top = level = None
         spent = 0
         for t in range(1, depth + 1):
-            if t > 1 and (pc is not None or t > len(tree._levels)):
-                sizes = np.diff(atoms.start).tolist()
+            if t > 1 and t > len(self.source._levels):
+                sizes = np.diff(level.atoms.start).tolist()
                 if sum(c * n for c, n in zip(level.counts, sizes)) > _BATCH_ENTRIES:
                     break
-            if pc is None:
-                nodes, atoms, *edges = tree.full_level(t)
-            elif t == 1:
-                nodes = [node for _o0, node, _p in tree.roots()]
-                atoms = Atoms.of(nodes)
-            else:
-                tables = [level.table(i) for i in range(len(nodes))]
-                gammas = [level.gammas(i) for i in range(len(nodes))]
-                nodes, atoms, first, mass = tree.expand_rows(
-                    nodes, atoms, level.columns, tables, gammas)
-                edges = gammas, first, mass
+            nodes, atoms, *edges = level_at(t)
             below = _Level(self, nodes, atoms)
             spent += sum(below.counts)
             if spent > budget:
@@ -319,27 +297,27 @@ def generic_solve(
     model: DecPomdpModel,
     tree: FcsTree | None = None,
     *,
-    pc: PrivateCompression | None = None,
+    pc: Session | None = None,
     key_fn=None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep shared by the exact and compressed dynamic programs.
 
-    A forward pass first prepares whole depths: the tree's full levels (or,
-    under ``pc``, the subtree the label prescriptions reach), each with the
-    rewards of its rows and its edges to the next, as ``expand_rows`` gave
-    them.  The depth-first sweep then visits ``(level, position)`` pairs and
-    reads a row's children as a range of positions below, so the first node
-    to reach a key fills its entry.  Ties go to the smallest canonical index.
-    A ``key_fn`` lets the sweep skip the subtrees below a solved key, so the
-    pass then prepares only the full levels the tree already holds; below
-    them the children come from ``tree.expand``, each node prepared alone.
+    A forward pass first prepares whole depths, each with the rewards of its
+    rows and its edges to the next: the tree's full levels, or the session's
+    levels of the subtree the label prescriptions reach.  The depth-first
+    sweep then visits ``(level, position)`` pairs and reads a row's children
+    as a range of positions below, so the first node to reach a key fills
+    its entry.  Ties go to the smallest canonical index.  A ``key_fn`` lets
+    the sweep skip the subtrees below a solved key, so the pass then
+    prepares only the levels the tree or session already holds; below them
+    the children come from ``tree.expand``, each node prepared alone.
 
     Parameters
     ----------
     pc
-        Private compression (or a session for one) whose label domains the
-        prescriptions range over.
+        ``compression.Session`` for the private compression whose label
+        domains the prescriptions range over.
         Value entries record the label prescription; the policy records its
         extension to the node's histories, which also drives the dynamics.
         Defaults to the uncompressed space where the two coincide.
@@ -355,8 +333,7 @@ def generic_solve(
     if by_seq:
         key_fn = lambda node: node.seq
     solver = _Solver(model, tree, pc)
-    depth = model.horizon if by_seq else len(tree._levels) if pc is None else 0
-    top = solver.forward(budget, depth)
+    top = solver.forward(budget, model.horizon if by_seq else len(solver.source._levels))
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
     evals = 0

@@ -157,11 +157,17 @@ class Atoms:
         """The node of every atom."""
         return np.repeat(np.arange(len(self.start) - 1), np.diff(self.start))
 
-    def columns(self) -> np.ndarray:
+    def columns(self, colmaps: list[np.ndarray] | None = None) -> np.ndarray:
         """Every atom's columns in its node's history-domain action rows, where
-        agent ``n``'s histories follow those of agents ``0 .. n-1``."""
-        offsets = np.cumsum(self.sizes, axis=1) - self.sizes
-        return self.hist + offsets[self.node_index()]
+        agent ``n``'s histories follow those of agents ``0 .. n-1``; given
+        each node's column map from history to label columns, the columns in
+        its label rows instead."""
+        node = self.node_index()
+        columns = self.hist + (np.cumsum(self.sizes, axis=1) - self.sizes)[node]
+        if colmaps is None:
+            return columns
+        base = _starts(np.array([len(colmap) for colmap in colmaps], dtype=np.intp))
+        return np.concatenate(colmaps)[base[node][:, None] + columns]
 
 
 #: Dense successor cells ``(atom, s', o)`` computed at once by the batch kernel.
@@ -223,11 +229,12 @@ class FcsTree:
 
     Nodes are made one expansion at a time by :meth:`expand`, or a level at a
     time by :meth:`expand_rows`; both fill one expansion cache with the same
-    nodes.  :meth:`full_level` keeps the full levels it expanded, with their
-    atoms and the edges that reach them from the level above, and
-    :func:`level_nodes` reads them.  The edges are the prescriptions each
-    node above was expanded under, where each (node, row) pair's children
-    start, and each child's mass, so a sweep walks them by position.
+    nodes.  :meth:`full_level` keeps the full levels, with their atoms and
+    the edges that reach them from the level above, and
+    ``compression.Session.level`` the compressed subtree's, in the same
+    record.  The edges are the prescriptions each node above was expanded
+    under, where each (node, row) pair's children start, and each child's
+    mass, so a sweep walks them by position.
 
     Besides its nodes, a tree memoises two quantities that depend on the
     common information alone, so every call sharing the tree computes each
@@ -398,11 +405,16 @@ class FcsTree:
         ``mass[c]`` that :meth:`expand` gives it.
 
         The successor weights are summed per ``(s', joint history)`` and then
-        per child in the order the scalar expansion meets them.
+        per child in the order the scalar expansion meets them.  When the
+        cache holds every pair already, the children are read from it.
         """
         m = self.model
-        if not nodes:
-            return [], Atoms.of([]), [0], []
+        cache_keys = [(node.seq, gamma.key) for node, row in zip(nodes, gammas) for gamma in row]
+        if all(key in self._children for key in cache_keys):
+            cached = [self._children[key].values() for key in cache_keys]
+            children = [child for result in cached for child, _p in result]
+            first = list(itertools.accumulate(map(len, cached), initial=0))
+            return children, Atoms.of(children), first, [p for res in cached for _c, p in res]
         agents, obs_sizes = m.num_agents, m.private_obs_sizes
         pair_node, pair_row, entry_pair, entry_atom, actions = _entries(atoms, columns, tables)
         entry, s_next, obs, prob = _successors(m, atoms.state, atoms.weight, entry_atom, actions)
@@ -475,28 +487,22 @@ class FcsTree:
         c = 0
         for pair, (i, k) in enumerate(zip(pair_node.tolist(), pair_row.tolist())):
             node, gamma = nodes[i], gammas[i][k]
-            cache_key = (node.seq, gamma.key)
-            cached = self._children.get(cache_key)
             result: dict[int, tuple[FcsNode, float]] = {}
             while c < len(slots) and slots[c] // num_common == pair:
                 o0 = slots[c] % num_common
-                if cached is None:
-                    child = FcsNode(
-                        t=node.t + 1,
-                        seq=node.seq + (gamma.key, o0),
-                        weights=tuple(items[bounds[c]:bounds[c + 1]]),
-                    )
-                    # What the ``agent_domains`` cached property would compute.
-                    child.__dict__["agent_domains"] = child_domains[c]
-                    result[o0] = (self._nodes.setdefault(child.seq, child), masses[c])
-                else:
-                    result[o0] = cached[o0]
+                child = FcsNode(
+                    t=node.t + 1,
+                    seq=node.seq + (gamma.key, o0),
+                    weights=tuple(items[bounds[c]:bounds[c + 1]]),
+                )
+                # What the ``agent_domains`` cached property would compute.
+                child.__dict__["agent_domains"] = child_domains[c]
+                result[o0] = (self._nodes.setdefault(child.seq, child), masses[c])
                 children.append(result[o0][0])
-                mass.append(result[o0][1])
+                mass.append(masses[c])
                 c += 1
             first.append(c)
-            if cached is None:
-                self._children[cache_key] = result
+            self._children[cache_keys[pair]] = result
         return children, Atoms(
             start=np.array(bounds, dtype=np.intp),
             state=g_state,

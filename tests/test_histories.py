@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ciplan
+from ciplan import exact_dp
 from ciplan.approx_dp import solve_fcs_asps
 from ciplan.compression import PrivateCompression, Session, build_greedy
 from ciplan.generate import random_model
@@ -256,26 +257,44 @@ def test_batch_expansion_matches_scalar_expand_on_coin2(coin2):
 # -- one forward step ------------------------------------------------------
 
 
-def _dynamics_readers(path: Path) -> set[str]:
-    """The functions, as dotted scopes, that read ``.transition`` or
-    ``.observation`` in one source file."""
-    readers = set()
+def _scopes(path: Path, found) -> set[str]:
+    """The functions, as dotted scopes, that hold an AST node for which
+    ``found`` holds, in one source file."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and child.attr in ("transition", "observation")
-                and isinstance(child.ctx, ast.Load)
-            ):
-                readers.add(".".join(scope))
+            if found(child):
+                scopes.add(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), ())
-    return readers
+    return scopes
+
+
+def _dynamics_readers(path: Path) -> set[str]:
+    """The scopes that read ``.transition`` or ``.observation``."""
+    return _scopes(path, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("transition", "observation")
+        and isinstance(node.ctx, ast.Load)
+    ))
+
+
+def _callers(method: str) -> set[tuple[str, str]]:
+    """``(module, scope)`` of every call of a method of this name in ``ciplan``."""
+    return {
+        (path.stem, scope)
+        for path in Path(ciplan.__file__).parent.glob("*.py")
+        for scope in _scopes(path, lambda node: (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method
+        ))
+    }
 
 
 def test_only_the_forward_step_and_the_oracle_read_the_dynamics():
@@ -295,3 +314,17 @@ def test_only_the_forward_step_and_the_oracle_read_the_dynamics():
     }
     assert ("histories", "_successors") in readers
     assert readers <= allowed
+
+
+def test_one_builder_expands_the_levels():
+    # The full levels and the compressed subtree's levels are the only two
+    # level expansions; the sweep's forward pass reads them and expands
+    # nothing, and the subtree and the common edges walk their records.
+    assert _callers("expand_rows") == {
+        ("histories", "FcsTree.full_level"),
+        ("compression", "Session.level"),
+    }
+    walkers = {("exact_dp", "_Solver.forward"), ("compression", "Session.subtree"),
+               ("compression", "Session.subtree.build"), ("compression", "_common_edges")}
+    assert not walkers & (_callers("expand_rows") | _callers("expand"))
+    assert not hasattr(exact_dp._Level, "gammas")

@@ -22,9 +22,12 @@ from ciplan.compression import (
     bcs_common,
     build_common_greedy,
     build_greedy,
+    check_recursive,
+    identity_common,
     identity_private,
     measure_common,
     measure_private,
+    serialize_compression,
     tv_distance,
 )
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
@@ -339,6 +342,73 @@ def test_label_map_callers_match_scalar_oracle_on_coin2(coin2, tols):
 
 def test_label_map_callers_match_scalar_oracle_three_deep():
     assert_matches_oracle(random_model(1, num_states=2, horizon=3, num_common_obs=2), (0.5, 0.5))
+
+
+# -- one builder for the compressed subtree ---------------------------------
+
+
+def _one_builder_models(coin2):
+    return coin2, random_model(1, num_states=2, horizon=3, num_common_obs=2)
+
+
+def test_compressed_subtree_comes_from_the_level_builder(coin2, monkeypatch):
+    # On a fresh tree, the subtree, both common builders and the common
+    # recursive check read every child off ``Session.level``: no node is
+    # expanded alone.
+    for model in _one_builder_models(coin2):
+        pc = build_greedy(model, 0.5, 0.5)
+        want = [serialize_compression(build(model, pc, FcsTree(model)))
+                for build in (identity_common, bcs_common)]
+        tree = FcsTree(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(FcsTree, "expand", lambda *args: pytest.fail("expand called"))
+            levels = Session(tree, pc).subtree()
+            commons = [identity_common(model, pc, tree), bcs_common(model, pc, tree)]
+            assert all(check_recursive(model, cc, pc=pc, tree=tree).passed for cc in commons)
+        assert [serialize_compression(cc) for cc in commons] == want
+        # The scalar walk on the same tree finds the level-built nodes in the
+        # expansion cache; on a tree of its own it makes the same nodes and
+        # masses.
+        assert [[id(node) for node, _mass in level] for level in levels] == [
+            [id(node) for node in level] for level in scalar_subtree_levels(model, tree, pc)
+        ]
+        ref = FcsTree(model)
+        masses = scalar_mu_levels(model, ref, pc)
+        assert [
+            [(node.seq, [w.hex() for _k, w in node.weights], mass.hex()) for node, mass in level]
+            for level in levels
+        ] == [
+            [(node.seq, [w.hex() for _k, w in node.weights], masses[t][node.seq].hex())
+             for node in level]
+            for t, level in enumerate(scalar_subtree_levels(model, ref, pc))
+        ]
+
+
+def _table_bits(table, policy) -> tuple:
+    entries = [
+        (key, e.value.hex(), e.argmax_index, e.argmax_key, [q.hex() for q in e.q_values])
+        for key, e in table.entries.items()
+    ]
+    return table.overall_value.hex(), entries, list(policy.prescriptions.items())
+
+
+def test_alg2_expands_nothing_on_a_session_with_its_levels(coin2, monkeypatch):
+    calls = []
+    expand_rows = FcsTree.expand_rows
+
+    def counted(*args):
+        calls.append(args[0])
+        return expand_rows(*args)
+
+    for model in _one_builder_models(coin2):
+        pc = build_greedy(model, 0.5, 0.5)
+        want = _table_bits(*solve_fcs_asps(model, pc))
+        s = Session(FcsTree(model), pc)
+        s.subtree()
+        with monkeypatch.context() as patch:
+            patch.setattr(FcsTree, "expand_rows", counted)
+            assert _table_bits(*solve_fcs_asps(model, s)) == want
+        assert calls == []
 
 
 # -- batched common profiles ----------------------------------------------
