@@ -384,7 +384,7 @@ def solve_bcs_spi(
 
 
 def verify_propositions(
-    model: DecPomdpModel, compressions, tree: FcsTree | None = None
+    model: DecPomdpModel, compressions, tree: FcsTree | None = None, budget: int = DEFAULT_BUDGET
 ) -> ConditionReport:
     """Check the implication structure among the sufficiency condition sets.
 
@@ -394,7 +394,7 @@ def verify_propositions(
     and when exact reward sufficiency plus cross-agent label prediction
     hold, per-agent reward sufficiency must follow (conclusions at 1e-6).
     Also verifies that the belief common state measures as an exact common
-    compression.
+    compression.  ``budget`` is passed to both measurements.
     """
     from . import compression as comp
 
@@ -403,7 +403,7 @@ def verify_propositions(
 
     pc_identity = comp.identity_private(model, tree)
     cc_bcs = comp.bcs_common(model, pc_identity, tree)
-    mc = comp.measure_common(model, pc_identity, cc_bcs, tree=tree)
+    mc = comp.measure_common(model, pc_identity, cc_bcs, tree=tree, budget=budget)
     report.results.append(
         ConditionResult(
             "bcs_is_exact_common",
@@ -415,9 +415,10 @@ def verify_propositions(
     )
 
     for i, pc in enumerate(compressions):
-        rec = comp.check_recursive(model, pc, tree=tree)
-        mp = comp.measure_private(model, pc, tree=tree, check=False)
-        spi_report = check_spi(model, pc, tree)
+        s = comp.Session.of(model, pc, tree)
+        rec = comp.check_recursive(model, s)
+        mp = comp.measure_private(model, s, check=False, budget=budget)
+        spi_report = check_spi(model, s)
 
         sps1 = rec.passed
         sps2 = mp.eps_p <= 4 * CHECK_TOL

@@ -81,14 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_compressions(args):
-    """The private and the common compression files given, at most one each."""
+def _load_compressions(args, model):
+    """The private and common compression files given, at most one each, built for this model."""
     found: dict = {}
     for path in args.compression:
         obj = load_compression(Path(path).read_text())
         kind = "private" if isinstance(obj, PrivateCompression) else "common"
         if kind in found:
             raise ValueError(f"--compression given twice for a {kind} compression")
+        if obj.horizon != model.horizon:
+            raise ValueError(
+                f"{kind} compression has horizon {obj.horizon}, the model {model.horizon}")
+        if kind == "private" and obj.num_agents != model.num_agents:
+            raise ValueError(
+                f"private compression has {obj.num_agents} agents, the model {model.num_agents}")
         found[kind] = obj
     return found.get("private"), found.get("common")
 
@@ -152,7 +158,7 @@ def run_command(args) -> tuple[int, dict]:
         return EXIT_OK, report
 
     if args.command == "measure":
-        pc, cc = _load_compressions(args)
+        pc, cc = _load_compressions(args, model)
         session = Session(tree, _require(pc, "private"), cc)
         mp = compression.measure_private(model, session, budget=budget)
         report = {
@@ -172,7 +178,7 @@ def run_command(args) -> tuple[int, dict]:
         return EXIT_OK, report
 
     if args.command == "solve":
-        pc, cc = _load_compressions(args)
+        pc, cc = _load_compressions(args, model)
         if args.alg == "5" and pc is None:
             pc = compression.identity_private(model, tree)
         if args.alg in ("2", "3", "5"):
@@ -192,14 +198,14 @@ def run_command(args) -> tuple[int, dict]:
         return EXIT_OK, report
 
     if args.command == "verify-gap":
-        pc, cc = _load_compressions(args)
+        pc, cc = _load_compressions(args, model)
         session = Session(tree, _require(pc, "private"), _require(cc, "common"))
         gaps = verify.verify_gaps(model, session, cc, budget=budget)
         report = {"command": "verify-gap", **gaps.to_jsonable()}
         return (EXIT_OK if gaps.passed else EXIT_VERIFY), report
 
     if args.command == "check-conditions":
-        pc, _cc = _load_compressions(args)
+        pc, _cc = _load_compressions(args, model)
         identity = Session(tree, compression.identity_private(model, tree))
         session = identity if pc is None else Session(tree, pc)
         spi_report = belief.check_spi(model, identity)
@@ -213,7 +219,7 @@ def run_command(args) -> tuple[int, dict]:
         if rec_report.passed:
             # The deeper identities presume a well-formed recursive update.
             lemma_report = verify.check_lemmas(model, session, budget=budget)
-            prop_report = belief.verify_propositions(model, [session], tree=tree)
+            prop_report = belief.verify_propositions(model, [session], tree=tree, budget=budget)
             report["lemmas"] = lemma_report.to_jsonable()
             report["propositions"] = prop_report.to_jsonable()
             ok = ok and lemma_report.passed and prop_report.passed

@@ -33,6 +33,7 @@ from .histories import (
     FcsNode,
     FcsTree,
     Hist,
+    Level,
     Prescription,
     _columns_by_agent,
     _entries,
@@ -182,7 +183,7 @@ class Session:
     def __init__(self, tree: FcsTree, pc: PrivateCompression, cc=None):
         self.tree, self.model, self.pc, self.cc = tree, tree.model, pc, cc
         self._memo: dict = {}
-        self._levels: list[tuple] = []  # as ``level`` returns them
+        self._levels: list[Level] = []  # as ``level`` returns them
 
     @classmethod
     def of(cls, model: DecPomdpModel, pc, tree: FcsTree | None = None, cc=None):
@@ -254,22 +255,20 @@ class Session:
         }
         self._levels = []
 
-    def level(self, t: int) -> tuple:
-        """Depth ``t`` of the compressed subtree in the record of
-        :meth:`FcsTree.full_level`, ``gammas[i]`` being the extensions of node
-        ``i``'s label rows above; each depth is expanded once, from above."""
+    def level(self, t: int) -> Level:
+        """Depth ``t`` of the compressed subtree, with the edges under the
+        extensions of its nodes' label rows once depth ``t + 1`` is built;
+        each depth is expanded once, from above."""
         levels, tree = self._levels, self.tree
         if not levels:
             roots = [node for _o0, node, _p in tree.roots()]
-            levels.append((roots, Atoms.of(roots), [], [0], []))
+            levels.append(Level(roots, Atoms.of(roots)))
         while len(levels) < t:
-            nodes, atoms, *_edges = levels[-1]
-            domains, colmaps = zip(*map(self.label_map, nodes))
+            level = levels[-1]
+            domains, colmaps = zip(*map(self.label_map, level.nodes))
             tables = [tree._action_rows(tuple(map(len, labels))) for labels in domains]
-            gammas = [[gamma for _lam, gamma in self.pairs(node)] for node in nodes]
-            below, below_atoms, first, mass = tree.expand_rows(
-                nodes, atoms, atoms.columns(colmaps), tables, gammas)
-            levels.append((below, below_atoms, gammas, first, mass))
+            gammas = [[gamma for _lam, gamma in self.pairs(node)] for node in level.nodes]
+            levels.append(tree.expand_rows(level, level.atoms.columns(colmaps), tables, gammas))
         return levels[t - 1]
 
     def subtree(self) -> list[list[tuple[FcsNode, float]]]:
@@ -280,13 +279,14 @@ class Session:
 
         def build():
             levels = [[(node, p) for _o0, node, p in self.tree.roots()]]
-            for t in range(2, self.model.horizon + 1):
-                nodes, _atoms, gammas, first, mass = self.level(t)
-                nxt, pair = [], 0
-                for (_node, weight), rows in zip(levels[-1], gammas):
+            for t in range(1, self.model.horizon):
+                level, below = self.level(t), self.level(t + 1)
+                nxt = []
+                for i, (_node, weight) in enumerate(levels[-1]):
+                    rows = range(len(level.gammas[i]))
                     share = weight / len(rows)
-                    lo, pair = first[pair], pair + len(rows)
-                    nxt.extend((nodes[c], share * mass[c]) for c in range(lo, first[pair]))
+                    nxt += [(below.nodes[c], share * level.mass[c])
+                            for k in rows for c in level.children(i, k)]
                 levels.append(nxt)
             return levels
 
@@ -369,15 +369,13 @@ def _common_edges(s: Session, cc: CommonCompression):
     successor label)``, each (node, label row) pair's children read by
     position off :meth:`Session.level`; unlabelled nodes read as ``None``."""
     for t in range(1, s.model.horizon):
-        children, _atoms, _gammas, first, _mass = s.level(t + 1)
-        pair = 0
-        for node in s.level(t)[0]:
+        level, below = s.level(t), s.level(t + 1)
+        for i, node in enumerate(level.nodes):
             z0 = cc.theta0.get((t, node.seq))
-            for lam, _gamma in s.pairs(node):
-                for child in children[first[pair]:first[pair + 1]]:
+            for k, (lam, _gamma) in enumerate(s.pairs(node)):
+                for child in (below.nodes[c] for c in level.children(i, k)):
                     z_next = cc.theta0.get((t + 1, child.seq))
                     yield (t, z0, lam.key, child.seq[-1]), (t, node.seq), z_next
-                pair += 1
 
 
 def _update_table(edges) -> tuple[dict | None, tuple | None]:
@@ -982,11 +980,13 @@ def _dec(text: str):
     # Too deep a nesting overflows the parser's stack (MemoryError) or the
     # evaluator's recursion limit.
     try:
-        return ast.literal_eval(text)
+        value = ast.literal_eval(text)
     except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
         raise CompressionFormatError(
             f"unparseable entry {text[:80]!r} ({len(text)} characters)"
         ) from exc
+    hash(value)  # a key or a label must be hashable: a TypeError otherwise
+    return value
 
 
 def serialize_compression(compression, measured: MeasuredParams | None = None) -> str:

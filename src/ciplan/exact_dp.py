@@ -17,11 +17,11 @@ import numpy as np
 
 from .histories import (
     ADMISSIBILITY_THRESHOLD,
-    Atoms,
     FcsKey,
     FcsNode,
     FcsTree,
     JointHist,
+    Level,
     Prescription,
     _columns_by_agent,
     enumerate_prescriptions,
@@ -87,8 +87,9 @@ _BATCH_ENTRIES = 1 << 16
 
 
 class _Level:
-    """The prescription spaces, immediate rewards and children of one level
-    record's nodes, as the backward sweep reads them.
+    """The prescription spaces, immediate rewards and children of one
+    :class:`~ciplan.histories.Level`'s nodes, as the backward sweep on
+    ``tree`` reads them.
 
     Under ``pc`` a node's prescriptions range over its label domains and
     ``colmaps[i]`` maps each history column to its label column; otherwise
@@ -96,22 +97,22 @@ class _Level:
     its node's action rows, and nodes are grouped by the shape of their
     domains, which fixes their action table.  The prescription counts come
     from the shapes alone; no table is built and nothing is scored before
-    the first :meth:`rewards` call.  Once :meth:`link` has given the level
-    the edges of the record below, :meth:`children` reads them by position;
+    the first :meth:`rewards` call.  Once :meth:`link` has given the view of
+    the level below, :meth:`children` reads the record's edges by position;
     until then it asks the tree's expansion cache.
     """
 
     below: _Level | None = None
 
-    def __init__(self, solver: _Solver, nodes: list[FcsNode], atoms: Atoms):
-        self.solver, self.nodes, self.atoms = solver, nodes, atoms
-        self.hist_domains = [node.agent_domains for node in nodes]
-        if solver.pc is None:
-            self.domains, self.colmaps, sizes = self.hist_domains, None, atoms.sizes
+    def __init__(self, tree: FcsTree, pc: Session | None, record: Level):
+        self.tree, self.pc, self.record, self.nodes = tree, pc, record, record.nodes
+        self.hist_domains = [node.agent_domains for node in self.nodes]
+        if pc is None:
+            self.domains, self.colmaps, sizes = self.hist_domains, None, record.atoms.sizes
         else:
-            self.domains, self.colmaps = zip(*map(solver.pc.label_map, nodes))
+            self.domains, self.colmaps = zip(*map(pc.label_map, self.nodes))
             sizes = np.array([[len(d) for d in domains] for domains in self.domains])
-        self.columns = atoms.columns(self.colmaps)
+        self.columns = record.atoms.columns(self.colmaps)
         # Nodes by shape, in node order within a shape.
         self.order = np.lexsort(sizes.T[::-1])
         ordered = sizes[self.order]
@@ -122,12 +123,12 @@ class _Level:
         shape_of[self.order] = np.cumsum(new) - 1
         self.shape_of = shape_of.tolist()
         self.shapes = [tuple(shape) for shape in ordered[new].tolist()]
-        counts = [solver.count(shape) for shape in self.shapes]
+        counts = [prescription_count(tree.model, tuple(map(range, shape))) for shape in self.shapes]
         self.counts = [counts[g] for g in self.shape_of]
         self.q = None
 
     def table(self, i: int) -> np.ndarray:
-        return self.solver.tree._action_rows(self.shapes[self.shape_of[i]])
+        return self.tree._action_rows(self.shapes[self.shape_of[i]])
 
     def score(self) -> None:
         """Immediate rewards ``Σ w · R[s, γ_k(h)]`` of every node and row.
@@ -137,15 +138,14 @@ class _Level:
         are added one rank at a time, each node's in stored order, so every
         entry is the scalar sum ``q += w * r`` bit for bit.
         """
-        solver = self.solver
-        reward = solver.model.reward.ravel()
-        num_joint = solver.model.reward.shape[1]
-        atoms, columns, order, bounds = self.atoms, self.columns, self.order, self.bounds
+        reward = self.tree.model.reward.ravel()
+        num_joint = self.tree.model.reward.shape[1]
+        atoms, columns, order, bounds = self.record.atoms, self.columns, self.order, self.bounds
         block_of = np.empty(len(order), dtype=np.intp)
         row_of = np.empty(len(order), dtype=np.intp)
         self.q, self.best = [], []
         for g, shape in enumerate(self.shapes):
-            contrib = solver.contrib(shape)
+            contrib = self.tree._contrib(shape)
             width = contrib.shape[1]
             step = max(1, _REWARD_CELLS // width)
             for lo in range(bounds[g], bounds[g + 1], step):
@@ -177,33 +177,29 @@ class _Level:
             self.score()
         return self.best[self.block[i]][self.row[i]]
 
-    def link(self, below: _Level, gammas: list[list[Prescription]], first: list[int],
-             mass: list[float]) -> None:
-        """Row ``k`` of node ``i`` is ``gammas[i][k]``, and its children are
-        the nodes ``first[pair]:first[pair + 1]`` of ``below``, with the
-        masses ``mass[c]``, ``pair`` counting the rows node by node."""
-        self.below, self.kept, self.first, self.mass = below, gammas, first, mass
-        self.pair0 = np.cumsum([0, *self.counts]).tolist()
+    def link(self, below: _Level) -> None:
+        """Read each row's children off the record's edges, as positions in
+        ``below``, the view of the level the record's edges reach."""
+        self.below = below
 
     def children(self, i: int, k: int):
         """``(level, position, P(o0))`` of each child of node ``i`` under row
         ``k``, in ``o0`` order; a child no level holds is prepared alone."""
         if self.below is None:
-            expand = self.solver.tree.expand(self.nodes[i], self.gamma(i, k))
-            return [(_Alone(self.solver, child), 0, p) for _o0, child, p in expand]
-        pair = self.pair0[i] + k
-        lo, hi = self.first[pair], self.first[pair + 1]
-        return zip(itertools.repeat(self.below), range(lo, hi), self.mass[lo:hi])
+            expand = self.tree.expand(self.nodes[i], self.gamma(i, k))
+            return [(_Alone(self.tree, self.pc, child), 0, p) for _o0, child, p in expand]
+        span = self.record.children(i, k)
+        return zip(itertools.repeat(self.below), span, self.record.mass[span.start:span.stop])
 
     def gamma(self, i: int, k: int) -> Prescription:
         """The history-domain prescription of row ``k`` at node ``i``; a
-        linked level reads the one the forward pass expanded it under."""
+        linked level reads the one its record was expanded under."""
         if self.below is not None:
-            return self.kept[i][k]
+            return self.record.gammas[i][k]
         row = self.table(i)[k]
         if self.colmaps is not None:
             row = row[self.colmaps[i]]
-        return self.solver.tree._prescription(self.hist_domains[i], row)
+        return self.tree._prescription(self.hist_domains[i], row)
 
     def lam(self, i: int, k: int) -> Prescription:
         """The label prescription of row ``k`` at node ``i``."""
@@ -215,82 +211,29 @@ class _Alone(_Level):
     the forward pass prepared; its rewards are added atom by atom, the
     scalar sum ``q += w * r`` again."""
 
-    def __init__(self, solver: _Solver, node: FcsNode):
-        self.solver, self.nodes, self.q = solver, [node], None
+    def __init__(self, tree: FcsTree, pc: Session | None, node: FcsNode):
+        self.tree, self.pc, self.nodes, self.q = tree, pc, [node], None
         hist_domains = node.agent_domains
-        if solver.pc is None:
+        if pc is None:
             domains, self.colmaps = hist_domains, None
             cols = range(sum(map(len, hist_domains)))
         else:
-            domains, colmap = solver.pc.label_map(node)
+            domains, colmap = pc.label_map(node)
             self.colmaps, cols = [colmap], colmap.tolist()
         self.columns = _columns_by_agent(hist_domains, cols)
         self.hist_domains, self.domains = [hist_domains], [domains]
         self.shapes, self.shape_of = [tuple(map(len, domains))], [0]
-        self.counts = [solver.count(self.shapes[0])]
+        self.counts = [prescription_count(tree.model, domains)]
 
     def score(self) -> None:
-        reward = self.solver.model.reward
-        contrib = self.solver.contrib(self.shapes[0])
+        reward = self.tree.model.reward
+        contrib = self.tree._contrib(self.shapes[0])
         q = np.zeros(contrib.shape[1])
         for (s, hjoint), w in self.nodes[0].weights:
             joint = contrib[[self.columns[n][h] for n, h in enumerate(hjoint)]].sum(axis=0)
             q += w * reward[s][joint]
         self.q, self.best = [q[None]], [[int(np.argmax(q))]]
         self.block = self.row = [0]
-
-
-class _Solver:
-    """Per-sweep caches: joint-action contributions and prescription counts
-    per domain shape."""
-
-    def __init__(self, model: DecPomdpModel, tree: FcsTree, pc: Session | None):
-        self.model, self.tree, self.pc = model, tree, pc
-        self.source = tree if pc is None else pc  # what holds the levels
-        self.strides = [stride for _size, stride in model._action_strides]
-        self._contribs: dict[tuple[int, ...], np.ndarray] = {}
-        self._counts: dict[tuple[int, ...], int] = {}
-
-    def contrib(self, shape: tuple[int, ...]) -> np.ndarray:
-        if shape not in self._contribs:
-            acts = self.tree._action_rows(shape)
-            self._contribs[shape] = (acts * np.repeat(self.strides, shape)).T
-        return self._contribs[shape]
-
-    def count(self, shape: tuple[int, ...]) -> int:
-        if shape not in self._counts:
-            self._counts[shape] = prescription_count(self.model, tuple(map(range, shape)))
-        return self._counts[shape]
-
-    def forward(self, budget: int, depth: int) -> _Level | None:
-        """Prepare levels ``1 .. depth`` whole, from the roots down, each
-        linked to the next, and return the first.
-
-        Each level is ``tree.full_level(t)``, or ``pc.level(t)`` under ``pc``.
-        The pass stops at the first level whose cumulative prescription count
-        passes ``budget``, or that the source does not hold yet and whose
-        expansion would take more than ``_BATCH_ENTRIES`` entries; the sweep
-        prepares the nodes below one at a time, as it meets them.
-        """
-        level_at = self.tree.full_level if self.pc is None else self.pc.level
-        top = level = None
-        spent = 0
-        for t in range(1, depth + 1):
-            if t > 1 and t > len(self.source._levels):
-                sizes = np.diff(level.atoms.start).tolist()
-                if sum(c * n for c, n in zip(level.counts, sizes)) > _BATCH_ENTRIES:
-                    break
-            nodes, atoms, *edges = level_at(t)
-            below = _Level(self, nodes, atoms)
-            spent += sum(below.counts)
-            if spent > budget:
-                break
-            if level is None:
-                top = below
-            else:
-                level.link(below, *edges)
-            level = below
-        return top
 
 
 def generic_solve(
@@ -303,15 +246,19 @@ def generic_solve(
 ) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep shared by the exact and compressed dynamic programs.
 
-    A forward pass first prepares whole depths, each with the rewards of its
-    rows and its edges to the next: the tree's full levels, or the session's
-    levels of the subtree the label prescriptions reach.  The depth-first
-    sweep then visits ``(level, position)`` pairs and reads a row's children
-    as a range of positions below, so the first node to reach a key fills
-    its entry.  Ties go to the smallest canonical index.  A ``key_fn`` lets
-    the sweep skip the subtrees below a solved key, so the pass then
-    prepares only the levels the tree or session already holds; below them
-    the children come from ``tree.expand``, each node prepared alone.
+    A forward pass first prepares whole depths from the roots down, each a
+    view of one :class:`~ciplan.histories.Level` with the rewards of its
+    rows, linked to the next: ``tree.full_level(t)``, or ``pc.level(t)``,
+    the subtree the label prescriptions reach.  The pass stops at the first
+    depth whose cumulative prescription count passes ``budget``, or that the
+    source does not hold yet and whose expansion would take more than
+    ``_BATCH_ENTRIES`` entries.  The depth-first sweep then visits ``(level,
+    position)`` pairs and reads a row's children as a range of positions
+    below, so the first node to reach a key fills its entry.  Ties go to the
+    smallest canonical index.  A ``key_fn`` lets the sweep skip the subtrees
+    below a solved key, so the pass then prepares only the levels the tree
+    or session already holds; below the last prepared depth the children
+    come from ``tree.expand``, each node prepared alone.
 
     Parameters
     ----------
@@ -332,8 +279,23 @@ def generic_solve(
     by_seq = key_fn is None
     if by_seq:
         key_fn = lambda node: node.seq
-    solver = _Solver(model, tree, pc)
-    top = solver.forward(budget, model.horizon if by_seq else len(solver.source._levels))
+    level_at, held = (tree.full_level, tree._levels) if pc is None else (pc.level, pc._levels)
+    top = level = None
+    spent = 0
+    for t in range(1, (model.horizon if by_seq else len(held)) + 1):
+        if t > 1 and t > len(held):
+            sizes = np.diff(level.record.atoms.start).tolist()
+            if sum(c * n for c, n in zip(level.counts, sizes)) > _BATCH_ENTRIES:
+                break
+        below = _Level(tree, pc, level_at(t))
+        spent += sum(below.counts)
+        if spent > budget:
+            break
+        if level is None:
+            top = below
+        else:
+            level.link(below)
+        level = below
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
     evals = 0
@@ -378,7 +340,7 @@ def generic_solve(
     overall = 0.0
     try:
         for j, (_o0, root, p_root) in enumerate(tree.roots()):
-            overall += p_root * (solve(top, j) if top else solve(_Alone(solver, root), 0))
+            overall += p_root * (solve(top, j) if top else solve(_Alone(tree, pc, root), 0))
     finally:
         # ``solve`` reaches itself through its closure cell; emptying the cell
         # lets the tree and tables go by reference counting instead of

@@ -170,6 +170,30 @@ class Atoms:
         return np.concatenate(colmaps)[base[node][:, None] + columns]
 
 
+@dataclass(eq=False)
+class Level:
+    """One depth's nodes with their atoms and, once the depth below is built,
+    the edges that leave them: row ``k`` of node ``i`` stands for the
+    history-domain prescription ``gammas[i][k]``, :meth:`children` gives its
+    children in the level below, and child ``c`` there has the mass
+    ``mass[c]``.  A level refers to no tree and no session."""
+
+    nodes: list[FcsNode]
+    atoms: Atoms
+    gammas: list[list[Prescription]] | None = None
+    first: list[int] | None = None  # where each (node, row) pair's children start
+    mass: list[float] | None = None
+
+    @cached_property
+    def _pair0(self) -> list[int]:
+        return list(itertools.accumulate(map(len, self.gammas), initial=0))
+
+    def children(self, i: int, k: int) -> range:
+        """The positions of node ``i``'s children under row ``k``, in ``o0`` order."""
+        pair = self._pair0[i] + k
+        return range(self.first[pair], self.first[pair + 1])
+
+
 #: Dense successor cells ``(atom, s', o)`` computed at once by the batch kernel.
 _CHUNK_CELLS = 1 << 18
 
@@ -229,12 +253,10 @@ class FcsTree:
 
     Nodes are made one expansion at a time by :meth:`expand`, or a level at a
     time by :meth:`expand_rows`; both fill one expansion cache with the same
-    nodes.  :meth:`full_level` keeps the full levels, with their atoms and
-    the edges that reach them from the level above, and
-    ``compression.Session.level`` the compressed subtree's, in the same
-    record.  The edges are the prescriptions each node above was expanded
-    under, where each (node, row) pair's children start, and each child's
-    mass, so a sweep walks them by position.
+    nodes.  :meth:`full_level` keeps the full levels and
+    ``compression.Session.level`` the compressed subtree's, each depth a
+    :class:`Level` that holds the edges leaving it once the depth below is
+    built, so a sweep walks them by position.
 
     Besides its nodes, a tree memoises two quantities that depend on the
     common information alone, so every call sharing the tree computes each
@@ -256,11 +278,12 @@ class FcsTree:
         self._children: dict[tuple, dict[int, tuple[FcsNode, float]]] = {}
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
         # Full levels 1, 2, ... as ``full_level`` returns them.
-        self._levels: list[tuple] = []
-        # Action tables per domain shape, and one prescription object per
-        # (domains, row), shared by the expansion cache keys and the sweeps'
-        # policies.
+        self._levels: list[Level] = []
+        # Action tables and their joint-action contributions per domain
+        # shape, and one prescription object per (domains, row), shared by
+        # the expansion cache keys and the sweeps' policies.
         self._tables: dict[tuple[int, ...], np.ndarray] = {}
+        self._contribs: dict[tuple[int, ...], np.ndarray] = {}
         self._prescriptions: dict[tuple, Prescription] = {}
         self.common_profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.exact_sweep: tuple | None = None
@@ -356,6 +379,14 @@ class FcsTree:
             self._tables[shape] = prescription_actions(self.model, tuple(map(range, shape)))
         return self._tables[shape]
 
+    def _contrib(self, shape: tuple[int, ...]) -> np.ndarray:
+        """``contrib[c, k]``, what column ``c`` of row ``k`` of
+        :meth:`_action_rows` adds to the flat joint-action index, built once."""
+        if shape not in self._contribs:
+            strides = [stride for _size, stride in self.model._action_strides]
+            self._contribs[shape] = (self._action_rows(shape) * np.repeat(strides, shape)).T
+        return self._contribs[shape]
+
     def _prescription(self, domains: tuple[tuple, ...], row: np.ndarray) -> Prescription:
         """:func:`prescription_from_row`, one object per ``(domains, row)``."""
         key = (domains, row.tobytes())
@@ -364,57 +395,54 @@ class FcsTree:
             gamma = self._prescriptions[key] = prescription_from_row(domains, row.tolist())
         return gamma
 
-    def full_level(self, t: int) -> tuple:
+    def full_level(self, t: int) -> Level:
         """The depth-``t`` nodes under every prescription at every node, in
-        :func:`level_nodes` order, as ``(nodes, atoms, gammas, first, mass)``:
-        ``gammas[i][k]`` is row ``k`` of node ``i`` at depth ``t - 1`` (none
-        at the roots), and ``first`` and ``mass`` are what :meth:`expand_rows`
-        returned for those rows.  Each level is expanded once, from above."""
+        :func:`level_nodes` order, with the edges under every row of their
+        action tables once depth ``t + 1`` is built.  Each level is expanded
+        once, from above."""
         if not self._levels:
             roots = [node for _o0, node, _p in self.roots()]
-            self._levels.append((roots, Atoms.of(roots), [], [0], []))
+            self._levels.append(Level(roots, Atoms.of(roots)))
         while len(self._levels) < t:
-            nodes, atoms, *_edges = self._levels[-1]
-            tables = [self._action_rows(tuple(sizes)) for sizes in atoms.sizes.tolist()]
+            level = self._levels[-1]
+            tables = [self._action_rows(tuple(sizes)) for sizes in level.atoms.sizes.tolist()]
             gammas = [
                 [self._prescription(node.agent_domains, row) for row in rows]
-                for node, rows in zip(nodes, tables)
+                for node, rows in zip(level.nodes, tables)
             ]
-            children, child_atoms, first, mass = self.expand_rows(
-                nodes, atoms, atoms.columns(), tables, gammas)
-            self._levels.append((children, child_atoms, gammas, first, mass))
+            self._levels.append(self.expand_rows(level, level.atoms.columns(), tables, gammas))
         return self._levels[t - 1]
 
     def expand_rows(
         self,
-        nodes: list[FcsNode],
-        atoms: Atoms,
+        level: Level,
         columns: np.ndarray,
         tables: list[np.ndarray],
         gammas: list[list[Prescription]],
-    ) -> tuple[list[FcsNode], Atoms, list[int], list[float]]:
-        """Expand every node under every row of its action table in one pass.
+    ) -> Level:
+        """Expand every node of ``level`` under every row of its action table
+        in one pass; give the level below and write the edges into ``level``.
 
         Row ``k`` of ``tables[i]`` stands for the history-domain prescription
         ``gammas[i][k]``; agent ``n`` of atom ``j`` takes the action in column
         ``columns[j, n]`` of its node's rows.  The children, bit for bit those
-        of :meth:`expand`, go into the expansion cache and are returned for
-        node, for row, for ``o0``, with their atoms.  Pair ``(i, k)``, the
-        ``k``-th row of node ``i`` counting over the nodes in order, has the
-        children ``first[pair]:first[pair + 1]``, and child ``c`` has the mass
-        ``mass[c]`` that :meth:`expand` gives it.
+        of :meth:`expand`, go into the expansion cache and the level below,
+        for node, for row, for ``o0``, with their atoms; each child's mass is
+        the one :meth:`expand` gives it.
 
         The successor weights are summed per ``(s', joint history)`` and then
         per child in the order the scalar expansion meets them.  When the
         cache holds every pair already, the children are read from it.
         """
-        m = self.model
+        m, nodes, atoms = self.model, level.nodes, level.atoms
+        level.gammas = gammas
         cache_keys = [(node.seq, gamma.key) for node, row in zip(nodes, gammas) for gamma in row]
         if all(key in self._children for key in cache_keys):
             cached = [self._children[key].values() for key in cache_keys]
             children = [child for result in cached for child, _p in result]
-            first = list(itertools.accumulate(map(len, cached), initial=0))
-            return children, Atoms.of(children), first, [p for res in cached for _c, p in res]
+            level.first = list(itertools.accumulate(map(len, cached), initial=0))
+            level.mass = [p for result in cached for _c, p in result]
+            return Level(children, Atoms.of(children))
         agents, obs_sizes = m.num_agents, m.private_obs_sizes
         pair_node, pair_row, entry_pair, entry_atom, actions = _entries(atoms, columns, tables)
         entry, s_next, obs, prob = _successors(m, atoms.state, atoms.weight, entry_atom, actions)
@@ -481,7 +509,7 @@ class FcsTree:
         bounds = np.searchsorted(group_child, np.arange(len(child_slot) + 1)).tolist()
         # Materialise the children pair by pair, into the cache.
         children: list[FcsNode] = []
-        first, mass = [0], []
+        level.first, level.mass = first, mass = [0], []
         slots = child_slot.tolist()
         masses = child_mass.tolist()
         c = 0
@@ -503,13 +531,13 @@ class FcsTree:
                 c += 1
             first.append(c)
             self._children[cache_keys[pair]] = result
-        return children, Atoms(
+        return Level(children, Atoms(
             start=np.array(bounds, dtype=np.intp),
             state=g_state,
             weight=weight,
             hist=np.stack(hist_cols, axis=1),
             sizes=np.stack(size_cols, axis=1),
-        ), first, mass
+        ))
 
     # -- reachable private structure -------------------------------------
 
@@ -607,4 +635,4 @@ def level_nodes(tree: FcsTree, t: int) -> list[FcsNode]:
     """All reachable nodes at depth ``t`` under every prescription at every
     node, in creation order: for node, for canonical prescription, for
     ``o0``.  They come from the tree's :meth:`~FcsTree.full_level` cache."""
-    return list(tree.full_level(t)[0])
+    return list(tree.full_level(t).nodes)

@@ -16,7 +16,7 @@ from ciplan.belief import (
     verify_propositions,
 )
 from ciplan.compression import PrivateCompression, build_exact_private, identity_private
-from ciplan.exact_dp import solve_fcs_fps
+from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
 from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
 from ciplan.model import DecPomdpModel
@@ -199,3 +199,9 @@ def test_verify_propositions_no_counterexamples(coin2):
     # actually exercised for each.
     assert sum("joint_prediction" in n for n in names) == 2
     assert sum("agent_reward" in n for n in names) == 2
+
+
+def test_verify_propositions_honours_the_budget(coin2):
+    with pytest.raises(BudgetExceededError) as info:
+        verify_propositions(coin2, [build_exact_private(coin2)], budget=1)
+    assert info.value.locus == ("common measure", 1)

@@ -73,9 +73,9 @@ def _deep_list(depth: int) -> str:
     return "[" * depth + "]" * depth
 
 
-def _private_keyed(key: str) -> str:
-    doc = {"kind": "private", "num_agents": 2, "horizon": 2, "theta": [[key, "0"]], "phi": []}
-    return json.dumps(doc)
+def _private_keyed(key: str, label: str = "0", **fields) -> str:
+    doc = {"kind": "private", "num_agents": 2, "horizon": 2, "theta": [[key, label]], "phi": []}
+    return json.dumps({**doc, **fields})
 
 
 def _common_measured(value) -> str:
@@ -94,7 +94,8 @@ def _swapped_agent_axes() -> str:
 
 # case -> (subcommand argv, model text or None for coin2, compression text or
 # None, error message).  Nesting too deep for the JSON decoder or the literal
-# parser is malformed input, and so is any reference measure but uniform.
+# parser is malformed input, and so are any reference measure but uniform, an
+# unhashable label and a compression built for another horizon or agent count.
 BAD_INPUTS = {
     "deep-model": (
         ["validate"], _deep_list(100_000), None, "model document is nested too deeply",
@@ -115,6 +116,24 @@ BAD_INPUTS = {
         ["measure"], None, _common_measured("gaussian"), "unknown reference measure 'gaussian'",
     ),
     "mu-number": (["measure"], None, _common_measured(7), "unknown reference measure 7"),
+    "private-list-label": (
+        ["solve", "--alg", "2"], None, _private_keyed("(1, (0,), 0, (0,))", "[0]"),
+        "malformed field: unhashable type: 'list'",
+    ),
+    "common-list-label": (
+        ["measure"], None,
+        json.dumps({"kind": "common", "horizon": 2, "mu": "uniform",
+                    "theta0": [["(1, (0,))", "[0]"]], "phi0": []}),
+        "malformed field: unhashable type: 'list'",
+    ),
+    "wrong-horizon": (
+        ["measure"], None, _private_keyed("(1, (0,), 0, (0,))", horizon=7),
+        "private compression has horizon 7, the model 2",
+    ),
+    "wrong-agent-count": (
+        ["solve", "--alg", "2"], None, _private_keyed("(1, (0,), 0, (0,))", num_agents=3),
+        "private compression has 3 agents, the model 2",
+    ),
     "swapped-agent-axes": (
         ["validate"], _swapped_agent_axes(), None,
         "malformed tensor: transition: expected nested shape (2, 2, 3, 2), got (2, 3, 2, 2)",
@@ -390,7 +409,7 @@ def test_console_script_entry_point():
 FUZZ_COMMANDS = [["solve", "--alg", alg] for alg in "12345"] + [
     ["measure"], ["verify-gap"], ["check-conditions"],
 ]
-WRONG_TYPES = [None, "x", {"k": 1}, [None], True]
+WRONG_TYPES = [None, "x", "[0]", {"k": 1}, [None], True]
 #: Stands for a list nested 2,000 levels deep, deeper than ``json.dumps`` can
 #: write; the documents are written with this string replaced in their text.
 DEEP = "<a list nested 2,000 levels deep>"

@@ -189,12 +189,13 @@ def _hex_children(children):
 def assert_batch_matches_scalar(model, pc=None):
     """Every node the batch kernel made, and its children under every
     prescription it was expanded with, equal a fresh tree's scalar
-    ``expand``: same sequences, domains, and weights and masses bit for bit.
+    ``expand``: same sequences, domains, and weights and masses bit for bit,
+    both through the expansion cache and through each level record's edges.
     Under ``pc`` the kernel expands the label-prescription subtree, from the
     forward pass of alg 2."""
     tree = FcsTree(model)
     if pc is None:
-        levels = [tree.full_level(t)[0] for t in range(1, model.horizon + 1)]
+        records = [tree.full_level(t) for t in range(1, model.horizon + 1)]
 
         def gammas(node):
             return enumerate_prescriptions(model, node.agent_domains)
@@ -202,22 +203,28 @@ def assert_batch_matches_scalar(model, pc=None):
         solve_fcs_asps(model, pc, tree)
         s = Session(tree, pc)
         levels = [[node for node, _mass in level] for level in s.subtree()]
+        records = [s.level(t) for t in range(1, model.horizon + 1)]
+        assert [record.nodes for record in records] == levels
 
         def gammas(node):
             return [gamma for _lam, gamma in s.pairs(node)]
     scalar = FcsTree(model)
-    for nodes, below in zip(levels, levels[1:]):
+    for record, below in zip(records, records[1:]):
         made = []
-        for node in nodes:
+        for i, node in enumerate(record.nodes):
             ref = scalar.node(node.seq)
             assert node.agent_domains == ref.agent_domains
             assert [w.hex() for _k, w in node.weights] == [w.hex() for _k, w in ref.weights]
-            for gamma in gammas(node):
+            assert record.gammas[i] == gammas(node)
+            for k, gamma in enumerate(gammas(node)):
                 want = scalar.expand(ref, gamma)
                 assert _hex_children(tree.expand(node, gamma)) == _hex_children(want)
+                edges = [(below.nodes[c], record.mass[c]) for c in record.children(i, k)]
+                got = [(child.seq[-1], child, p) for child, p in edges]
+                assert _hex_children(got) == _hex_children(want)
                 made += [child.seq for _o0, child, _p in want]
         # The level holds the children for node, for prescription, for o0.
-        assert [node.seq for node in below] == made
+        assert [node.seq for node in below.nodes] == made
 
 
 SHAPES = st.fixed_dictionaries({
@@ -324,7 +331,7 @@ def test_one_builder_expands_the_levels():
         ("histories", "FcsTree.full_level"),
         ("compression", "Session.level"),
     }
-    walkers = {("exact_dp", "_Solver.forward"), ("compression", "Session.subtree"),
+    walkers = {("exact_dp", "generic_solve"), ("compression", "Session.subtree"),
                ("compression", "Session.subtree.build"), ("compression", "_common_edges")}
     assert not walkers & (_callers("expand_rows") | _callers("expand"))
     assert not hasattr(exact_dp._Level, "gammas")
