@@ -94,8 +94,8 @@ def solve_ascs_asps(
             chosen[(t, label)] = rows[best]
 
     policy = CoordinatorPolicy()
-    for t, level in enumerate(s.subtree(), start=1):
-        for node, _mass in level:
+    for t in range(1, model.horizon + 1):
+        for node in s.level(t).nodes:
             row = chosen[(t, cc.label_of(t, node.seq))]
             policy.prescriptions[node.seq] = tree._prescription(
                 node.agent_domains, row[s.label_map(node)[1]])

@@ -18,6 +18,7 @@ import numpy as np
 
 from .exact_dp import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     CoordinatorPolicy,
     ValueTable,
     generic_solve,
@@ -29,8 +30,6 @@ from .histories import (
     Prescription,
     _successor_labels,
     _successor_weights,
-    enumerate_prescriptions,
-    level_nodes,
 )
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
@@ -203,12 +202,17 @@ def _next_obs_distribution(
 
 
 def check_spi(
-    model: DecPomdpModel, pc: PrivateCompression, tree: FcsTree | None = None
+    model: DecPomdpModel,
+    pc: PrivateCompression,
+    tree: FcsTree | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> ConditionReport:
     """Exhaustively evaluate the four sufficiency conditions at desk scale.
 
     Only the compression's labels are read, through each node's label map;
-    its recursive update may be empty.  ``pc`` may be a session.
+    its recursive update may be empty.  ``pc`` may be a session.  ``budget``
+    caps the (node, prescription) pairs the first and third conditions scan,
+    charged a depth at a time before the scan.
 
     The third condition conditions jointly on a prescription and an action;
     only consistent pairs (the action the prescription actually chooses for
@@ -224,11 +228,17 @@ def check_spi(
     # (node, label, prescription, increments) must share a successor label.
     viol1, wit1 = 0.0, None
     seen_updates: dict[tuple, object] = {}
+    spent = 0
     for t in range(1, model.horizon):
-        for node in level_nodes(tree, t):
+        level, below = tree.full_level(t), tree.full_level(t + 1)
+        spent += sum(map(len, level.gammas))
+        if spent > budget:
+            raise BudgetExceededError(("spi", t), budget)
+        for i, node in enumerate(level.nodes):
             labels = s.labels(node)
-            for gamma in enumerate_prescriptions(model, node.agent_domains):
-                for o0, n, h, an, on, z_next in _successor_labels(tree, node, gamma, theta):
+            for k, gamma in enumerate(level.gammas[i]):
+                children = [below.nodes[c] for c in level.children(i, k)]
+                for o0, n, h, an, on, z_next in _successor_labels(model, children, gamma, theta):
                     upd_key = (node.seq, n, labels[n][h], gamma.key, o0, an, on)
                     prev = seen_updates.setdefault(upd_key, z_next)
                     if prev != z_next and viol1 == 0.0:
@@ -242,7 +252,8 @@ def check_spi(
     viol3, wit3 = 0.0, None
     viol4, wit4 = 0.0, None
     for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
+        level = tree.full_level(t)
+        for i, node in enumerate(level.nodes):
             hist_domains = node.agent_domains
             labels = s.labels(node)
             joint_labels = [
@@ -293,9 +304,10 @@ def check_spi(
                     f.histories: tuple(lab[h] for lab, h in zip(labels, f.histories)) for f in fps
                 }
                 fps_prob = {f.histories: f.probability for f in fps}
-                for gamma in enumerate_prescriptions(model, hist_domains):
+                below = tree.full_level(t + 1)
+                for k, gamma in enumerate(level.gammas[i]):
                     children = {
-                        o0: child for o0, child, _p in tree.expand(node, gamma)
+                        below.nodes[c].seq[-1]: below.nodes[c] for c in level.children(i, k)
                     }
 
                     def future_dist(hjoint, a):
@@ -371,7 +383,7 @@ def solve_bcs_spi(
     from .compression import Session
 
     s = Session.of(model, pc, tree)
-    report = check_spi(model, s)
+    report = check_spi(model, s, budget=budget)
     if not report.passed:
         failed = [r.condition for r in report.results if not r.passed]
         raise SpiConditionError(f"sufficiency conditions failed: {', '.join(failed)}")
@@ -418,7 +430,7 @@ def verify_propositions(
         s = comp.Session.of(model, pc, tree)
         rec = comp.check_recursive(model, s)
         mp = comp.measure_private(model, s, check=False, budget=budget)
-        spi_report = check_spi(model, s)
+        spi_report = check_spi(model, s, budget=budget)
 
         sps1 = rec.passed
         sps2 = mp.eps_p <= 4 * CHECK_TOL

@@ -208,7 +208,7 @@ def run_command(args) -> tuple[int, dict]:
         pc, _cc = _load_compressions(args, model)
         identity = Session(tree, compression.identity_private(model, tree))
         session = identity if pc is None else Session(tree, pc)
-        spi_report = belief.check_spi(model, identity)
+        spi_report = belief.check_spi(model, identity, budget=budget)
         rec_report = compression.check_recursive(model, session)
         report = {
             "command": "check-conditions",

@@ -42,7 +42,7 @@ from .histories import (
     level_nodes,
     prescription_count,
 )
-from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
+from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, _json_int
 
 #: The reference measure mixing a common label's preimage nodes, the one
 #: measure there is: the label prescription drawn uniformly at every node.
@@ -167,9 +167,10 @@ class MeasuredParams:
 class Session:
     """What one frozen compression decides on one tree, each part built on
     first use: every node's label map, labels, (label prescription,
-    extension) pairs and common profiles, the compressed subtree's levels
-    (:meth:`level`, its one builder) and μ masses, the common classes with
-    their mixtures and the measured parameters.
+    extension) pairs, common profiles and recursive-update edges, the
+    compressed subtree's levels (:meth:`level`, its one builder) and their
+    μ masses (:meth:`mu`), the common classes with their mixtures and the
+    measured parameters.
 
     Labels are read when first needed, so a compression must not change
     while a session for it is in use, except through :meth:`relabel`; the
@@ -225,14 +226,22 @@ class Session:
 
         return self._built(("pairs", node.seq), build)
 
-    def edges(self, node: FcsNode) -> list[tuple]:
-        """The node's labelled recursive-update edges under every compressed
-        prescription in scan order, as ``(phi key, source item, successor)``."""
+    def edges(self, level: Level, below: Level, i: int) -> list[tuple]:
+        """Node ``i`` of a full level's labelled recursive-update edges under
+        every compressed prescription in scan order, as ``(phi key, source
+        item, successor)``, read off the level's edges into ``below``."""
+        node = level.nodes[i]
 
         def build():
-            t, labels, out = node.t, self.labels(node), []
-            for lam, gamma in self.pairs(node):
-                for o0, n, h, _a, on, z in _successor_labels(self.tree, node, gamma, self.pc.theta):
+            t, labels, theta, out = node.t, self.labels(node), self.pc.theta, []
+            domains, colmap = self.label_map(node)
+            # Full rows run in ``np.indices`` order over the columns' action sizes.
+            sizes = [a for a, hs in zip(self.model.action_sizes, node.agent_domains) for _h in hs]
+            rows = self.tree._action_rows(tuple(map(len, domains)))[:, colmap]
+            full = np.ravel_multi_index(rows.T, sizes).tolist()
+            for (lam, gamma), k in zip(self.pairs(node), full):
+                children = [below.nodes[c] for c in level.children(i, k)]
+                for o0, n, h, _a, on, z in _successor_labels(self.model, children, gamma, theta):
                     out.append(((n, t, labels[n][h], lam.key, o0, on), (t, node.seq, n, h), z))
             return out
 
@@ -271,33 +280,31 @@ class Session:
             levels.append(tree.expand_rows(level, level.atoms.columns(colmaps), tables, gammas))
         return levels[t - 1]
 
-    def subtree(self) -> list[list[tuple[FcsNode, float]]]:
-        """Nodes per time step reachable using only compressed prescriptions,
-        each with its mass under the reference measure, read off
-        :meth:`level`.  The ``uniform`` measure draws the label prescription
-        uniformly at every node, so each level's masses sum to one."""
+    def mu(self, t: int) -> list[float]:
+        """The masses of :meth:`level`'s depth-``t`` nodes under the reference
+        measure, in node order.  The ``uniform`` measure draws the label
+        prescription uniformly at every node, so each depth's masses sum to
+        one."""
 
         def build():
-            levels = [[(node, p) for _o0, node, p in self.tree.roots()]]
-            for t in range(1, self.model.horizon):
-                level, below = self.level(t), self.level(t + 1)
-                nxt = []
-                for i, (_node, weight) in enumerate(levels[-1]):
-                    rows = range(len(level.gammas[i]))
-                    share = weight / len(rows)
-                    nxt += [(below.nodes[c], share * level.mass[c])
-                            for k in rows for c in level.children(i, k)]
-                levels.append(nxt)
-            return levels
+            if t == 1:
+                return [p for _o0, _node, p in self.tree.roots()]
+            self.level(t)  # which writes the edges leaving depth t - 1
+            above, out = self.level(t - 1), []
+            for i, (weight, gammas) in enumerate(zip(self.mu(t - 1), above.gammas)):
+                share = weight / len(gammas)
+                out += [share * above.mass[c]
+                        for k in range(len(gammas)) for c in above.children(i, k)]
+            return out
 
-        return self._built("subtree", build)
+        return self._built(("mu", t), build)
 
     def profiles(self, node: FcsNode) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_node_profiles` of the node's label rows lifted to it; the
         first call on a subtree level computes those of the whole level."""
         memo = self._memo
         if ("profiles", node.seq) not in memo:
-            level = [n for n, _mass in self.subtree()[node.t - 1] if n.seq != node.seq]
+            level = [n for n in self.level(node.t).nodes if n.seq != node.seq]
             nodes = [node] + [n for n in level if ("profiles", n.seq) not in memo]
             tables = []
             for n in nodes:
@@ -314,7 +321,7 @@ class Session:
 
         def build():
             groups: dict = {}
-            for node, mass in self.subtree()[t - 1]:
+            for node, mass in zip(self.level(t).nodes, self.mu(t)):
                 groups.setdefault(self.cc.label_of(t, node.seq), []).append((node, mass))
             out = []
             for z0, members in groups.items():
@@ -358,10 +365,11 @@ class Session:
 
 def _private_edges(s: Session):
     """Every labelled reachable edge of a private compression in scan order,
-    node by node: :meth:`Session.edges`."""
+    node by node of the full levels: :meth:`Session.edges`."""
     for t in range(1, s.model.horizon):
-        for node in level_nodes(s.tree, t):
-            yield from s.edges(node)
+        level, below = s.tree.full_level(t), s.tree.full_level(t + 1)
+        for i in range(len(level.nodes)):
+            yield from s.edges(level, below, i)
 
 
 def _common_edges(s: Session, cc: CommonCompression):
@@ -885,8 +893,8 @@ def identity_common(
     """Each coordinator node of the compressed subtree is its own label."""
     s = Session.of(model, pc, tree)
     cc = CommonCompression(horizon=model.horizon)
-    for t, level in enumerate(s.subtree(), start=1):
-        for node, _mass in level:
+    for t in range(1, model.horizon + 1):
+        for node in s.level(t).nodes:
             cc.theta0[(t, node.seq)] = node.seq
     # Node labels fix their successors: no edge can conflict.
     cc.phi0, _conflict = _update_table(_common_edges(s, cc))
@@ -904,8 +912,8 @@ def bcs_common(
     """
     s = Session.of(model, pc, tree)
     cc = CommonCompression(horizon=model.horizon)
-    for t, level in enumerate(s.subtree(), start=1):
-        for node, _mass in level:
+    for t in range(1, model.horizon + 1):
+        for node in s.level(t).nodes:
             labels = s.labels(node)
             fp = compute_bcs(s.tree, node, label_of=lambda n, h: labels[n][h]).fingerprint
             cc.theta0[(t, node.seq)] = fp
@@ -958,8 +966,8 @@ def build_common_greedy(
     s = Session.of(model, pc, tree)
     blocks = _Blocks(budget)
     cc = CommonCompression(horizon=model.horizon)
-    for t, level in enumerate(s.subtree(), start=1):
-        nodes = [node for node, _mass in level]
+    for t in range(1, model.horizon + 1):
+        nodes = s.level(t).nodes
         blocks.charge(("common block", t), len(nodes))
         admit = _common_matrix(s, nodes, t < model.horizon, tol_r, tol_o)
         cc.theta0.update(blocks.add([(t, node.seq) for node in nodes], admit))
@@ -987,6 +995,19 @@ def _dec(text: str):
         ) from exc
     hash(value)  # a key or a label must be hashable: a TypeError otherwise
     return value
+
+
+def _table(entries) -> dict:
+    """A serialized table: a list of ``[key, value]`` pairs, each key once."""
+    table: dict = {}
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise CompressionFormatError(f"entry {entry!r:.80} is not a [key, value] pair")
+        key = _dec(entry[0])
+        if key in table:
+            raise CompressionFormatError(f"entry {entry!r:.80} repeats its key")
+        table[key] = _dec(entry[1])
+    return table
 
 
 def serialize_compression(compression, measured: MeasuredParams | None = None) -> str:
@@ -1034,18 +1055,16 @@ def load_compression(text: str):
     try:
         if kind == "private":
             pc = PrivateCompression(
-                num_agents=int(doc["num_agents"]), horizon=int(doc["horizon"])
+                num_agents=_json_int(doc, "num_agents"), horizon=_json_int(doc, "horizon")
             )
-            pc.theta = {_dec(k): _dec(v) for k, v in doc["theta"]}
-            pc.phi = {_dec(k): _dec(v) for k, v in doc["phi"]}
+            pc.theta, pc.phi = _table(doc["theta"]), _table(doc["phi"])
             return pc
         if kind == "common":
             measure = doc.get("mu", REFERENCE_MEASURE)
             if measure != REFERENCE_MEASURE:
                 raise CompressionFormatError(f"unknown reference measure {measure!r}")
-            cc = CommonCompression(horizon=int(doc["horizon"]))
-            cc.theta0 = {_dec(k): _dec(v) for k, v in doc["theta0"]}
-            cc.phi0 = {_dec(k): _dec(v) for k, v in doc["phi0"]}
+            cc = CommonCompression(horizon=_json_int(doc, "horizon"))
+            cc.theta0, cc.phi0 = _table(doc["theta0"]), _table(doc["phi0"])
             return cc
     except KeyError as exc:
         raise CompressionFormatError(f"missing field {exc.args[0]!r}") from exc

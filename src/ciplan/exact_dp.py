@@ -99,7 +99,7 @@ class _Level:
     from the shapes alone; no table is built and nothing is scored before
     the first :meth:`rewards` call.  Once :meth:`link` has given the view of
     the level below, :meth:`children` reads the record's edges by position;
-    until then it asks the tree's expansion cache.
+    until then it expands the node afresh with ``tree.expand``.
     """
 
     below: _Level | None = None
@@ -258,7 +258,8 @@ def generic_solve(
     smallest canonical index.  A ``key_fn`` lets the sweep skip the subtrees
     below a solved key, so the pass then prepares only the levels the tree
     or session already holds; below the last prepared depth the children
-    come from ``tree.expand``, each node prepared alone.
+    come from ``tree.expand``, computed afresh for each (node, row) the sweep
+    visits, each node prepared alone.
 
     Parameters
     ----------

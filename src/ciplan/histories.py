@@ -173,10 +173,10 @@ class Atoms:
 @dataclass(eq=False)
 class Level:
     """One depth's nodes with their atoms and, once the depth below is built,
-    the edges that leave them: row ``k`` of node ``i`` stands for the
-    history-domain prescription ``gammas[i][k]``, :meth:`children` gives its
-    children in the level below, and child ``c`` there has the mass
-    ``mass[c]``.  A level refers to no tree and no session."""
+    the edges that leave them, kept nowhere else: row ``k`` of node ``i``
+    stands for the history-domain prescription ``gammas[i][k]``,
+    :meth:`children` gives its children in the level below, and child ``c``
+    there has the mass ``mass[c]``.  A level refers to no tree and no session."""
 
     nodes: list[FcsNode]
     atoms: Atoms
@@ -249,14 +249,13 @@ def _successors(model: DecPomdpModel, state, weight, entry_atom, actions):
 
 
 class FcsTree:
-    """Lazily expanded, memoized coordinator history tree for one model.
+    """Lazily expanded coordinator history tree for one model.
 
-    Nodes are made one expansion at a time by :meth:`expand`, or a level at a
-    time by :meth:`expand_rows`; both fill one expansion cache with the same
-    nodes.  :meth:`full_level` keeps the full levels and
-    ``compression.Session.level`` the compressed subtree's, each depth a
-    :class:`Level` that holds the edges leaving it once the depth below is
-    built, so a sweep walks them by position.
+    Nodes are made a level at a time by :meth:`expand_rows`, or one
+    expansion at a time by :meth:`expand`, which keeps no edges.
+    :meth:`full_level` keeps the full levels and ``compression.Session.level``
+    the compressed subtree's, each depth a :class:`Level` that holds the edges
+    leaving it once the depth below is built: the one store of edges.
 
     Besides its nodes, a tree memoises two quantities that depend on the
     common information alone, so every call sharing the tree computes each
@@ -275,13 +274,12 @@ class FcsTree:
     def __init__(self, model: DecPomdpModel):
         self.model = model
         self._nodes: dict[FcsKey, FcsNode] = {}
-        self._children: dict[tuple, dict[int, tuple[FcsNode, float]]] = {}
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
         # Full levels 1, 2, ... as ``full_level`` returns them.
         self._levels: list[Level] = []
         # Action tables and their joint-action contributions per domain
         # shape, and one prescription object per (domains, row), shared by
-        # the expansion cache keys and the sweeps' policies.
+        # the level records' edges and the sweeps' policies.
         self._tables: dict[tuple[int, ...], np.ndarray] = {}
         self._contribs: dict[tuple[int, ...], np.ndarray] = {}
         self._prescriptions: dict[tuple, Prescription] = {}
@@ -341,16 +339,13 @@ class FcsTree:
     def expand(
         self, node: FcsNode, gamma: Prescription
     ) -> list[tuple[int, FcsNode, float]]:
-        """Children of ``node`` under ``gamma`` as ``(o0, child, P(o0 | node, gamma))``."""
-        cache_key = (node.seq, gamma.key)
-        if cache_key in self._children:
-            return [
-                (o0, child, p) for o0, (child, p) in self._children[cache_key].items()
-            ]
+        """Children of ``node`` under ``gamma`` as ``(o0, child, P(o0 | node,
+        gamma))``, computed afresh on every call; a child the tree already
+        holds is returned as that node."""
         if node.seq not in self._nodes:
             raise UnreachableNodeError(f"node {node.seq!r} was not produced by this tree")
         per_o0 = _successor_weights(self.model, node.weights, gamma)
-        result: dict[int, tuple[FcsNode, float]] = {}
+        result = []
         for o0 in sorted(per_o0):
             raw = per_o0[o0]
             # Left to right, as the batch kernel adds; ``sum`` compensates its
@@ -366,10 +361,8 @@ class FcsTree:
                 seq=node.seq + (gamma.key, o0),
                 weights=_sorted_weights(weights),
             )
-            self._nodes.setdefault(child.seq, child)
-            result[o0] = (self._nodes[child.seq], mass)
-        self._children[cache_key] = result
-        return [(o0, child, p) for o0, (child, p) in result.items()]
+            result.append((o0, self._nodes.setdefault(child.seq, child), mass))
+        return result
 
     # -- level-synchronous expansion -------------------------------------
 
@@ -426,23 +419,15 @@ class FcsTree:
         Row ``k`` of ``tables[i]`` stands for the history-domain prescription
         ``gammas[i][k]``; agent ``n`` of atom ``j`` takes the action in column
         ``columns[j, n]`` of its node's rows.  The children, bit for bit those
-        of :meth:`expand`, go into the expansion cache and the level below,
-        for node, for row, for ``o0``, with their atoms; each child's mass is
-        the one :meth:`expand` gives it.
+        of :meth:`expand`, go into the level below, for node, for row, for
+        ``o0``, with their atoms; each child's mass is the one :meth:`expand`
+        gives it.  A child the tree already holds is that node.
 
         The successor weights are summed per ``(s', joint history)`` and then
-        per child in the order the scalar expansion meets them.  When the
-        cache holds every pair already, the children are read from it.
+        per child in the order the scalar expansion meets them.
         """
         m, nodes, atoms = self.model, level.nodes, level.atoms
         level.gammas = gammas
-        cache_keys = [(node.seq, gamma.key) for node, row in zip(nodes, gammas) for gamma in row]
-        if all(key in self._children for key in cache_keys):
-            cached = [self._children[key].values() for key in cache_keys]
-            children = [child for result in cached for child, _p in result]
-            level.first = list(itertools.accumulate(map(len, cached), initial=0))
-            level.mass = [p for result in cached for _c, p in result]
-            return Level(children, Atoms.of(children))
         agents, obs_sizes = m.num_agents, m.private_obs_sizes
         pair_node, pair_row, entry_pair, entry_atom, actions = _entries(atoms, columns, tables)
         entry, s_next, obs, prob = _successors(m, atoms.state, atoms.weight, entry_atom, actions)
@@ -507,30 +492,22 @@ class FcsTree:
         child_domains = list(zip(*per_child))
         items = list(zip(zip(g_state.tolist(), zip(*per_agent)), weight.tolist()))
         bounds = np.searchsorted(group_child, np.arange(len(child_slot) + 1)).tolist()
-        # Materialise the children pair by pair, into the cache.
+        # Materialise the children, for pair, for ``o0``.
+        pair_of, o0_of = np.divmod(child_slot, num_common)
+        level.first = np.searchsorted(pair_of, np.arange(len(pair_node) + 1)).tolist()
+        level.mass = child_mass.tolist()
+        pair_node, pair_row = pair_node.tolist(), pair_row.tolist()
         children: list[FcsNode] = []
-        level.first, level.mass = first, mass = [0], []
-        slots = child_slot.tolist()
-        masses = child_mass.tolist()
-        c = 0
-        for pair, (i, k) in enumerate(zip(pair_node.tolist(), pair_row.tolist())):
-            node, gamma = nodes[i], gammas[i][k]
-            result: dict[int, tuple[FcsNode, float]] = {}
-            while c < len(slots) and slots[c] // num_common == pair:
-                o0 = slots[c] % num_common
-                child = FcsNode(
-                    t=node.t + 1,
-                    seq=node.seq + (gamma.key, o0),
-                    weights=tuple(items[bounds[c]:bounds[c + 1]]),
-                )
+        for c, (pair, o0) in enumerate(zip(pair_of.tolist(), o0_of.tolist())):
+            i = pair_node[pair]
+            seq = nodes[i].seq + (gammas[i][pair_row[pair]].key, o0)
+            child = self._nodes.get(seq)
+            if child is None:
+                child = self._nodes[seq] = FcsNode(
+                    t=nodes[i].t + 1, seq=seq, weights=tuple(items[bounds[c]:bounds[c + 1]]))
                 # What the ``agent_domains`` cached property would compute.
                 child.__dict__["agent_domains"] = child_domains[c]
-                result[o0] = (self._nodes.setdefault(child.seq, child), masses[c])
-                children.append(result[o0][0])
-                mass.append(masses[c])
-                c += 1
-            first.append(c)
-            self._children[cache_keys[pair]] = result
+            children.append(child)
         return Level(children, Atoms(
             start=np.array(bounds, dtype=np.intp),
             state=g_state,
@@ -616,23 +593,24 @@ def _columns_by_agent(domains: tuple[tuple, ...], columns) -> list[dict]:
     return [dict(zip(domain, rest)) for domain in domains]
 
 
-def _successor_labels(tree: FcsTree, node: FcsNode, gamma: Prescription, theta: dict):
-    """The labelled successors of ``node`` under ``gamma``, as ``(o0, agent,
-    h, a, o_n, label)``: for each child, agent, history ``h`` in domain order
-    and private observation ``o_n``, the ``theta`` label of ``h + (a, o_n)``
-    where ``theta`` has one, ``theta`` being keyed ``(t, seq, agent, h)``."""
-    t, sizes = node.t + 1, tree.model.private_obs_sizes
-    for o0, child, _p in tree.expand(node, gamma):
+def _successor_labels(model: DecPomdpModel, children, gamma: Prescription, theta: dict):
+    """The labelled successors of a node under ``gamma``, given its
+    ``children`` under ``gamma`` in ``o0`` order, as ``(o0, agent, h, a, o_n,
+    label)``: for each child, agent, history ``h`` in domain order and private
+    observation ``o_n``, the ``theta`` label of ``h + (a, o_n)`` where
+    ``theta`` has one, ``theta`` being keyed ``(t, seq, agent, h)``."""
+    sizes = model.private_obs_sizes
+    for child in children:
         for n, table in enumerate(gamma.entries):
             for h, a in table:
                 for on in range(sizes[n]):
-                    key = (t, child.seq, n, h + (a, on))
+                    key = (child.t, child.seq, n, h + (a, on))
                     if key in theta:
-                        yield o0, n, h, a, on, theta[key]
+                        yield child.seq[-1], n, h, a, on, theta[key]
 
 
 def level_nodes(tree: FcsTree, t: int) -> list[FcsNode]:
     """All reachable nodes at depth ``t`` under every prescription at every
     node, in creation order: for node, for canonical prescription, for
-    ``o0``.  They come from the tree's :meth:`~FcsTree.full_level` cache."""
+    ``o0``.  They come from the tree's :meth:`~FcsTree.full_level` record."""
     return list(tree.full_level(t).nodes)

@@ -269,15 +269,25 @@ def _nested_to_flat_actions(model_dims: tuple[int, ...], nested, what: str) -> n
     return arr
 
 
+def _json_int(doc: dict, field: str) -> int:
+    """``doc[field]``, which must be a JSON integer, neither a float nor a bool."""
+    value = doc[field]
+    if type(value) is not int:
+        # An array or object may be nested too deeply to write back.
+        kind = {list: "an array", dict: "an object"}.get(type(value))
+        raise TypeError(f"{field} must be an integer, not {kind or json.dumps(value)[:80]}")
+    return value
+
+
 def from_dict(doc: dict) -> DecPomdpModel:
     """Build and validate a model from a parsed document dictionary."""
     try:
-        num_agents = int(doc["num_agents"])
+        num_agents = _json_int(doc, "num_agents")
         states = tuple(doc["states"])
         actions = tuple(tuple(a) for a in doc["actions"])
         common_obs = tuple(doc["common_obs"])
         private_obs = tuple(tuple(o) for o in doc["private_obs"])
-        horizon = int(doc["horizon"])
+        horizon = _json_int(doc, "horizon")
     except KeyError as exc:
         raise ModelFormatError(f"missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:

@@ -148,13 +148,12 @@ def verify_gaps(
     ascs_table, _, _ = solve_ascs_asps(model, s, cc, budget=budget)
 
     report = GapReport(horizon=model.horizon, params=params)
-    levels = s.subtree()
     rbar = model.reward_bound
     for t in range(1, model.horizon + 1):
         tbar = model.horizon - t
         sups = {kind: 0.0 for kind in ("thm1", "thm2", "thm3")}
         any_nodes = False
-        for node, _mass in levels[t - 1]:
+        for node in s.level(t).nodes:
             any_nodes = True
             v = exact_table.entries[(t, node.seq)].value
             v_hat = asps_table.entries[(t, node.seq)].value
@@ -237,10 +236,10 @@ def check_lemmas(
     # compressed-optimal policy.
     viol2, wit2 = 0.0, None
     violc, witc = 0.0, None
-    for t, level in enumerate(s.subtree(), start=1):
+    for t in range(1, model.horizon + 1):
         tbar = model.horizon - t
         bound = gap_bound("lem2", tbar, model.horizon, rbar, mp)
-        for node, _mass in level:
+        for node in s.level(t).nodes:
             labels = s.labels(node)
             classes: dict = {}
             for f in tree.reachable_fps(node):
@@ -284,16 +283,16 @@ def check_lemmas(
     # the comparison crosses two different aggregation paths.
     viol3, wit3 = 0.0, None
     for t in range(1, model.horizon):
-        for node in level_nodes(tree, t):
-            fps = tree.reachable_fps(node)
-            prescs = enumerate_prescriptions(model, node.agent_domains)
-            for f in fps:
+        level, below = tree.full_level(t), tree.full_level(t + 1)
+        for i, node in enumerate(level.nodes):
+            for f in tree.reachable_fps(node):
                 h = f.histories
                 per_action: dict = {}
-                for gamma in prescs:
+                for k, gamma in enumerate(level.gammas[i]):
                     a = gamma.act(h)
                     dist: dict = {}
-                    for o0, child, p_branch in tree.expand(node, gamma):
+                    for c in level.children(i, k):
+                        child, p_branch = below.nodes[c], level.mass[c]
                         for (s_next, h_next), w in child.weights:
                             if all(
                                 h_next[n][: len(h[n])] == h[n]
@@ -306,12 +305,12 @@ def check_lemmas(
                                     h_next[n][len(h[n]) + 1]
                                     for n in range(model.num_agents)
                                 )
-                                key = (o0, incr, s_next)
+                                key = (child.seq[-1], incr, s_next)
                                 dist[key] = dist.get(key, 0.0) + p_branch * w
                     mass = sum(dist.values())
                     if mass <= ADMISSIBILITY_THRESHOLD:
                         continue
-                    dist = {k: v / mass for k, v in dist.items()}
+                    dist = {key: v / mass for key, v in dist.items()}
                     ref = per_action.setdefault(a, dist)
                     d = tv_distance(ref, dist)
                     if d > viol3:

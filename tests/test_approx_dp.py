@@ -80,9 +80,9 @@ def test_label_sweep_matches_restricted_under_identity_common(coin2):
     cc = identity_common(coin2, pc, tree)
     restricted, _ = solve_fcs_asps(coin2, pc, tree=tree)
     table, policy, label_policy = solve_ascs_asps(coin2, pc, cc, tree=tree)
-    levels = Session(tree, pc).subtree()
+    s = Session(tree, pc)
     for t in range(1, coin2.horizon + 1):
-        for node, _mass in levels[t - 1]:
+        for node in s.level(t).nodes:
             assert table.entries[(t, cc.label_of(t, node.seq))].value == pytest.approx(
                 restricted.entries[(t, node.seq)].value, abs=1e-9
             )

@@ -18,7 +18,7 @@ from ciplan.belief import (
 from ciplan.compression import PrivateCompression, build_exact_private, identity_private
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
-from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
+from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes, prescription_count
 from ciplan.model import DecPomdpModel
 
 
@@ -199,6 +199,23 @@ def test_verify_propositions_no_counterexamples(coin2):
     # actually exercised for each.
     assert sum("joint_prediction" in n for n in names) == 2
     assert sum("agent_reward" in n for n in names) == 2
+
+
+def test_check_spi_honours_the_budget(coin2):
+    # One unit per (node, prescription) pair the first and third conditions
+    # scan, charged a depth at a time before its scan.
+    tree = FcsTree(coin2)
+    pc = identity_private(coin2, tree)
+    pairs = sum(
+        prescription_count(coin2, node.agent_domains)
+        for t in range(1, coin2.horizon)
+        for node in level_nodes(tree, t)
+    )
+    assert check_spi(coin2, pc, tree, budget=pairs).passed
+    for budget in (1, pairs - 1):
+        with pytest.raises(BudgetExceededError) as info:
+            check_spi(coin2, pc, tree, budget=budget)
+        assert info.value.locus == ("spi", 1)
 
 
 def test_verify_propositions_honours_the_budget(coin2):

@@ -92,10 +92,16 @@ def _swapped_agent_axes() -> str:
     return json.dumps(doc)
 
 
+def _coin2_with(**fields) -> str:
+    return json.dumps({**json.loads((DATA / "coin2.json").read_text()), **fields})
+
+
 # case -> (subcommand argv, model text or None for coin2, compression text or
 # None, error message).  Nesting too deep for the JSON decoder or the literal
 # parser is malformed input, and so are any reference measure but uniform, an
-# unhashable label and a compression built for another horizon or agent count.
+# unhashable label, a compression built for another horizon or agent count, a
+# table entry that is no [key, value] pair or repeats a key, and a count that
+# is no JSON integer.
 BAD_INPUTS = {
     "deep-model": (
         ["validate"], _deep_list(100_000), None, "model document is nested too deeply",
@@ -133,6 +139,33 @@ BAD_INPUTS = {
     "wrong-agent-count": (
         ["solve", "--alg", "2"], None, _private_keyed("(1, (0,), 0, (0,))", num_agents=3),
         "private compression has 3 agents, the model 2",
+    ),
+    "repeated-theta-key": (
+        ["solve", "--alg", "2"], None,
+        _private_keyed("", theta=[["(1, (0,), 0, (0,))", "0"], ["(1, (0,), 0, (0,))", "99"]]),
+        "entry ['(1, (0,), 0, (0,))', '99'] repeats its key",
+    ),
+    "phi0-entry-not-a-pair": (
+        ["measure"], None,
+        json.dumps({"kind": "common", "horizon": 2, "mu": "uniform",
+                    "theta0": [], "phi0": [["(1, 0, (), 0)"]]}),
+        "entry ['(1, 0, (), 0)'] is not a [key, value] pair",
+    ),
+    "model-horizon-float": (
+        ["solve", "--alg", "1"], _coin2_with(horizon=2.5), None,
+        "malformed field: horizon must be an integer, not 2.5",
+    ),
+    "model-horizon-bool": (
+        ["solve", "--alg", "1"], _coin2_with(horizon=True), None,
+        "malformed field: horizon must be an integer, not true",
+    ),
+    "model-horizon-array": (
+        ["validate"], _coin2_with(horizon=[2]), None,
+        "malformed field: horizon must be an integer, not an array",
+    ),
+    "private-horizon-float": (
+        ["solve", "--alg", "2"], None, _private_keyed("(1, (0,), 0, (0,))", horizon=2.5),
+        "malformed field: horizon must be an integer, not 2.5",
     ),
     "swapped-agent-axes": (
         ["validate"], _swapped_agent_axes(), None,
@@ -204,6 +237,16 @@ def test_compression_missing_labels_is_input_error(tmp_path, case, coin2):
 def test_budget_exhaustion_status(capsys):
     assert main(["solve", "--alg", "1", "--model", COIN2, "--budget", "3"]) == EXIT_BUDGET
     assert main(["oracle", "--model", COIN2, "--budget", "3"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("argv", [["check-conditions"], ["solve", "--alg", "5"]])
+def test_spi_check_budget_exhaustion_status(capsys, argv):
+    # The sufficiency check charges its (node, prescription) pairs before the
+    # depth it scans, so a budget of 1 stops it at the roots.
+    assert main([*argv, "--model", COIN2, "--budget", "1"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget of 1 exceeded at ('spi', 1)\n"
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])

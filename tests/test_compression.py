@@ -254,7 +254,7 @@ def _scalar_private_stats(model, tree, levels):
 def _scalar_common_stats(model, tree, pc, levels):
     stats = {}
     for t in range(1, model.horizon + 1):
-        for node, _mass in levels[t - 1]:
+        for node in levels[t - 1]:
             domains = pc.label_map(node)[0]
             profile = {
                 lam.key: scalar_node_profile(tree, node, scalar_extension(pc, node, lam))
@@ -356,7 +356,8 @@ def _scalar_build_greedy(model, tree, tol_r, tol_o):
 
 def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
     """The compression and the pairs each repair round separated."""
-    levels = Session(tree, pc).subtree()
+    s = Session(tree, pc)
+    levels = [s.level(t).nodes for t in range(1, model.horizon + 1)]
     stats = _scalar_common_stats(model, tree, pc, levels)
 
     def compatible(a, b):
@@ -366,7 +367,7 @@ def _scalar_build_common_greedy(model, tree, pc, tol_r, tol_o):
     while True:
         cc = CommonCompression(horizon=model.horizon)
         for t in range(1, model.horizon + 1):
-            items = [(t, node.seq) for node, _mass in levels[t - 1]]
+            items = [(t, node.seq) for node in levels[t - 1]]
             for idx, cls in enumerate(_scalar_partition(items, compatible, separated)):
                 for item in cls:
                     cc.theta0[item] = idx
@@ -450,10 +451,11 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
             _assert_cells_match(matrix, items, private_compatible, tol_r, tol_o)
 
     pc, *_rounds = _assert_builds_match_scalar(model, tree, tol_r, tol_o)
-    common_levels = Session(tree, pc).subtree()
+    s = Session(tree, pc)
+    common_levels = [s.level(t).nodes for t in range(1, model.horizon + 1)]
     common_compatible = _scalar_common_stats(model, tree, pc, common_levels)
     for t in range(1, model.horizon + 1):
-        nodes = [node for node, _mass in common_levels[t - 1]]
+        nodes = common_levels[t - 1]
         matrix = _common_matrix(Session(tree, pc), nodes, t < model.horizon, tol_r, tol_o)
         items = [(t, node.seq) for node in nodes]
         _assert_cells_match(matrix, items, common_compatible, tol_r, tol_o)
@@ -533,7 +535,8 @@ def test_builders_charge_matrix_cells_to_budget(coin2):
         build_exact_private(coin2, tree, budget=cells - 1)
 
     pc = build_exact_private(coin2, tree)
-    common_cells = sum(len(level) ** 2 for level in Session(tree, pc).subtree())
+    s = Session(tree, pc)
+    common_cells = sum(len(s.level(t).nodes) ** 2 for t in range(1, coin2.horizon + 1))
     build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells)
     with pytest.raises(BudgetExceededError) as err:
         build_common_greedy(coin2, pc, 0.5, 0.5, tree=tree, budget=common_cells - 1)
@@ -579,8 +582,10 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
     tree = FcsTree(model)
     pc = build_greedy(model, 10.0, 2.0, tree=tree)
     s = Session(tree, pc)
-    levels = s.subtree()
-    masses = [{node.seq: mass for node, mass in level} for level in levels]
+    masses = [
+        dict(zip([node.seq for node in s.level(t).nodes], s.mu(t)))
+        for t in range(1, model.horizon + 1)
+    ]
 
     def deviation(n1, n2):
         w1, w2 = masses[1][n1.seq], masses[1][n2.seq]
@@ -594,7 +599,7 @@ def test_lossy_common_merge_matches_hand_mixture(small_models):
         return sup
 
     n1, n2 = max(
-        itertools.combinations([node for node, _mass in levels[1]], 2),
+        itertools.combinations(s.level(2).nodes, 2),
         key=lambda ab: deviation(*ab),
     )
     assert deviation(n1, n2) > 1e-6

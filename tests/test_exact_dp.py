@@ -255,8 +255,8 @@ def test_sweeps_keep_the_scalar_bits_across_the_hand_over(coin2, monkeypatch):
     # With a small batch limit the forward pass stops above the leaves: at
     # depth 1 on the horizon-2 models and at depth 2 on the horizon-3 one.
     # Algs 1, 2 and 4 walk the edges of every linked level by position, then
-    # ask the expansion cache below the last prepared one; alg 5 prepares no
-    # level, so it asks the cache at every node.
+    # expand each node afresh below the last prepared one; alg 5 prepares no
+    # level, so it expands at every node.
     monkeypatch.setattr(exact_dp, "_BATCH_ENTRIES", 64)
     calls = collections.Counter()
 
@@ -306,7 +306,7 @@ def table_bits(table, policy) -> tuple:
 
 def test_prepared_levels_make_no_cache_lookups(coin2, monkeypatch):
     # Once every level is prepared, algs 1, 2 and 4 walk the level edges by
-    # position and never ask the expansion cache.
+    # position and never call the scalar expansion.
     for model in (coin2, random_model(5, **KERNEL_SHAPES[2])):
         pc = build_exact_private(model)
         want = [

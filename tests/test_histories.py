@@ -190,8 +190,9 @@ def assert_batch_matches_scalar(model, pc=None):
     """Every node the batch kernel made, and its children under every
     prescription it was expanded with, equal a fresh tree's scalar
     ``expand``: same sequences, domains, and weights and masses bit for bit,
-    both through the expansion cache and through each level record's edges.
-    Under ``pc`` the kernel expands the label-prescription subtree, from the
+    both through a scalar ``expand`` on the batch tree, which returns the
+    nodes the kernel made, and through each level record's edges.  Under
+    ``pc`` the kernel expands the label-prescription subtree, from the
     forward pass of alg 2."""
     tree = FcsTree(model)
     if pc is None:
@@ -202,9 +203,7 @@ def assert_batch_matches_scalar(model, pc=None):
     else:
         solve_fcs_asps(model, pc, tree)
         s = Session(tree, pc)
-        levels = [[node for node, _mass in level] for level in s.subtree()]
         records = [s.level(t) for t in range(1, model.horizon + 1)]
-        assert [record.nodes for record in records] == levels
 
         def gammas(node):
             return [gamma for _lam, gamma in s.pairs(node)]
@@ -251,11 +250,12 @@ def test_batch_expansion_matches_scalar_expand_on_coin2(coin2):
     assert_batch_matches_scalar(coin2)
     tree = FcsTree(coin2)
     pc = build_greedy(coin2, 0.5, 0.5, tree=tree)
+    s = Session(tree, pc)
     # The labels merge histories, so label and history columns differ.
     assert any(
         len(labels) < len(hists)
-        for level in Session(tree, pc).subtree()
-        for node, _mass in level
+        for t in range(1, coin2.horizon + 1)
+        for node in s.level(t).nodes
         for labels, hists in zip(pc.label_map(node)[0], node.agent_domains)
     )
     assert_batch_matches_scalar(coin2, pc)
@@ -326,12 +326,37 @@ def test_only_the_forward_step_and_the_oracle_read_the_dynamics():
 def test_one_builder_expands_the_levels():
     # The full levels and the compressed subtree's levels are the only two
     # level expansions; the sweep's forward pass reads them and expands
-    # nothing, and the subtree and the common edges walk their records.
+    # nothing, and the μ masses, the common and private edges and the
+    # condition checks walk their records.
     assert _callers("expand_rows") == {
         ("histories", "FcsTree.full_level"),
         ("compression", "Session.level"),
     }
-    walkers = {("exact_dp", "generic_solve"), ("compression", "Session.subtree"),
-               ("compression", "Session.subtree.build"), ("compression", "_common_edges")}
+    walkers = {("exact_dp", "generic_solve"), ("compression", "Session.mu"),
+               ("compression", "Session.mu.build"), ("compression", "_common_edges"),
+               ("compression", "_private_edges"), ("belief", "check_spi"),
+               ("verify", "check_lemmas")}
     assert not walkers & (_callers("expand_rows") | _callers("expand"))
     assert not hasattr(exact_dp._Level, "gammas")
+
+
+def test_scalar_expand_serves_only_the_fallback_and_the_oracle(coin2):
+    # The level records are the one store of edges: the scalar expansion
+    # computes children afresh for the sweep below its prepared depths, for
+    # ``FcsTree.node`` and for the brute-force oracle, and nothing else.
+    assert _callers("expand") == {
+        ("histories", "FcsTree._materialize"),
+        ("exact_dp", "_Level.children"),
+        ("exact_dp", "_count_policies"),
+        ("exact_dp", "_iter_policies"),
+    }
+    tree = FcsTree(coin2)
+    _o0, root, _p = tree.roots()[0]
+    gamma = enumerate_prescriptions(coin2, root.agent_domains)[0]
+    first = tree.expand(root, gamma)
+    sizes = {name: len(value) for name, value in vars(tree).items() if isinstance(value, dict)}
+    again = tree.expand(root, gamma)
+    # A second expansion finds the same nodes and stores nothing.
+    assert [id(child) for _o0, child, _p in again] == [id(child) for _o0, child, _p in first]
+    assert sizes == {name: len(value) for name, value in vars(tree).items() if isinstance(value, dict)}
+    assert not hasattr(tree, "_children")

@@ -282,7 +282,7 @@ def assert_matches_oracle(model, tols):
     pc = build_greedy(model, *tols, tree=tree)
 
     s = Session(tree, pc)
-    levels = s.subtree()
+    levels = [list(zip(s.level(t).nodes, s.mu(t))) for t in range(1, model.horizon + 1)]
     masses = scalar_mu_levels(model, ref, pc)
     assert [[(node.seq, mass.hex()) for node, mass in level] for level in levels] == [
         [(node.seq, masses[t][node.seq].hex()) for node in level]
@@ -362,13 +362,14 @@ def test_compressed_subtree_comes_from_the_level_builder(coin2, monkeypatch):
         tree = FcsTree(model)
         with monkeypatch.context() as patch:
             patch.setattr(FcsTree, "expand", lambda *args: pytest.fail("expand called"))
-            levels = Session(tree, pc).subtree()
+            s = Session(tree, pc)
+            levels = [list(zip(s.level(t).nodes, s.mu(t))) for t in range(1, model.horizon + 1)]
             commons = [identity_common(model, pc, tree), bcs_common(model, pc, tree)]
             assert all(check_recursive(model, cc, pc=pc, tree=tree).passed for cc in commons)
         assert [serialize_compression(cc) for cc in commons] == want
-        # The scalar walk on the same tree finds the level-built nodes in the
-        # expansion cache; on a tree of its own it makes the same nodes and
-        # masses.
+        # The scalar walk on the same tree expands afresh and finds the
+        # level-built nodes registered there; on a tree of its own it makes
+        # the same nodes and masses.
         assert [[id(node) for node, _mass in level] for level in levels] == [
             [id(node) for node in level] for level in scalar_subtree_levels(model, tree, pc)
         ]
@@ -404,7 +405,7 @@ def test_alg2_expands_nothing_on_a_session_with_its_levels(coin2, monkeypatch):
         pc = build_greedy(model, 0.5, 0.5)
         want = _table_bits(*solve_fcs_asps(model, pc))
         s = Session(FcsTree(model), pc)
-        s.subtree()
+        s.level(model.horizon)
         with monkeypatch.context() as patch:
             patch.setattr(FcsTree, "expand_rows", counted)
             assert _table_bits(*solve_fcs_asps(model, s)) == want
@@ -418,8 +419,8 @@ def assert_profiles_match_scalar(session, ref):
     """Every subtree node's batched reward and law under every label row
     equal the scalar profile of the row's extension, by ``float.hex``; an
     observation the scalar law lacks is an exact 0.0."""
-    for level in session.subtree():
-        for node, _mass in level:
+    for t in range(1, session.model.horizon + 1):
+        for node in session.level(t).nodes:
             reward, law = session.profiles(node)
             pairs = session.pairs(node)
             assert reward.shape == (len(pairs),) and law.shape[0] == len(pairs)
@@ -509,7 +510,8 @@ def test_measurements_charge_the_budget(coin2):
         for node in level_nodes(tree, t)
     )
     s = Session(tree, pc)
-    common = sum(len(s.pairs(node)) for level in s.subtree() for node, _mass in level)
+    common = sum(
+        len(s.pairs(node)) for t in range(1, coin2.horizon + 1) for node in s.level(t).nodes)
     assert measure_private(coin2, pc, tree=tree, budget=private).eps_p > 0.0
     with pytest.raises(BudgetExceededError) as err:
         measure_private(coin2, pc, tree=tree, budget=private - 1)
@@ -537,7 +539,8 @@ def test_session_memo_keeps_the_budget(coin2):
         for t in range(1, coin2.horizon + 1)
         for node in level_nodes(tree, t)
     )
-    common = sum(len(s.pairs(node)) for level in s.subtree() for node, _mass in level)
+    common = sum(
+        len(s.pairs(node)) for t in range(1, coin2.horizon + 1) for node in s.level(t).nodes)
     classes = [(t, cls) for t in range(coin2.horizon, 0, -1) for cls in s.classes(t)]
     label_rows = sum(len(s.pairs(cls[1][0])) for _t, cls in classes)
     last_t, last = classes[-1]
