@@ -396,7 +396,11 @@ def solve_bcs_spi(
 
 
 def verify_propositions(
-    model: DecPomdpModel, compressions, tree: FcsTree | None = None, budget: int = DEFAULT_BUDGET
+    model: DecPomdpModel,
+    compressions,
+    tree: FcsTree | None = None,
+    budget: int = DEFAULT_BUDGET,
+    identity=None,
 ) -> ConditionReport:
     """Check the implication structure among the sufficiency condition sets.
 
@@ -406,16 +410,19 @@ def verify_propositions(
     and when exact reward sufficiency plus cross-agent label prediction
     hold, per-agent reward sufficiency must follow (conclusions at 1e-6).
     Also verifies that the belief common state measures as an exact common
-    compression.  ``budget`` is passed to both measurements.
+    compression.  ``budget`` is passed to both measurements and to the
+    identity compression's construction; ``identity`` is a session for an
+    identity compression the caller already built on ``tree``.
     """
     from . import compression as comp
 
     tree = tree or FcsTree(model)
     report = ConditionReport()
 
-    pc_identity = comp.identity_private(model, tree)
-    cc_bcs = comp.bcs_common(model, pc_identity, tree)
-    mc = comp.measure_common(model, pc_identity, cc_bcs, tree=tree, budget=budget)
+    if identity is None:
+        identity = comp.identity_private(model, tree, budget=budget)
+    cc_bcs = comp.bcs_common(model, identity, tree)
+    mc = comp.measure_common(model, identity, cc_bcs, tree=tree, budget=budget)
     report.results.append(
         ConditionResult(
             "bcs_is_exact_common",

@@ -180,7 +180,7 @@ def run_command(args) -> tuple[int, dict]:
     if args.command == "solve":
         pc, cc = _load_compressions(args, model)
         if args.alg == "5" and pc is None:
-            pc = compression.identity_private(model, tree)
+            pc = compression.identity_private(model, tree, budget=budget)
         if args.alg in ("2", "3", "5"):
             session = Session(tree, _require(pc, "private"), cc)
         if args.alg == "1":
@@ -206,7 +206,7 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "check-conditions":
         pc, _cc = _load_compressions(args, model)
-        identity = Session(tree, compression.identity_private(model, tree))
+        identity = Session(tree, compression.identity_private(model, tree, budget=budget))
         session = identity if pc is None else Session(tree, pc)
         spi_report = belief.check_spi(model, identity, budget=budget)
         rec_report = compression.check_recursive(model, session)
@@ -219,7 +219,8 @@ def run_command(args) -> tuple[int, dict]:
         if rec_report.passed:
             # The deeper identities presume a well-formed recursive update.
             lemma_report = verify.check_lemmas(model, session, budget=budget)
-            prop_report = belief.verify_propositions(model, [session], tree=tree, budget=budget)
+            prop_report = belief.verify_propositions(
+                model, [session], tree=tree, budget=budget, identity=identity)
             report["lemmas"] = lemma_report.to_jsonable()
             report["propositions"] = prop_report.to_jsonable()
             ok = ok and lemma_report.passed and prop_report.passed

@@ -646,12 +646,23 @@ def _measure_common(s: Session, budget: int) -> tuple[MeasuredParams, int]:
 # -- construction ----------------------------------------------------------
 
 
-def identity_private(model: DecPomdpModel, tree: FcsTree | None = None) -> PrivateCompression:
-    """The lossless private compression: each history is its own label."""
+def identity_private(
+    model: DecPomdpModel, tree: FcsTree | None = None, budget: int = DEFAULT_BUDGET
+) -> PrivateCompression:
+    """The lossless private compression: each history is its own label.
+
+    ``budget`` caps the full levels' (node, prescription) pairs, charged a
+    depth at a time before that depth is expanded, as the exact sweep does.
+    """
     tree = tree or FcsTree(model)
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
+    spent = 0
     for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
+        level = tree.full_level(t)
+        spent += sum(prescription_count(model, node.agent_domains) for node in level.nodes)
+        if spent > budget:
+            raise BudgetExceededError(("identity", t), budget)
+        for node in level.nodes:
             for n, domain in enumerate(node.agent_domains):
                 for h in domain:
                     pc.theta[(t, node.seq, n, h)] = h

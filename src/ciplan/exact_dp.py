@@ -23,6 +23,7 @@ from .histories import (
     JointHist,
     Level,
     Prescription,
+    _collector_paused,
     _columns_by_agent,
     enumerate_prescriptions,
     prescription_count,
@@ -84,6 +85,9 @@ class CoordinatorPolicy:
 _REWARD_CELLS = 1 << 18
 #: Largest ``(node, row, atom)`` expansion the forward pass makes at once.
 _BATCH_ENTRIES = 1 << 16
+#: Fewest children a level's backward step adds with numpy, whose set-up
+#: costs more than a Python loop over fewer.
+_VECTOR_CHILDREN = 256
 
 
 class _Level:
@@ -97,7 +101,8 @@ class _Level:
     its node's action rows, and nodes are grouped by the shape of their
     domains, which fixes their action table.  The prescription counts come
     from the shapes alone; no table is built and nothing is scored before
-    the first :meth:`rewards` call.  Once :meth:`link` has given the view of
+    the first :meth:`score` call, unless the record kept the rewards of an
+    earlier sweep.  Once :meth:`link` has given the view of
     the level below, :meth:`children` reads the record's edges by position;
     until then it expands the node afresh with ``tree.expand``.
     """
@@ -126,6 +131,8 @@ class _Level:
         counts = [prescription_count(tree.model, tuple(map(range, shape))) for shape in self.shapes]
         self.counts = [counts[g] for g in self.shape_of]
         self.q = None
+        if pc is None and record.rewards is not None:
+            self.q, self.best, self.members, self.block, self.row = record.rewards
 
     def table(self, i: int) -> np.ndarray:
         return self.tree._action_rows(self.shapes[self.shape_of[i]])
@@ -136,14 +143,16 @@ class _Level:
         ``contrib[c, k]`` is what column ``c`` of row ``k`` adds to the flat
         joint-action index.  Within a block of nodes sharing a shape the atoms
         are added one rank at a time, each node's in stored order, so every
-        entry is the scalar sum ``q += w * r`` bit for bit.
+        entry is the scalar sum ``q += w * r`` bit for bit.  Without a
+        compression the rewards depend on the tree alone, so the record keeps
+        them for the next sweep.
         """
         reward = self.tree.model.reward.ravel()
         num_joint = self.tree.model.reward.shape[1]
         atoms, columns, order, bounds = self.record.atoms, self.columns, self.order, self.bounds
         block_of = np.empty(len(order), dtype=np.intp)
         row_of = np.empty(len(order), dtype=np.intp)
-        self.q, self.best = [], []
+        self.q, self.best, self.members = [], [], []
         for g, shape in enumerate(self.shapes):
             contrib = self.tree._contrib(shape)
             width = contrib.shape[1]
@@ -165,7 +174,10 @@ class _Level:
                     q[sel] += r
                 self.q.append(q)
                 self.best.append(np.argmax(q, axis=1).tolist())
+                self.members.append(block)
         self.block, self.row = block_of.tolist(), row_of.tolist()
+        if self.pc is None:
+            self.record.rewards = (self.q, self.best, self.members, self.block, self.row)
 
     def rewards(self, i: int) -> list[float]:
         if self.q is None:
@@ -252,14 +264,18 @@ def generic_solve(
     the subtree the label prescriptions reach.  The pass stops at the first
     depth whose cumulative prescription count passes ``budget``, or that the
     source does not hold yet and whose expansion would take more than
-    ``_BATCH_ENTRIES`` entries.  The depth-first sweep then visits ``(level,
-    position)`` pairs and reads a row's children as a range of positions
-    below, so the first node to reach a key fills its entry.  Ties go to the
-    smallest canonical index.  A ``key_fn`` lets the sweep skip the subtrees
-    below a solved key, so the pass then prepares only the levels the tree
-    or session already holds; below the last prepared depth the children
-    come from ``tree.expand``, computed afresh for each (node, row) the sweep
-    visits, each node prepared alone.
+    ``_BATCH_ENTRIES`` entries.  Without a ``key_fn``, a pass that reached
+    the leaves is followed by :func:`_sweep_levels`, one depth at a time
+    from the leaves up.  Otherwise :func:`_sweep_depth_first` visits
+    ``(level, position)`` pairs and reads a row's children as a range of
+    positions below, so the first node to reach a key fills its entry.  Ties
+    go to the smallest canonical index either way.  A ``key_fn`` lets the
+    sweep skip the subtrees below a solved key, so the pass then prepares
+    only the levels the tree or session already holds; below the last
+    prepared depth the children come from ``tree.expand``, computed afresh
+    for each (node, row) the sweep visits, each node prepared alone.  The
+    cyclic collector is paused throughout: the sweep makes no reference
+    cycle.
 
     Parameters
     ----------
@@ -277,26 +293,111 @@ def generic_solve(
         covers every node it reaches.
     """
     tree = tree or FcsTree(model)
+    with _collector_paused():
+        level_at, held = (tree.full_level, tree._levels) if pc is None else (pc.level, pc._levels)
+        levels: list[_Level] = []
+        spent = 0
+        for t in range(1, (model.horizon if key_fn is None else len(held)) + 1):
+            if t > 1 and t > len(held):
+                above = levels[-1]
+                sizes = np.diff(above.record.atoms.start).tolist()
+                if sum(c * n for c, n in zip(above.counts, sizes)) > _BATCH_ENTRIES:
+                    break
+            below = _Level(tree, pc, level_at(t))
+            spent += sum(below.counts)
+            if spent > budget:
+                break
+            if levels:
+                levels[-1].link(below)
+            levels.append(below)
+        if key_fn is None and len(levels) == model.horizon:
+            # Every evaluation is charged: ``spent`` fits the budget.
+            return _sweep_levels(model, tree, pc, levels)
+        return _sweep_depth_first(model, tree, pc, key_fn, levels[0] if levels else None, budget)
+
+
+def _sweep_levels(
+    model: DecPomdpModel, tree: FcsTree, pc: Session | None, levels: list[_Level]
+) -> tuple[ValueTable, CoordinatorPolicy]:
+    """The backward pass over linked levels that reach the leaves, one depth
+    at a time from the leaves up; the value entries and the policy are
+    those of the depth-first pass, inserted depth by depth.
+
+    Each row's children are added to its reward in ``o0`` order, ``total
+    += p * v`` as the depth-first pass adds them, one child rank at a time
+    in numpy on a level with at least ``_VECTOR_CHILDREN`` children, and
+    each node takes its first maximum, so every float is the same.
+    """
+    table = ValueTable(horizon=model.horizon)
+    policy = CoordinatorPolicy()
+    values = None  # the depth below's node values, by position
+    for level in reversed(levels):
+        if level.q is None:
+            level.score()
+        rows, best, terms = level.q, level.best, None
+        if values is not None and len(level.record.mass) < _VECTOR_CHILDREN:
+            # Too few children to pay for numpy's set-up: add them node by
+            # node below, where ``c`` walks the children in pair order.
+            terms = [p * v for p, v in zip(level.record.mass, values)]
+            ends, c = iter(level.record.first[1:]), 0
+        elif values is not None:
+            record = level.record
+            first = np.array(record.first)
+            term = np.multiply(record.mass, values)
+            pair0 = np.cumsum(level.counts) - level.counts
+            rows, best = [], []
+            for q, members in zip(level.q, level.members):
+                pairs = pair0[members][:, None] + np.arange(q.shape[1])
+                start = first[pairs]
+                count = first[pairs + 1] - start
+                q = q.copy()
+                for rank in range(int(count.max())):
+                    sel = count > rank
+                    q[sel] += term[start[sel] + rank]
+                rows.append(q)
+                best.append(np.argmax(q, axis=1).tolist())
+        rows = [q.tolist() for q in rows]
+        found = []  # each node's value, in node order
+        for i, node in enumerate(level.nodes):
+            b, r = level.block[i], level.row[i]
+            q = rows[b][r]
+            if terms is None:
+                k = best[b][r]
+            else:
+                for j, end in zip(range(len(q)), ends):
+                    total = q[j]
+                    while c < end:
+                        total += terms[c]
+                        c += 1
+                    q[j] = total
+                k = q.index(max(q))
+            gamma = level.gamma(i, k)
+            lam = gamma if pc is None else level.lam(i, k)
+            table.entries[(node.t, node.seq)] = ValueEntry(
+                value=q[k], argmax_index=k, argmax_key=lam.key, q_values=tuple(q))
+            policy.prescriptions[node.seq] = gamma
+            found.append(q[k])
+        values = found
+    overall = 0.0
+    for (_o0, _root, p_root), v in zip(tree.roots(), found):
+        overall += p_root * v
+    table.overall_value = overall
+    return table, policy
+
+
+def _sweep_depth_first(
+    model: DecPomdpModel,
+    tree: FcsTree,
+    pc: Session | None,
+    key_fn,
+    top: _Level | None,
+    budget: int,
+) -> tuple[ValueTable, CoordinatorPolicy]:
+    """The backward pass from the roots down, node by node, below ``top``,
+    the linked levels the forward pass prepared."""
     by_seq = key_fn is None
     if by_seq:
         key_fn = lambda node: node.seq
-    level_at, held = (tree.full_level, tree._levels) if pc is None else (pc.level, pc._levels)
-    top = level = None
-    spent = 0
-    for t in range(1, (model.horizon if by_seq else len(held)) + 1):
-        if t > 1 and t > len(held):
-            sizes = np.diff(level.record.atoms.start).tolist()
-            if sum(c * n for c, n in zip(level.counts, sizes)) > _BATCH_ENTRIES:
-                break
-        below = _Level(tree, pc, level_at(t))
-        spent += sum(below.counts)
-        if spent > budget:
-            break
-        if level is None:
-            top = below
-        else:
-            level.link(below)
-        level = below
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
     evals = 0

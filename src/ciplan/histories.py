@@ -15,6 +15,8 @@ o_t)`` of per-agent indices.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -176,13 +178,16 @@ class Level:
     the edges that leave them, kept nowhere else: row ``k`` of node ``i``
     stands for the history-domain prescription ``gammas[i][k]``,
     :meth:`children` gives its children in the level below, and child ``c``
-    there has the mass ``mass[c]``.  A level refers to no tree and no session."""
+    there has the mass ``mass[c]``.  A full level also keeps ``rewards``,
+    the immediate rewards of its rows as the first sweep to score them left
+    them, for the next sweep.  A level refers to no tree and no session."""
 
     nodes: list[FcsNode]
     atoms: Atoms
     gammas: list[list[Prescription]] | None = None
     first: list[int] | None = None  # where each (node, row) pair's children start
     mass: list[float] | None = None
+    rewards: tuple | None = None
 
     @cached_property
     def _pair0(self) -> list[int]:
@@ -196,6 +201,21 @@ class Level:
 
 #: Dense successor cells ``(atom, s', o)`` computed at once by the batch kernel.
 _CHUNK_CELLS = 1 << 18
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector and give it back as it was found.
+
+    Building a level and sweeping the tree allocate many tuples but make no
+    reference cycle, so the collections they would set off find nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -392,18 +412,19 @@ class FcsTree:
         """The depth-``t`` nodes under every prescription at every node, in
         :func:`level_nodes` order, with the edges under every row of their
         action tables once depth ``t + 1`` is built.  Each level is expanded
-        once, from above."""
+        once, from above, with the cyclic collector paused."""
         if not self._levels:
             roots = [node for _o0, node, _p in self.roots()]
             self._levels.append(Level(roots, Atoms.of(roots)))
-        while len(self._levels) < t:
-            level = self._levels[-1]
-            tables = [self._action_rows(tuple(sizes)) for sizes in level.atoms.sizes.tolist()]
-            gammas = [
-                [self._prescription(node.agent_domains, row) for row in rows]
-                for node, rows in zip(level.nodes, tables)
-            ]
-            self._levels.append(self.expand_rows(level, level.atoms.columns(), tables, gammas))
+        with _collector_paused():
+            while len(self._levels) < t:
+                level = self._levels[-1]
+                tables = [self._action_rows(tuple(sizes)) for sizes in level.atoms.sizes.tolist()]
+                gammas = [
+                    [self._prescription(node.agent_domains, row) for row in rows]
+                    for node, rows in zip(level.nodes, tables)
+                ]
+                self._levels.append(self.expand_rows(level, level.atoms.columns(), tables, gammas))
         return self._levels[t - 1]
 
     def expand_rows(

@@ -309,6 +309,8 @@ def from_dict(doc: dict) -> DecPomdpModel:
         initial = np.asarray(doc["initial"], dtype=float)
     except KeyError as exc:
         raise ModelFormatError(f"missing field {exc.args[0]!r}") from exc
+    except ModelFormatError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed tensor: {exc}") from exc
 

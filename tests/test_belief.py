@@ -15,7 +15,12 @@ from ciplan.belief import (
     solve_bcs_spi,
     verify_propositions,
 )
-from ciplan.compression import PrivateCompression, build_exact_private, identity_private
+from ciplan.compression import (
+    PrivateCompression,
+    Session,
+    build_exact_private,
+    identity_private,
+)
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
 from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes, prescription_count
@@ -221,4 +226,10 @@ def test_check_spi_honours_the_budget(coin2):
 def test_verify_propositions_honours_the_budget(coin2):
     with pytest.raises(BudgetExceededError) as info:
         verify_propositions(coin2, [build_exact_private(coin2)], budget=1)
+    assert info.value.locus == ("identity", 1)
+    # Given the caller's identity session, the first charge is the measurement's.
+    tree = FcsTree(coin2)
+    identity = Session(tree, identity_private(coin2, tree))
+    with pytest.raises(BudgetExceededError) as info:
+        verify_propositions(coin2, [build_exact_private(coin2, tree)], tree, 1, identity)
     assert info.value.locus == ("common measure", 1)

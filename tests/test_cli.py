@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ciplan import compression
 from ciplan.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from ciplan.compression import (
     bcs_common,
@@ -169,7 +170,7 @@ BAD_INPUTS = {
     ),
     "swapped-agent-axes": (
         ["validate"], _swapped_agent_axes(), None,
-        "malformed tensor: transition: expected nested shape (2, 2, 3, 2), got (2, 3, 2, 2)",
+        "transition: expected nested shape (2, 2, 3, 2), got (2, 3, 2, 2)",
     ),
 }
 
@@ -241,12 +242,28 @@ def test_budget_exhaustion_status(capsys):
 
 @pytest.mark.parametrize("argv", [["check-conditions"], ["solve", "--alg", "5"]])
 def test_spi_check_budget_exhaustion_status(capsys, argv):
-    # The sufficiency check charges its (node, prescription) pairs before the
-    # depth it scans, so a budget of 1 stops it at the roots.
+    # The identity compression both commands build first charges the full
+    # levels' (node, prescription) pairs before it expands a depth, so a
+    # budget of 1 stops it at the roots.
     assert main([*argv, "--model", COIN2, "--budget", "1"]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: budget of 1 exceeded at ('spi', 1)\n"
+    assert captured.err == "error: budget of 1 exceeded at ('identity', 1)\n"
+
+
+@pytest.mark.parametrize("argv", [["check-conditions"], ["solve", "--alg", "5"]])
+def test_one_identity_compression_per_command(capsys, monkeypatch, argv):
+    # check-conditions hands the identity session it built for the SPI check
+    # on to the propositions.
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return identity_private(*args, **kwargs)
+
+    monkeypatch.setattr(compression, "identity_private", counted)
+    assert main([*argv, "--model", COIN2]) == EXIT_OK
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])

@@ -37,7 +37,7 @@ from ciplan.compression import (
 )
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
-from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
+from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes, prescription_count
 from ciplan.model import ADMISSIBILITY_THRESHOLD
 
 from test_belief import uninformative_model
@@ -88,6 +88,28 @@ def test_tv_distance_is_a_metric(pqr):
 def test_identity_passes_recursive_check(coin2):
     pc = identity_private(coin2)
     assert check_recursive(coin2, pc).passed
+
+
+def test_identity_private_charges_each_depth_before_expanding_it(coin2):
+    # One unit per (node, prescription) pair of the full levels, as alg 1
+    # charges them; a depth that does not fit stops the build before the
+    # depth below it is expanded.
+    pairs = [
+        sum(prescription_count(coin2, node.agent_domains) for node in level_nodes(FcsTree(coin2), t))
+        for t in (1, 2)
+    ]
+    assert check_recursive(coin2, identity_private(coin2, budget=sum(pairs))).passed
+    for budget, t in ((pairs[0] - 1, 1), (sum(pairs) - 1, 2)):
+        tree = FcsTree(coin2)
+        with pytest.raises(BudgetExceededError) as info:
+            identity_private(coin2, tree, budget=budget)
+        assert info.value.locus == ("identity", t)
+        assert len(tree._levels) == t
+    wide = random_model(1, num_states=2, horizon=3, private_obs_sizes=(2, 2))
+    tree = FcsTree(wide)
+    with pytest.raises(BudgetExceededError) as info:
+        identity_private(wide, tree, budget=1)
+    assert info.value.locus == ("identity", 1) and len(tree._levels) == 1
 
 
 def test_swapped_labels_fail_recursive_check(coin2):

@@ -150,7 +150,8 @@ KERNEL_SHAPES = [
 
 
 def scalar_sweep(model, tree, pairs, key_fn) -> dict:
-    """The scalar backward sweep the kernel replaced, as ``(t, key) -> Q list``.
+    """The scalar backward sweep the kernel replaced, as ``(t, key) -> (Q
+    list, (label prescription, extension) pairs)``.
 
     One prescription at a time, ``q += w * R[s, joint_action_index(gamma.act(h))]``
     over the atoms in stored order, then the children in canonical order;
@@ -162,9 +163,9 @@ def scalar_sweep(model, tree, pairs, key_fn) -> dict:
     def solve(node):
         key = (node.t, key_fn(node))
         if key in entries:
-            return max(entries[key])
-        qs = []
-        for _lam, gamma in pairs(node):
+            return max(entries[key][0])
+        qs, node_pairs = [], pairs(node)
+        for _lam, gamma in node_pairs:
             q = 0.0
             for (s, hjoint), w in node.weights:
                 q += w * float(model.reward[s, model.joint_action_index(gamma.act(hjoint))])
@@ -172,7 +173,7 @@ def scalar_sweep(model, tree, pairs, key_fn) -> dict:
                 for _o0, child, p in tree.expand(node, gamma):
                     q += p * solve(child)
             qs.append(q)
-        entries[key] = qs
+        entries[key] = qs, node_pairs
         return max(qs)
 
     for _o0, root, _p in tree.roots():
@@ -230,15 +231,21 @@ def assert_kernel_matches_scalar(model):
 
 def assert_solves_match_scalar(solves):
     exact = solves["alg1"][0].overall_value
-    for name, (table, _policy, scalar) in solves.items():
+    for name, (table, policy, scalar) in solves.items():
         # Lossless compression and belief keys keep the exact value.
         assert table.overall_value == pytest.approx(exact, abs=1e-9), name
         assert table.entries.keys() == scalar.keys(), name
         for key, entry in table.entries.items():
-            ref = scalar[key]
+            ref, pairs = scalar[key]
+            best = ref.index(max(ref))
             assert [q.hex() for q in entry.q_values] == [q.hex() for q in ref], (name, key)
-            assert entry.argmax_index == ref.index(max(ref)), (name, key)
+            assert entry.argmax_index == best, (name, key)
             assert entry.value.hex() == max(ref).hex(), (name, key)
+            # Entries record the label prescription, policies its extension.
+            lam, gamma = pairs[best]
+            assert entry.argmax_key == lam.key, (name, key)
+            if name in ("alg1", "alg2"):
+                assert policy.at(key[1]) == gamma, (name, key)
 
 
 def test_kernel_matches_scalar_sweep_on_coin2(coin2):
@@ -249,6 +256,14 @@ def test_kernel_matches_scalar_sweep_on_coin2(coin2):
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SHAPES))
 def test_kernel_matches_scalar_sweep(seed, shape):
     assert_kernel_matches_scalar(random_model(seed, **{"horizon": 2, **shape}))
+
+
+def test_vectorised_child_sums_keep_the_scalar_bits(coin2, monkeypatch):
+    # These levels have too few children for numpy's child sums; with the
+    # limit at zero every level takes them instead.
+    monkeypatch.setattr(exact_dp, "_VECTOR_CHILDREN", 0)
+    for model in (coin2, random_model(5, **KERNEL_SHAPES[1]), random_model(7, **KERNEL_SHAPES[2])):
+        assert_kernel_matches_scalar(model)
 
 
 def test_sweeps_keep_the_scalar_bits_across_the_hand_over(coin2, monkeypatch):
@@ -428,6 +443,96 @@ def test_sweeps_leave_no_reference_cycle(coin2, alg):
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_prepared_trees_are_solved_by_level(coin2, monkeypatch):
+    # Once the forward pass has prepared every depth, algs 1 and 2 solve one
+    # depth at a time; algs 4 and 5 keep the depth-first pass, since which
+    # node first fills a key depends on values deeper down.  A tree the
+    # forward pass does not prepare down to its leaves is solved depth-first.
+    calls = collections.Counter()
+    for name in ("_sweep_levels", "_sweep_depth_first"):
+        def counted(*args, name=name, sweep=getattr(exact_dp, name)):
+            calls[name] += 1
+            return sweep(*args)
+        monkeypatch.setattr(exact_dp, name, counted)
+    by_level, depth_first = {"_sweep_levels": 1}, {"_sweep_depth_first": 1}
+    for model in (coin2, random_model(5, **KERNEL_SHAPES[2])):
+        tree = FcsTree(model)
+        pc = Session(tree, build_exact_private(model, tree))
+        tree.full_level(model.horizon)
+        pc.level(model.horizon)
+        for want, solve in (
+            (by_level, lambda: solve_fcs_fps(model, tree)),
+            (by_level, lambda: solve_fcs_asps(model, pc)),
+            (depth_first, lambda: solve_bcs_fps(model, tree)),
+            (depth_first, lambda: solve_bcs_spi(model, pc)),
+        ):
+            calls.clear()
+            solve()
+            assert calls == want
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_dp, "_BATCH_ENTRIES", 64)
+            calls.clear()
+            solve_fcs_fps(model, FcsTree(model))
+            assert calls == depth_first
+
+
+def test_full_levels_keep_their_rewards(coin2, monkeypatch):
+    # Without a compression the rewards depend on the tree alone, so each
+    # full level is scored once per tree; label rows are scored by every sweep.
+    scored = collections.Counter()
+    score = exact_dp._Level.score
+
+    def counted(level):
+        scored["full" if level.pc is None else "label"] += 1
+        score(level)
+
+    monkeypatch.setattr(exact_dp._Level, "score", counted)
+    tree = FcsTree(coin2)
+    solve_fcs_fps(coin2, tree)
+    solve_bcs_fps(coin2, tree)
+    assert scored == {"full": coin2.horizon}
+    pc = Session(tree, build_exact_private(coin2, tree))
+    solve_fcs_asps(coin2, pc)
+    solve_fcs_asps(coin2, pc)
+    assert scored == {"full": coin2.horizon, "label": 2 * coin2.horizon}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_sweeps_give_the_collector_back_as_they_found_it(coin2, monkeypatch, enabled):
+    # ``full_level`` and ``generic_solve`` pause the cyclic collector while
+    # they work and restore the caller's setting on success and on error.
+    seen = []
+
+    def failing(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("stop")
+
+    sweep = exact_dp._sweep_levels
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return sweep(*args)
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        FcsTree(coin2).full_level(coin2.horizon)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(exact_dp, "_sweep_levels", watched)
+        solve_fcs_fps(coin2, FcsTree(coin2))
+        assert gc.isenabled() is enabled
+        with pytest.raises(BudgetExceededError):
+            solve_fcs_fps(coin2, FcsTree(coin2), budget=3)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(FcsTree, "expand_rows", failing)
+        with pytest.raises(RuntimeError):
+            FcsTree(coin2).full_level(coin2.horizon)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 # -- policies cover every node they reach ----------------------------------

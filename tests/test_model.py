@@ -69,17 +69,17 @@ def test_agent_axes_in_the_wrong_order_are_format_error():
     with pytest.raises(ModelFormatError) as err:
         from_dict(doc)
     assert str(err.value) == (
-        "malformed tensor: transition: expected nested shape (2, 2, 3, 2), got (2, 3, 2, 2)"
+        "transition: expected nested shape (2, 2, 3, 2), got (2, 3, 2, 2)"
     )
     doc["transition"] = [[[[0.5, 0.5]] * 3] * 2] * 2
     doc["reward"] = [[[0.0] * 2] * 3] * 2
-    with pytest.raises(ModelFormatError, match=r"^malformed tensor: reward: .* \(2, 2, 3\), got"):
+    with pytest.raises(ModelFormatError, match=r"^reward: .* \(2, 2, 3\), got"):
         from_dict(doc)
     doc["reward"] = [[[0.0] * 3] * 2] * 2
     assert from_dict(doc).transition.shape == (2, 6, 2)
     doc = tiny_model(private_obs=[["o0", "o1"], ["o0"]])
     doc["observation"] = [[[[0.5, 0.5]]]] * 2
-    with pytest.raises(ModelFormatError, match=r"^malformed tensor: observation: expected"):
+    with pytest.raises(ModelFormatError, match=r"^observation: expected"):
         from_dict(doc)
 
 
