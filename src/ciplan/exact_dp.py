@@ -85,9 +85,6 @@ class CoordinatorPolicy:
 _REWARD_CELLS = 1 << 18
 #: Largest ``(node, row, atom)`` expansion the forward pass makes at once.
 _BATCH_ENTRIES = 1 << 16
-#: Fewest children a level's backward step adds with numpy, whose set-up
-#: costs more than a Python loop over fewer.
-_VECTOR_CHILDREN = 256
 
 
 class _Level:
@@ -99,12 +96,13 @@ class _Level:
     ``colmaps[i]`` maps each history column to its label column; otherwise
     the two spaces coincide.  ``columns[j]`` holds atom ``j``'s columns in
     its node's action rows, and nodes are grouped by the shape of their
-    domains, which fixes their action table.  The prescription counts come
-    from the shapes alone; no table is built and nothing is scored before
-    the first :meth:`score` call, unless the record kept the rewards of an
-    earlier sweep.  Once :meth:`link` has given the view of
-    the level below, :meth:`children` reads the record's edges by position;
-    until then it expands the node afresh with ``tree.expand``.
+    domains, which fixes their action table, and by falling atom count within
+    a shape, so the nodes with an atom of a given rank lead their block.  The
+    prescription counts come from the shapes alone; no table is built and
+    nothing is scored before the first :meth:`score` call, unless the record
+    kept the rewards of an earlier sweep.  Once :meth:`link` has given the
+    view of the level below, :meth:`children` reads the record's edges by
+    position; until then it expands the node afresh with ``tree.expand``.
     """
 
     below: _Level | None = None
@@ -118,8 +116,8 @@ class _Level:
             self.domains, self.colmaps = zip(*map(pc.label_map, self.nodes))
             sizes = np.array([[len(d) for d in domains] for domains in self.domains])
         self.columns = record.atoms.columns(self.colmaps)
-        # Nodes by shape, in node order within a shape.
-        self.order = np.lexsort(sizes.T[::-1])
+        # Nodes by shape, then by falling atom count, in node order within both.
+        self.order = np.lexsort((-np.diff(record.atoms.start), *sizes.T[::-1]))
         ordered = sizes[self.order]
         new = np.ones(len(ordered), dtype=bool)
         new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -142,10 +140,11 @@ class _Level:
 
         ``contrib[c, k]`` is what column ``c`` of row ``k`` adds to the flat
         joint-action index.  Within a block of nodes sharing a shape the atoms
-        are added one rank at a time, each node's in stored order, so every
-        entry is the scalar sum ``q += w * r`` bit for bit.  Without a
-        compression the rewards depend on the tree alone, so the record keeps
-        them for the next sweep.
+        are added one rank at a time, each node's in stored order, to the
+        leading rows whose nodes have an atom of that rank, so every entry is
+        the scalar sum ``q += w * r`` bit for bit.  Without a compression the
+        rewards depend on the tree alone, so the record keeps them for the
+        next sweep.
         """
         reward = self.tree.model.reward.ravel()
         num_joint = self.tree.model.reward.shape[1]
@@ -164,14 +163,17 @@ class _Level:
                 first = atoms.start[block]
                 count = atoms.start[block + 1] - first
                 q = np.zeros((len(block), width))
-                for rank in range(int(count.max())):
-                    sel = np.flatnonzero(count > rank)
-                    atom = first[sel] + rank
-                    joint = contrib[columns[atom]].sum(axis=1)
+                for rank in range(int(count[0])):
+                    n = int(np.count_nonzero(count > rank))
+                    atom = first[:n] + rank
+                    cols = columns[atom]
+                    joint = contrib[cols[:, 0]]
+                    for agent in range(1, cols.shape[1]):
+                        joint += contrib[cols[:, agent]]
                     joint += (atoms.state[atom] * num_joint)[:, None]
                     r = reward[joint]
                     r *= atoms.weight[atom][:, None]
-                    q[sel] += r
+                    q[:n] += r
                 self.q.append(q)
                 self.best.append(np.argmax(q, axis=1).tolist())
                 self.members.append(block)
@@ -324,9 +326,8 @@ def _sweep_levels(
     those of the depth-first pass, inserted depth by depth.
 
     Each row's children are added to its reward in ``o0`` order, ``total
-    += p * v`` as the depth-first pass adds them, one child rank at a time
-    in numpy on a level with at least ``_VECTOR_CHILDREN`` children, and
-    each node takes its first maximum, so every float is the same.
+    += p * v`` as the depth-first pass adds them, one child rank at a time,
+    and each node takes its first maximum, so every float is the same.
     """
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
@@ -334,13 +335,8 @@ def _sweep_levels(
     for level in reversed(levels):
         if level.q is None:
             level.score()
-        rows, best, terms = level.q, level.best, None
-        if values is not None and len(level.record.mass) < _VECTOR_CHILDREN:
-            # Too few children to pay for numpy's set-up: add them node by
-            # node below, where ``c`` walks the children in pair order.
-            terms = [p * v for p, v in zip(level.record.mass, values)]
-            ends, c = iter(level.record.first[1:]), 0
-        elif values is not None:
+        rows, best = level.q, level.best
+        if values is not None:
             record = level.record
             first = np.array(record.first)
             term = np.multiply(record.mass, values)
@@ -356,21 +352,10 @@ def _sweep_levels(
                     q[sel] += term[start[sel] + rank]
                 rows.append(q)
                 best.append(np.argmax(q, axis=1).tolist())
-        rows = [q.tolist() for q in rows]
         found = []  # each node's value, in node order
         for i, node in enumerate(level.nodes):
             b, r = level.block[i], level.row[i]
-            q = rows[b][r]
-            if terms is None:
-                k = best[b][r]
-            else:
-                for j, end in zip(range(len(q)), ends):
-                    total = q[j]
-                    while c < end:
-                        total += terms[c]
-                        c += 1
-                    q[j] = total
-                k = q.index(max(q))
+            q, k = rows[b][r].tolist(), best[b][r]
             gamma = level.gamma(i, k)
             lam = gamma if pc is None else level.lam(i, k)
             table.entries[(node.t, node.seq)] = ValueEntry(

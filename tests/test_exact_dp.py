@@ -258,12 +258,26 @@ def test_kernel_matches_scalar_sweep(seed, shape):
     assert_kernel_matches_scalar(random_model(seed, **{"horizon": 2, **shape}))
 
 
-def test_vectorised_child_sums_keep_the_scalar_bits(coin2, monkeypatch):
-    # These levels have too few children for numpy's child sums; with the
-    # limit at zero every level takes them instead.
-    monkeypatch.setattr(exact_dp, "_VECTOR_CHILDREN", 0)
-    for model in (coin2, random_model(5, **KERNEL_SHAPES[1]), random_model(7, **KERNEL_SHAPES[2])):
-        assert_kernel_matches_scalar(model)
+def test_kernel_matches_scalar_sweep_with_uneven_atom_counts():
+    # About a third of the transition and observation entries set to zero
+    # leave depth-2 nodes of one shape with different numbers of atoms, in
+    # the full tree and in the exact compression's labels alike.
+    model = random_model(5, private_obs_sizes=(2, 1))
+    rng = np.random.default_rng(5)
+    rows = {}
+    for name in ("transition", "observation"):
+        arr = getattr(model, name).copy()
+        arr[rng.random(arr.shape) < 0.3] = 0.0
+        arr[arr.sum(-1) == 0] = 1.0
+        rows[name] = arr / arr.sum(-1, keepdims=True)
+    model = dataclasses.replace(model, **rows)
+    tree = FcsTree(model)
+    for pc in (None, Session(tree, build_exact_private(model, tree))):
+        level = exact_dp._Level(tree, pc, (tree.full_level if pc is None else pc.level)(2))
+        counts = np.diff(level.record.atoms.start)
+        assert any(len(set(counts[level.order[lo:hi]])) > 1
+                   for lo, hi in zip(level.bounds, level.bounds[1:])), pc
+    assert_kernel_matches_scalar(model)
 
 
 def test_sweeps_keep_the_scalar_bits_across_the_hand_over(coin2, monkeypatch):
