@@ -66,8 +66,11 @@ def _fingerprint(t: int, atoms, total: float = 1.0) -> tuple:
 
 
 def _node_fingerprint(node: FcsNode) -> tuple:
-    """``compute_bcs(tree, node).fingerprint``, without building the belief."""
-    return _fingerprint(node.t, node.weights, sum([w for _k, w in node.weights]))
+    """``compute_bcs(tree, node).fingerprint``, without building the belief
+    or a level-built node's ``weights``.  The weights are added in stored
+    order by ``sum``, as ``compute_bcs`` adds them."""
+    keys, weights = node._atom_keys()
+    return _fingerprint(node.t, zip(keys, weights), sum(weights))
 
 
 def _belief_from_raw(t: int, raw: dict) -> BeliefState:

@@ -856,7 +856,9 @@ def build_greedy(
             domains = [node.agent_domains[n] for node in nodes]
             items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]
             blocks.charge(("private block", t, n), len(items))
-            sdist = _history_state_laws(model, nodes, domains, n)
+            if (t, n) not in tree.state_laws:
+                tree.state_laws[(t, n)] = _history_state_laws(model, nodes, domains, n)
+            sdist = tree.state_laws[(t, n)]
             admit = _private_matrix(model, sdist, t < model.horizon, tol_r, tol_o)
             pc.theta.update(blocks.add(items, admit))
 

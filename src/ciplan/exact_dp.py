@@ -50,7 +50,7 @@ class InadmissibleHistoryError(ValueError):
     """A joint private history with zero conditional probability was supplied."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ValueEntry:
     value: float
     argmax_index: int
@@ -106,6 +106,7 @@ class _Level:
     """
 
     below: _Level | None = None
+    chosen: list[Prescription] | None = None
 
     def __init__(self, tree: FcsTree, pc: Session | None, record: Level):
         self.tree, self.pc, self.record, self.nodes = tree, pc, record, record.nodes
@@ -131,9 +132,12 @@ class _Level:
         self.q = None
         if pc is None and record.rewards is not None:
             self.q, self.best, self.members, self.block, self.row = record.rewards
+            self.chosen = record.chosen
 
     def table(self, i: int) -> np.ndarray:
-        return self.tree._action_rows(self.shapes[self.shape_of[i]])
+        """The action table of node ``i``'s shape, which scoring the node, or
+        a node its value entry shares a key with, has built."""
+        return self.tree._tables[self.shapes[self.shape_of[i]]]
 
     def score(self) -> None:
         """Immediate rewards ``Σ w · R[s, γ_k(h)]`` of every node and row.
@@ -207,9 +211,12 @@ class _Level:
 
     def gamma(self, i: int, k: int) -> Prescription:
         """The history-domain prescription of row ``k`` at node ``i``; a
-        linked level reads the one its record was expanded under."""
+        linked level reads the one its record was expanded under, a level
+        whose record kept its chosen prescriptions reads those."""
         if self.below is not None:
             return self.record.gammas[i][k]
+        if self.chosen is not None and k == self.best_row(i):
+            return self.chosen[i]
         row = self.table(i)[k]
         if self.colmaps is not None:
             row = row[self.colmaps[i]]
@@ -352,7 +359,7 @@ def _sweep_levels(
                     q[sel] += term[start[sel] + rank]
                 rows.append(q)
                 best.append(np.argmax(q, axis=1).tolist())
-        found = []  # each node's value, in node order
+        found, chosen = [], []  # each node's value and prescription, in node order
         for i, node in enumerate(level.nodes):
             b, r = level.block[i], level.row[i]
             q, k = rows[b][r].tolist(), best[b][r]
@@ -362,6 +369,9 @@ def _sweep_levels(
                 value=q[k], argmax_index=k, argmax_key=lam.key, q_values=tuple(q))
             policy.prescriptions[node.seq] = gamma
             found.append(q[k])
+            chosen.append(gamma)
+        if pc is None and level.below is None:
+            level.record.chosen = chosen
         values = found
     overall = 0.0
     for (_o0, _root, p_root), v in zip(tree.roots(), found):

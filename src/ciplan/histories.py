@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,20 +81,36 @@ class FpsTuple:
     state_probabilities: tuple[float, ...]
 
 
-@dataclass(frozen=True)
 class FcsNode:
-    """One coordinator history; immutable once created."""
+    """One coordinator history, not to be changed once made.  ``weights``, its
+    sorted ``((s, joint history), probability)`` atoms given ``seq``, are given
+    to a root or a node :meth:`FcsTree.expand` made.  A level-built node reads
+    them on first use off ``atoms``: its tree's tag, where each node of its
+    level starts, and the level's atom keys and weights as shared lists; its
+    own run is node ``index``'s."""
 
-    t: int
-    seq: FcsKey
-    # Sorted ((s, joint history), probability) pairs; conditional on seq.
-    weights: tuple[tuple[tuple[int, JointHist], float], ...]
+    __slots__ = ("t", "seq", "agent_domains", "_weights", "atoms", "index")
 
-    @cached_property
-    def agent_domains(self) -> tuple[tuple[Hist, ...], ...]:
-        """Per-agent sorted reachable private histories, computed once."""
-        per_agent = zip(*(hjoint for (_s, hjoint), _w in self.weights))
-        return tuple(tuple(sorted(set(hists))) for hists in per_agent)
+    def __init__(self, t: int, seq: FcsKey, weights, domains=None, atoms=None, index=0):
+        if domains is None:  # each agent's sorted reachable private histories
+            per_agent = zip(*(hjoint for (_s, hjoint), _w in weights))
+            domains = tuple(tuple(sorted(set(hists))) for hists in per_agent)
+        self.t, self.seq, self.agent_domains, self._weights = t, seq, domains, weights
+        self.atoms, self.index = atoms, index
+
+    def _atom_keys(self) -> tuple:
+        """The ``(s, joint history)`` keys and the weights of the atoms, in order."""
+        if self._weights is not None:
+            return [k for k, _w in self._weights], [w for _k, w in self._weights]
+        _owner, start, keys, weight = self.atoms
+        lo, hi = start[self.index], start[self.index + 1]
+        return keys[lo:hi], weight[lo:hi]
+
+    @property
+    def weights(self) -> tuple[tuple[tuple[int, JointHist], float], ...]:
+        if self._weights is None:
+            self._weights = tuple(zip(*self._atom_keys()))
+        return self._weights
 
 
 def _sorted_weights(raw: dict) -> tuple:
@@ -180,7 +197,9 @@ class Level:
     :meth:`children` gives its children in the level below, and child ``c``
     there has the mass ``mass[c]``.  A full level also keeps ``rewards``,
     the immediate rewards of its rows as the first sweep to score them left
-    them, for the next sweep.  A level refers to no tree and no session."""
+    them, for the next sweep, and, with no level below, ``chosen``, the
+    prescription it chose at each node.  A level refers to no tree and no
+    session."""
 
     nodes: list[FcsNode]
     atoms: Atoms
@@ -188,10 +207,17 @@ class Level:
     first: list[int] | None = None  # where each (node, row) pair's children start
     mass: list[float] | None = None
     rewards: tuple | None = None
+    chosen: list[Prescription] | None = None
 
     @cached_property
     def _pair0(self) -> list[int]:
         return list(itertools.accumulate(map(len, self.gammas), initial=0))
+
+    @cached_property
+    def by_seq(self) -> dict[FcsKey, FcsNode]:
+        """The nodes by sequence, for lookups only ``expand`` and subtree
+        levels make; a sweep never builds it."""
+        return {node.seq: node for node in self.nodes}
 
     def children(self, i: int, k: int) -> range:
         """The positions of node ``i``'s children under row ``k``, in ``o0`` order."""
@@ -275,11 +301,13 @@ class FcsTree:
     expansion at a time by :meth:`expand`, which keeps no edges.
     :meth:`full_level` keeps the full levels and ``compression.Session.level``
     the compressed subtree's, each depth a :class:`Level` that holds the edges
-    leaving it once the depth below is built: the one store of edges.
+    leaving it once the depth below is built: the one store of edges, and the
+    one store of its nodes' atoms.  ``_nodes`` holds the roots and the nodes
+    :meth:`expand` made; a level's nodes are found through its edges.
 
-    Besides its nodes, a tree memoises two quantities that depend on the
+    Besides its nodes, a tree memoises three quantities that depend on the
     common information alone, so every call sharing the tree computes each
-    once.  Both are keyed by the tree only, never by a compression's labels:
+    once.  They are keyed by the tree only, never by a compression's labels:
 
     ``common_profiles``
         ``(node.seq, bytes of a table of history-domain action rows)`` to the
@@ -289,11 +317,16 @@ class FcsTree:
     ``exact_sweep``
         The alg-1 ``(table, policy, Q evaluations)``; filled and read by
         ``exact_dp.solve_fcs_fps`` only.
+    ``state_laws``
+        ``(t, agent)`` to ``P(s | node, agent history)`` over the full
+        level; filled and read by ``compression.build_greedy`` only.
     """
 
     def __init__(self, model: DecPomdpModel):
         self.model = model
         self._nodes: dict[FcsKey, FcsNode] = {}
+        self._tag = (object(),)  # what the ``atoms`` of every node it makes start with
+        self._built: weakref.WeakSet[Level] = weakref.WeakSet()  # what ``expand_rows`` gave
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
         # Full levels 1, 2, ... as ``full_level`` returns them.
         self._levels: list[Level] = []
@@ -305,6 +338,7 @@ class FcsTree:
         self._prescriptions: dict[tuple, Prescription] = {}
         self.common_profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.exact_sweep: tuple | None = None
+        self.state_laws: dict[tuple[int, int], np.ndarray] = {}
 
     # -- roots ------------------------------------------------------------
 
@@ -329,29 +363,32 @@ class FcsTree:
             if mass <= ADMISSIBILITY_THRESHOLD:
                 continue
             weights = {k: v / mass for k, v in raw.items()}
-            node = FcsNode(t=1, seq=(o0,), weights=_sorted_weights(weights))
+            node = FcsNode(1, (o0,), _sorted_weights(weights), None, self._tag, len(out))
             self._nodes[node.seq] = node
             out.append((o0, node, mass))
         self._root_cache = out
         return out
 
     def node(self, seq: FcsKey) -> FcsNode:
-        if seq not in self._nodes:
-            self._materialize(seq)
-        return self._nodes[seq]
-
-    def _materialize(self, seq: FcsKey) -> None:
+        """The node of ``seq``: a root, a full level's node, found through the
+        levels' edges, or one :meth:`expand` gives below them."""
+        self.roots()
+        if seq in self._nodes:
+            return self._nodes[seq]
         if len(seq) == 1:
-            self.roots()
-            if seq not in self._nodes:
-                raise UnreachableNodeError(f"root {seq!r} has zero probability")
-            return
-        parent_seq, presc_key, o0 = seq[:-2], seq[-2], seq[-1]
-        parent = self.node(parent_seq)
-        children = self.expand(parent, Prescription(presc_key))
-        for o0_child, node, _p in children:
-            if o0_child == o0:
-                return
+            raise UnreachableNodeError(f"root {seq!r} has zero probability")
+        parent, key, children = self.node(seq[:-2]), seq[-2], None
+        t, i = parent.t, parent.index
+        if t < len(self._levels) and self._levels[t - 1].nodes[i] is parent:
+            level, below = self._levels[t - 1], self._levels[t]
+            sizes = [a for a, hs in zip(self.model.action_sizes, parent.agent_domains) for _h in hs]
+            row = [a for table in key for _h, a in table]
+            k = np.ravel_multi_index(row, sizes, mode="clip") if len(row) == len(sizes) else 0
+            if level.gammas[i][k].key == key:
+                children = [below.nodes[c] for c in level.children(i, k)]
+        for child in children or [c for _o0, c, _p in self.expand(parent, Prescription(key))]:
+            if child.seq[-1] == seq[-1]:
+                return child
         raise UnreachableNodeError(f"node {seq!r} is unreachable")
 
     # -- one-step expansion ----------------------------------------------
@@ -361,8 +398,8 @@ class FcsTree:
     ) -> list[tuple[int, FcsNode, float]]:
         """Children of ``node`` under ``gamma`` as ``(o0, child, P(o0 | node,
         gamma))``, computed afresh on every call; a child the tree already
-        holds is returned as that node."""
-        if node.seq not in self._nodes:
+        holds, in ``_nodes`` or in a level it built, is returned as that node."""
+        if node.atoms is None or node.atoms[0] is not self._tag[0]:
             raise UnreachableNodeError(f"node {node.seq!r} was not produced by this tree")
         per_o0 = _successor_weights(self.model, node.weights, gamma)
         result = []
@@ -375,13 +412,14 @@ class FcsTree:
                 mass += v
             if mass <= ADMISSIBILITY_THRESHOLD:
                 continue
-            weights = {k: v / mass for k, v in raw.items()}
-            child = FcsNode(
-                t=node.t + 1,
-                seq=node.seq + (gamma.key, o0),
-                weights=_sorted_weights(weights),
-            )
-            result.append((o0, self._nodes.setdefault(child.seq, child), mass))
+            seq = node.seq + (gamma.key, o0)
+            held = self._nodes.get(seq) or next(
+                (level.by_seq[seq] for level in self._built if seq in level.by_seq), None)
+            if held is None:
+                weights = {k: v / mass for k, v in raw.items()}
+                held = self._nodes[seq] = FcsNode(
+                    node.t + 1, seq, _sorted_weights(weights), None, self._tag)
+            result.append((o0, held, mass))
         return result
 
     # -- level-synchronous expansion -------------------------------------
@@ -442,7 +480,8 @@ class FcsTree:
         ``columns[j, n]`` of its node's rows.  The children, bit for bit those
         of :meth:`expand`, go into the level below, for node, for row, for
         ``o0``, with their atoms; each child's mass is the one :meth:`expand`
-        gives it.  A child the tree already holds is that node.
+        gives it.  A child the full level below holds already is that node;
+        the others keep their atoms in the new level's columns only.
 
         The successor weights are summed per ``(s', joint history)`` and then
         per child in the order the scalar expansion meets them.
@@ -511,37 +550,38 @@ class FcsTree:
             hists, marks = [built[h] for h in own_hid.tolist()], lead.tolist()
             per_child.append([tuple(hists[a:b]) for a, b in zip(marks, marks[1:])])
         child_domains = list(zip(*per_child))
-        items = list(zip(zip(g_state.tolist(), zip(*per_agent)), weight.tolist()))
         bounds = np.searchsorted(group_child, np.arange(len(child_slot) + 1)).tolist()
         # Materialise the children, for pair, for ``o0``.
         pair_of, o0_of = np.divmod(child_slot, num_common)
         level.first = np.searchsorted(pair_of, np.arange(len(pair_node) + 1)).tolist()
         level.mass = child_mass.tolist()
         pair_node, pair_row = pair_node.tolist(), pair_row.tolist()
-        children: list[FcsNode] = []
+        # Every child's atoms as runs of shared keys and weights, behind the tag.
+        keys = list(zip(g_state.tolist(), zip(*per_agent)))
+        shared = (*self._tag, bounds, keys, weight.tolist())
+        t, children = nodes[0].t + 1, []
+        # A subtree level takes the full level's node for a sequence both hold.
+        held = self._levels[t - 1].by_seq if len(self._levels) >= t else None
         for c, (pair, o0) in enumerate(zip(pair_of.tolist(), o0_of.tolist())):
             i = pair_node[pair]
             seq = nodes[i].seq + (gammas[i][pair_row[pair]].key, o0)
-            child = self._nodes.get(seq)
-            if child is None:
-                child = self._nodes[seq] = FcsNode(
-                    t=nodes[i].t + 1, seq=seq, weights=tuple(items[bounds[c]:bounds[c + 1]]))
-                # What the ``agent_domains`` cached property would compute.
-                child.__dict__["agent_domains"] = child_domains[c]
-            children.append(child)
-        return Level(children, Atoms(
+            child = held.get(seq) if held else None
+            children.append(child or FcsNode(t, seq, None, child_domains[c], shared, c))
+        below = Level(children, Atoms(
             start=np.array(bounds, dtype=np.intp),
             state=g_state,
             weight=weight,
             hist=np.stack(hist_cols, axis=1),
             sizes=np.stack(size_cols, axis=1),
         ))
+        self._built.add(below)
+        return below
 
     # -- reachable private structure -------------------------------------
 
     def reachable_fps(self, node: FcsNode) -> list[FpsTuple]:
         """Admissible joint private histories with conditional probabilities."""
-        if node.seq not in self._nodes:
+        if node.atoms is None or node.atoms[0] is not self._tag[0]:
             raise UnreachableNodeError(f"node {node.seq!r} was not produced by this tree")
         S = self.model.num_states
         per_h: dict[JointHist, list[float]] = {}

@@ -48,22 +48,24 @@ def gap_bound(kind: str, tbar: int, horizon: int, rbar: float, params: MeasuredP
     ec, dc = params.eps_c, params.delta_c
     if min(ep, dp, ec, dc) < 0:
         raise ValueError("measured parameters must be nonnegative")
-    step_p = ep + horizon * rbar * dp
-    step_c = ec + horizon * rbar * dc
+    # ``c and c * x`` is 0 for a zero coefficient ``c``, even where ``x``
+    # overflowed to inf, so a bound is finite or +inf, never NaN.
+    step_p = ep + (dp and horizon * rbar * dp)
+    step_c = ec + (dc and horizon * rbar * dc)
     if kind == "thm1":
-        return tbar * (tbar + 1) / 2 * step_p + (tbar + 1) * ep
+        return (tbar and tbar * (tbar + 1) / 2 * step_p) + (tbar + 1) * ep
     if kind == "thm2":
-        return tbar * step_c + ec
+        return (tbar and tbar * step_c) + ec
     if kind == "thm3":
         return gap_bound("thm1", tbar, horizon, rbar, params) + gap_bound(
             "thm2", tbar, horizon, rbar, params
         )
     if kind == "prop5":
-        return tbar * step_p + ep
+        return (tbar and tbar * step_p) + ep
     if kind == "prop6":
-        return 2 * tbar * step_c + 2 * ec
+        return (tbar and 2 * tbar * step_c) + 2 * ec
     if kind == "lem2":
-        return tbar * step_p / 2 + ep / 2
+        return (tbar and tbar * step_p / 2) + ep / 2
     raise ValueError(f"unknown bound kind {kind!r}")
 
 

@@ -222,11 +222,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", ["coin_guessing_walkthrough.py", "compression_tour.py"])
 def test_demo_runs(demo):
+    # Each demo prints the bytes of its golden file, captured with
+    # ``PYTHONPATH=src python demos/<demo>.py > tests/data/golden/demo_<demo>.txt``.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        capture_output=True, text=True, cwd=ROOT, env=env,
+        capture_output=True, cwd=ROOT, env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout and "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    golden = ROOT / "tests" / "data" / "golden" / f"demo_{Path(demo).stem}.txt"
+    assert proc.stdout == golden.read_bytes()

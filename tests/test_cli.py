@@ -24,7 +24,8 @@ from ciplan.compression import (
     identity_private,
     serialize_compression,
 )
-from ciplan.model import load_model
+from ciplan.generate import random_model
+from ciplan.model import load_model, serialize
 
 from conftest import DATA
 
@@ -408,6 +409,26 @@ def test_verify_gap_passes_and_writes_reports(tmp_path, capsys, coin2):
     assert doc["passed"] is True
     assert (outdir / "verify_gap_report.json").read_text() == out
     assert (outdir / "verify_gap_report.txt").exists()
+
+
+def test_verify_gap_bounds_stay_finite_when_the_reward_scale_overflows(tmp_path, capsys):
+    # horizon * reward_bound overflows to inf; a zero delta or tbar must make
+    # its term 0, not NaN, so every bound is a number and the report is JSON.
+    doc = json.loads(serialize(random_model(1, num_states=2, horizon=2, private_obs_sizes=(2, 1))))
+    doc["reward_bound"] = 1e308
+    model = load_model(json.dumps(doc))
+    pc = build_exact_private(model)
+    files = {"model": json.dumps(doc), "pc": serialize_compression(pc),
+             "cc": serialize_compression(bcs_common(model, pc))}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    status, out = _run(
+        capsys, "verify-gap", "--model", str(tmp_path / "model.json"),
+        "--compression", str(tmp_path / "pc.json"), "--compression", str(tmp_path / "cc.json"),
+    )
+    assert status == EXIT_OK
+    rows = json.loads(out, parse_constant=pytest.fail)["rows"]
+    assert rows and all(row["bound"] == 0.0 and row["pass"] for row in rows)
 
 
 def test_check_conditions_flags_broken_compression(tmp_path, capsys, coin2):

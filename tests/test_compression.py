@@ -814,3 +814,22 @@ def test_measured_params_merge():
     c = a.merged(b)
     assert c.eps_p == 1.0 and c.eps_c == 2.0
     assert set(c.witnesses) == {"eps_p", "eps_c"}
+
+
+def test_second_builder_reuses_the_state_laws(monkeypatch):
+    # The per-(t, agent) state laws depend on the tree alone: a second
+    # builder on the same tree computes none, and its labels are the bytes
+    # a builder on a fresh tree gives.
+    from ciplan import compression
+
+    model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
+    tree, calls = FcsTree(model), []
+    laws = compression._history_state_laws
+    monkeypatch.setattr(
+        compression, "_history_state_laws", lambda *args: calls.append(args[-1]) or laws(*args))
+    build_exact_private(model, tree)
+    assert len(calls) == model.horizon * model.num_agents
+    greedy = build_greedy(model, 0.5, 0.5, tree)
+    assert len(calls) == model.horizon * model.num_agents
+    fresh = build_greedy(model, 0.5, 0.5, FcsTree(model))
+    assert serialize_compression(greedy) == serialize_compression(fresh)

@@ -459,6 +459,21 @@ def test_sweeps_leave_no_reference_cycle(coin2, alg):
         gc.enable()
 
 
+def test_alg4_after_alg1_reuses_the_leaf_prescriptions(coin2, monkeypatch):
+    # The leaf level keeps the prescriptions alg 1 chose, so alg 4 on the
+    # same tree builds no prescription, and its policy holds alg 1's objects.
+    for model in (coin2, random_model(5, num_states=2, horizon=4, num_common_obs=2)):
+        tree = FcsTree(model)
+        _table, policy = solve_fcs_fps(model, tree)
+        leaves = tree.full_level(model.horizon)
+        assert leaves.chosen == [policy.prescriptions[node.seq] for node in leaves.nodes]
+        with monkeypatch.context() as patch:
+            patch.setattr(FcsTree, "_prescription", lambda *args: pytest.fail("built again"))
+            _table4, policy4 = solve_bcs_fps(model, tree)
+        assert all(policy4.prescriptions.get(node.seq, gamma) is gamma
+                   for node, gamma in zip(leaves.nodes, leaves.chosen))
+
+
 def test_prepared_trees_are_solved_by_level(coin2, monkeypatch):
     # Once the forward pass has prepared every depth, algs 1 and 2 solve one
     # depth at a time; algs 4 and 5 keep the depth-first pass, since which

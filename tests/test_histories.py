@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import ciplan
 from ciplan import exact_dp
 from ciplan.approx_dp import solve_fcs_asps
+from ciplan.belief import solve_bcs_fps
 from ciplan.compression import PrivateCompression, Session, build_greedy
 from ciplan.generate import random_model
 from ciplan.histories import (
+    FcsNode,
     FcsTree,
     Prescription,
     PrescriptionDomainError,
@@ -345,7 +347,7 @@ def test_scalar_expand_serves_only_the_fallback_and_the_oracle(coin2):
     # computes children afresh for the sweep below its prepared depths, for
     # ``FcsTree.node`` and for the brute-force oracle, and nothing else.
     assert _callers("expand") == {
-        ("histories", "FcsTree._materialize"),
+        ("histories", "FcsTree.node"),
         ("exact_dp", "_Level.children"),
         ("exact_dp", "_count_policies"),
         ("exact_dp", "_iter_policies"),
@@ -360,3 +362,77 @@ def test_scalar_expand_serves_only_the_fallback_and_the_oracle(coin2):
     assert [id(child) for _o0, child, _p in again] == [id(child) for _o0, child, _p in first]
     assert sizes == {name: len(value) for name, value in vars(tree).items() if isinstance(value, dict)}
     assert not hasattr(tree, "_children")
+
+
+# -- one store for a level-built node's atoms -------------------------------
+
+
+def test_sweeps_derive_no_level_built_weights(coin2, monkeypatch):
+    # Algs 1 and 2 on a fresh tree, then alg 4, read every level-built
+    # node's atoms off its level's columns: none derives its ``weights``.
+    reads = []
+    weights = FcsNode.weights
+
+    def counted(node):
+        if len(node.atoms) > 1:  # a level-built node, which holds columns
+            reads.append(node.seq)
+        return weights.fget(node)
+
+    for model in (coin2, random_model(5, num_states=2, horizon=3, num_common_obs=2)):
+        pc = build_greedy(model)
+        tree = FcsTree(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(FcsNode, "weights", property(counted))
+            exact_dp.solve_fcs_fps(model, tree)
+            solve_fcs_asps(model, pc, tree)
+            solve_bcs_fps(model, tree)
+        assert len(tree._levels) == model.horizon
+        assert reads == []
+        # Derived on demand, they are the scalar expansion's, bit for bit.
+        scalar = FcsTree(model)
+        for node in tree.full_level(model.horizon).nodes:
+            want = scalar.node(node.seq).weights
+            assert [(k, w.hex()) for k, w in node.weights] == [(k, w.hex()) for k, w in want]
+
+
+def test_node_walks_the_level_edges(coin2, monkeypatch):
+    # ``node(seq)`` finds a full level's own node through the roots and the
+    # edges, expanding nothing, and a sequence no edge reaches is
+    # unreachable; level-built nodes are kept out of ``_nodes``.
+    model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
+    for m in (coin2, model):
+        tree = FcsTree(m)
+        levels = [tree.full_level(t) for t in range(1, m.horizon + 1)]
+        assert len(tree._nodes) == len(levels[0].nodes)
+        with monkeypatch.context() as patch:
+            patch.setattr(FcsTree, "expand", lambda *args: pytest.fail("expand called"))
+            for level in levels:
+                assert all(tree.node(node.seq) is node for node in level.nodes)
+            for level in levels[1:]:
+                seq = level.nodes[-1].seq
+                with pytest.raises(UnreachableNodeError):
+                    tree.node(seq[:-1] + (len(m.common_obs),))
+        # Below the full levels, ``node`` expands.
+        shallow = FcsTree(m)
+        shallow.full_level(m.horizon - 1)
+        leaf = levels[-1].nodes[-1]
+        found = shallow.node(leaf.seq)
+        assert found.seq == leaf.seq and found.weights == leaf.weights
+        assert shallow._nodes[leaf.seq] is found
+
+
+def test_expand_accepts_level_built_nodes_of_its_own_tree(coin2):
+    # ``expand`` works on a level-built node and returns the level's own
+    # children; a node of another model's tree is refused.
+    model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
+    tree, other = FcsTree(model), FcsTree(coin2)
+    level, below = tree.full_level(2), tree.full_level(3)
+    foreign = other.full_level(2).nodes[0]
+    for i, node in enumerate(level.nodes):
+        for k, gamma in enumerate(level.gammas[i]):
+            children = [child for _o0, child, _p in tree.expand(node, gamma)]
+            assert children == [below.nodes[c] for c in level.children(i, k)]
+        assert tree.reachable_fps(node)
+    for method in (lambda node: tree.expand(node, level.gammas[0][0]), tree.reachable_fps):
+        with pytest.raises(UnreachableNodeError):
+            method(foreign)

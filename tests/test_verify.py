@@ -30,6 +30,17 @@ def test_gap_bound_worked_examples():
         assert gap_bound(kind, 3, 4, 5.0, _params()) == 0.0
 
 
+def test_gap_bound_zero_factor_beats_an_infinite_one():
+    # horizon * rbar overflows; a zero delta or tbar contributes 0, a nonzero
+    # one makes the bound +inf, and no bound is NaN.
+    for kind in BOUND_KINDS:
+        finite = gap_bound(kind, 1, 2, 1.0, _params(ep=0.5))
+        assert gap_bound(kind, 1, 2, 1e308, _params(ep=0.5)) == finite
+        assert gap_bound(kind, 0, 2, 1e308, _params(dp=0.5, dc=0.5)) == 0.0
+        assert gap_bound(kind, 1, 2, 1e308, _params(dp=0.5, dc=0.5)) in (0.0, float("inf"))
+    assert gap_bound("thm3", 1, 2, 1e308, _params(dp=0.5)) == float("inf")
+
+
 def test_gap_bound_decomposition_and_halving():
     p = _params(ep=0.2, dp=0.1, ec=0.05, dc=0.3)
     for tbar in range(4):
