@@ -57,20 +57,43 @@ class BeliefState:
 
     @property
     def fingerprint(self) -> tuple:
-        return _fingerprint(self.t, self.atoms)
+        keys, weights = zip(*self.atoms) if self.atoms else ((), ())
+        return (self.t, tuple(zip(keys, _rounded(np.array(weights, dtype=float)))))
 
 
-def _fingerprint(t: int, atoms, total: float = 1.0) -> tuple:
-    """``(t, atoms)`` with each weight divided by ``total``, then rounded."""
-    return (t, tuple([(k, round(w / total, FINGERPRINT_DECIMALS)) for k, w in atoms]))
+def _rounded(x: np.ndarray) -> list[float]:
+    """``round(v, FINGERPRINT_DECIMALS)`` of each ``v`` of ``x`` in [0, 1]:
+    ``rint(v · 10⁹) / 10⁹``, or ``round`` where ``v · 10⁹`` is within 1e-5 of a half."""
+    scaled = x * 10.0**FINGERPRINT_DECIMALS
+    out = (np.rint(scaled) / 10.0**FINGERPRINT_DECIMALS).tolist()
+    for j in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) < 1e-5).tolist():
+        out[j] = round(float(x[j]), FINGERPRINT_DECIMALS)
+    return out
 
 
-def _node_fingerprint(node: FcsNode) -> tuple:
-    """``compute_bcs(tree, node).fingerprint``, without building the belief
-    or a level-built node's ``weights``.  The weights are added in stored
-    order by ``sum``, as ``compute_bcs`` adds them."""
-    keys, weights = node._atom_keys()
-    return _fingerprint(node.t, zip(keys, weights), sum(weights))
+def _node_fingerprints(nodes) -> list[tuple]:
+    """``compute_bcs(tree, node).fingerprint`` of each node, building no belief or
+    ``weights``: its weights over their Python ``sum``, as ``compute_bcs`` adds
+    them.  A level's nodes, in order, are read off its shared lists and rounded
+    at once with numpy; others, as the depth-first pass asks, by ``round``."""
+    atoms = nodes[0].atoms if nodes else ()
+    if len(atoms) < 2 or not all(
+        node.atoms is atoms and node.index == i for i, node in enumerate(nodes, nodes[0].index)
+    ):
+        out = []
+        for node in nodes:
+            keys, weights = node._atom_keys()
+            total = sum(weights)
+            out.append((node.t, tuple([
+                (k, round(w / total, FINGERPRINT_DECIMALS)) for k, w in zip(keys, weights)])))
+        return out
+    _tag, start, keys, weights = atoms
+    bounds = start[nodes[0].index:nodes[-1].index + 2]
+    lo, hi = bounds[0], bounds[-1]
+    totals = [sum(weights[a:b]) for a, b in zip(bounds, bounds[1:])]
+    x = np.array(weights[lo:hi]) / np.repeat(totals, np.diff(bounds))
+    pairs = list(zip(keys[lo:hi], _rounded(x)))
+    return [(node.t, tuple(pairs[a - lo:b - lo])) for node, a, b in zip(nodes, bounds, bounds[1:])]
 
 
 def _belief_from_raw(t: int, raw: dict) -> BeliefState:
@@ -121,7 +144,7 @@ def solve_bcs_fps(
 
     Coordinator histories with equal (rounded) beliefs share one value entry.
     """
-    return generic_solve(model, tree, key_fn=_node_fingerprint, budget=budget)
+    return generic_solve(model, tree, key_fn=_node_fingerprints, budget=budget)
 
 
 # -- sufficient private information ---------------------------------------
@@ -391,9 +414,9 @@ def solve_bcs_spi(
         failed = [r.condition for r in report.results if not r.passed]
         raise SpiConditionError(f"sufficiency conditions failed: {', '.join(failed)}")
 
-    def key_fn(node: FcsNode):
-        labels = s.labels(node)
-        return compute_bcs(s.tree, node, label_of=lambda n, h: labels[n][h]).fingerprint
+    def key_fn(nodes) -> list[tuple]:
+        belief = lambda node: compute_bcs(s.tree, node, lambda n, h, z=s.labels(node): z[n][h])
+        return [belief(node).fingerprint for node in nodes]
 
     return generic_solve(model, s.tree, pc=s, key_fn=key_fn, budget=budget)
 

@@ -94,15 +94,15 @@ class _Level:
 
     Under ``pc`` a node's prescriptions range over its label domains and
     ``colmaps[i]`` maps each history column to its label column; otherwise
-    the two spaces coincide.  ``columns[j]`` holds atom ``j``'s columns in
-    its node's action rows, and nodes are grouped by the shape of their
+    the two spaces coincide.  Nodes are grouped by the shape of their
     domains, which fixes their action table, and by falling atom count within
     a shape, so the nodes with an atom of a given rank lead their block.  The
     prescription counts come from the shapes alone; no table is built and
-    nothing is scored before the first :meth:`score` call, unless the record
-    kept the rewards of an earlier sweep.  Once :meth:`link` has given the
-    view of the level below, :meth:`children` reads the record's edges by
-    position; until then it expands the node afresh with ``tree.expand``.
+    nothing is scored before the first :meth:`score` call.  Without a
+    compression the record keeps the layout and, once scored, the rewards for
+    the next sweep.  Once :meth:`link` has given the view of the level below,
+    :meth:`children` reads the record's edges by position; until then it
+    expands the node afresh with ``tree.expand``.
     """
 
     below: _Level | None = None
@@ -110,26 +110,28 @@ class _Level:
 
     def __init__(self, tree: FcsTree, pc: Session | None, record: Level):
         self.tree, self.pc, self.record, self.nodes = tree, pc, record, record.nodes
-        self.hist_domains = [node.agent_domains for node in self.nodes]
+        self.q, self.colmaps = None, None
         if pc is None:
-            self.domains, self.colmaps, sizes = self.hist_domains, None, record.atoms.sizes
+            sizes, layout = record.atoms.sizes, record.layout
         else:
             self.domains, self.colmaps = zip(*map(pc.label_map, self.nodes))
-            sizes = np.array([[len(d) for d in domains] for domains in self.domains])
-        self.columns = record.atoms.columns(self.colmaps)
-        # Nodes by shape, then by falling atom count, in node order within both.
-        self.order = np.lexsort((-np.diff(record.atoms.start), *sizes.T[::-1]))
-        ordered = sizes[self.order]
-        new = np.ones(len(ordered), dtype=bool)
-        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        self.bounds = np.append(np.flatnonzero(new), len(ordered))
-        shape_of = np.empty(len(ordered), dtype=np.intp)
-        shape_of[self.order] = np.cumsum(new) - 1
-        self.shape_of = shape_of.tolist()
-        self.shapes = [tuple(shape) for shape in ordered[new].tolist()]
-        counts = [prescription_count(tree.model, tuple(map(range, shape))) for shape in self.shapes]
-        self.counts = [counts[g] for g in self.shape_of]
-        self.q = None
+            sizes, layout = np.array([[len(d) for d in domains] for domains in self.domains]), None
+        if layout is None:
+            # Nodes by shape, then by falling atom count, in node order within both.
+            order = np.lexsort((-np.diff(record.atoms.start), *sizes.T[::-1]))
+            ordered = sizes[order]
+            new = np.ones(len(ordered), dtype=bool)
+            new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+            shape_of = np.empty(len(ordered), dtype=np.intp)
+            shape_of[order] = np.cumsum(new) - 1
+            shapes = [tuple(shape) for shape in ordered[new].tolist()]
+            counts = [prescription_count(tree.model, tuple(map(range, shape))) for shape in shapes]
+            shape_of = shape_of.tolist()
+            bounds = np.append(np.flatnonzero(new), len(ordered))
+            layout = order, bounds, shape_of, shapes, [counts[g] for g in shape_of]
+            if pc is None:
+                record.layout = layout
+        self.order, self.bounds, self.shape_of, self.shapes, self.counts = layout
         if pc is None and record.rewards is not None:
             self.q, self.best, self.members, self.block, self.row = record.rewards
             self.chosen = record.chosen
@@ -152,7 +154,8 @@ class _Level:
         """
         reward = self.tree.model.reward.ravel()
         num_joint = self.tree.model.reward.shape[1]
-        atoms, columns, order, bounds = self.record.atoms, self.columns, self.order, self.bounds
+        atoms, order, bounds = self.record.atoms, self.order, self.bounds
+        columns = atoms.columns(self.colmaps)
         block_of = np.empty(len(order), dtype=np.intp)
         row_of = np.empty(len(order), dtype=np.intp)
         self.q, self.best, self.members = [], [], []
@@ -220,7 +223,7 @@ class _Level:
         row = self.table(i)[k]
         if self.colmaps is not None:
             row = row[self.colmaps[i]]
-        return self.tree._prescription(self.hist_domains[i], row)
+        return self.tree._prescription(self.nodes[i].agent_domains, row)
 
     def lam(self, i: int, k: int) -> Prescription:
         """The label prescription of row ``k`` at node ``i``."""
@@ -241,8 +244,7 @@ class _Alone(_Level):
         else:
             domains, colmap = pc.label_map(node)
             self.colmaps, cols = [colmap], colmap.tolist()
-        self.columns = _columns_by_agent(hist_domains, cols)
-        self.hist_domains, self.domains = [hist_domains], [domains]
+        self.columns, self.domains = _columns_by_agent(hist_domains, cols), [domains]
         self.shapes, self.shape_of = [tuple(map(len, domains))], [0]
         self.counts = [prescription_count(tree.model, domains)]
 
@@ -273,18 +275,17 @@ def generic_solve(
     the subtree the label prescriptions reach.  The pass stops at the first
     depth whose cumulative prescription count passes ``budget``, or that the
     source does not hold yet and whose expansion would take more than
-    ``_BATCH_ENTRIES`` entries.  Without a ``key_fn``, a pass that reached
-    the leaves is followed by :func:`_sweep_levels`, one depth at a time
-    from the leaves up.  Otherwise :func:`_sweep_depth_first` visits
-    ``(level, position)`` pairs and reads a row's children as a range of
-    positions below, so the first node to reach a key fills its entry.  Ties
-    go to the smallest canonical index either way.  A ``key_fn`` lets the
-    sweep skip the subtrees below a solved key, so the pass then prepares
-    only the levels the tree or session already holds; below the last
-    prepared depth the children come from ``tree.expand``, computed afresh
-    for each (node, row) the sweep visits, each node prepared alone.  The
-    cyclic collector is paused throughout: the sweep makes no reference
-    cycle.
+    ``_BATCH_ENTRIES`` entries; a ``key_fn`` lets the sweep skip the
+    subtrees below a solved key, so it prepares only the levels the tree or
+    session already holds.  A pass that reached the leaves is followed by
+    :func:`_sweep_levels`, one depth at a time, unless a keyed sweep there
+    finds a key whose first node the depth-first pass would not visit.
+    Otherwise :func:`_sweep_depth_first` visits ``(level, position)`` pairs,
+    reading a row's children as a range of positions below, and below the
+    last prepared depth from ``tree.expand``, each node prepared alone.  The
+    first node to reach a key fills its entry, and ties go to the smallest
+    canonical index either way.  The cyclic collector is paused throughout:
+    the sweep makes no reference cycle.
 
     Parameters
     ----------
@@ -295,11 +296,11 @@ def generic_solve(
         extension to the node's histories, which also drives the dynamics.
         Defaults to the uncompressed space where the two coincide.
     key_fn
-        Callable ``node -> hashable`` keying value entries per time step;
-        defaults to the node sequence itself.  A node whose key is already
-        solved takes that entry's value and canonical index, and the nodes
-        below it under that prescription are visited too, so the policy
-        covers every node it reaches.
+        Callable giving the hashable keys of a list of nodes of one depth,
+        keying value entries per time step; defaults to the node sequences.
+        A node whose key is already solved takes that entry's value and
+        canonical index, and the nodes below it under that prescription are
+        visited too, so the policy covers every node it reaches.
     """
     tree = tree or FcsTree(model)
     with _collector_paused():
@@ -319,26 +320,28 @@ def generic_solve(
             if levels:
                 levels[-1].link(below)
             levels.append(below)
-        if key_fn is None and len(levels) == model.horizon:
-            # Every evaluation is charged: ``spent`` fits the budget.
-            return _sweep_levels(model, tree, pc, levels)
-        return _sweep_depth_first(model, tree, pc, key_fn, levels[0] if levels else None, budget)
+        # Down to the leaves, every evaluation is charged: ``spent`` fits the budget.
+        full = len(levels) == model.horizon
+        solved = _sweep_levels(model, tree, pc, levels, key_fn) if full else None
+        return solved or _sweep_depth_first(
+            model, tree, pc, key_fn, levels[0] if levels else None, budget)
 
 
 def _sweep_levels(
-    model: DecPomdpModel, tree: FcsTree, pc: Session | None, levels: list[_Level]
-) -> tuple[ValueTable, CoordinatorPolicy]:
+    model: DecPomdpModel, tree: FcsTree, pc: Session | None, levels: list[_Level], key_fn
+) -> tuple[ValueTable, CoordinatorPolicy] | None:
     """The backward pass over linked levels that reach the leaves, one depth
-    at a time from the leaves up; the value entries and the policy are
-    those of the depth-first pass, inserted depth by depth.
-
-    Each row's children are added to its reward in ``o0`` order, ``total
-    += p * v`` as the depth-first pass adds them, one child rank at a time,
-    and each node takes its first maximum, so every float is the same.
-    """
-    table = ValueTable(horizon=model.horizon)
-    policy = CoordinatorPolicy()
-    values = None  # the depth below's node values, by position
+    at a time: the depth-first pass's entries and policy, and, when keyed,
+    its order of writes.  From the leaves up, each row adds its children's
+    ``p * v`` in ``o0`` order one child rank at a time, as that pass adds
+    them, and each node takes its first maximum, or the value of the first
+    node of its depth holding its key.  From the roots down, a visited node
+    first holding its key fills its entry and visits the children of every
+    row, any other those of its entry's row.  That pass visits a depth in
+    position order, so this one gives ``None`` if an unvisited node first
+    holds a visited node's key."""
+    solved = []  # per depth, from the leaves up: rows, each entry's row, each key's first node
+    values = None  # the depth below's values, by position
     for level in reversed(levels):
         if level.q is None:
             level.score()
@@ -358,26 +361,60 @@ def _sweep_levels(
                     sel = count > rank
                     q[sel] += term[start[sel] + rank]
                 rows.append(q)
-                best.append(np.argmax(q, axis=1).tolist())
-        found, chosen = [], []  # each node's value and prescription, in node order
-        for i, node in enumerate(level.nodes):
-            b, r = level.block[i], level.row[i]
-            q, k = rows[b][r].tolist(), best[b][r]
-            gamma = level.gamma(i, k)
-            lam = gamma if pc is None else level.lam(i, k)
-            table.entries[(node.t, node.seq)] = ValueEntry(
-                value=q[k], argmax_index=k, argmax_key=lam.key, q_values=tuple(q))
-            policy.prescriptions[node.seq] = gamma
-            found.append(q[k])
-            chosen.append(gamma)
-        if pc is None and level.below is None:
-            level.record.chosen = chosen
-        values = found
-    overall = 0.0
-    for (_o0, _root, p_root), v in zip(tree.roots(), found):
-        overall += p_root * v
-    table.overall_value = overall
-    return table, policy
+                best.append(np.argmax(q, axis=1))
+        value, node_best = np.empty(len(level.order)), np.empty(len(level.order), dtype=np.intp)
+        value[level.order] = np.concatenate([q.max(axis=1) for q in rows])
+        node_best[level.order] = np.concatenate(best)
+        keys = None if key_fn is None else key_fn(level.nodes)
+        held = {}
+        owner = np.arange(len(value)) if keys is None else np.array(
+            [held.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+        values = value[owner]
+        solved.append((rows, node_best[owner], owner, keys))
+    # A node's place in the depth-first order of writes: its ancestors' and own
+    # positions, then -1 if it writes before its children, else past them all.
+    visit = np.ones(len(levels[0].nodes), dtype=bool)
+    paths = np.arange(len(visit))[:, None]
+    past = max(len(level.nodes) for level in levels)
+    keyed, entries, seqs, gammas, events, filled = [], [], [], [], [], []
+    for d, (level, (rows, best, owner, keys)) in enumerate(zip(levels, reversed(solved))):
+        if not visit[owner[visit]].all():
+            return None
+        fills = visit & (owner == np.arange(len(owner)))
+        spots = np.flatnonzero(visit)
+        filled.append(fills[spots])
+        pad = np.where(filled[-1], past, -1)[:, None]
+        events.append(np.hstack([paths[spots], np.repeat(pad, len(levels) - d - 1, axis=1)]))
+        nodes, gamma_at, block, row = level.nodes, level.gamma, level.block, level.row
+        for i, k, fill in zip(spots.tolist(), best[spots].tolist(), filled[-1].tolist()):
+            node, gamma = nodes[i], gamma_at(i, k)
+            if fill:
+                q = rows[block[i]][row[i]].tolist()
+                lam = gamma if pc is None else level.lam(i, k)
+                keyed.append((node.t, node.seq if keys is None else keys[i]))
+                entries.append(ValueEntry(q[k], k, lam.key, tuple(q)))
+            seqs.append(node.seq)
+            gammas.append(gamma)
+        if level.below is None:
+            if pc is None and key_fn is None:
+                level.record.chosen = gammas[-len(spots):]
+            break
+        spread = np.diff(level.record.first)
+        on = np.repeat(fills, level.counts)
+        hits = np.flatnonzero(visit & ~fills)
+        on[(np.cumsum(level.counts) - level.counts)[hits] + best[hits]] = True
+        visit = np.repeat(on, spread)
+        parent = np.repeat(np.repeat(np.arange(len(fills)), level.counts), spread)
+        paths = np.hstack([paths[parent], np.arange(len(visit))[:, None]])
+    if key_fn is not None:
+        fills, order = np.concatenate(filled), np.lexsort(np.vstack(events).T[::-1])
+        fill_order = (np.cumsum(fills) - 1)[order[fills[order]]]
+        keyed, entries = map(keyed.__getitem__, fill_order), map(entries.__getitem__, fill_order)
+        seqs, gammas = map(seqs.__getitem__, order), map(gammas.__getitem__, order)
+    table = ValueTable(horizon=model.horizon, entries=dict(zip(keyed, entries)))
+    for (_o0, _root, p_root), v in zip(tree.roots(), values.tolist()):
+        table.overall_value += p_root * v
+    return table, CoordinatorPolicy(dict(zip(seqs, gammas)))
 
 
 def _sweep_depth_first(
@@ -392,7 +429,7 @@ def _sweep_depth_first(
     the linked levels the forward pass prepared."""
     by_seq = key_fn is None
     if by_seq:
-        key_fn = lambda node: node.seq
+        key_fn = lambda nodes: [node.seq for node in nodes]
     table = ValueTable(horizon=model.horizon)
     policy = CoordinatorPolicy()
     evals = 0
@@ -400,7 +437,7 @@ def _sweep_depth_first(
     def solve(level: _Level, i: int) -> float:
         nonlocal evals
         node = level.nodes[i]
-        key = (node.t, key_fn(node))
+        key = (node.t, key_fn([node])[0])
         # A node sequence is met once, so only a ``key_fn`` can find an entry.
         entry = None if by_seq else table.entries.get(key)
         if entry is not None:

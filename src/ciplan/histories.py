@@ -195,17 +195,17 @@ class Level:
     the edges that leave them, kept nowhere else: row ``k`` of node ``i``
     stands for the history-domain prescription ``gammas[i][k]``,
     :meth:`children` gives its children in the level below, and child ``c``
-    there has the mass ``mass[c]``.  A full level also keeps ``rewards``,
-    the immediate rewards of its rows as the first sweep to score them left
-    them, for the next sweep, and, with no level below, ``chosen``, the
-    prescription it chose at each node.  A level refers to no tree and no
-    session."""
+    there has the mass ``mass[c]``.  A full level also keeps, for the next
+    sweep, the ``layout`` and ``rewards`` of its rows as the first sweep left
+    them and, with no level below, ``chosen``, alg 1's prescription at each
+    node.  A level refers to no tree and no session."""
 
     nodes: list[FcsNode]
     atoms: Atoms
     gammas: list[list[Prescription]] | None = None
     first: list[int] | None = None  # where each (node, row) pair's children start
     mass: list[float] | None = None
+    layout: tuple | None = None
     rewards: tuple | None = None
     chosen: list[Prescription] | None = None
 

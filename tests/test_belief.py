@@ -7,7 +7,8 @@ import pytest
 from ciplan.belief import (
     SpiConditionError,
     ZeroProbabilityBranchError,
-    _node_fingerprint,
+    _node_fingerprints,
+    _rounded,
     bayes_update,
     check_spi,
     compute_bcs,
@@ -97,13 +98,42 @@ def test_fingerprint_rounds_to_nine_decimals(coin2):
 
 
 def test_node_fingerprint_is_the_belief_fingerprint(coin2, small_models):
-    # The alg-4 key reads the fingerprint straight off a node's weights; it
-    # must be the belief's own fingerprint, tuple for tuple.
-    for model in (coin2, small_models[1], small_models[3]):
+    # The alg-4 keys read the fingerprints straight off the nodes' weights, a
+    # whole depth at once or one node at a time; they must be the belief's
+    # own fingerprints, tuple for tuple and float for float, roots included.
+    def bits(fingerprint):
+        t, atoms = fingerprint
+        return t, [(key, w.hex()) for key, w in atoms]
+
+    randoms = [random_model(seed, **shape) for seed in (3, 11) for shape in (
+        dict(num_states=2, horizon=3, num_common_obs=2),
+        dict(num_states=3, private_obs_sizes=(2, 1), num_common_obs=2),
+    )]
+    for model in (coin2, small_models[1], small_models[3], *randoms):
         tree = FcsTree(model)
         for t in range(1, model.horizon + 1):
-            for node in level_nodes(tree, t):
-                assert _node_fingerprint(node) == compute_bcs(tree, node).fingerprint
+            nodes = level_nodes(tree, t)
+            want = [bits(compute_bcs(tree, node).fingerprint) for node in nodes]
+            assert [bits(fp) for fp in _node_fingerprints(nodes)] == want
+            assert [bits(_node_fingerprints([node])[0]) for node in nodes] == want
+            # Part of a level, and its nodes out of order, are read alike.
+            assert [bits(fp) for fp in _node_fingerprints(nodes[1::2])] == want[1::2]
+            assert [bits(fp) for fp in _node_fingerprints(nodes[::-1])] == want[::-1]
+
+
+def test_rounding_helper_is_round_to_nine_decimals():
+    rng = np.random.default_rng(9)
+    values = np.concatenate([
+        rng.random(20_000),
+        rng.random(2_000) ** 12,
+        np.arange(200_001) / 2e9,  # every exact decimal tie k/2e9 up to 1e-4
+        rng.integers(0, 2_000_000_001, 20_000) / 2e9,
+        [0.0, 1.0, 0.5, 2.0**-30, 1 - 2.0**-53],
+    ])
+    got = _rounded(values)
+    assert all(isinstance(v, float) for v in got)
+    want = [round(v, 9) for v in values.tolist()]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_belief_keyed_sweep_matches_exact(coin2, small_models):

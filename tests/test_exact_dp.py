@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 
 from ciplan import exact_dp
 from ciplan.approx_dp import solve_fcs_asps
-from ciplan.belief import compute_bcs, solve_bcs_fps, solve_bcs_spi
+from ciplan.belief import (
+    _node_fingerprints,
+    check_spi,
+    compute_bcs,
+    solve_bcs_fps,
+    solve_bcs_spi,
+)
 from ciplan.compression import Session, build_exact_private
 from ciplan.exact_dp import (
     DEFAULT_BUDGET,
@@ -258,19 +265,24 @@ def test_kernel_matches_scalar_sweep(seed, shape):
     assert_kernel_matches_scalar(random_model(seed, **{"horizon": 2, **shape}))
 
 
-def test_kernel_matches_scalar_sweep_with_uneven_atom_counts():
-    # About a third of the transition and observation entries set to zero
-    # leave depth-2 nodes of one shape with different numbers of atoms, in
-    # the full tree and in the exact compression's labels alike.
-    model = random_model(5, private_obs_sizes=(2, 1))
-    rng = np.random.default_rng(5)
+def with_zeroed_entries(model, seed):
+    """``model`` with about a third of its transition and observation entries
+    set to zero, each row renormalised (a row left empty becomes uniform)."""
+    rng = np.random.default_rng(seed)
     rows = {}
     for name in ("transition", "observation"):
         arr = getattr(model, name).copy()
         arr[rng.random(arr.shape) < 0.3] = 0.0
         arr[arr.sum(-1) == 0] = 1.0
         rows[name] = arr / arr.sum(-1, keepdims=True)
-    model = dataclasses.replace(model, **rows)
+    return dataclasses.replace(model, **rows)
+
+
+def test_kernel_matches_scalar_sweep_with_uneven_atom_counts():
+    # About a third of the transition and observation entries set to zero
+    # leave depth-2 nodes of one shape with different numbers of atoms, in
+    # the full tree and in the exact compression's labels alike.
+    model = with_zeroed_entries(random_model(5, private_obs_sizes=(2, 1)), 5)
     tree = FcsTree(model)
     for pc in (None, Session(tree, build_exact_private(model, tree))):
         level = exact_dp._Level(tree, pc, (tree.full_level if pc is None else pc.level)(2))
@@ -436,15 +448,17 @@ def test_alg4_expands_only_the_nodes_its_memo_visits():
     assert table.overall_value == pytest.approx(solve_fcs_fps(model)[0].overall_value, abs=1e-12)
 
 
-@pytest.mark.parametrize("alg", ["1", "2", "4"])
+@pytest.mark.parametrize("alg", ["1", "2", "4", "4-after-1"])
 def test_sweeps_leave_no_reference_cycle(coin2, alg):
     # The tree must go as soon as the caller drops it, without a cyclic
-    # collection: the automatic collector is off for the whole check.
+    # collection: the automatic collector is off for the whole check.  Alg 4
+    # after alg 1 runs the level pass on the levels and layouts alg 1 kept.
     pc = build_exact_private(coin2) if alg == "2" else None
     solve = {
         "1": lambda tree: solve_fcs_fps(coin2, tree),
         "2": lambda tree: solve_fcs_asps(coin2, pc, tree),
         "4": lambda tree: solve_bcs_fps(coin2, tree),
+        "4-after-1": lambda tree: (solve_fcs_fps(coin2, tree), solve_bcs_fps(coin2, tree))[1],
     }[alg]
     gc.collect()
     gc.disable()
@@ -475,10 +489,10 @@ def test_alg4_after_alg1_reuses_the_leaf_prescriptions(coin2, monkeypatch):
 
 
 def test_prepared_trees_are_solved_by_level(coin2, monkeypatch):
-    # Once the forward pass has prepared every depth, algs 1 and 2 solve one
-    # depth at a time; algs 4 and 5 keep the depth-first pass, since which
-    # node first fills a key depends on values deeper down.  A tree the
-    # forward pass does not prepare down to its leaves is solved depth-first.
+    # Once the forward pass has prepared every depth, algs 1, 2, 4 and 5
+    # solve one depth at a time; the keyed sweeps find each key's first node
+    # without a fallback here.  A tree the forward pass does not prepare down
+    # to its leaves is solved depth-first.
     calls = collections.Counter()
     for name in ("_sweep_levels", "_sweep_depth_first"):
         def counted(*args, name=name, sweep=getattr(exact_dp, name)):
@@ -494,8 +508,8 @@ def test_prepared_trees_are_solved_by_level(coin2, monkeypatch):
         for want, solve in (
             (by_level, lambda: solve_fcs_fps(model, tree)),
             (by_level, lambda: solve_fcs_asps(model, pc)),
-            (depth_first, lambda: solve_bcs_fps(model, tree)),
-            (depth_first, lambda: solve_bcs_spi(model, pc)),
+            (by_level, lambda: solve_bcs_fps(model, tree)),
+            (by_level, lambda: solve_bcs_spi(model, pc)),
         ):
             calls.clear()
             solve()
@@ -505,6 +519,81 @@ def test_prepared_trees_are_solved_by_level(coin2, monkeypatch):
             calls.clear()
             solve_fcs_fps(model, FcsTree(model))
             assert calls == depth_first
+
+
+def parent_keys(nodes):
+    """An adversarial key: the roots share one key, and so do the children of
+    one node with domains of one shape.  Below a node that takes a solved
+    entry whose row is not its first, a child of its first row can hold the
+    key of the children the depth-first pass visits, unvisited itself."""
+    return [(node.seq[:-2], tuple(map(len, node.agent_domains))) for node in nodes]
+
+
+def first_holder_unvisited(tree, key_fn, policy) -> bool:
+    """Whether a node the depth-first pass visits, with this ``policy``, has
+    its key first held in its depth's position order by a node it does not."""
+    for t in range(1, tree.model.horizon + 1):
+        nodes, first = tree.full_level(t).nodes, {}
+        for node, key in zip(nodes, key_fn(nodes)):
+            holder = first.setdefault(key, node)
+            if node.seq in policy.prescriptions and holder.seq not in policy.prescriptions:
+                return True
+    return False
+
+
+def keyed_by_level_and_depth_first(model):
+    """``name -> (level pass bits, depth-first bits, fell back, expected to)``
+    of alg 4, of alg 4 under :func:`parent_keys` and, where the exact
+    compression passes its conditions, of alg 5, on a prepared tree and
+    session."""
+    tree = FcsTree(model)
+    tree.full_level(model.horizon)
+    pc = Session(tree, build_exact_private(model, tree))
+    pc.level(model.horizon)
+    solves = {
+        "alg4": (lambda: solve_bcs_fps(model, tree), _node_fingerprints),
+        "parent keys": (lambda: exact_dp.generic_solve(model, tree, key_fn=parent_keys), parent_keys),
+    }
+    if check_spi(model, pc).passed:
+        solves["alg5"] = (lambda: solve_bcs_spi(model, pc), None)
+    out = {}
+    for name, (solve, key_fn) in solves.items():
+        with mock.patch.object(
+            exact_dp, "_sweep_depth_first", wraps=exact_dp._sweep_depth_first
+        ) as depth_first:
+            by_level = solve()
+        with mock.patch.object(exact_dp, "_sweep_levels", lambda *args: None):
+            table, policy = solve()
+        expected = key_fn and first_holder_unvisited(tree, key_fn, policy)
+        out[name] = table_bits(*by_level), table_bits(table, policy), depth_first.called, expected
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(KERNEL_SHAPES), st.booleans())
+def test_keyed_level_pass_matches_the_depth_first_pass(seed, shape, zeroed):
+    # On a prepared tree and session the keyed sweeps run one depth at a
+    # time and give the depth-first pass's bits, in its order, policies
+    # included; they hand the tree to that pass exactly where a node it
+    # visits has its key first held by a node it does not visit.
+    model = random_model(seed, **{"horizon": 2, **shape})
+    if zeroed:
+        model = with_zeroed_entries(model, seed)
+    for name, (by_level, depth_first, fell_back, expected) in keyed_by_level_and_depth_first(
+        model
+    ).items():
+        assert by_level == depth_first, name
+        if expected is not None:
+            assert fell_back == expected, name
+
+
+def test_keyed_level_pass_falls_back_to_the_depth_first_pass():
+    for model in (random_model(5, **{"horizon": 2, **KERNEL_SHAPES[1]}),
+                  random_model(7, **KERNEL_SHAPES[2])):
+        by_level, depth_first, fell_back, expected = keyed_by_level_and_depth_first(model)[
+            "parent keys"]
+        assert fell_back and expected
+        assert by_level == depth_first
 
 
 def test_full_levels_keep_their_rewards(coin2, monkeypatch):
@@ -518,10 +607,18 @@ def test_full_levels_keep_their_rewards(coin2, monkeypatch):
         score(level)
 
     monkeypatch.setattr(exact_dp._Level, "score", counted)
+    level_view = exact_dp._Level
     tree = FcsTree(coin2)
     solve_fcs_fps(coin2, tree)
+    layouts = [tree.full_level(t).layout for t in range(1, coin2.horizon + 1)]
+    views = []
+    monkeypatch.setattr(exact_dp, "_Level", lambda *args: views.append(level_view(*args)) or views[-1])
     solve_bcs_fps(coin2, tree)
     assert scored == {"full": coin2.horizon}
+    # Nor is a full level laid out again: alg 4 reads alg 1's layout.
+    assert len(views) == coin2.horizon and None not in layouts
+    assert all(view.record.layout is layout and view.order is layout[0]
+               for view, layout in zip(views, layouts))
     pc = Session(tree, build_exact_private(coin2, tree))
     solve_fcs_asps(coin2, pc)
     solve_fcs_asps(coin2, pc)

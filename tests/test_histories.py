@@ -370,6 +370,9 @@ def test_scalar_expand_serves_only_the_fallback_and_the_oracle(coin2):
 def test_sweeps_derive_no_level_built_weights(coin2, monkeypatch):
     # Algs 1 and 2 on a fresh tree, then alg 4, read every level-built
     # node's atoms off its level's columns: none derives its ``weights``.
+    # After alg 1 every depth is prepared, so algs 2 and 4 run the level
+    # pass, alg 4's keys read off each level's shared lists; alg 4 right
+    # after alg 1, on a tree of its own, does the same.
     reads = []
     weights = FcsNode.weights
 
@@ -380,12 +383,15 @@ def test_sweeps_derive_no_level_built_weights(coin2, monkeypatch):
 
     for model in (coin2, random_model(5, num_states=2, horizon=3, num_common_obs=2)):
         pc = build_greedy(model)
-        tree = FcsTree(model)
+        tree, alone = FcsTree(model), FcsTree(model)
         with monkeypatch.context() as patch:
             patch.setattr(FcsNode, "weights", property(counted))
             exact_dp.solve_fcs_fps(model, tree)
+            exact_dp.solve_fcs_fps(model, alone)
+            patch.setattr(exact_dp, "_sweep_depth_first", lambda *args: pytest.fail("depth-first"))
             solve_fcs_asps(model, pc, tree)
             solve_bcs_fps(model, tree)
+            solve_bcs_fps(model, alone)
         assert len(tree._levels) == model.horizon
         assert reads == []
         # Derived on demand, they are the scalar expansion's, bit for bit.
