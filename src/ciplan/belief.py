@@ -57,8 +57,12 @@ class BeliefState:
 
     @property
     def fingerprint(self) -> tuple:
-        keys, weights = zip(*self.atoms) if self.atoms else ((), ())
-        return (self.t, tuple(zip(keys, _rounded(np.array(weights, dtype=float)))))
+        return _fingerprint(self.t, self.atoms)
+
+
+def _fingerprint(t: int, atoms, total: float = 1.0) -> tuple:
+    """``(t, atoms)`` with each weight divided by ``total``, then rounded."""
+    return (t, tuple([(k, round(w / total, FINGERPRINT_DECIMALS)) for k, w in atoms]))
 
 
 def _rounded(x: np.ndarray) -> list[float]:
@@ -73,20 +77,14 @@ def _rounded(x: np.ndarray) -> list[float]:
 
 def _node_fingerprints(nodes) -> list[tuple]:
     """``compute_bcs(tree, node).fingerprint`` of each node, building no belief or
-    ``weights``: its weights over their Python ``sum``, as ``compute_bcs`` adds
-    them.  A level's nodes, in order, are read off its shared lists and rounded
-    at once with numpy; others, as the depth-first pass asks, by ``round``."""
+    ``weights``.  A run of two or more of a level's nodes is rounded at once with
+    numpy; others, as the depth-first pass's single node, by ``round``."""
     atoms = nodes[0].atoms if nodes else ()
-    if len(atoms) < 2 or not all(
+    if len(nodes) < 2 or len(atoms) < 2 or not all(
         node.atoms is atoms and node.index == i for i, node in enumerate(nodes, nodes[0].index)
     ):
-        out = []
-        for node in nodes:
-            keys, weights = node._atom_keys()
-            total = sum(weights)
-            out.append((node.t, tuple([
-                (k, round(w / total, FINGERPRINT_DECIMALS)) for k, w in zip(keys, weights)])))
-        return out
+        return [_fingerprint(node.t, zip(keys, weights), sum(weights))
+                for node in nodes for keys, weights in [node._atom_keys()]]
     _tag, start, keys, weights = atoms
     bounds = start[nodes[0].index:nodes[-1].index + 2]
     lo, hi = bounds[0], bounds[-1]

@@ -331,15 +331,13 @@ def _sweep_levels(
     model: DecPomdpModel, tree: FcsTree, pc: Session | None, levels: list[_Level], key_fn
 ) -> tuple[ValueTable, CoordinatorPolicy] | None:
     """The backward pass over linked levels that reach the leaves, one depth
-    at a time: the depth-first pass's entries and policy, and, when keyed,
-    its order of writes.  From the leaves up, each row adds its children's
-    ``p * v`` in ``o0`` order one child rank at a time, as that pass adds
-    them, and each node takes its first maximum, or the value of the first
-    node of its depth holding its key.  From the roots down, a visited node
-    first holding its key fills its entry and visits the children of every
-    row, any other those of its entry's row.  That pass visits a depth in
-    position order, so this one gives ``None`` if an unvisited node first
-    holds a visited node's key."""
+    at a time: the depth-first pass's entries and policy, keyed ones in its
+    order of writes.  From the leaves up, each row adds its children's
+    ``p * v`` in ``o0`` order one child rank at a time, as that pass does,
+    and each node takes its first maximum, or the value of the first node of
+    its depth holding its key.  From the roots down, a visited node first
+    holding its key visits the children of every row, any other those of its
+    entry's row; ``None`` if an unvisited node first holds a visited one's key."""
     solved = []  # per depth, from the leaves up: rows, each entry's row, each key's first node
     values = None  # the depth below's values, by position
     for level in reversed(levels):
@@ -362,29 +360,32 @@ def _sweep_levels(
                     q[sel] += term[start[sel] + rank]
                 rows.append(q)
                 best.append(np.argmax(q, axis=1))
-        value, node_best = np.empty(len(level.order)), np.empty(len(level.order), dtype=np.intp)
-        value[level.order] = np.concatenate([q.max(axis=1) for q in rows])
+        values, node_best = np.empty(len(level.order)), np.empty(len(level.order), dtype=np.intp)
+        values[level.order] = np.concatenate([q.max(axis=1) for q in rows])
         node_best[level.order] = np.concatenate(best)
-        keys = None if key_fn is None else key_fn(level.nodes)
-        held = {}
-        owner = np.arange(len(value)) if keys is None else np.array(
-            [held.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
-        values = value[owner]
-        solved.append((rows, node_best[owner], owner, keys))
+        owner = keys = None
+        if key_fn is not None:
+            held, keys = {}, key_fn(level.nodes)
+            owner = np.array([held.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+            values, node_best = values[owner], node_best[owner]
+        solved.append((rows, node_best, owner, keys))
     # A node's place in the depth-first order of writes: its ancestors' and own
     # positions, then -1 if it writes before its children, else past them all.
     visit = np.ones(len(levels[0].nodes), dtype=bool)
-    paths = np.arange(len(visit))[:, None]
-    past = max(len(level.nodes) for level in levels)
+    paths = np.arange(len(visit), dtype=np.int32)[:, None]
+    past = np.int32(max(len(level.nodes) for level in levels))
     keyed, entries, seqs, gammas, events, filled = [], [], [], [], [], []
     for d, (level, (rows, best, owner, keys)) in enumerate(zip(levels, reversed(solved))):
-        if not visit[owner[visit]].all():
-            return None
-        fills = visit & (owner == np.arange(len(owner)))
-        spots = np.flatnonzero(visit)
+        if keys is None:  # every node is visited and fills its own entry
+            spots, fills = np.arange(len(best)), np.ones(len(best), dtype=bool)
+        else:
+            if not visit[owner[visit]].all():
+                return None
+            fills = visit & (owner == np.arange(len(owner)))
+            spots = np.flatnonzero(visit)
+            pad = np.where(fills[spots], past, np.int32(-1))[:, None]
+            events.append(np.hstack([paths[spots], np.repeat(pad, len(levels) - d - 1, axis=1)]))
         filled.append(fills[spots])
-        pad = np.where(filled[-1], past, -1)[:, None]
-        events.append(np.hstack([paths[spots], np.repeat(pad, len(levels) - d - 1, axis=1)]))
         nodes, gamma_at, block, row = level.nodes, level.gamma, level.block, level.row
         for i, k, fill in zip(spots.tolist(), best[spots].tolist(), filled[-1].tolist()):
             node, gamma = nodes[i], gamma_at(i, k)
@@ -395,19 +396,20 @@ def _sweep_levels(
                 entries.append(ValueEntry(q[k], k, lam.key, tuple(q)))
             seqs.append(node.seq)
             gammas.append(gamma)
-        if level.below is None:
-            if pc is None and key_fn is None:
-                level.record.chosen = gammas[-len(spots):]
-            break
+        if keys is None and level.below is None and pc is None:
+            level.record.chosen = gammas[-len(spots):]
+        if keys is None or level.below is None:
+            continue
         spread = np.diff(level.record.first)
         on = np.repeat(fills, level.counts)
         hits = np.flatnonzero(visit & ~fills)
         on[(np.cumsum(level.counts) - level.counts)[hits] + best[hits]] = True
         visit = np.repeat(on, spread)
         parent = np.repeat(np.repeat(np.arange(len(fills)), level.counts), spread)
-        paths = np.hstack([paths[parent], np.arange(len(visit))[:, None]])
+        paths = np.hstack([paths[parent], np.arange(len(visit), dtype=np.int32)[:, None]])
     if key_fn is not None:
         fills, order = np.concatenate(filled), np.lexsort(np.vstack(events).T[::-1])
+        del paths, events  # the largest arrays left, before the dicts are built
         fill_order = (np.cumsum(fills) - 1)[order[fills[order]]]
         keyed, entries = map(keyed.__getitem__, fill_order), map(entries.__getitem__, fill_order)
         seqs, gammas = map(seqs.__getitem__, order), map(gammas.__getitem__, order)

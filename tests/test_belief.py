@@ -4,6 +4,7 @@ sufficiency conditions."""
 import numpy as np
 import pytest
 
+from ciplan import belief
 from ciplan.belief import (
     SpiConditionError,
     ZeroProbabilityBranchError,
@@ -97,7 +98,7 @@ def test_fingerprint_rounds_to_nine_decimals(coin2):
     assert BeliefState(t=b.t, atoms=jitter).fingerprint == b.fingerprint
 
 
-def test_node_fingerprint_is_the_belief_fingerprint(coin2, small_models):
+def test_node_fingerprint_is_the_belief_fingerprint(coin2, small_models, monkeypatch):
     # The alg-4 keys read the fingerprints straight off the nodes' weights, a
     # whole depth at once or one node at a time; they must be the belief's
     # own fingerprints, tuple for tuple and float for float, roots included.
@@ -109,13 +110,19 @@ def test_node_fingerprint_is_the_belief_fingerprint(coin2, small_models):
         dict(num_states=2, horizon=3, num_common_obs=2),
         dict(num_states=3, private_obs_sizes=(2, 1), num_common_obs=2),
     )]
+    batched = []
+    monkeypatch.setattr(belief, "_rounded", lambda x: batched.append(len(x)) or _rounded(x))
     for model in (coin2, small_models[1], small_models[3], *randoms):
         tree = FcsTree(model)
         for t in range(1, model.horizon + 1):
             nodes = level_nodes(tree, t)
             want = [bits(compute_bcs(tree, node).fingerprint) for node in nodes]
             assert [bits(fp) for fp in _node_fingerprints(nodes)] == want
+            # One node at a time, as the depth-first pass asks, is rounded by
+            # ``round``: numpy on a handful of weights costs more than it saves.
+            del batched[:]
             assert [bits(_node_fingerprints([node])[0]) for node in nodes] == want
+            assert batched == []
             # Part of a level, and its nodes out of order, are read alike.
             assert [bits(fp) for fp in _node_fingerprints(nodes[1::2])] == want[1::2]
             assert [bits(fp) for fp in _node_fingerprints(nodes[::-1])] == want[::-1]
