@@ -98,11 +98,10 @@ class _Level:
     domains, which fixes their action table, and by falling atom count within
     a shape, so the nodes with an atom of a given rank lead their block.  The
     prescription counts come from the shapes alone; no table is built and
-    nothing is scored before the first :meth:`score` call.  Without a
-    compression the record keeps the layout and, once scored, the rewards for
-    the next sweep.  Once :meth:`link` has given the view of the level below,
-    :meth:`children` reads the record's edges by position; until then it
-    expands the node afresh with ``tree.expand``.
+    nothing is scored before the first :meth:`score` call.  Without ``pc`` the
+    record keeps the layout and the rewards for the next sweep.  Once
+    :meth:`link` has given the view below, :meth:`children` reads the record's
+    edges by position; until then it expands the node with ``tree.expand``.
     """
 
     below: _Level | None = None
@@ -126,8 +125,7 @@ class _Level:
             shape_of[order] = np.cumsum(new) - 1
             shapes = [tuple(shape) for shape in ordered[new].tolist()]
             counts = [prescription_count(tree.model, tuple(map(range, shape))) for shape in shapes]
-            shape_of = shape_of.tolist()
-            bounds = np.append(np.flatnonzero(new), len(ordered))
+            bounds, shape_of = np.append(np.flatnonzero(new), len(ordered)), shape_of.tolist()
             layout = order, bounds, shape_of, shapes, [counts[g] for g in shape_of]
             if pc is None:
                 record.layout = layout
@@ -275,17 +273,14 @@ def generic_solve(
     the subtree the label prescriptions reach.  The pass stops at the first
     depth whose cumulative prescription count passes ``budget``, or that the
     source does not hold yet and whose expansion would take more than
-    ``_BATCH_ENTRIES`` entries; a ``key_fn`` lets the sweep skip the
-    subtrees below a solved key, so it prepares only the levels the tree or
-    session already holds.  A pass that reached the leaves is followed by
-    :func:`_sweep_levels`, one depth at a time, unless a keyed sweep there
-    finds a key whose first node the depth-first pass would not visit.
+    ``_BATCH_ENTRIES`` entries; a ``key_fn`` lets the sweep skip the subtrees
+    below a solved key, so it prepares only the levels the source already
+    holds.  A pass that reached the leaves is followed by :func:`_sweep_levels`,
+    one depth at a time, unless a keyed sweep would visit other nodes there.
     Otherwise :func:`_sweep_depth_first` visits ``(level, position)`` pairs,
-    reading a row's children as a range of positions below, and below the
-    last prepared depth from ``tree.expand``, each node prepared alone.  The
-    first node to reach a key fills its entry, and ties go to the smallest
-    canonical index either way.  The cyclic collector is paused throughout:
-    the sweep makes no reference cycle.
+    expanding each node alone below the last prepared depth.  The first node
+    to reach a key fills its entry; ties go to the smallest canonical index.
+    The cyclic collector is paused: the sweep makes no reference cycle.
 
     Parameters
     ----------
@@ -321,8 +316,7 @@ def generic_solve(
                 levels[-1].link(below)
             levels.append(below)
         # Down to the leaves, every evaluation is charged: ``spent`` fits the budget.
-        full = len(levels) == model.horizon
-        solved = _sweep_levels(model, tree, pc, levels, key_fn) if full else None
+        solved = len(levels) == model.horizon and _sweep_levels(model, tree, pc, levels, key_fn)
         return solved or _sweep_depth_first(
             model, tree, pc, key_fn, levels[0] if levels else None, budget)
 
@@ -330,14 +324,13 @@ def generic_solve(
 def _sweep_levels(
     model: DecPomdpModel, tree: FcsTree, pc: Session | None, levels: list[_Level], key_fn
 ) -> tuple[ValueTable, CoordinatorPolicy] | None:
-    """The backward pass over linked levels that reach the leaves, one depth
-    at a time: the depth-first pass's entries and policy, keyed ones in its
-    order of writes.  From the leaves up, each row adds its children's
-    ``p * v`` in ``o0`` order one child rank at a time, as that pass does,
-    and each node takes its first maximum, or the value of the first node of
-    its depth holding its key.  From the roots down, a visited node first
-    holding its key visits the children of every row, any other those of its
-    entry's row; ``None`` if an unvisited node first holds a visited one's key."""
+    """The depth-first pass's entries and policy, keyed ones in its order of writes,
+    one depth at a time over linked levels that reach the leaves.  From the leaves
+    up, each row adds its children's ``p * v`` in ``o0`` order one child rank at a
+    time, as that pass does; a node takes its first maximum, or the value of the
+    first node of its depth holding its key.  From the roots down, a visited node
+    first holding its key visits the children of every row, any other those of its
+    entry's row (:func:`_writes`); ``None`` if that pass would visit other nodes."""
     solved = []  # per depth, from the leaves up: rows, each entry's row, each key's first node
     values = None  # the depth below's values, by position
     for level in reversed(levels):
@@ -369,13 +362,39 @@ def _sweep_levels(
             owner = np.array([held.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
             values, node_best = values[owner], node_best[owner]
         solved.append((rows, node_best, owner, keys))
-    # A node's place in the depth-first order of writes: its ancestors' and own
-    # positions, then -1 if it writes before its children, else past them all.
-    visit = np.ones(len(levels[0].nodes), dtype=bool)
+    writes = _writes(levels, solved[::-1])
+    if writes is None:
+        return None
+    at = [(level, level.nodes, level.gamma, level.block, level.row, rows, best.tolist(), keys)
+          for level, (rows, best, _owner, keys) in zip(levels, reversed(solved))]
+    del solved  # its owner and best arrays, before the dicts are filled
+    table, policy = ValueTable(horizon=model.horizon), CoordinatorPolicy()
+    for lo in range(0, len(writes[0]), 1024):  # few Python ints at a time
+        for d, i, fill in zip(*(column[lo:lo + 1024].tolist() for column in writes)):
+            level, nodes, gamma_at, block, row, rows, best, keys = at[d]
+            node, k = nodes[i], best[i]
+            policy.prescriptions[node.seq] = gamma = gamma_at(i, k)
+            if fill:
+                q = rows[block[i]][row[i]].tolist()
+                lam = gamma if pc is None else level.lam(i, k)
+                table.entries[(node.t, node.seq if keys is None else keys[i])] = ValueEntry(
+                    q[k], k, lam.key, tuple(q))
+    if key_fn is None and pc is None:
+        levels[-1].record.chosen = list(policy.prescriptions.values())[-len(levels[-1].nodes):]
+    for (_o0, _root, p_root), v in zip(tree.roots(), values.tolist()):
+        table.overall_value += p_root * v
+    return table, policy
+
+
+def _writes(levels: list[_Level], solved: list) -> list[np.ndarray] | None:
+    """Depth, position and whether it fills its entry of each node the depth-first
+    pass visits, keyed ones in its order of writes: by ancestors' and own positions,
+    then -1 if a node writes before its children, else past them all.  ``None`` if
+    a visited node's key is first held by one not visited; see :func:`_sweep_levels`."""
+    visit, past = np.ones(len(levels[0].nodes), dtype=bool), np.iinfo(np.int32).max
     paths = np.arange(len(visit), dtype=np.int32)[:, None]
-    past = np.int32(max(len(level.nodes) for level in levels))
-    keyed, entries, seqs, gammas, events, filled = [], [], [], [], [], []
-    for d, (level, (rows, best, owner, keys)) in enumerate(zip(levels, reversed(solved))):
+    marks, events = [], []  # per depth, the visited nodes and which of them fill an entry
+    for d, (level, (_rows, best, owner, keys)) in enumerate(zip(levels, solved)):
         if keys is None:  # every node is visited and fills its own entry
             spots, fills = np.arange(len(best)), np.ones(len(best), dtype=bool)
         else:
@@ -385,19 +404,7 @@ def _sweep_levels(
             spots = np.flatnonzero(visit)
             pad = np.where(fills[spots], past, np.int32(-1))[:, None]
             events.append(np.hstack([paths[spots], np.repeat(pad, len(levels) - d - 1, axis=1)]))
-        filled.append(fills[spots])
-        nodes, gamma_at, block, row = level.nodes, level.gamma, level.block, level.row
-        for i, k, fill in zip(spots.tolist(), best[spots].tolist(), filled[-1].tolist()):
-            node, gamma = nodes[i], gamma_at(i, k)
-            if fill:
-                q = rows[block[i]][row[i]].tolist()
-                lam = gamma if pc is None else level.lam(i, k)
-                keyed.append((node.t, node.seq if keys is None else keys[i]))
-                entries.append(ValueEntry(q[k], k, lam.key, tuple(q)))
-            seqs.append(node.seq)
-            gammas.append(gamma)
-        if keys is None and level.below is None and pc is None:
-            level.record.chosen = gammas[-len(spots):]
+        marks.append((spots, fills[spots]))
         if keys is None or level.below is None:
             continue
         spread = np.diff(level.record.first)
@@ -407,16 +414,9 @@ def _sweep_levels(
         visit = np.repeat(on, spread)
         parent = np.repeat(np.repeat(np.arange(len(fills)), level.counts), spread)
         paths = np.hstack([paths[parent], np.arange(len(visit), dtype=np.int32)[:, None]])
-    if key_fn is not None:
-        fills, order = np.concatenate(filled), np.lexsort(np.vstack(events).T[::-1])
-        del paths, events  # the largest arrays left, before the dicts are built
-        fill_order = (np.cumsum(fills) - 1)[order[fills[order]]]
-        keyed, entries = map(keyed.__getitem__, fill_order), map(entries.__getitem__, fill_order)
-        seqs, gammas = map(seqs.__getitem__, order), map(gammas.__getitem__, order)
-    table = ValueTable(horizon=model.horizon, entries=dict(zip(keyed, entries)))
-    for (_o0, _root, p_root), v in zip(tree.roots(), values.tolist()):
-        table.overall_value += p_root * v
-    return table, CoordinatorPolicy(dict(zip(seqs, gammas)))
+    depths = np.repeat(np.arange(len(levels)), [len(spots) for spots, _fill in marks])
+    order = np.lexsort(np.vstack(events).T[::-1]) if events else slice(None)
+    return [column[order] for column in (depths, *map(np.concatenate, zip(*marks)))]
 
 
 def _sweep_depth_first(
