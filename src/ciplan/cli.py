@@ -4,6 +4,9 @@ oracle, and check-conditions subcommands over model and compression files.
 Exit statuses: 0 success, 1 verification failure, 2 input or validation
 error, 3 budget exhaustion.  Structured reports are deterministic byte for
 byte across repeated invocations.
+
+Each subcommand imports only the modules it runs, inside its branch of
+``run_command``, so a process compiles and loads no other.
 """
 
 from __future__ import annotations
@@ -13,24 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import belief, compression, verify
-from .approx_dp import solve_ascs_asps, solve_fcs_asps
-from .compression import (
-    REFERENCE_MEASURE,
-    CompressionFormatError,
-    PrivateCompression,
-    Session,
-    load_compression,
-)
-from .exact_dp import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    brute_force_value,
-    solve_fcs_fps,
-    solve_report,
-)
-from .histories import FcsTree
-from .model import ModelFormatError, ModelValidationError, load_model
+from .model import DEFAULT_BUDGET, BudgetExceededError, load_model
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -54,8 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
                 default=[],
                 help="compression file; repeat for private and common",
             )
-            # One choice: kept so that existing command lines still parse.
-            p.add_argument("--mu", default=REFERENCE_MEASURE, choices=[REFERENCE_MEASURE])
+            # One choice, compression.REFERENCE_MEASURE: kept so that existing
+            # command lines still parse.
+            p.add_argument("--mu", default="uniform", choices=["uniform"])
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--out", default=None, help="directory for report files")
         p.add_argument(
@@ -83,6 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_compressions(args, model):
     """The private and common compression files given, at most one each, built for this model."""
+    if not args.compression:
+        return None, None
+    from .compression import PrivateCompression, load_compression
+
     found: dict = {}
     for path in args.compression:
         obj = load_compression(Path(path).read_text())
@@ -126,16 +117,23 @@ def run_command(args) -> tuple[int, dict]:
     _check_flags(args)
     model = load_model(Path(args.model).read_text())
     budget = getattr(args, "budget", DEFAULT_BUDGET)
-    tree = FcsTree(model)
 
     if args.command == "validate":
         return EXIT_OK, {"command": "validate", "model": args.model, "valid": True}
 
     if args.command == "oracle":
+        from .exact_dp import brute_force_value
+
         value = brute_force_value(model, budget=budget)
         return EXIT_OK, {"command": "oracle", "value": value}
 
+    from .histories import FcsTree
+
+    tree = FcsTree(model)
+
     if args.command == "compress":
+        from . import compression
+
         if args.mode == "exact":
             pc = compression.build_exact_private(model, tree, budget=budget)
         else:
@@ -158,12 +156,14 @@ def run_command(args) -> tuple[int, dict]:
         return EXIT_OK, report
 
     if args.command == "measure":
+        from . import compression
+
         pc, cc = _load_compressions(args, model)
-        session = Session(tree, _require(pc, "private"), cc)
+        session = compression.Session(tree, _require(pc, "private"), cc)
         mp = compression.measure_private(model, session, budget=budget)
         report = {
             "command": "measure",
-            "mu": REFERENCE_MEASURE,
+            "mu": compression.REFERENCE_MEASURE,
             "eps_p": mp.eps_p,
             "delta_p": mp.delta_p,
             "witnesses": {k: repr(v) for k, v in sorted(mp.witnesses.items())},
@@ -179,35 +179,55 @@ def run_command(args) -> tuple[int, dict]:
 
     if args.command == "solve":
         pc, cc = _load_compressions(args, model)
-        if args.alg == "5" and pc is None:
-            pc = compression.identity_private(model, tree, budget=budget)
-        if args.alg in ("2", "3", "5"):
-            session = Session(tree, _require(pc, "private"), cc)
         if args.alg == "1":
+            from .exact_dp import solve_fcs_fps
+
             table, _ = solve_fcs_fps(model, tree, budget=budget)
-        elif args.alg == "2":
-            table, _ = solve_fcs_asps(model, session, budget=budget)
-        elif args.alg == "3":
-            table, _, _ = solve_ascs_asps(model, session, _require(cc, "common"), budget=budget)
         elif args.alg == "4":
-            table, _ = belief.solve_bcs_fps(model, tree, budget=budget)
+            from .belief import solve_bcs_fps
+
+            table, _ = solve_bcs_fps(model, tree, budget=budget)
         else:
-            table, _ = belief.solve_bcs_spi(model, session, budget=budget)
+            from . import compression
+
+            if args.alg == "5" and pc is None:
+                pc = compression.identity_private(model, tree, budget=budget)
+            session = compression.Session(tree, _require(pc, "private"), cc)
+            if args.alg == "2":
+                from .approx_dp import solve_fcs_asps
+
+                table, _ = solve_fcs_asps(model, session, budget=budget)
+            elif args.alg == "3":
+                from .approx_dp import solve_ascs_asps
+
+                table, _, _ = solve_ascs_asps(
+                    model, session, _require(cc, "common"), budget=budget)
+            else:
+                from .belief import solve_bcs_spi
+
+                table, _ = solve_bcs_spi(model, session, budget=budget)
+        from .exact_dp import solve_report
+
         report = solve_report(table, algorithm=f"alg{args.alg}")
         report["command"] = "solve"
         return EXIT_OK, report
 
     if args.command == "verify-gap":
+        from . import compression, verify
+
         pc, cc = _load_compressions(args, model)
-        session = Session(tree, _require(pc, "private"), _require(cc, "common"))
+        session = compression.Session(tree, _require(pc, "private"), _require(cc, "common"))
         gaps = verify.verify_gaps(model, session, cc, budget=budget)
         report = {"command": "verify-gap", **gaps.to_jsonable()}
         return (EXIT_OK if gaps.passed else EXIT_VERIFY), report
 
     if args.command == "check-conditions":
+        from . import belief, compression, verify
+
         pc, _cc = _load_compressions(args, model)
-        identity = Session(tree, compression.identity_private(model, tree, budget=budget))
-        session = identity if pc is None else Session(tree, pc)
+        identity = compression.Session(
+            tree, compression.identity_private(model, tree, budget=budget))
+        session = identity if pc is None else compression.Session(tree, pc)
         spi_report = belief.check_spi(model, identity, budget=budget)
         rec_report = compression.check_recursive(model, session)
         report = {
@@ -273,13 +293,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        ModelFormatError,
-        ModelValidationError,
-        CompressionFormatError,
-        OSError,
-        ValueError,
-    ) as exc:
+    # The model and compression format and validation errors are ValueErrors.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return status

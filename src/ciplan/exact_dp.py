@@ -29,21 +29,10 @@ from .histories import (
     prescription_count,
     prescription_from_row,
 )
-from .model import DecPomdpModel
+from .model import DEFAULT_BUDGET, BudgetExceededError, DecPomdpModel
 
 if TYPE_CHECKING:
     from .compression import Session
-
-DEFAULT_BUDGET = 10**7
-
-
-class BudgetExceededError(RuntimeError):
-    """The configured cap on Q evaluations (or enumerated policies) was hit."""
-
-    def __init__(self, locus, budget: int):
-        self.locus = locus
-        self.budget = budget
-        super().__init__(f"budget of {budget} exceeded at {locus!r}")
 
 
 class InadmissibleHistoryError(ValueError):

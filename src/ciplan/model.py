@@ -25,6 +25,17 @@ import numpy as np
 SUM_TOL = 1e-9
 #: Probabilities at or below this threshold are treated as unreachable.
 ADMISSIBILITY_THRESHOLD = 1e-12
+#: Default cap on Q evaluations (or enumerated policies) for every solver.
+DEFAULT_BUDGET = 10**7
+
+
+class BudgetExceededError(RuntimeError):
+    """The configured cap on Q evaluations (or enumerated policies) was hit."""
+
+    def __init__(self, locus, budget: int):
+        self.locus = locus
+        self.budget = budget
+        super().__init__(f"budget of {budget} exceeded at {locus!r}")
 
 
 class ModelFormatError(ValueError):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciplan import compression
-from ciplan.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from ciplan.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, build_parser, main
 from ciplan.compression import (
     bcs_common,
     build_exact_private,
@@ -474,6 +474,20 @@ def test_table_format_renders_flat_text(capsys):
     assert "overall_value" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "--alg", "1"], ["measure"], ["verify-gap"], ["check-conditions"]])
+def test_mu_choice_is_the_reference_measure(argv):
+    # The parser spells the one --mu choice out, so that it need not import
+    # the compression module.
+    parser = build_parser()
+    argv = [*argv, "--model", COIN2]
+    assert parser.parse_args(argv).mu == compression.REFERENCE_MEASURE
+    given = parser.parse_args([*argv, "--mu", compression.REFERENCE_MEASURE])
+    assert given.mu == compression.REFERENCE_MEASURE
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        parser.parse_args([*argv, "--mu", "other"])
 
 
 def test_console_script_entry_point():

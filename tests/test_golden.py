@@ -6,10 +6,14 @@ hand-written loops; any change to a value, witness or key order shows here.
 Regenerate them only when a change of report bytes is intended::
 
     PYTHONPATH=src python tests/test_golden.py
+
+Each case also runs as its own ``python -m ciplan.cli`` process, which
+imports only the modules that command loads.
 """
 
 import contextlib
 import io
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -88,11 +92,15 @@ def write_compressions(directory: Path) -> dict[str, str]:
     return files
 
 
-def run_case(name: str, files: dict[str, str]) -> tuple[int, str]:
+def case_argv(name: str, files: dict[str, str]) -> list[str]:
     argv, _status = CASES[name]
     if "--model" not in argv:
         argv = [argv[0], "--model", COIN2] + argv[1:]
-    argv = [a.format(**files) for a in argv]
+    return [a.format(**files) for a in argv]
+
+
+def run_case(name: str, files: dict[str, str]) -> tuple[int, str]:
+    argv = case_argv(name, files)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main(argv)
@@ -109,6 +117,17 @@ def test_report_bytes_match_golden(name, compression_files):
     status, out = run_case(name, compression_files)
     assert status == CASES[name][1]
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fresh_process_report_bytes_match_golden(name, compression_files):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ciplan.cli", *case_argv(name, compression_files)],
+        capture_output=True,
+    )
+    assert proc.stderr == b""
+    assert proc.returncode == CASES[name][1]
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 if __name__ == "__main__":
