@@ -26,7 +26,6 @@ from .exact_dp import (
 from .histories import (
     FcsNode,
     FcsTree,
-    Hist,
     Prescription,
     _successor_labels,
     _successor_weights,
@@ -203,14 +202,10 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def _state_conditional(node: FcsNode, predicate) -> dict[int, float]:
-    """P(s | node, predicate over joint history), normalized."""
-    raw: dict[int, float] = {}
-    for (s, hjoint), w in node.weights:
-        if predicate(hjoint):
-            raw[s] = raw.get(s, 0.0) + w
+def _normalised(raw: dict) -> dict:
+    """``raw`` divided by the sum of its values, added in insertion order."""
     total = sum(raw.values())
-    return {s: w / total for s, w in raw.items()}
+    return {k: w / total for k, w in raw.items()}
 
 
 def _next_obs_distribution(
@@ -278,23 +273,28 @@ def check_spi(
     for t in range(1, model.horizon + 1):
         level = tree.full_level(t)
         for i, node in enumerate(level.nodes):
-            hist_domains = node.agent_domains
             labels = s.labels(node)
+            weights = node.weights
             joint_labels = [
-                tuple(lab[h] for lab, h in zip(labels, hjoint)) for (_s, hjoint), _w in node.weights
+                tuple(lab[h] for lab, h in zip(labels, hjoint)) for (_s, hjoint), _w in weights
             ]
 
-            # Per-agent label groupings.
-            for n, domain in enumerate(hist_domains):
-                groups: dict[object, list[Hist]] = {}
+            # Conditions 2 and 4, per agent: one pass over the atoms adds up,
+            # per history and per label class, the state masses and the other
+            # agents' label masses.  Each history is then compared with its
+            # class, reward by reward and in total variation.
+            for n, domain in enumerate(node.agent_domains):
+                own = {h: ({}, {}) for h in domain}
+                classes = {labels[n][h]: ({}, {}) for h in domain}
+                for ((st, hjoint), w), z in zip(weights, joint_labels):
+                    others = z[:n] + z[n + 1:]
+                    for states, dist in (own[hjoint[n]], classes[z[n]]):
+                        states[st] = states.get(st, 0.0) + w
+                        dist[others] = dist.get(others, 0.0) + w
+                classes = {z: tuple(map(_normalised, sums)) for z, sums in classes.items()}
                 for h in domain:
-                    groups.setdefault(labels[n][h], []).append(h)
-
-                for h in domain:
-                    pre = groups[labels[n][h]]
-                    sdist_h = _state_conditional(node, lambda hj: hj[n] == h)
-                    sdist_z = _state_conditional(node, lambda hj: hj[n] in pre)
-                    # Condition 2: reward sufficiency for every joint action.
+                    sdist_h, dist_h = map(_normalised, own[h])
+                    sdist_z, dist_z = classes[labels[n][h]]
                     for a in model.iter_joint_actions():
                         a_idx = model.joint_action_index(a)
                         e_h = sum(w * float(model.reward[s, a_idx]) for s, w in sdist_h.items())
@@ -302,79 +302,61 @@ def check_spi(
                         d = abs(e_h - e_z)
                         if d > viol2:
                             viol2, wit2 = d, (node.seq, n, h, a)
-                    # Condition 4: predicting the other agents' labels.
-                    dist_h: dict = {}
-                    dist_z: dict = {}
-                    for ((_s, hjoint), w), z in zip(node.weights, joint_labels):
-                        others = z[:n] + z[n + 1:]
-                        if hjoint[n] == h:
-                            dist_h[others] = dist_h.get(others, 0.0) + w
-                        if hjoint[n] in pre:
-                            dist_z[others] = dist_z.get(others, 0.0) + w
-                    mass_h = sum(dist_h.values())
-                    mass_z = sum(dist_z.values())
-                    d = tv_distance(
-                        {k: v / mass_h for k, v in dist_h.items()},
-                        {k: v / mass_z for k, v in dist_z.items()},
-                    )
+                    d = tv_distance(dist_h, dist_z)
                     if d > viol4:
                         viol4, wit4 = d, (node.seq, n, h)
 
             # Condition 3: predicting the next joint labels and the common
             # observation, under consistent (prescription, action) pairs.
+            # Conditioning on both restricts a history's label class to the
+            # histories the prescription maps to the same action; each class
+            # is one mixture, its members added in ``fps`` order.
             if t < model.horizon:
                 fps = tree.reachable_fps(node)
                 joint_label = {
                     f.histories: tuple(lab[h] for lab, h in zip(labels, f.histories)) for f in fps
                 }
-                fps_prob = {f.histories: f.probability for f in fps}
+                laws: dict = {}  # (joint history, action) -> next observation law
                 below = tree.full_level(t + 1)
                 for k, gamma in enumerate(level.gammas[i]):
                     children = {
                         below.nodes[c].seq[-1]: below.nodes[c] for c in level.children(i, k)
                     }
-
-                    def future_dist(hjoint, a):
-                        sdist = _state_conditional(node, lambda hj: hj == hjoint)
-                        obs_dist = _next_obs_distribution(
-                            model, sdist, model.joint_action_index(a)
-                        )
+                    future, preimages = [], {}
+                    for f in fps:
+                        h = f.histories
+                        a = gamma.act(h)
+                        if (h, a) not in laws:
+                            sdist = {
+                                st: p / f.probability
+                                for st, p in enumerate(f.state_probabilities) if p
+                            }
+                            laws[h, a] = _next_obs_distribution(
+                                model, sdist, model.joint_action_index(a)
+                            )
                         out: dict = {}
-                        for (o0, opriv), p in obs_dist.items():
+                        for (o0, opriv), p in laws[h, a].items():
                             child = children.get(o0)
                             if child is None:
                                 key = (("unreachable", o0), o0)
                             else:
                                 z_next = tuple(
-                                    theta.get(
-                                        (t + 1, child.seq, m, hjoint[m] + (a[m], opriv[m]))
-                                    )
+                                    theta.get((t + 1, child.seq, m, h[m] + (a[m], opriv[m])))
                                     for m in range(model.num_agents)
                                 )
                                 key = (z_next, o0)
                             out[key] = out.get(key, 0.0) + p
-                        return out
-
-                    for f in fps:
-                        h = f.histories
-                        a = gamma.act(h)
-                        dist_h = future_dist(h, a)
-                        z = joint_label[h]
-                        # Conditioning on both the prescription and the action
-                        # restricts the preimage to histories the prescription
-                        # maps to that action.
-                        pre = [
-                            g
-                            for g in joint_label
-                            if joint_label[g] == z and gamma.act(g) == a
-                        ]
-                        mass = sum(fps_prob[g] for g in pre)
-                        dist_z: dict = {}
-                        for g in pre:
-                            dg = future_dist(g, a)
-                            for k, p in dg.items():
-                                dist_z[k] = dist_z.get(k, 0.0) + fps_prob[g] / mass * p
-                        d = tv_distance(dist_h, dist_z)
+                        future.append((h, a, out))
+                        preimages.setdefault((joint_label[h], a), []).append((f.probability, out))
+                    mixtures = {}
+                    for za, members in preimages.items():
+                        mass = sum(pg for pg, _out in members)
+                        dist_z = mixtures[za] = {}
+                        for pg, out in members:
+                            for key, p in out.items():
+                                dist_z[key] = dist_z.get(key, 0.0) + pg / mass * p
+                    for h, a, out in future:
+                        d = tv_distance(out, mixtures[joint_label[h], a])
                         if d > viol3:
                             viol3, wit3 = d, (node.seq, h, gamma.key, a)
 

@@ -235,7 +235,8 @@ def check_lemmas(
     )
 
     # Same-label history pairs under compressed prescriptions and under the
-    # compressed-optimal policy.
+    # compressed-optimal policy, from each history's Q-values under every
+    # compressed prescription and the alg-2 choice, computed once per node.
     viol2, wit2 = 0.0, None
     violc, witc = 0.0, None
     for t in range(1, model.horizon + 1):
@@ -247,32 +248,26 @@ def check_lemmas(
             for f in tree.reachable_fps(node):
                 z = tuple(lab[h] for lab, h in zip(labels, f.histories))
                 classes.setdefault(z, []).append(f.histories)
-            pairs = [
-                (hs[i], hs[j])
-                for hs in classes.values()
-                for i in range(len(hs))
-                for j in range(i + 1, len(hs))
-            ]
-            if not pairs:
+            classes = [hs for hs in classes.values() if len(hs) > 1]
+            if not classes:
                 continue
-            gammas = [g for _lam, g in s.pairs(node)]
-            for h1, h2 in pairs:
-                for gamma in gammas:
-                    d = abs(
-                        supervisor_q(model, tree, node, h1, gamma, asps_policy)
-                        - supervisor_q(model, tree, node, h2, gamma, asps_policy)
-                    )
-                    excess = d - bound
-                    if excess > viol2:
-                        viol2, wit2 = excess, (node.seq, h1, h2, gamma.key, d, bound)
-                gamma_star = asps_policy.at(node.seq)
-                d = abs(
-                    supervisor_q(model, tree, node, h1, gamma_star, asps_policy)
-                    - supervisor_q(model, tree, node, h2, gamma_star, asps_policy)
-                )
-                excess = d - bound
-                if excess > violc:
-                    violc, witc = excess, (node.seq, h1, h2, d, bound)
+            gammas = [g for _lam, g in s.pairs(node)] + [asps_policy.at(node.seq)]
+            q = {
+                h: [supervisor_q(model, tree, node, h, gamma, asps_policy) for gamma in gammas]
+                for hs in classes for h in hs
+            }
+            for hs in classes:
+                for i, h1 in enumerate(hs):
+                    for h2 in hs[i + 1:]:
+                        for gamma, q1, q2 in zip(gammas[:-1], q[h1], q[h2]):
+                            d = abs(q1 - q2)
+                            excess = d - bound
+                            if excess > viol2:
+                                viol2, wit2 = excess, (node.seq, h1, h2, gamma.key, d, bound)
+                        d = abs(q[h1][-1] - q[h2][-1])
+                        excess = d - bound
+                        if excess > violc:
+                            violc, witc = excess, (node.seq, h1, h2, d, bound)
     report.results.append(
         ConditionResult("lemma2_same_label_q", viol2 <= EQ_TOL, viol2, wit2)
     )
@@ -282,37 +277,32 @@ def check_lemmas(
 
     # Next-step statistics depend on the prescription only through the action
     # it assigns to the given history.  Computed through child-node weights so
-    # the comparison crosses two different aggregation paths.
+    # the comparison crosses two different aggregation paths; each child atom
+    # counts for the history it grew from, ``h_next[n] = h[n] + (a[n], o[n])``.
     viol3, wit3 = 0.0, None
     for t in range(1, model.horizon):
         level, below = tree.full_level(t), tree.full_level(t + 1)
         for i, node in enumerate(level.nodes):
+            grown = []
+            for k in range(len(level.gammas[i])):
+                per_h: dict = {}
+                for c in level.children(i, k):
+                    child, p_branch = below.nodes[c], level.mass[c]
+                    for (s_next, h_next), w in child.weights:
+                        dist = per_h.setdefault(tuple(hn[:-2] for hn in h_next), {})
+                        key = (child.seq[-1], tuple(hn[-1] for hn in h_next), s_next)
+                        dist[key] = dist.get(key, 0.0) + p_branch * w
+                grown.append(per_h)
             for f in tree.reachable_fps(node):
                 h = f.histories
                 per_action: dict = {}
-                for k, gamma in enumerate(level.gammas[i]):
-                    a = gamma.act(h)
-                    dist: dict = {}
-                    for c in level.children(i, k):
-                        child, p_branch = below.nodes[c], level.mass[c]
-                        for (s_next, h_next), w in child.weights:
-                            if all(
-                                h_next[n][: len(h[n])] == h[n]
-                                for n in range(model.num_agents)
-                            ) and all(
-                                h_next[n][len(h[n])] == a[n]
-                                for n in range(model.num_agents)
-                            ):
-                                incr = tuple(
-                                    h_next[n][len(h[n]) + 1]
-                                    for n in range(model.num_agents)
-                                )
-                                key = (child.seq[-1], incr, s_next)
-                                dist[key] = dist.get(key, 0.0) + p_branch * w
+                for gamma, per_h in zip(level.gammas[i], grown):
+                    dist = per_h.get(h, {})
                     mass = sum(dist.values())
                     if mass <= ADMISSIBILITY_THRESHOLD:
                         continue
                     dist = {key: v / mass for key, v in dist.items()}
+                    a = gamma.act(h)
                     ref = per_action.setdefault(a, dist)
                     d = tv_distance(ref, dist)
                     if d > viol3:

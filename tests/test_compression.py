@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciplan.approx_dp import solve_ascs_asps
+from ciplan.approx_dp import solve_ascs_asps, solve_fcs_asps
+from ciplan.belief import check_spi
 from ciplan.compression import (
     CommonCompression,
     CompressionFormatError,
@@ -35,10 +36,10 @@ from ciplan.compression import (
     serialize_compression,
     tv_distance,
 )
-from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
+from ciplan.exact_dp import BudgetExceededError, brute_force_value, solve_fcs_fps
 from ciplan.generate import random_model
 from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes, prescription_count
-from ciplan.model import ADMISSIBILITY_THRESHOLD
+from ciplan.model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, validate
 
 from test_belief import uninformative_model
 from test_label_map import (
@@ -833,3 +834,88 @@ def test_second_builder_reuses_the_state_laws(monkeypatch):
     assert len(calls) == model.horizon * model.num_agents
     fresh = build_greedy(model, 0.5, 0.5, FcsTree(model))
     assert serialize_compression(greedy) == serialize_compression(fresh)
+
+
+def exactness_split_model(horizon):
+    """Two states that never change, under a uniform prior.  Agent 0 sees a
+    fair coin ``x`` and agent 1 sees ``y = x XOR s``; agent 0 earns 1 when its
+    action's index is the state.  Each agent's own history leaves the state
+    uniform, yet the joint history fixes it."""
+    obs = np.zeros((2, 4))  # (o0, x, y) row-major, one common observation
+    for s in range(2):
+        for x in range(2):
+            obs[s, 2 * x + (x ^ s)] = 0.5
+    model = DecPomdpModel(
+        num_agents=2,
+        states=("s0", "s1"),
+        actions=(("a", "b"), ("wait",)),
+        common_obs=("c",),
+        private_obs=(("x0", "x1"), ("y0", "y1")),
+        transition=np.repeat(np.eye(2)[:, None, :], 2, axis=1),
+        observation=obs,
+        reward=np.eye(2),
+        initial=np.full(2, 0.5),
+        horizon=horizon,
+        reward_bound=1.0,
+    )
+    validate(model)
+    return model
+
+
+@pytest.mark.parametrize("horizon, value", [(1, 0.5), (2, 1.0)])
+def test_zero_tolerance_splits_an_inexact_agent_merge(horizon, value, monkeypatch):
+    # Every agent-level law agrees, so the zero-tolerance matrix admits every
+    # pair and the closure repair finds no conflict; the merged labels are
+    # still not exact, and only the exactness split separates them.
+    from ciplan import compression
+
+    model = exactness_split_model(horizon)
+    splits = []
+    split = compression._exactness_split
+    monkeypatch.setattr(
+        compression, "_exactness_split", lambda s: splits.append(split(s)) or splits[-1])
+    pc = build_exact_private(model)
+    assert any(splits)
+    mp = measure_private(model, pc)
+    assert mp.eps_p == mp.delta_p == 0.0
+    assert check_recursive(model, pc).passed
+    alg2, _ = solve_fcs_asps(model, pc)
+    alg1, _ = solve_fcs_fps(model)
+    assert alg2.overall_value == alg1.overall_value == brute_force_value(model) == value
+    # An exact compression need not be sufficient private information: at
+    # horizon 2, agent 1's label no longer predicts agent 0's.
+    report = check_spi(model, pc)
+    assert [r.passed for r in report.results] == [True, True, True, horizon == 1]
+    assert report.result("SPI4").max_violation == (0.5 if horizon == 2 else 0.0)
+
+
+def test_private_matrix_decides_borderline_variation_by_scalar_sum(monkeypatch):
+    # Its own scalar rule: a pair whose summed total variation sits on
+    # ``tol_o`` is decided by ``tv_distance`` of the two scalar laws.  The
+    # tolerance is the pair's widest joint action's, so the others pass.
+    from ciplan import compression
+
+    model = random_model(3, num_states=3, horizon=2, private_obs_sizes=(2, 1), action_sizes=(3, 2))
+    nodes = level_nodes(FcsTree(model), 1)
+    sdist = _history_state_laws(model, nodes, [node.agent_domains[0] for node in nodes], 0)
+    i, j = 1, 0
+    laws = [
+        [_next_obs_distribution(model, {s: float(w) for s, w in enumerate(sdist[x]) if w}, a_idx)
+         for x in (i, j)]
+        for a_idx in range(model.num_joint_actions)
+    ]
+    summed = [
+        0.5 * sum(abs(p.get(o, 0.0) - q.get(o, 0.0)) for o in sorted(set(p) | set(q)))
+        for p, q in laws
+    ]
+    tol_o = max(summed)
+    p, q = laws[summed.index(tol_o)]
+    calls = []
+    monkeypatch.setattr(
+        compression,
+        "_next_obs_distribution",
+        lambda *args: calls.append(args) or _next_obs_distribution(*args),
+    )
+    cell = _private_matrix(model, sdist, True, np.inf, tol_o)[i, j]
+    assert calls
+    assert cell == (tv_distance(p, q) <= tol_o)
