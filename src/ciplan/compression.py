@@ -39,7 +39,6 @@ from .histories import (
     _entries,
     _successor_labels,
     _successors,
-    level_nodes,
     prescription_count,
 )
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, _json_int
@@ -88,7 +87,11 @@ class PrivateCompression:
         domains, colmap, offset = [], [], 0
         for n, hists in enumerate(node.agent_domains):
             labels = [self.label_of(node.t, node.seq, n, h) for h in hists]
-            keys = tuple(sorted(set(labels)))
+            try:
+                keys = tuple(sorted(set(labels)))
+            except TypeError:
+                raise CompressionFormatError(
+                    f"agent {n}'s labels at node {node.seq!r} cannot be ordered") from None
             column = {z: offset + i for i, z in enumerate(keys)}
             colmap.extend(column[z] for z in labels)
             domains.append(keys)
@@ -508,7 +511,7 @@ def _measure_private(s: Session, budget: int) -> tuple[MeasuredParams, int]:
     eps_p, delta_p, spent = 0.0, 0.0, 0
     wit: dict = {}
     for t in range(1, model.horizon + 1):
-        level = [(node, tree.reachable_fps(node)) for node in level_nodes(tree, t)]
+        level = [(node, tree.reachable_fps(node)) for node in tree.full_level(t).nodes]
         spent += sum(len(fps) for _node, fps in level) * model.num_joint_actions
         if spent > budget:
             raise BudgetExceededError(("private measure", t), budget)
@@ -851,7 +854,7 @@ def build_greedy(
     blocks = _Blocks(budget)
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     for t in range(1, model.horizon + 1):
-        nodes = level_nodes(tree, t)
+        nodes = tree.full_level(t).nodes
         for n in range(model.num_agents):
             domains = [node.agent_domains[n] for node in nodes]
             items = [(t, node.seq, n, h) for node, dom in zip(nodes, domains) for h in dom]

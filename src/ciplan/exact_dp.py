@@ -581,110 +581,49 @@ def _iter_policies(model, tree, node):
             yield out
 
 
-def _evaluate_policy_forward(model: DecPomdpModel, o0_root: int, policy: dict) -> float:
-    """Expected cumulative reward contribution of one root branch, computed by
-    raw trajectory enumeration straight from the model tensors."""
-    items: dict[tuple[FcsKey, int, JointHist], float] = {}
-    for s in range(model.num_states):
-        p_init = float(model.initial[s])
-        if p_init <= ADMISSIBILITY_THRESHOLD:
-            continue
-        for obs in model.iter_joint_obs():
-            if obs.common != o0_root:
-                continue
-            p = p_init * float(
-                model.observation[s, model.joint_obs_index(obs.common, obs.private)]
-            )
-            if p <= ADMISSIBILITY_THRESHOLD:
-                continue
-            key = ((o0_root,), s, tuple((o,) for o in obs.private))
-            items[key] = items.get(key, 0.0) + p
-    total = 0.0
-    for t in range(1, model.horizon + 1):
-        nxt: dict[tuple[FcsKey, int, JointHist], float] = {}
-        for (seq, s, hjoint), p in sorted(items.items()):
-            gamma = policy[seq]
-            a = gamma.act(hjoint)
-            a_idx = model.joint_action_index(a)
-            total += p * float(model.reward[s, a_idx])
-            if t == model.horizon:
-                continue
-            for s_next in range(model.num_states):
-                p_trans = float(model.transition[s, a_idx, s_next])
-                if p_trans <= ADMISSIBILITY_THRESHOLD:
-                    continue
-                for obs in model.iter_joint_obs():
-                    p2 = p * p_trans * float(
-                        model.observation[
-                            s_next, model.joint_obs_index(obs.common, obs.private)
-                        ]
-                    )
-                    if p2 <= ADMISSIBILITY_THRESHOLD:
-                        continue
-                    h_next = tuple(
-                        h + (an, on) for h, an, on in zip(hjoint, a, obs.private)
-                    )
-                    key = (seq + (gamma.key, obs.common), s_next, h_next)
-                    nxt[key] = nxt.get(key, 0.0) + p2
-        items = nxt
-    return total
-
-
 class _TrajectoryCache:
     """Unnormalized (state, joint history) items per coordinator sequence,
     built from the raw model tensors only, plus per-(sequence, prescription)
-    expected-reward contributions.  Shared across enumerated policies."""
+    expected-reward contributions.  Shared across enumerated policies.  A
+    sequence's items grow from its parent's in the order ``items`` holds them."""
 
     def __init__(self, model: DecPomdpModel):
         self.model = model
         self.items: dict[FcsKey, dict] = {}
         self.contrib: dict[tuple, float] = {}
 
+    def _arrivals(self, seq: FcsKey):
+        """``(s, p, prefixes)`` before the observation that ends ``seq``: the
+        initial law at a root, else each parent item's step under the
+        prescription of ``seq``, its histories extended by the action."""
+        m = self.model
+        if len(seq) == 1:
+            for s in range(m.num_states):
+                yield s, float(m.initial[s]), ((),) * m.num_agents
+            return
+        gamma = Prescription(seq[-2])
+        for (s, hjoint), p in self.items_at(seq[:-2]).items():
+            a = gamma.act(hjoint)
+            a_idx = m.joint_action_index(a)
+            prefixes = tuple(h + (an,) for h, an in zip(hjoint, a))
+            for s_next in range(m.num_states):
+                yield s_next, p * float(m.transition[s, a_idx, s_next]), prefixes
+
     def items_at(self, seq: FcsKey) -> dict:
         if seq in self.items:
             return self.items[seq]
         m = self.model
+        observed = [(obs.private, m.joint_obs_index(obs.common, obs.private))
+                    for obs in m.iter_joint_obs() if obs.common == seq[-1]]
         out: dict = {}
-        if len(seq) == 1:
-            for s in range(m.num_states):
-                p_init = float(m.initial[s])
-                if p_init <= ADMISSIBILITY_THRESHOLD:
-                    continue
-                for obs in m.iter_joint_obs():
-                    if obs.common != seq[0]:
-                        continue
-                    p = p_init * float(
-                        m.observation[s, m.joint_obs_index(obs.common, obs.private)]
-                    )
-                    if p > ADMISSIBILITY_THRESHOLD:
-                        key = (s, tuple((o,) for o in obs.private))
-                        out[key] = out.get(key, 0.0) + p
-        else:
-            parent = self.items_at(seq[:-2])
-            gamma, o0 = Prescription(seq[-2]), seq[-1]
-            for (s, hjoint), p in parent.items():
-                a = gamma.act(hjoint)
-                a_idx = m.joint_action_index(a)
-                for s_next in range(m.num_states):
-                    p2 = p * float(m.transition[s, a_idx, s_next])
-                    if p2 <= ADMISSIBILITY_THRESHOLD:
-                        continue
-                    for obs in m.iter_joint_obs():
-                        if obs.common != o0:
-                            continue
-                        p3 = p2 * float(
-                            m.observation[
-                                s_next, m.joint_obs_index(obs.common, obs.private)
-                            ]
-                        )
-                        if p3 <= ADMISSIBILITY_THRESHOLD:
-                            continue
-                        h_next = tuple(
-                            h + (an, on)
-                            for h, an, on in zip(hjoint, a, obs.private)
-                        )
-                        key = (s_next, h_next)
-                        out[key] = out.get(key, 0.0) + p3
+        for s, p, prefixes in self._arrivals(seq):
+            if p <= ADMISSIBILITY_THRESHOLD:
+                continue
+            for private, j in observed:
+                p2 = p * float(m.observation[s, j])
+                if p2 > ADMISSIBILITY_THRESHOLD:
+                    key = (s, tuple(h + (o,) for h, o in zip(prefixes, private)))
+                    out[key] = out.get(key, 0.0) + p2
         self.items[seq] = out
         return out
 
@@ -729,10 +668,26 @@ def brute_force_value(model: DecPomdpModel, budget: int = DEFAULT_BUDGET) -> flo
 
 
 def evaluate_coordinator_policy(model: DecPomdpModel, policy: CoordinatorPolicy) -> float:
-    """Expected cumulative reward of replaying a fixed policy on the real tree."""
+    """Expected cumulative reward of replaying a fixed policy, read depth by
+    depth off the brute-force oracle's trajectory table: per root, in ``o0``
+    order, each depth's items sorted by ``(seq, s, h)``."""
+    cache = _TrajectoryCache(model)
+    common = range(len(model.common_obs))
     total = 0.0
-    for o0, _root, _p in FcsTree(model).roots():
-        total += _evaluate_policy_forward(model, o0, policy.prescriptions)
+    for o0 in common:
+        seqs, value = [(o0,)], 0.0
+        for _t in range(model.horizon):
+            seqs = sorted(seq for seq in seqs if cache.items_at(seq))
+            for seq in seqs:
+                # Stored sorted, so that the children's masses add up in this
+                # order too.
+                cache.items[seq] = items = dict(sorted(cache.items_at(seq).items()))
+                gamma = policy.at(seq)
+                for (s, hjoint), p in items.items():
+                    a_idx = model.joint_action_index(gamma.act(hjoint))
+                    value += p * float(model.reward[s, a_idx])
+            seqs = [seq + (policy.at(seq).key, o) for seq in seqs for o in common]
+        total += value
     return total
 
 

@@ -448,9 +448,10 @@ class FcsTree:
 
     def full_level(self, t: int) -> Level:
         """The depth-``t`` nodes under every prescription at every node, in
-        :func:`level_nodes` order, with the edges under every row of their
-        action tables once depth ``t + 1`` is built.  Each level is expanded
-        once, from above, with the cyclic collector paused."""
+        creation order: for node, for canonical prescription, for ``o0``.
+        Once depth ``t + 1`` is built, it holds the edges under every row of
+        their action tables.  Each level is expanded once, from above, with
+        the cyclic collector paused."""
         if not self._levels:
             roots = [node for _o0, node, _p in self.roots()]
             self._levels.append(Level(roots, Atoms.of(roots)))
@@ -669,9 +670,3 @@ def _successor_labels(model: DecPomdpModel, children, gamma: Prescription, theta
                     if key in theta:
                         yield child.seq[-1], n, h, a, on, theta[key]
 
-
-def level_nodes(tree: FcsTree, t: int) -> list[FcsNode]:
-    """All reachable nodes at depth ``t`` under every prescription at every
-    node, in creation order: for node, for canonical prescription, for
-    ``o0``.  They come from the tree's :meth:`~FcsTree.full_level` record."""
-    return list(tree.full_level(t).nodes)

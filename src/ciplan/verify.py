@@ -27,7 +27,7 @@ from .exact_dp import (
     solve_fcs_fps,
     supervisor_q,
 )
-from .histories import FcsTree, enumerate_prescriptions, level_nodes
+from .histories import FcsTree, enumerate_prescriptions
 from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
 
 GAP_TOL = 1e-9
@@ -217,7 +217,7 @@ def check_lemmas(
     # Mixture identity: Q(h0, gamma) = sum_h P(h|h0) Q^S(h0, h, gamma).
     viol1, wit1 = 0.0, None
     for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
+        for node in tree.full_level(t).nodes:
             entry = exact_table.entries[(t, node.seq)]
             prescs = enumerate_prescriptions(model, node.agent_domains)
             fps = tree.reachable_fps(node)

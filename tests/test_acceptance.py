@@ -32,7 +32,7 @@ from ciplan.compression import (
     serialize_compression,
 )
 from ciplan.exact_dp import brute_force_value, solve_fcs_fps
-from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes
+from ciplan.histories import FcsTree, enumerate_prescriptions
 from ciplan.verify import BOUND_KINDS, check_lemmas, gap_bound, verify_gaps
 
 from conftest import DATA
@@ -124,7 +124,7 @@ def test_criterion_6_belief_consistency(coin2, small_models):
     for model in [coin2] + small_models:
         tree = FcsTree(model)
         for t in range(1, model.horizon):
-            for node in level_nodes(tree, t):
+            for node in tree.full_level(t).nodes:
                 belief = compute_bcs(tree, node)
                 for gamma in enumerate_prescriptions(model, node.agent_domains):
                     for o0, child, _p in tree.expand(node, gamma):

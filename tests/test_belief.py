@@ -25,7 +25,7 @@ from ciplan.compression import (
 )
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
-from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes, prescription_count
+from ciplan.histories import FcsTree, enumerate_prescriptions, prescription_count
 from ciplan.model import DecPomdpModel
 
 
@@ -34,7 +34,7 @@ def constant_spi(model):
     tree = FcsTree(model)
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
+        for node in tree.full_level(t).nodes:
             for n, domain in enumerate(node.agent_domains):
                 for h in domain:
                     pc.theta[(t, node.seq, n, h)] = 0
@@ -68,7 +68,7 @@ def test_recursive_update_matches_direct_bcs(coin2, small_models):
     for model in [coin2] + small_models:
         tree = FcsTree(model)
         for t in range(1, model.horizon):
-            for node in level_nodes(tree, t):
+            for node in tree.full_level(t).nodes:
                 belief = compute_bcs(tree, node)
                 for gamma in enumerate_prescriptions(model, node.agent_domains):
                     for o0, child, _p in tree.expand(node, gamma):
@@ -115,7 +115,7 @@ def test_node_fingerprint_is_the_belief_fingerprint(coin2, small_models, monkeyp
     for model in (coin2, small_models[1], small_models[3], *randoms):
         tree = FcsTree(model)
         for t in range(1, model.horizon + 1):
-            nodes = level_nodes(tree, t)
+            nodes = tree.full_level(t).nodes
             want = [bits(compute_bcs(tree, node).fingerprint) for node in nodes]
             assert [bits(fp) for fp in _node_fingerprints(nodes)] == want
             # One node at a time, as the depth-first pass asks, is rounded by
@@ -157,7 +157,7 @@ def test_belief_values_agree_with_node_values(coin2):
     exact, _ = solve_fcs_fps(coin2, tree)
     keyed, _ = solve_bcs_fps(coin2, tree)
     for t in range(1, coin2.horizon + 1):
-        for node in level_nodes(tree, t):
+        for node in tree.full_level(t).nodes:
             fp = compute_bcs(tree, node).fingerprint
             assert keyed.entries[(t, fp)].value == pytest.approx(
                 exact.entries[(t, node.seq)].value, abs=1e-9
@@ -251,7 +251,7 @@ def test_check_spi_honours_the_budget(coin2):
     pairs = sum(
         prescription_count(coin2, node.agent_domains)
         for t in range(1, coin2.horizon)
-        for node in level_nodes(tree, t)
+        for node in tree.full_level(t).nodes
     )
     assert check_spi(coin2, pc, tree, budget=pairs).passed
     for budget in (1, pairs - 1):

@@ -102,8 +102,12 @@ def _coin2_with(**fields) -> str:
 # None, error message).  Nesting too deep for the JSON decoder or the literal
 # parser is malformed input, and so are any reference measure but uniform, an
 # unhashable label, a compression built for another horizon or agent count, a
-# table entry that is no [key, value] pair or repeats a key, and a count that
-# is no JSON integer.
+# table entry that is no [key, value] pair or repeats a key, a count that is
+# no JSON integer, and one agent's labels at a node that cannot be ordered.
+_MIXED_LABELS = _private_keyed(
+    "", theta=[["(1, (0,), 0, (0,))", "0"], ["(1, (0,), 0, (1,))", "(1,)"]]
+)
+_MIXED_MESSAGE = "agent 0's labels at node (0,) cannot be ordered"
 BAD_INPUTS = {
     "deep-model": (
         ["validate"], _deep_list(100_000), None, "model document is nested too deeply",
@@ -147,6 +151,10 @@ BAD_INPUTS = {
         _private_keyed("", theta=[["(1, (0,), 0, (0,))", "0"], ["(1, (0,), 0, (0,))", "99"]]),
         "entry ['(1, (0,), 0, (0,))', '99'] repeats its key",
     ),
+    **{
+        f"mixed-labels-{argv[0]}": (argv, None, _MIXED_LABELS, _MIXED_MESSAGE)
+        for argv in (["solve", "--alg", "2"], ["measure"], ["check-conditions"])
+    },
     "phi0-entry-not-a-pair": (
         ["measure"], None,
         json.dumps({"kind": "common", "horizon": 2, "mu": "uniform",

@@ -38,7 +38,7 @@ from ciplan.compression import (
 )
 from ciplan.exact_dp import BudgetExceededError, brute_force_value, solve_fcs_fps
 from ciplan.generate import random_model
-from ciplan.histories import FcsTree, enumerate_prescriptions, level_nodes, prescription_count
+from ciplan.histories import FcsTree, enumerate_prescriptions, prescription_count
 from ciplan.model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, validate
 
 from test_belief import uninformative_model
@@ -95,8 +95,9 @@ def test_identity_private_charges_each_depth_before_expanding_it(coin2):
     # One unit per (node, prescription) pair of the full levels, as alg 1
     # charges them; a depth that does not fit stops the build before the
     # depth below it is expanded.
+    tree = FcsTree(coin2)
     pairs = [
-        sum(prescription_count(coin2, node.agent_domains) for node in level_nodes(FcsTree(coin2), t))
+        sum(prescription_count(coin2, node.agent_domains) for node in tree.full_level(t).nodes)
         for t in (1, 2)
     ]
     assert check_recursive(coin2, identity_private(coin2, budget=sum(pairs))).passed
@@ -160,7 +161,7 @@ def test_irrelevant_private_information_collapses_fully():
     pc = build_exact_private(model)
     tree = FcsTree(model)
     for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
+        for node in tree.full_level(t).nodes:
             for n in range(model.num_agents):
                 labels = {
                     pc.label_of(t, node.seq, n, h)
@@ -322,7 +323,7 @@ def _scalar_private_edges(tree, pc):
     extension of every label prescription in canonical order."""
     model, theta = tree.model, pc.theta
     for t in range(1, model.horizon):
-        for node in level_nodes(tree, t):
+        for node in tree.full_level(t).nodes:
             for lam in enumerate_prescriptions(model, pc.label_map(node)[0]):
                 gamma = scalar_extension(pc, node, lam)
                 for o0, child, _p in tree.expand(node, gamma):
@@ -346,7 +347,7 @@ def _scalar_update_table(edges):
 
 def _scalar_build_greedy(model, tree, tol_r, tol_o):
     """The compression and the pairs each repair round separated."""
-    levels = [level_nodes(tree, t) for t in range(1, model.horizon + 1)]
+    levels = [tree.full_level(t).nodes for t in range(1, model.horizon + 1)]
     stats = _scalar_private_stats(model, tree, levels)
 
     def compatible(a, b):
@@ -462,7 +463,7 @@ def test_compatibility_matrices_match_scalar_construction(seed, shape, tols):
     tol_r, tol_o = tols
     model = random_model(seed, **shape)
     tree = FcsTree(model)
-    levels = [level_nodes(tree, t) for t in range(1, model.horizon + 1)]
+    levels = [tree.full_level(t).nodes for t in range(1, model.horizon + 1)]
     private_compatible = _scalar_private_stats(model, tree, levels)
     for t in range(1, model.horizon + 1):
         nodes = levels[t - 1]
@@ -546,7 +547,7 @@ def test_greedy_partition_reads_class_rows():
 def test_builders_charge_matrix_cells_to_budget(coin2):
     tree = FcsTree(coin2)
     cells = sum(
-        sum(len(node.agent_domains[n]) for node in level_nodes(tree, t)) ** 2
+        sum(len(node.agent_domains[n]) for node in tree.full_level(t).nodes) ** 2
         for t in range(1, coin2.horizon + 1)
         for n in range(coin2.num_agents)
     )
@@ -746,7 +747,7 @@ def test_private_full_split_refinement_monotone(coin2):
     tree = FcsTree(coin2)
     pc = build_greedy(coin2, 0.6, 0.6, tree=tree)
     base = measure_private(coin2, pc, tree=tree, check=False)
-    node_keys = {(2, node.seq) for node in level_nodes(tree, 2)[:8]}
+    node_keys = {(2, node.seq) for node in tree.full_level(2).nodes[:8]}
     refined = _fully_split_private(pc, node_keys)
     after = measure_private(coin2, refined, tree=tree, check=False)
     assert after.eps_p <= base.eps_p + 1e-12
@@ -896,7 +897,7 @@ def test_private_matrix_decides_borderline_variation_by_scalar_sum(monkeypatch):
     from ciplan import compression
 
     model = random_model(3, num_states=3, horizon=2, private_obs_sizes=(2, 1), action_sizes=(3, 2))
-    nodes = level_nodes(FcsTree(model), 1)
+    nodes = FcsTree(model).full_level(1).nodes
     sdist = _history_state_laws(model, nodes, [node.agent_domains[0] for node in nodes], 0)
     i, j = 1, 0
     laws = [

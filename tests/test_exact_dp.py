@@ -36,11 +36,11 @@ from ciplan.generate import random_model
 from ciplan.histories import (
     FcsTree,
     enumerate_prescriptions,
-    level_nodes,
     prescription_actions,
     prescription_from_row,
 )
 from ciplan.model import DecPomdpModel
+from conftest import SMALL_SHAPES
 
 
 def test_coin2_value_matches_hand_derivation(coin2):
@@ -52,15 +52,20 @@ def test_coin2_value_matches_hand_derivation(coin2):
 
 def test_coin2_matches_brute_force(coin2):
     table, _ = solve_fcs_fps(coin2)
-    assert table.overall_value == pytest.approx(brute_force_value(coin2), abs=1e-9)
+    value = brute_force_value(coin2)
+    assert value.hex() == "0x1.4f5c28f5c28f6p+0"
+    assert table.overall_value == pytest.approx(value, abs=1e-9)
 
 
 def test_random_models_match_brute_force(small_models):
-    for model in small_models:
+    # float.hex pins of the brute-force values, in SMALL_SHAPES order.
+    pins = ["0x1.97416c2bed08ap-2", "0x1.b7ac94d8979f2p+0", "0x1.b7b17ce44798cp+0",
+            "0x1.0386840992e66p+0", "0x1.53edb74412c81p+0"]
+    for model, pin in zip(small_models, pins, strict=True):
         table, _ = solve_fcs_fps(model)
-        assert table.overall_value == pytest.approx(
-            brute_force_value(model), abs=1e-9
-        )
+        value = brute_force_value(model)
+        assert value.hex() == pin
+        assert table.overall_value == pytest.approx(value, abs=1e-9)
 
 
 def test_policy_replay_reproduces_value(small_models):
@@ -69,6 +74,45 @@ def test_policy_replay_reproduces_value(small_models):
         assert evaluate_coordinator_policy(model, policy) == pytest.approx(
             table.overall_value, abs=1e-9
         )
+
+
+def test_policy_replay_builds_no_tree(coin2, monkeypatch):
+    # The replay reads the brute-force oracle's trajectory table alone.
+    model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
+    for m in (coin2, model):
+        solved = [solve_fcs_fps(m), solve_bcs_fps(m)]
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_dp, "FcsTree", lambda *args: pytest.fail("tree built"))
+            for table, policy in solved:
+                assert evaluate_coordinator_policy(m, policy) == pytest.approx(
+                    table.overall_value, abs=1e-9
+                )
+
+
+# float.hex of the replays of the alg-1 and alg-4 policies.  On the zeroed
+# model, three states and horizon 3, a depth-3 item's mass adds the steps of
+# up to three parent items; the replay keeps these bits only if it adds them
+# in the parent items' (s, h) order.
+REPLAY_BITS = {
+    "coin2": ("0x1.4f5c28f5c28f6p+0", "0x1.4f5c28f5c28f6p+0"),
+    11: ("0x1.97416c2bed088p-2", "0x1.97416c2bed088p-2"),
+    12: ("0x1.b7ac94d8979f6p+0", "0x1.b7ac94d8979f6p+0"),
+    13: ("0x1.b7b17ce44798dp+0", "0x1.b7b17ce44798dp+0"),
+    14: ("0x1.0386840992e67p+0", "0x1.0386840992e67p+0"),
+    15: ("0x1.53edb74412c81p+0", "0x1.53edb74412c81p+0"),
+    "zeroed": ("0x1.4761b6731f3d6p+1", "0x1.4761b6731f3d6p+1"),
+}
+
+
+def test_policy_replays_keep_their_bits(coin2):
+    models = {"coin2": coin2, "zeroed": with_zeroed_entries(
+        random_model(62, num_states=3, horizon=3), 62)}
+    models.update((seed, random_model(seed, horizon=2, **kw)) for seed, kw in SMALL_SHAPES)
+    for name, bits in REPLAY_BITS.items():
+        model = models[name]
+        replays = tuple(evaluate_coordinator_policy(model, solve(model)[1]).hex()
+                        for solve in (solve_fcs_fps, solve_bcs_fps))
+        assert replays == bits, name
 
 
 def test_value_entries_cover_all_reachable_nodes(coin2):
@@ -358,7 +402,7 @@ def test_prepared_levels_make_no_cache_lookups(coin2, monkeypatch):
         tree = FcsTree(model)
         pc = build_exact_private(model, tree)
         for t in range(1, model.horizon + 1):
-            level_nodes(tree, t)
+            tree.full_level(t)
         with monkeypatch.context() as patch:
             patch.setattr(FcsTree, "expand", lambda *args: pytest.fail("expand called"))
             got = [
@@ -373,7 +417,7 @@ def test_prescription_rows_follow_canonical_order(coin2):
     wide = random_model(3, num_states=2, action_sizes=(3, 2), private_obs_sizes=(2, 1))
     for model in (coin2, wide):
         tree = FcsTree(model)
-        for node in level_nodes(tree, 2):
+        for node in tree.full_level(2).nodes:
             domains = node.agent_domains
             rows = prescription_actions(model, domains)
             prescs = enumerate_prescriptions(model, domains)
@@ -444,7 +488,7 @@ def test_alg4_expands_only_the_nodes_its_memo_visits():
     table, _ = solve_bcs_fps(model, tree)
     assert len(tree._nodes) == 56
     full = FcsTree(model)
-    assert sum(len(level_nodes(full, t)) for t in range(1, 4)) == 146
+    assert sum(len(full.full_level(t).nodes) for t in range(1, 4)) == 146
     assert table.overall_value == pytest.approx(solve_fcs_fps(model)[0].overall_value, abs=1e-12)
 
 
@@ -683,7 +727,7 @@ def test_memo_hits_record_complete_policies(coin2):
     tree = FcsTree(coin2)
     pc = build_exact_private(coin2, tree)
     table, policy = solve_bcs_spi(coin2, pc, tree)
-    nodes = [node for t in (1, 2) for node in level_nodes(tree, t)]
+    nodes = [node for t in (1, 2) for node in tree.full_level(t).nodes]
     assert len(nodes) == 17 and len(table.entries) == 11
     assert set(policy.prescriptions) == {node.seq for node in nodes}
     for node in nodes:

@@ -21,7 +21,6 @@ from ciplan.histories import (
     PrescriptionDomainError,
     UnreachableNodeError,
     enumerate_prescriptions,
-    level_nodes,
     prescription_count,
 )
 from ciplan.model import ADMISSIBILITY_THRESHOLD
@@ -141,9 +140,9 @@ def test_unreachable_node_raises(coin2):
 
 def test_level_nodes_cover_and_dedupe(coin2):
     tree = FcsTree(coin2)
-    level1 = level_nodes(tree, 1)
+    level1 = tree.full_level(1).nodes
     assert [n.seq for n in level1] == [n.seq for _o, n, _p in tree.roots()]
-    level2 = level_nodes(tree, 2)
+    level2 = tree.full_level(2).nodes
     seqs = [n.seq for n in level2]
     assert len(seqs) == len(set(seqs))
     # coin2 has one root and sixteen level-1 prescriptions over a single
@@ -153,7 +152,7 @@ def test_level_nodes_cover_and_dedupe(coin2):
 
 def test_reachable_fps_consistency(coin2):
     tree = FcsTree(coin2)
-    for node in level_nodes(tree, 2):
+    for node in tree.full_level(2).nodes:
         fps = tree.reachable_fps(node)
         assert sum(f.probability for f in fps) == pytest.approx(1.0)
         for f in fps:
@@ -312,7 +311,7 @@ def test_only_the_forward_step_and_the_oracle_read_the_dynamics():
     # oracle keeps its own scalar reads so that it stays independent of it.
     allowed = {
         ("histories", "_successors"),
-        ("exact_dp", "_evaluate_policy_forward"),
+        ("exact_dp", "_TrajectoryCache._arrivals"),
         ("exact_dp", "_TrajectoryCache.items_at"),
     }
     readers = {

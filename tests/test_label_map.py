@@ -32,7 +32,7 @@ from ciplan.compression import (
 )
 from ciplan.exact_dp import BudgetExceededError, solve_fcs_fps
 from ciplan.generate import random_model
-from ciplan.histories import FcsTree, Prescription, enumerate_prescriptions, level_nodes
+from ciplan.histories import FcsTree, Prescription, enumerate_prescriptions
 from ciplan.model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, validate
 from ciplan.verify import verify_gaps
 
@@ -143,7 +143,7 @@ def scalar_history_laws(pc, tree, node):
 def scalar_measure_private(model, pc, tree):
     sup_r, sup_o, wit = 0.0, 0.0, {}
     for t in range(1, model.horizon + 1):
-        for node in level_nodes(tree, t):
+        for node in tree.full_level(t).nodes:
             for hjoint, sdist_h, sdist_z in scalar_history_laws(pc, tree, node):
                 for a in model.iter_joint_actions():
                     a_idx = model.joint_action_index(a)
@@ -488,7 +488,7 @@ def test_batched_profiles_follow_first_admission_order():
 def test_label_map_gathers_label_rows_onto_histories(coin2):
     tree = FcsTree(coin2)
     pc = build_greedy(coin2, 0.5, 0.5, tree=tree)
-    for node in level_nodes(tree, 2):
+    for node in tree.full_level(2).nodes:
         domains, colmap = pc.label_map(node)
         assert domains == scalar_label_domains(pc, node)
         keys = [z for domain in domains for z in domain]
@@ -507,7 +507,7 @@ def test_measurements_charge_the_budget(coin2):
     private = sum(
         len(tree.reachable_fps(node)) * coin2.num_joint_actions
         for t in range(1, coin2.horizon + 1)
-        for node in level_nodes(tree, t)
+        for node in tree.full_level(t).nodes
     )
     s = Session(tree, pc)
     common = sum(
@@ -537,7 +537,7 @@ def test_session_memo_keeps_the_budget(coin2):
     private = sum(
         len(tree.reachable_fps(node)) * coin2.num_joint_actions
         for t in range(1, coin2.horizon + 1)
-        for node in level_nodes(tree, t)
+        for node in tree.full_level(t).nodes
     )
     common = sum(
         len(s.pairs(node)) for t in range(1, coin2.horizon + 1) for node in s.level(t).nodes)
