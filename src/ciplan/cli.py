@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        print(f"error: {args.command} recurses too deeply for this horizon", file=sys.stderr)
+        return EXIT_INPUT
     # The model and compression format and validation errors are ValueErrors.
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

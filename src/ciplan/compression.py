@@ -28,7 +28,6 @@ from .belief import (
 )
 from .exact_dp import DEFAULT_BUDGET, BudgetExceededError
 from .histories import (
-    Atoms,
     FcsKey,
     FcsNode,
     FcsTree,
@@ -99,15 +98,12 @@ class PrivateCompression:
         return tuple(domains), np.array(colmap, dtype=np.intp)
 
     def alphabet(self, agent: int, t: int) -> tuple:
-        return tuple(
-            sorted(
-                {
-                    lab
-                    for (tt, _seq, n, _h), lab in self.theta.items()
-                    if tt == t and n == agent
-                }
-            )
-        )
+        labels = {lab for (tt, _seq, n, _h), lab in self.theta.items() if tt == t and n == agent}
+        try:
+            return tuple(sorted(labels))
+        except TypeError:
+            raise CompressionFormatError(
+                f"agent {agent}'s labels at time {t} cannot be ordered") from None
 
 
 @dataclass
@@ -270,11 +266,12 @@ class Session:
     def level(self, t: int) -> Level:
         """Depth ``t`` of the compressed subtree, with the edges under the
         extensions of its nodes' label rows once depth ``t + 1`` is built;
-        each depth is expanded once, from above."""
+        each depth is expanded once, from above.  Depth 1 is a record of its
+        own, for those edges, on the full level's nodes and atoms."""
         levels, tree = self._levels, self.tree
         if not levels:
-            roots = [node for _o0, node, _p in tree.roots()]
-            levels.append(Level(roots, Atoms.of(roots)))
+            first = tree.full_level(1)
+            levels.append(Level(first.nodes, first.atoms))
         while len(levels) < t:
             level = levels[-1]
             domains, colmaps = zip(*map(self.label_map, level.nodes))
@@ -307,13 +304,11 @@ class Session:
         first call on a subtree level computes those of the whole level."""
         memo = self._memo
         if ("profiles", node.seq) not in memo:
-            level = [n for n in self.level(node.t).nodes if n.seq != node.seq]
-            nodes = [node] + [n for n in level if ("profiles", n.seq) not in memo]
-            tables = []
-            for n in nodes:
+            level, tables = self.level(node.t), []
+            for n in level.nodes:
                 domains, colmap = self.label_map(n)
                 tables.append(self.tree._action_rows(tuple(map(len, domains)))[:, colmap])
-            for n, profile in zip(nodes, _node_profiles(self.tree, nodes, tables)):
+            for n, profile in zip(level.nodes, _node_profiles(self.tree, level, tables)):
                 memo[("profiles", n.seq)] = profile
         return memo[("profiles", node.seq)]
 
@@ -542,12 +537,12 @@ def _measure_private(s: Session, budget: int) -> tuple[MeasuredParams, int]:
     return MeasuredParams(eps_p=eps_p, delta_p=delta_p, witnesses=wit), spent
 
 
-def _node_profiles(tree: FcsTree, nodes: list[FcsNode], tables: list[np.ndarray]) -> list:
+def _node_profiles(tree: FcsTree, level: Level, tables: list[np.ndarray]) -> list:
     """Immediate expected reward ``r[k]`` and next-common-observation law
-    ``law[k, o0]`` of each node under each history-domain action row
-    ``tables[i][k]``, memoised in ``tree.common_profiles`` by the node and
-    its rows; one pass serves every node not memoised yet.  Every caller
-    shares the arrays, so none may change them.
+    ``law[k, o0]`` of each node of ``level`` under each history-domain action
+    row ``tables[i][k]``, memoised in ``tree.common_profiles`` by the node and
+    its rows; one pass over the level's atoms fills in every missing pair,
+    and memoised arrays stay the objects callers share, which none may change.
 
     Both are the scalar sums bit for bit: the reward adds ``w · R[s, a]``
     atom by atom from 0.0.  The successors come from the batched forward
@@ -556,15 +551,12 @@ def _node_profiles(tree: FcsTree, nodes: list[FcsNode], tables: list[np.ndarray]
     those atom by atom, each atom's in the order the step first meets them:
     by the first successor admitting each, then by index.
     """
-    keys = [(node.seq, table.tobytes()) for node, table in zip(nodes, tables)]
-    profiles = [tree.common_profiles.get(key) for key in keys]
-    todo = [i for i, profile in enumerate(profiles) if profile is None]
-    if not todo:
-        return profiles
-    model = tree.model
-    atoms = Atoms.of([nodes[i] for i in todo])
-    rows = [tables[i] for i in todo]
-    pairs, _row, entry_pair, entry_atom, actions = _entries(atoms, atoms.columns(), rows)
+    keys = [(node.seq, table.tobytes()) for node, table in zip(level.nodes, tables)]
+    memo = tree.common_profiles
+    if all(key in memo for key in keys):
+        return [memo[key] for key in keys]
+    model, atoms = tree.model, level.atoms
+    pairs, _row, entry_pair, entry_atom, actions = _entries(atoms, atoms.columns(), tables)
     joint = actions @ np.array([stride for _size, stride in model._action_strides])
     state, weight = atoms.state[entry_atom], atoms.weight[entry_atom]
     reward = np.bincount(entry_pair, weight * model.reward[state, joint], len(pairs))
@@ -580,11 +572,11 @@ def _node_profiles(tree: FcsTree, nodes: list[FcsNode], tables: list[np.ndarray]
         entry_pair[entry] * num_common + obs // (num_obs // num_common), per_cell[met],
         len(pairs) * num_common,
     ).reshape(len(pairs), num_common)
-    bounds = np.cumsum([0] + [len(table) for table in rows]).tolist()
-    for j, i in enumerate(todo):
-        part = slice(bounds[j], bounds[j + 1])
-        profiles[i] = tree.common_profiles[keys[i]] = (reward[part], law[part])
-    return profiles
+    bounds = np.cumsum([0] + [len(table) for table in tables]).tolist()
+    return [
+        memo.setdefault(key, (reward[lo:hi], law[lo:hi]))
+        for key, lo, hi in zip(keys, bounds, bounds[1:])
+    ]
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -888,7 +880,8 @@ def _exactness_split(s: Session):
         value = getattr(mp, kind)
         if value > ADMISSIBILITY_THRESHOLD:
             _k, t, seq, hjoint, _a = mp.witnesses[kind]
-            for n, (labels, h) in enumerate(zip(s.labels(s.tree.node(seq)), hjoint)):
+            node = s.tree.full_level(t).by_seq[seq]
+            for n, (labels, h) in enumerate(zip(s.labels(node), hjoint)):
                 mates = [g for g in labels if g != h and labels[g] == labels[h]]
                 if mates:
                     return [((t, seq, n, h), (t, seq, n, g)) for g in mates]

@@ -23,6 +23,7 @@ from .histories import (
     JointHist,
     Level,
     Prescription,
+    UnreachableNodeError,
     _collector_paused,
     _columns_by_agent,
     enumerate_prescriptions,
@@ -510,9 +511,12 @@ def supervisor_q(
     """Expected remaining reward given the full joint history, one prescription
     now, and the optimal continuation policy afterwards.
 
-    Computed by exact forward trajectory enumeration; rejects joint histories
-    that are inadmissible at ``node``.
+    Computed by exact forward trajectory enumeration over node sequences;
+    rejects a node ``tree`` did not make, joint histories that are
+    inadmissible at ``node`` and a reached node the policy lacks.
     """
+    if node.atoms is None or node.atoms[0] is not tree._tag[0]:
+        raise UnreachableNodeError(f"node {node.seq!r} was not produced by this tree")
     sdist: dict[int, float] = {}
     mass = 0.0
     for (s, h), w in node.weights:
@@ -524,14 +528,14 @@ def supervisor_q(
             f"history {hjoint!r} is inadmissible at node {node.seq!r}"
         )
     sdist = {s: w / mass for s, w in sdist.items()}
-    return _supervisor_recurse(model, tree, node, hjoint, sdist, gamma, policy)
+    return _supervisor_recurse(model, node.t, node.seq, hjoint, sdist, gamma, policy)
 
 
-def _supervisor_recurse(model, tree, node, hjoint, sdist, gamma, policy) -> float:
+def _supervisor_recurse(model, t, seq, hjoint, sdist, gamma, policy) -> float:
     a = gamma.act(hjoint)
     a_idx = model.joint_action_index(a)
     total = sum(w * float(model.reward[s, a_idx]) for s, w in sorted(sdist.items()))
-    if node.t >= model.horizon:
+    if t >= model.horizon:
         return total
     branches: dict[tuple[int, tuple[int, ...]], dict[int, float]] = {}
     for s, w in sorted(sdist.items()):
@@ -540,11 +544,13 @@ def _supervisor_recurse(model, tree, node, hjoint, sdist, gamma, policy) -> floa
             acc[s_next] = acc.get(s_next, 0.0) + p
     for (o0, opriv), srow in sorted(branches.items()):
         p_branch = sum(srow.values())
-        child = tree.node(node.seq + (gamma.key, o0))
+        child = seq + (gamma.key, o0)
+        if child not in policy.prescriptions:
+            raise UnreachableNodeError(f"node {child!r} is not in the policy")
         h_next = tuple(h + (an, on) for h, an, on in zip(hjoint, a, opriv))
         sdist_next = {s: w / p_branch for s, w in srow.items()}
         total += p_branch * _supervisor_recurse(
-            model, tree, child, h_next, sdist_next, policy.at(child.seq), policy
+            model, t + 1, child, h_next, sdist_next, policy.at(child), policy
         )
     return total
 

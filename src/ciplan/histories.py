@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -215,8 +214,8 @@ class Level:
 
     @cached_property
     def by_seq(self) -> dict[FcsKey, FcsNode]:
-        """The nodes by sequence, for lookups only ``expand`` and subtree
-        levels make; a sweep never builds it."""
+        """The nodes by sequence, for the lookups a subtree level and a
+        measurement's witness make; a sweep never builds it."""
         return {node.seq: node for node in self.nodes}
 
     def children(self, i: int, k: int) -> range:
@@ -298,12 +297,11 @@ class FcsTree:
     """Lazily expanded coordinator history tree for one model.
 
     Nodes are made a level at a time by :meth:`expand_rows`, or one
-    expansion at a time by :meth:`expand`, which keeps no edges.
+    expansion at a time by :meth:`expand`, which keeps nothing.
     :meth:`full_level` keeps the full levels and ``compression.Session.level``
     the compressed subtree's, each depth a :class:`Level` that holds the edges
-    leaving it once the depth below is built: the one store of edges, and the
-    one store of its nodes' atoms.  ``_nodes`` holds the roots and the nodes
-    :meth:`expand` made; a level's nodes are found through its edges.
+    leaving it once the depth below is built: the one store of a tree's
+    nodes, of their edges and of their atoms.
 
     Besides its nodes, a tree memoises three quantities that depend on the
     common information alone, so every call sharing the tree computes each
@@ -324,9 +322,7 @@ class FcsTree:
 
     def __init__(self, model: DecPomdpModel):
         self.model = model
-        self._nodes: dict[FcsKey, FcsNode] = {}
         self._tag = (object(),)  # what the ``atoms`` of every node it makes start with
-        self._built: weakref.WeakSet[Level] = weakref.WeakSet()  # what ``expand_rows`` gave
         self._root_cache: list[tuple[int, FcsNode, float]] | None = None
         # Full levels 1, 2, ... as ``full_level`` returns them.
         self._levels: list[Level] = []
@@ -364,32 +360,9 @@ class FcsTree:
                 continue
             weights = {k: v / mass for k, v in raw.items()}
             node = FcsNode(1, (o0,), _sorted_weights(weights), None, self._tag, len(out))
-            self._nodes[node.seq] = node
             out.append((o0, node, mass))
         self._root_cache = out
         return out
-
-    def node(self, seq: FcsKey) -> FcsNode:
-        """The node of ``seq``: a root, a full level's node, found through the
-        levels' edges, or one :meth:`expand` gives below them."""
-        self.roots()
-        if seq in self._nodes:
-            return self._nodes[seq]
-        if len(seq) == 1:
-            raise UnreachableNodeError(f"root {seq!r} has zero probability")
-        parent, key, children = self.node(seq[:-2]), seq[-2], None
-        t, i = parent.t, parent.index
-        if t < len(self._levels) and self._levels[t - 1].nodes[i] is parent:
-            level, below = self._levels[t - 1], self._levels[t]
-            sizes = [a for a, hs in zip(self.model.action_sizes, parent.agent_domains) for _h in hs]
-            row = [a for table in key for _h, a in table]
-            k = np.ravel_multi_index(row, sizes, mode="clip") if len(row) == len(sizes) else 0
-            if level.gammas[i][k].key == key:
-                children = [below.nodes[c] for c in level.children(i, k)]
-        for child in children or [c for _o0, c, _p in self.expand(parent, Prescription(key))]:
-            if child.seq[-1] == seq[-1]:
-                return child
-        raise UnreachableNodeError(f"node {seq!r} is unreachable")
 
     # -- one-step expansion ----------------------------------------------
 
@@ -397,8 +370,7 @@ class FcsTree:
         self, node: FcsNode, gamma: Prescription
     ) -> list[tuple[int, FcsNode, float]]:
         """Children of ``node`` under ``gamma`` as ``(o0, child, P(o0 | node,
-        gamma))``, computed afresh on every call; a child the tree already
-        holds, in ``_nodes`` or in a level it built, is returned as that node."""
+        gamma))``, made afresh on every call and kept nowhere."""
         if node.atoms is None or node.atoms[0] is not self._tag[0]:
             raise UnreachableNodeError(f"node {node.seq!r} was not produced by this tree")
         per_o0 = _successor_weights(self.model, node.weights, gamma)
@@ -412,14 +384,9 @@ class FcsTree:
                 mass += v
             if mass <= ADMISSIBILITY_THRESHOLD:
                 continue
-            seq = node.seq + (gamma.key, o0)
-            held = self._nodes.get(seq) or next(
-                (level.by_seq[seq] for level in self._built if seq in level.by_seq), None)
-            if held is None:
-                weights = {k: v / mass for k, v in raw.items()}
-                held = self._nodes[seq] = FcsNode(
-                    node.t + 1, seq, _sorted_weights(weights), None, self._tag)
-            result.append((o0, held, mass))
+            weights = _sorted_weights({k: v / mass for k, v in raw.items()})
+            child = FcsNode(node.t + 1, node.seq + (gamma.key, o0), weights, None, self._tag)
+            result.append((o0, child, mass))
         return result
 
     # -- level-synchronous expansion -------------------------------------
@@ -568,15 +535,13 @@ class FcsTree:
             seq = nodes[i].seq + (gammas[i][pair_row[pair]].key, o0)
             child = held.get(seq) if held else None
             children.append(child or FcsNode(t, seq, None, child_domains[c], shared, c))
-        below = Level(children, Atoms(
+        return Level(children, Atoms(
             start=np.array(bounds, dtype=np.intp),
             state=g_state,
             weight=weight,
             hist=np.stack(hist_cols, axis=1),
             sizes=np.stack(size_cols, axis=1),
         ))
-        self._built.add(below)
-        return below
 
     # -- reachable private structure -------------------------------------
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from ciplan.generate import random_model
+from ciplan.histories import Prescription
 from ciplan.model import load_model
 
 DATA = Path(__file__).parent / "data"
@@ -25,3 +26,12 @@ def coin2():
 @pytest.fixture(scope="session")
 def small_models():
     return [random_model(seed, horizon=2, **kw) for seed, kw in SMALL_SHAPES]
+
+
+def node_at(tree, seq):
+    """The node of ``seq``, walked from the tree's roots through ``expand``:
+    a tree keeps no node registry."""
+    node = next(node for o0, node, _p in tree.roots() if o0 == seq[0])
+    for key, o0 in zip(seq[1::2], seq[2::2]):
+        node = next(child for c, child, _p in tree.expand(node, Prescription(key)) if c == o0)
+    return node

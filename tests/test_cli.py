@@ -98,12 +98,23 @@ def _coin2_with(**fields) -> str:
     return json.dumps({**json.loads((DATA / "coin2.json").read_text()), **fields})
 
 
+def _one_of_each(horizon: int) -> str:
+    """One state, agent, action and observation of each kind, every tensor 1.0."""
+    return json.dumps({
+        "states": ["s"], "num_agents": 1, "actions": [["a"]], "common_obs": ["c"],
+        "private_obs": [["o"]], "horizon": horizon, "initial": [1.0],
+        "transition": [[[1.0]]], "observation": [[[1.0]]], "reward": [[1.0]],
+        "reward_bound": 1.0,
+    })
+
+
 # case -> (subcommand argv, model text or None for coin2, compression text or
 # None, error message).  Nesting too deep for the JSON decoder or the literal
 # parser is malformed input, and so are any reference measure but uniform, an
 # unhashable label, a compression built for another horizon or agent count, a
 # table entry that is no [key, value] pair or repeats a key, a count that is
 # no JSON integer, and one agent's labels at a node that cannot be ordered.
+# So is a horizon too long for the recursive oracle or the depth-first sweep.
 _MIXED_LABELS = _private_keyed(
     "", theta=[["(1, (0,), 0, (0,))", "0"], ["(1, (0,), 0, (1,))", "(1,)"]]
 )
@@ -176,6 +187,13 @@ BAD_INPUTS = {
     "private-horizon-float": (
         ["solve", "--alg", "2"], None, _private_keyed("(1, (0,), 0, (0,))", horizon=2.5),
         "malformed field: horizon must be an integer, not 2.5",
+    ),
+    "long-horizon-oracle": (
+        ["oracle"], _one_of_each(600), None, "oracle recurses too deeply for this horizon",
+    ),
+    "long-horizon-alg4": (
+        ["solve", "--alg", "4"], _one_of_each(1500), None,
+        "solve recurses too deeply for this horizon",
     ),
     "swapped-agent-axes": (
         ["validate"], _swapped_agent_axes(), None,

@@ -42,6 +42,7 @@ from ciplan.histories import FcsTree, enumerate_prescriptions, prescription_coun
 from ciplan.model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, validate
 
 from test_belief import uninformative_model
+from test_cli import _MIXED_LABELS
 from test_label_map import (
     scalar_extension,
     scalar_joint_reward,
@@ -808,6 +809,15 @@ def test_malformed_compression_rejected():
         with pytest.raises(CompressionFormatError, match="unknown reference measure"):
             load_compression(common + ', "mu": ' + measure + "}")
     assert load_compression(common + "}").theta0 == {}
+
+
+def test_alphabet_refuses_labels_that_cannot_be_ordered():
+    # Agent 0's labels at time 1 in the CLI's mixed-label file are an int and
+    # a tuple; agent 1 has none.
+    pc = load_compression(_MIXED_LABELS)
+    assert pc.alphabet(1, 1) == ()
+    with pytest.raises(CompressionFormatError, match="agent 0's labels at time 1 cannot"):
+        pc.alphabet(0, 1)
 
 
 def test_measured_params_merge():

@@ -4,6 +4,7 @@ omniscient per-history Q function."""
 import collections
 import dataclasses
 import gc
+import re
 import weakref
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciplan import exact_dp
+from ciplan import exact_dp, histories
 from ciplan.approx_dp import solve_fcs_asps
 from ciplan.belief import (
     _node_fingerprints,
@@ -25,6 +26,7 @@ from ciplan.compression import Session, build_exact_private
 from ciplan.exact_dp import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    CoordinatorPolicy,
     InadmissibleHistoryError,
     brute_force_value,
     evaluate_coordinator_policy,
@@ -35,6 +37,7 @@ from ciplan.exact_dp import (
 from ciplan.generate import random_model
 from ciplan.histories import (
     FcsTree,
+    UnreachableNodeError,
     enumerate_prescriptions,
     prescription_actions,
     prescription_from_row,
@@ -176,6 +179,31 @@ def test_supervisor_q_rejects_inadmissible_history(coin2):
     bogus = (((9,),) * coin2.num_agents)
     with pytest.raises(InadmissibleHistoryError):
         supervisor_q(coin2, tree, root, bogus, gamma, policy)
+
+
+def test_supervisor_q_refuses_a_node_the_policy_lacks(coin2):
+    # The oracle walks node sequences: a reached child without a policy entry
+    # is named in an ``UnreachableNodeError``.
+    tree = FcsTree(coin2)
+    _table, policy = solve_fcs_fps(coin2, tree)
+    _o0, root, _p = tree.roots()[0]
+    gamma = policy.at(root.seq)
+    child = root.seq + (gamma.key, 0)
+    partial = CoordinatorPolicy(dict(policy.prescriptions))
+    del partial.prescriptions[child]
+    f = tree.reachable_fps(root)[0]
+    assert supervisor_q(coin2, tree, root, f.histories, gamma, policy) > 0.0
+    with pytest.raises(UnreachableNodeError, match=re.escape(repr(child))):
+        supervisor_q(coin2, tree, root, f.histories, gamma, partial)
+
+
+def test_supervisor_q_refuses_a_node_of_another_tree(coin2):
+    tree, other = FcsTree(coin2), FcsTree(coin2)
+    _table, policy = solve_fcs_fps(coin2, tree)
+    _o0, foreign, _p = other.roots()[0]
+    f = other.reachable_fps(foreign)[0]
+    with pytest.raises(UnreachableNodeError, match="not produced by this tree"):
+        supervisor_q(coin2, tree, foreign, f.histories, policy.at(foreign.seq), policy)
 
 
 def test_solve_report_shape(coin2):
@@ -476,20 +504,63 @@ def test_budget_stops_at_a_node_too_large_to_tabulate(coin2, solve):
     assert err.value.locus == node.seq
 
 
-def test_alg4_expands_only_the_nodes_its_memo_visits():
-    # Observations that do not depend on the state make the first common
-    # observation uninformative, so beliefs merge across it and alg 4 visits
-    # a solved belief's children under its chosen prescription only.  On a
-    # fresh tree it creates those nodes and no others: 56 of the 146.
+def _uninformative_first_observation():
+    """A model whose observations do not depend on the state, so beliefs
+    merge across the first common observation."""
     model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
-    model = dataclasses.replace(
+    return dataclasses.replace(
         model, observation=np.tile(model.observation[0], (model.num_states, 1)))
+
+
+def _record_expansions(monkeypatch, record) -> None:
+    """Patch ``FcsTree.expand`` to hand every child it returns to ``record``."""
+    expand = FcsTree.expand
+
+    def recorded(tree, node, gamma):
+        children = expand(tree, node, gamma)
+        for _o0, child, _p in children:
+            record(child)
+        return children
+
+    monkeypatch.setattr(FcsTree, "expand", recorded)
+
+
+def test_alg4_expands_only_the_nodes_its_memo_visits(monkeypatch):
+    # Beliefs merge across the uninformative first common observation, so
+    # alg 4 visits a solved belief's children under its chosen prescription
+    # only.  On a fresh tree it makes those nodes and no others: 56 of the
+    # 146, the roots and the distinct children ``expand`` returns.
+    model = _uninformative_first_observation()
+    made = set()
+    _record_expansions(monkeypatch, lambda child: made.add(child.seq))
     tree = FcsTree(model)
     table, _ = solve_bcs_fps(model, tree)
-    assert len(tree._nodes) == 56
+    assert len(tree.roots()) + len(made) == 56
     full = FcsTree(model)
     assert sum(len(full.full_level(t).nodes) for t in range(1, 4)) == 146
     assert table.overall_value == pytest.approx(solve_fcs_fps(model)[0].overall_value, abs=1e-12)
+
+
+def test_expanded_nodes_die_with_the_sweep(monkeypatch):
+    # The tree keeps no node ``expand`` made: once a fresh alg-4 sweep
+    # returns, every such child is gone while the tree and the policy live,
+    # without a cyclic collection.
+    class Tracked(histories.FcsNode):
+        __slots__ = ("__weakref__",)
+
+    refs = []
+    monkeypatch.setattr(histories, "FcsNode", Tracked)
+    _record_expansions(monkeypatch, lambda child: refs.append(weakref.ref(child)))
+    model = _uninformative_first_observation()
+    gc.collect()
+    gc.disable()
+    try:
+        tree = FcsTree(model)
+        _table, policy = solve_bcs_fps(model, tree)
+        assert refs and len(policy.prescriptions) == 56
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("alg", ["1", "2", "4", "4-after-1"])

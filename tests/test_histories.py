@@ -1,6 +1,7 @@
 """Coordinator tree construction against a raw trajectory-enumeration oracle."""
 
 import ast
+import copy
 import itertools
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from ciplan.histories import (
     prescription_count,
 )
 from ciplan.model import ADMISSIBILITY_THRESHOLD
+from conftest import node_at
 
 
 def oracle_level2_weights(model, gamma, o0_1, o0_2):
@@ -132,12 +134,6 @@ def test_prescription_lookup_and_errors():
         p.action_for(0, ("missing",))
 
 
-def test_unreachable_node_raises(coin2):
-    tree = FcsTree(coin2)
-    with pytest.raises(UnreachableNodeError):
-        tree.node((99,))
-
-
 def test_level_nodes_cover_and_dedupe(coin2):
     tree = FcsTree(coin2)
     level1 = tree.full_level(1).nodes
@@ -212,7 +208,7 @@ def assert_batch_matches_scalar(model, pc=None):
     for record, below in zip(records, records[1:]):
         made = []
         for i, node in enumerate(record.nodes):
-            ref = scalar.node(node.seq)
+            ref = node_at(scalar, node.seq)
             assert node.agent_domains == ref.agent_domains
             assert [w.hex() for _k, w in node.weights] == [w.hex() for _k, w in ref.weights]
             assert record.gammas[i] == gammas(node)
@@ -292,8 +288,9 @@ def _dynamics_readers(path: Path) -> set[str]:
     ))
 
 
-def _callers(method: str) -> set[tuple[str, str]]:
-    """``(module, scope)`` of every call of a method of this name in ``ciplan``."""
+def _callers(method: str, owner: str | None = None) -> set[tuple[str, str]]:
+    """``(module, scope)`` of every call of a method of this name in
+    ``ciplan``; given an ``owner``, of ``owner.method`` only."""
     return {
         (path.stem, scope)
         for path in Path(ciplan.__file__).parent.glob("*.py")
@@ -301,6 +298,7 @@ def _callers(method: str) -> set[tuple[str, str]]:
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == method
+            and (owner is None or getattr(node.func.value, "id", None) == owner)
         ))
     }
 
@@ -341,12 +339,23 @@ def test_one_builder_expands_the_levels():
     assert not hasattr(exact_dp._Level, "gammas")
 
 
+def _child_bits(child, mass) -> tuple:
+    return child.seq, [(k, w.hex()) for k, w in child.weights], mass.hex()
+
+
+def _snapshot(tree) -> dict:
+    """The tree's attributes, with a copy of each dict and list."""
+    return {
+        name: copy.copy(value) if isinstance(value, (dict, list)) else value
+        for name, value in vars(tree).items()
+    }
+
+
 def test_scalar_expand_serves_only_the_fallback_and_the_oracle(coin2):
-    # The level records are the one store of edges: the scalar expansion
-    # computes children afresh for the sweep below its prepared depths, for
-    # ``FcsTree.node`` and for the brute-force oracle, and nothing else.
+    # The level records are the one store of nodes and edges: the scalar
+    # expansion computes children afresh for the sweep below its prepared
+    # depths and for the brute-force oracle, and keeps none of them.
     assert _callers("expand") == {
-        ("histories", "FcsTree.node"),
         ("exact_dp", "_Level.children"),
         ("exact_dp", "_count_policies"),
         ("exact_dp", "_iter_policies"),
@@ -354,13 +363,21 @@ def test_scalar_expand_serves_only_the_fallback_and_the_oracle(coin2):
     tree = FcsTree(coin2)
     _o0, root, _p = tree.roots()[0]
     gamma = enumerate_prescriptions(coin2, root.agent_domains)[0]
+    before = _snapshot(tree)
     first = tree.expand(root, gamma)
-    sizes = {name: len(value) for name, value in vars(tree).items() if isinstance(value, dict)}
     again = tree.expand(root, gamma)
-    # A second expansion finds the same nodes and stores nothing.
-    assert [id(child) for _o0, child, _p in again] == [id(child) for _o0, child, _p in first]
-    assert sizes == {name: len(value) for name, value in vars(tree).items() if isinstance(value, dict)}
+    # Each expansion makes the same children again and stores nothing.
+    assert [_child_bits(child, p) for _o0, child, p in again] == [
+        _child_bits(child, p) for _o0, child, p in first
+    ]
+    assert _snapshot(tree) == before
     assert not hasattr(tree, "_children")
+
+
+def test_only_the_full_levels_build_atom_columns():
+    # A level built below keeps its nodes' atoms as columns, and a subtree's
+    # first depth is the full one: ``Atoms.of`` builds the roots' only.
+    assert _callers("of", owner="Atoms") == {("histories", "FcsTree.full_level")}
 
 
 # -- one store for a level-built node's atoms -------------------------------
@@ -396,47 +413,23 @@ def test_sweeps_derive_no_level_built_weights(coin2, monkeypatch):
         # Derived on demand, they are the scalar expansion's, bit for bit.
         scalar = FcsTree(model)
         for node in tree.full_level(model.horizon).nodes:
-            want = scalar.node(node.seq).weights
+            want = node_at(scalar, node.seq).weights
             assert [(k, w.hex()) for k, w in node.weights] == [(k, w.hex()) for k, w in want]
 
 
-def test_node_walks_the_level_edges(coin2, monkeypatch):
-    # ``node(seq)`` finds a full level's own node through the roots and the
-    # edges, expanding nothing, and a sequence no edge reaches is
-    # unreachable; level-built nodes are kept out of ``_nodes``.
-    model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
-    for m in (coin2, model):
-        tree = FcsTree(m)
-        levels = [tree.full_level(t) for t in range(1, m.horizon + 1)]
-        assert len(tree._nodes) == len(levels[0].nodes)
-        with monkeypatch.context() as patch:
-            patch.setattr(FcsTree, "expand", lambda *args: pytest.fail("expand called"))
-            for level in levels:
-                assert all(tree.node(node.seq) is node for node in level.nodes)
-            for level in levels[1:]:
-                seq = level.nodes[-1].seq
-                with pytest.raises(UnreachableNodeError):
-                    tree.node(seq[:-1] + (len(m.common_obs),))
-        # Below the full levels, ``node`` expands.
-        shallow = FcsTree(m)
-        shallow.full_level(m.horizon - 1)
-        leaf = levels[-1].nodes[-1]
-        found = shallow.node(leaf.seq)
-        assert found.seq == leaf.seq and found.weights == leaf.weights
-        assert shallow._nodes[leaf.seq] is found
-
-
 def test_expand_accepts_level_built_nodes_of_its_own_tree(coin2):
-    # ``expand`` works on a level-built node and returns the level's own
-    # children; a node of another model's tree is refused.
+    # ``expand`` works on a level-built node and makes the level's children
+    # again, bit for bit; a node of another model's tree is refused.
     model = random_model(5, num_states=2, horizon=3, num_common_obs=2)
     tree, other = FcsTree(model), FcsTree(coin2)
     level, below = tree.full_level(2), tree.full_level(3)
     foreign = other.full_level(2).nodes[0]
     for i, node in enumerate(level.nodes):
         for k, gamma in enumerate(level.gammas[i]):
-            children = [child for _o0, child, _p in tree.expand(node, gamma)]
-            assert children == [below.nodes[c] for c in level.children(i, k)]
+            children = [_child_bits(child, p) for _o0, child, p in tree.expand(node, gamma)]
+            assert children == [
+                _child_bits(below.nodes[c], level.mass[c]) for c in level.children(i, k)
+            ]
         assert tree.reachable_fps(node)
     for method in (lambda node: tree.expand(node, level.gammas[0][0]), tree.reachable_fps):
         with pytest.raises(UnreachableNodeError):

@@ -35,6 +35,7 @@ from ciplan.generate import random_model
 from ciplan.histories import FcsTree, Prescription, enumerate_prescriptions
 from ciplan.model import ADMISSIBILITY_THRESHOLD, DecPomdpModel, validate
 from ciplan.verify import verify_gaps
+from conftest import node_at
 
 # -- the scalar oracle -----------------------------------------------------
 
@@ -103,7 +104,7 @@ def scalar_mu_levels(model, tree, pc):
     for _t in range(1, model.horizon):
         nxt = {}
         for node_seq, mass in masses[-1].items():
-            node = tree.node(node_seq)
+            node = node_at(tree, node_seq)
             pairs = scalar_pairs(model, pc, node)
             share = mass / len(pairs)
             for _lam, gamma in pairs:
@@ -167,7 +168,7 @@ def scalar_reevaluate_private(model, pc, witness, tree):
     """The folded value a private-measurement witness attains."""
     kind, _t, seq, hjoint, a = witness
     a_idx = model.joint_action_index(a)
-    for h, sdist_h, sdist_z in scalar_history_laws(pc, tree, tree.node(seq)):
+    for h, sdist_h, sdist_z in scalar_history_laws(pc, tree, node_at(tree, seq)):
         if h == hjoint:
             if kind == "eps_p":
                 return 4.0 * abs(
@@ -351,6 +352,10 @@ def _one_builder_models(coin2):
     return coin2, random_model(1, num_states=2, horizon=3, num_common_obs=2)
 
 
+def _node_bits(node) -> tuple:
+    return node.seq, [w.hex() for _k, w in node.weights]
+
+
 def test_compressed_subtree_comes_from_the_level_builder(coin2, monkeypatch):
     # On a fresh tree, the subtree, both common builders and the common
     # recursive check read every child off ``Session.level``: no node is
@@ -367,11 +372,12 @@ def test_compressed_subtree_comes_from_the_level_builder(coin2, monkeypatch):
             commons = [identity_common(model, pc, tree), bcs_common(model, pc, tree)]
             assert all(check_recursive(model, cc, pc=pc, tree=tree).passed for cc in commons)
         assert [serialize_compression(cc) for cc in commons] == want
-        # The scalar walk on the same tree expands afresh and finds the
-        # level-built nodes registered there; on a tree of its own it makes
-        # the same nodes and masses.
-        assert [[id(node) for node, _mass in level] for level in levels] == [
-            [id(node) for node in level] for level in scalar_subtree_levels(model, tree, pc)
+        # The scalar walk on the same tree expands afresh and makes the
+        # level-built nodes' sequences and weights again; on a tree of its
+        # own it makes the same nodes and masses.
+        scalar = scalar_subtree_levels(model, tree, pc)
+        assert [[_node_bits(node) for node, _mass in level] for level in levels] == [
+            [_node_bits(node) for node in level] for level in scalar
         ]
         ref = FcsTree(model)
         masses = scalar_mu_levels(model, ref, pc)
