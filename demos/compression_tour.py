@@ -36,7 +36,7 @@ def main() -> None:
     mp0 = measure_private(model, pc0, tree=tree)
     mc0 = measure_common(model, pc0, cc0, tree=tree)
     v_hat, _ = solve_fcs_asps(model, pc0, tree)
-    v_check, _, _ = solve_ascs_asps(model, pc0, cc0, tree=tree)
+    v_check, _ = solve_ascs_asps(model, pc0, cc0, tree=tree)
     print("lossless compression:")
     print(f"  measured (eps_p, delta_p, eps_c, delta_c) = "
           f"({mp0.eps_p:.2e}, {mp0.delta_p:.2e}, {mc0.eps_c:.2e}, {mc0.delta_c:.2e})")

@@ -47,20 +47,19 @@ def solve_ascs_asps(
     cc: CommonCompression,
     tree: FcsTree | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> tuple[ValueTable, CoordinatorPolicy, dict]:
+) -> tuple[ValueTable, CoordinatorPolicy]:
     """Backward sweep keyed by common labels with mixture dynamics.
 
     Rewards and next-common-observation laws are reference-measure mixtures
     over each label's preimage nodes (the same semantics the common
     measurement uses); successor labels come from the compression's recursive
-    update.  Returns the label-keyed value table, a replayable
-    history-domain policy (the chosen label prescription extended at every
-    preimage node), and the raw ``(t, label) -> prescription`` choice.
+    update.  Returns the label-keyed value table and a replayable
+    history-domain policy, which gives each preimage node the extension
+    ``Session.pairs(node)[argmax_index][1]`` of its label's chosen row.
     """
     s = Session.of(model, pc, tree, cc)
     tree = s.tree
-    table = ValueTable(horizon=model.horizon)
-    label_policy: dict = {}
+    table = ValueTable()
     chosen: dict = {}
     evals = 0
 
@@ -82,15 +81,12 @@ def solve_ascs_asps(
                         q[k] += law[k, o0] * table.entries[(t + 1, z_next)].value
             # Ties resolve to the smallest canonical index.
             best = int(np.argmax(q))
-            lam = tree._prescription(domains, rows[best])
             qs = q.tolist()
             table.entries[(t, label)] = ValueEntry(
                 value=qs[best],
                 argmax_index=best,
-                argmax_key=lam.key,
                 q_values=tuple(qs),
             )
-            label_policy[(t, label)] = lam
             chosen[(t, label)] = rows[best]
 
     policy = CoordinatorPolicy()
@@ -104,4 +100,4 @@ def solve_ascs_asps(
     for _o0, root, p in tree.roots():
         overall += p * table.entries[(1, cc.label_of(1, root.seq))].value
     table.overall_value = overall
-    return table, policy, label_policy
+    return table, policy

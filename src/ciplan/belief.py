@@ -186,20 +186,11 @@ class ConditionReport:
         }
 
 
-def tv_distance(p, q) -> float:
-    """Total variation distance, ½ Σ|p − q|.
-
-    Accepts two mappings over a shared key universe or two equal-length
-    sequences; mismatched sequence lengths are an error.
-    """
-    if isinstance(p, dict) or isinstance(q, dict):
-        keys = set(p) | set(q)
-        return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"mismatched universes: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
+def tv_distance(p: dict, q: dict) -> float:
+    """Total variation distance, ½ Σ|p − q|, of two laws given as mappings; an
+    outcome one of them lacks has probability 0 there."""
+    keys = set(p) | set(q)
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def _normalised(raw: dict) -> dict:

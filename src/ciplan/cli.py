@@ -200,7 +200,7 @@ def run_command(args) -> tuple[int, dict]:
             elif args.alg == "3":
                 from .approx_dp import solve_ascs_asps
 
-                table, _, _ = solve_ascs_asps(
+                table, _ = solve_ascs_asps(
                     model, session, _require(cc, "common"), budget=budget)
             else:
                 from .belief import solve_bcs_spi

@@ -28,7 +28,6 @@ from .histories import (
     _columns_by_agent,
     enumerate_prescriptions,
     prescription_count,
-    prescription_from_row,
 )
 from .model import DEFAULT_BUDGET, BudgetExceededError, DecPomdpModel
 
@@ -44,7 +43,6 @@ class InadmissibleHistoryError(ValueError):
 class ValueEntry:
     value: float
     argmax_index: int
-    argmax_key: tuple
     q_values: tuple[float, ...]
 
 
@@ -52,7 +50,6 @@ class ValueEntry:
 class ValueTable:
     """Per-time, per-state-key values of one backward sweep."""
 
-    horizon: int
     entries: dict[tuple[int, object], ValueEntry] = field(default_factory=dict)
     overall_value: float = 0.0
 
@@ -68,7 +65,10 @@ class CoordinatorPolicy:
     prescriptions: dict[FcsKey, Prescription] = field(default_factory=dict)
 
     def at(self, seq: FcsKey) -> Prescription:
-        return self.prescriptions[seq]
+        try:
+            return self.prescriptions[seq]
+        except KeyError:
+            raise UnreachableNodeError(f"node {seq!r} is not in the policy") from None
 
 
 #: Cells of the ``(nodes, prescriptions)`` reward block scored at once.
@@ -103,8 +103,8 @@ class _Level:
         if pc is None:
             sizes, layout = record.atoms.sizes, record.layout
         else:
-            self.domains, self.colmaps = zip(*map(pc.label_map, self.nodes))
-            sizes, layout = np.array([[len(d) for d in domains] for domains in self.domains]), None
+            domains, self.colmaps = zip(*map(pc.label_map, self.nodes))
+            sizes, layout = np.array([list(map(len, d)) for d in domains]), None
         if layout is None:
             # Nodes by shape, then by falling atom count, in node order within both.
             order = np.lexsort((-np.diff(record.atoms.start), *sizes.T[::-1]))
@@ -213,10 +213,6 @@ class _Level:
             row = row[self.colmaps[i]]
         return self.tree._prescription(self.nodes[i].agent_domains, row)
 
-    def lam(self, i: int, k: int) -> Prescription:
-        """The label prescription of row ``k`` at node ``i``."""
-        return prescription_from_row(self.domains[i], self.table(i)[k])
-
 
 class _Alone(_Level):
     """One node prepared by itself, as the sweep meets it below the levels
@@ -232,7 +228,7 @@ class _Alone(_Level):
         else:
             domains, colmap = pc.label_map(node)
             self.colmaps, cols = [colmap], colmap.tolist()
-        self.columns, self.domains = _columns_by_agent(hist_domains, cols), [domains]
+        self.columns = _columns_by_agent(hist_domains, cols)
         self.shapes, self.shape_of = [tuple(map(len, domains))], [0]
         self.counts = [prescription_count(tree.model, domains)]
 
@@ -270,6 +266,8 @@ def generic_solve(
     Otherwise :func:`_sweep_depth_first` visits ``(level, position)`` pairs,
     expanding each node alone below the last prepared depth.  The first node
     to reach a key fills its entry; ties go to the smallest canonical index.
+    Both passes give the same entries and policy; only the dicts' order
+    differs.
     The cyclic collector is paused: the sweep makes no reference cycle.
 
     Parameters
@@ -277,9 +275,10 @@ def generic_solve(
     pc
         ``compression.Session`` for the private compression whose label
         domains the prescriptions range over.
-        Value entries record the label prescription; the policy records its
-        extension to the node's histories, which also drives the dynamics.
-        Defaults to the uncompressed space where the two coincide.
+        An entry's ``argmax_index`` is the row of its label prescription in
+        ``pc.pairs(node)``; the policy records that row's extension to the
+        node's histories, which also drives the dynamics.  Defaults to the
+        uncompressed space where the two coincide.
     key_fn
         Callable giving the hashable keys of a list of nodes of one depth,
         keying value entries per time step; defaults to the node sequences.
@@ -306,21 +305,21 @@ def generic_solve(
                 levels[-1].link(below)
             levels.append(below)
         # Down to the leaves, every evaluation is charged: ``spent`` fits the budget.
-        solved = len(levels) == model.horizon and _sweep_levels(model, tree, pc, levels, key_fn)
+        solved = len(levels) == model.horizon and _sweep_levels(tree, pc, levels, key_fn)
         return solved or _sweep_depth_first(
             model, tree, pc, key_fn, levels[0] if levels else None, budget)
 
 
 def _sweep_levels(
-    model: DecPomdpModel, tree: FcsTree, pc: Session | None, levels: list[_Level], key_fn
+    tree: FcsTree, pc: Session | None, levels: list[_Level], key_fn
 ) -> tuple[ValueTable, CoordinatorPolicy] | None:
-    """The depth-first pass's entries and policy, keyed ones in its order of writes,
-    one depth at a time over linked levels that reach the leaves.  From the leaves
-    up, each row adds its children's ``p * v`` in ``o0`` order one child rank at a
-    time, as that pass does; a node takes its first maximum, or the value of the
-    first node of its depth holding its key.  From the roots down, a visited node
-    first holding its key visits the children of every row, any other those of its
-    entry's row (:func:`_writes`); ``None`` if that pass would visit other nodes."""
+    """The depth-first pass's entries and policy, written depth by depth, over
+    linked levels that reach the leaves.  From the leaves up, each row adds its
+    children's ``p * v`` in ``o0`` order one child rank at a time, as that pass
+    does; a node takes its first maximum, or the value of the first node of its
+    depth holding its key.  From the roots down, a visited node first holding its
+    key visits the children of every row, any other those of its entry's row
+    (:func:`_writes`); ``None`` if that pass would visit other nodes."""
     solved = []  # per depth, from the leaves up: rows, each entry's row, each key's first node
     values = None  # the depth below's values, by position
     for level in reversed(levels):
@@ -352,23 +351,22 @@ def _sweep_levels(
             owner = np.array([held.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
             values, node_best = values[owner], node_best[owner]
         solved.append((rows, node_best, owner, keys))
-    writes = _writes(levels, solved[::-1])
+    solved.reverse()
+    writes = _writes(levels, solved)
     if writes is None:
         return None
-    at = [(level, level.nodes, level.gamma, level.block, level.row, rows, best.tolist(), keys)
-          for level, (rows, best, _owner, keys) in zip(levels, reversed(solved))]
-    del solved  # its owner and best arrays, before the dicts are filled
-    table, policy = ValueTable(horizon=model.horizon), CoordinatorPolicy()
-    for lo in range(0, len(writes[0]), 1024):  # few Python ints at a time
-        for d, i, fill in zip(*(column[lo:lo + 1024].tolist() for column in writes)):
-            level, nodes, gamma_at, block, row, rows, best, keys = at[d]
-            node, k = nodes[i], best[i]
-            policy.prescriptions[node.seq] = gamma = gamma_at(i, k)
-            if fill:
-                q = rows[block[i]][row[i]].tolist()
-                lam = gamma if pc is None else level.lam(i, k)
-                table.entries[(node.t, node.seq if keys is None else keys[i])] = ValueEntry(
-                    q[k], k, lam.key, tuple(q))
+    table, policy = ValueTable(), CoordinatorPolicy()
+    for level, (rows, best, _owner, keys), (spots, fills) in zip(levels, solved, writes):
+        nodes, gamma_at, block, row = level.nodes, level.gamma, level.block, level.row
+        best = best.tolist()
+        for lo in range(0, len(spots), 1024):  # few Python ints at a time
+            for i, fill in zip(spots[lo:lo + 1024].tolist(), fills[lo:lo + 1024].tolist()):
+                node, k = nodes[i], best[i]
+                policy.prescriptions[node.seq] = gamma_at(i, k)
+                if fill:
+                    q = rows[block[i]][row[i]].tolist()
+                    table.entries[(node.t, node.seq if keys is None else keys[i])] = ValueEntry(
+                        q[k], k, tuple(q))
     if key_fn is None and pc is None:
         levels[-1].record.chosen = list(policy.prescriptions.values())[-len(levels[-1].nodes):]
     for (_o0, _root, p_root), v in zip(tree.roots(), values.tolist()):
@@ -376,15 +374,13 @@ def _sweep_levels(
     return table, policy
 
 
-def _writes(levels: list[_Level], solved: list) -> list[np.ndarray] | None:
-    """Depth, position and whether it fills its entry of each node the depth-first
-    pass visits, keyed ones in its order of writes: by ancestors' and own positions,
-    then -1 if a node writes before its children, else past them all.  ``None`` if
-    a visited node's key is first held by one not visited; see :func:`_sweep_levels`."""
-    visit, past = np.ones(len(levels[0].nodes), dtype=bool), np.iinfo(np.int32).max
-    paths = np.arange(len(visit), dtype=np.int32)[:, None]
-    marks, events = [], []  # per depth, the visited nodes and which of them fill an entry
-    for d, (level, (_rows, best, owner, keys)) in enumerate(zip(levels, solved)):
+def _writes(levels: list[_Level], solved: list) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Per depth, the positions of the nodes the depth-first pass visits and
+    whether each fills its entry.  ``None`` if a visited node's key is first held
+    by one not visited; see :func:`_sweep_levels`."""
+    visit = np.ones(len(levels[0].nodes), dtype=bool)
+    marks = []
+    for level, (_rows, best, owner, keys) in zip(levels, solved):
         if keys is None:  # every node is visited and fills its own entry
             spots, fills = np.arange(len(best)), np.ones(len(best), dtype=bool)
         else:
@@ -392,21 +388,14 @@ def _writes(levels: list[_Level], solved: list) -> list[np.ndarray] | None:
                 return None
             fills = visit & (owner == np.arange(len(owner)))
             spots = np.flatnonzero(visit)
-            pad = np.where(fills[spots], past, np.int32(-1))[:, None]
-            events.append(np.hstack([paths[spots], np.repeat(pad, len(levels) - d - 1, axis=1)]))
         marks.append((spots, fills[spots]))
         if keys is None or level.below is None:
             continue
-        spread = np.diff(level.record.first)
         on = np.repeat(fills, level.counts)
         hits = np.flatnonzero(visit & ~fills)
         on[(np.cumsum(level.counts) - level.counts)[hits] + best[hits]] = True
-        visit = np.repeat(on, spread)
-        parent = np.repeat(np.repeat(np.arange(len(fills)), level.counts), spread)
-        paths = np.hstack([paths[parent], np.arange(len(visit), dtype=np.int32)[:, None]])
-    depths = np.repeat(np.arange(len(levels)), [len(spots) for spots, _fill in marks])
-    order = np.lexsort(np.vstack(events).T[::-1]) if events else slice(None)
-    return [column[order] for column in (depths, *map(np.concatenate, zip(*marks)))]
+        visit = np.repeat(on, np.diff(level.record.first))
+    return marks
 
 
 def _sweep_depth_first(
@@ -422,7 +411,7 @@ def _sweep_depth_first(
     by_seq = key_fn is None
     if by_seq:
         key_fn = lambda nodes: [node.seq for node in nodes]
-    table = ValueTable(horizon=model.horizon)
+    table = ValueTable()
     policy = CoordinatorPolicy()
     evals = 0
 
@@ -452,15 +441,12 @@ def _sweep_depth_first(
             best = q.index(max(q))
         else:
             best = level.best_row(i)
-        gamma = level.gamma(i, best)
-        lam = gamma if pc is None else level.lam(i, best)
         table.entries[key] = ValueEntry(
             value=q[best],
             argmax_index=best,
-            argmax_key=lam.key,
             q_values=tuple(q),
         )
-        policy.prescriptions.setdefault(node.seq, gamma)
+        policy.prescriptions.setdefault(node.seq, level.gamma(i, best))
         return q[best]
 
     overall = 0.0
@@ -545,8 +531,6 @@ def _supervisor_recurse(model, t, seq, hjoint, sdist, gamma, policy) -> float:
     for (o0, opriv), srow in sorted(branches.items()):
         p_branch = sum(srow.values())
         child = seq + (gamma.key, o0)
-        if child not in policy.prescriptions:
-            raise UnreachableNodeError(f"node {child!r} is not in the policy")
         h_next = tuple(h + (an, on) for h, an, on in zip(hjoint, a, opriv))
         sdist_next = {s: w / p_branch for s, w in srow.items()}
         total += p_branch * _supervisor_recurse(

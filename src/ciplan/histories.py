@@ -34,7 +34,8 @@ FcsKey = tuple
 
 
 class UnreachableNodeError(ValueError):
-    """Raised when an operation is asked about a node this tree never produced."""
+    """Raised when an operation is asked about a node this tree never produced,
+    or a policy does not cover."""
 
 
 class PrescriptionDomainError(ValueError):

@@ -147,7 +147,7 @@ def verify_gaps(
     params = mp.merged(mc)
     exact_table, _ = solve_fcs_fps(model, s.tree, budget=budget)
     asps_table, _ = solve_fcs_asps(model, s, budget=budget)
-    ascs_table, _, _ = solve_ascs_asps(model, s, cc, budget=budget)
+    ascs_table, _ = solve_ascs_asps(model, s, cc, budget=budget)
 
     report = GapReport(horizon=model.horizon, params=params)
     rbar = model.reward_bound

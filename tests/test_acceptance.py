@@ -64,7 +64,7 @@ def test_criterion_2_lossless_equivalence(coin2, small_models):
         ok = ok and max(mp.eps_p, mp.delta_p, mc.eps_c, mc.delta_c) <= 1e-9
         exact, _ = solve_fcs_fps(model, tree)
         asps, _ = solve_fcs_asps(model, pc, tree)
-        ascs, _, _ = solve_ascs_asps(model, pc, cc, tree=tree)
+        ascs, _ = solve_ascs_asps(model, pc, cc, tree=tree)
         for (t, seq), entry in asps.entries.items():
             v = exact.entries[(t, seq)].value
             v_check = ascs.entries[(t, cc.label_of(t, seq))].value

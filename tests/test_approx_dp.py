@@ -79,7 +79,7 @@ def test_label_sweep_matches_restricted_under_identity_common(coin2):
     pc = build_greedy(coin2, 0.4, 0.4, tree=tree)
     cc = identity_common(coin2, pc, tree)
     restricted, _ = solve_fcs_asps(coin2, pc, tree=tree)
-    table, policy, label_policy = solve_ascs_asps(coin2, pc, cc, tree=tree)
+    table, policy = solve_ascs_asps(coin2, pc, cc, tree=tree)
     s = Session(tree, pc)
     for t in range(1, coin2.horizon + 1):
         for node in s.level(t).nodes:
@@ -92,8 +92,13 @@ def test_label_sweep_matches_restricted_under_identity_common(coin2):
     assert evaluate_coordinator_policy(coin2, policy) == pytest.approx(
         table.overall_value, abs=1e-9
     )
-    for (t, label), lam in label_policy.items():
-        assert table.entries[(t, label)].argmax_key == lam.key
+    # A label's λ is row ``argmax_index`` of its node's pairs, and the policy
+    # holds its extension.
+    for t in range(1, coin2.horizon + 1):
+        for node in s.level(t).nodes:
+            entry = table.entries[(t, cc.label_of(t, node.seq))]
+            _lam, gamma = s.pairs(node)[entry.argmax_index]
+            assert policy.at(node.seq) == gamma
 
 
 def test_belief_common_labels_lose_nothing(coin2, small_models):
@@ -102,7 +107,7 @@ def test_belief_common_labels_lose_nothing(coin2, small_models):
         exact, _ = solve_fcs_fps(model, tree)
         pc = build_exact_private(model, tree)
         cc = bcs_common(model, pc, tree)
-        table, policy, _lp = solve_ascs_asps(model, pc, cc, tree=tree)
+        table, policy = solve_ascs_asps(model, pc, cc, tree=tree)
         assert table.overall_value == pytest.approx(exact.overall_value, abs=1e-9)
         assert evaluate_coordinator_policy(model, policy) == pytest.approx(
             exact.overall_value, abs=1e-9
@@ -118,7 +123,7 @@ def test_lossy_label_sweep_replay_is_consistent(coin2):
     from ciplan.compression import build_common_greedy
 
     cc = build_common_greedy(coin2, pc, 1.0, 1.0, tree=tree)
-    table, policy, _lp = solve_ascs_asps(coin2, pc, cc, tree=tree)
+    table, policy = solve_ascs_asps(coin2, pc, cc, tree=tree)
     replayed = evaluate_coordinator_policy(coin2, policy)
     assert replayed <= solve_fcs_fps(coin2, tree)[0].overall_value + 1e-9
     assert abs(replayed - table.overall_value) < 10.0  # finite, well-defined

@@ -206,6 +206,19 @@ def test_supervisor_q_refuses_a_node_of_another_tree(coin2):
         supervisor_q(coin2, tree, foreign, f.histories, policy.at(foreign.seq), policy)
 
 
+def test_policy_replay_refuses_a_sequence_the_policy_lacks(coin2):
+    # A replay that reaches a sequence without a policy entry names it in an
+    # ``UnreachableNodeError``, as the lemma-1 oracle does.
+    _table, policy = solve_fcs_fps(coin2)
+    child = (0, policy.at((0,)).key, 0)
+    partial = CoordinatorPolicy(dict(policy.prescriptions))
+    del partial.prescriptions[child]
+    with pytest.raises(UnreachableNodeError, match=re.escape(repr(child))):
+        evaluate_coordinator_policy(coin2, partial)
+    with pytest.raises(UnreachableNodeError, match=re.escape(repr(child))):
+        partial.at(child)
+
+
 def test_solve_report_shape(coin2):
     table, _ = solve_fcs_fps(coin2)
     report = solve_report(table, algorithm="alg1")
@@ -320,9 +333,9 @@ def assert_solves_match_scalar(solves):
             assert [q.hex() for q in entry.q_values] == [q.hex() for q in ref], (name, key)
             assert entry.argmax_index == best, (name, key)
             assert entry.value.hex() == max(ref).hex(), (name, key)
-            # Entries record the label prescription, policies its extension.
-            lam, gamma = pairs[best]
-            assert entry.argmax_key == lam.key, (name, key)
+            # An entry's label prescription is row ``argmax_index`` of the
+            # node's pairs; the policy records its extension.
+            _lam, gamma = pairs[entry.argmax_index]
             if name in ("alg1", "alg2"):
                 assert policy.at(key[1]) == gamma, (name, key)
 
@@ -409,12 +422,14 @@ def test_sweeps_keep_the_scalar_bits_across_the_hand_over(coin2, monkeypatch):
 
 
 def table_bits(table, policy) -> tuple:
-    """Everything a sweep returns, floats as ``float.hex``, in entry order."""
-    entries = [
-        (key, e.value.hex(), e.argmax_index, e.argmax_key, [q.hex() for q in e.q_values])
+    """Everything a sweep returns, floats as ``float.hex``; entries and policy
+    as dicts, since the level and depth-first passes fill them in different
+    orders."""
+    entries = {
+        key: (e.value.hex(), e.argmax_index, [q.hex() for q in e.q_values])
         for key, e in table.entries.items()
-    ]
-    return table.overall_value.hex(), entries, list(policy.prescriptions.items())
+    }
+    return table.overall_value.hex(), entries, dict(policy.prescriptions)
 
 
 def test_prepared_levels_make_no_cache_lookups(coin2, monkeypatch):
@@ -688,9 +703,9 @@ def keyed_by_level_and_depth_first(model):
 @given(st.integers(0, 10_000), st.sampled_from(KERNEL_SHAPES), st.booleans())
 def test_keyed_level_pass_matches_the_depth_first_pass(seed, shape, zeroed):
     # On a prepared tree and session the keyed sweeps run one depth at a
-    # time and give the depth-first pass's bits, in its order, policies
-    # included; they hand the tree to that pass exactly where a node it
-    # visits has its key first held by a node it does not visit.
+    # time and give the depth-first pass's bits, policies included; they
+    # hand the tree to that pass exactly where a node it visits has its key
+    # first held by a node it does not visit.
     model = random_model(seed, **{"horizon": 2, **shape})
     if zeroed:
         model = with_zeroed_entries(model, seed)

@@ -309,16 +309,19 @@ def assert_matches_oracle(model, tols):
             value = scalar_reevaluate_common(model, pc, cc, witness, ref)
             assert value.hex() == getattr(mc, kind).hex()
 
-        table, policy, label_policy = solve_ascs_asps(model, pc, cc, tree=tree)
-        got = {
-            key: (e.value, e.argmax_index, e.argmax_key, list(e.q_values))
-            for key, e in table.entries.items()
-        }
-        assert _hex(got) == _hex(scalar_label_sweep(model, pc, cc, ref))
+        table, policy = solve_ascs_asps(model, pc, cc, tree=tree)
+        want, got = _hex(scalar_label_sweep(model, pc, cc, ref)), {}
         for t, level in enumerate(levels, start=1):
             for node, _mass in level:
-                lam = label_policy[(t, cc.label_of(t, node.seq))]
-                assert policy.prescriptions[node.seq] == scalar_extension(pc, node, lam)
+                key = (t, cc.label_of(t, node.seq))
+                e = table.entries[key]
+                # A label's λ is row ``argmax_index`` of each member's pairs.
+                lam, gamma = s.pairs(node)[e.argmax_index]
+                got.update(_hex({key: (e.value, e.argmax_index, lam.key, list(e.q_values))}))
+                assert got[key] == want[key]
+                assert policy.prescriptions[node.seq] == gamma == scalar_extension(pc, node, lam)
+        assert got == want
+        assert table.entries.keys() == want.keys()
 
 
 SHAPES = st.fixed_dictionaries({
@@ -393,7 +396,7 @@ def test_compressed_subtree_comes_from_the_level_builder(coin2, monkeypatch):
 
 def _table_bits(table, policy) -> tuple:
     entries = [
-        (key, e.value.hex(), e.argmax_index, e.argmax_key, [q.hex() for q in e.q_values])
+        (key, e.value.hex(), e.argmax_index, [q.hex() for q in e.q_values])
         for key, e in table.entries.items()
     ]
     return table.overall_value.hex(), entries, list(policy.prescriptions.items())

@@ -5,6 +5,7 @@ only the modules it runs, so a fresh process compiles and loads no other.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from ciplan.model import load_model
 from conftest import DATA
 
 COIN2 = str(DATA / "coin2.json")
+ROOT = DATA.parent.parent
 
 BASE = {"ciplan", "ciplan.cli", "ciplan.model"}
 EXACT = BASE | {"ciplan.histories", "ciplan.exact_dp"}
@@ -82,6 +84,18 @@ def test_each_subcommand_loads_only_its_modules(argv, expected, compression_file
     status, loaded = json.loads(proc.stdout)
     assert status == 0
     assert set(loaded) == expected
+
+
+def test_readme_quick_start_runs_as_written():
+    # The README's "Quick start" block, run verbatim from the repository root
+    # in a fresh process, prints the value its comment gives.
+    section = (ROOT / "README.md").read_text().split("## Quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = re.search(r"print\(table\.overall_value\) +# (\S+)", block).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{shown}\n" == "1.31\n"
 
 
 def test_every_public_name_is_its_defining_modules_object():
