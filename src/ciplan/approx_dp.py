@@ -21,7 +21,7 @@ from .exact_dp import (
     ValueTable,
     generic_solve,
 )
-from .histories import FcsTree
+from .histories import FcsTree, prescription_count
 from .model import DecPomdpModel
 
 
@@ -62,14 +62,16 @@ def solve_ascs_asps(
     table = ValueTable()
     chosen: dict = {}
     evals = 0
+    for t in range(1, model.horizon + 1):  # roots down: no depth is built past the budget
+        for label, _nodes, _weights, domains in s.classes(t):
+            evals += prescription_count(model, domains)
+            if evals > budget:
+                raise BudgetExceededError((t, label), budget)
 
     for t in range(model.horizon, 0, -1):
         for cls in s.classes(t):
             label, _nodes, _weights, domains = cls
             rows = tree._action_rows(tuple(map(len, domains)))
-            evals += len(rows)
-            if evals > budget:
-                raise BudgetExceededError((t, label), budget)
             q, law = s.mixture(t, cls)
             q = q.copy()
             if t < model.horizon:

@@ -413,7 +413,7 @@ def verify_propositions(
     """
     from . import compression as comp
 
-    tree = tree or FcsTree(model)
+    tree = FcsTree.of(model, tree)
     report = ConditionReport()
 
     if identity is None:

@@ -188,9 +188,12 @@ class Session:
     @classmethod
     def of(cls, model: DecPomdpModel, pc, tree: FcsTree | None = None, cc=None):
         """``pc`` when it is a session for ``cc`` (or ``cc`` is ``None``), else
-        a new session for ``cc``, on ``pc``'s tree when ``pc`` is a session."""
+        a new session for ``cc``, on ``pc``'s tree when ``pc`` is a session;
+        a session on another model or tree than those given is refused."""
         if not isinstance(pc, Session):
-            return cls(tree or FcsTree(model), pc, cc)
+            return cls(FcsTree.of(model, tree), pc, cc)
+        if pc.model is not model or (tree is not None and tree is not pc.tree):
+            raise ValueError("the session was built for another model or tree")
         return pc if cc is None or cc is pc.cc else cls(pc.tree, pc.pc, cc)
 
     def _built(self, key, build):
@@ -649,7 +652,7 @@ def identity_private(
     ``budget`` caps the full levels' (node, prescription) pairs, charged a
     depth at a time before that depth is expanded, as the exact sweep does.
     """
-    tree = tree or FcsTree(model)
+    tree = FcsTree.of(model, tree)
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     spent = 0
     for t in range(1, model.horizon + 1):
@@ -842,7 +845,7 @@ def build_greedy(
     Each block of items, one per ``(t, agent)``, gets its compatibility matrix
     once; ``budget`` caps the total number of matrix cells.
     """
-    tree = tree or FcsTree(model)
+    tree = FcsTree.of(model, tree)
     blocks = _Blocks(budget)
     pc = PrivateCompression(num_agents=model.num_agents, horizon=model.horizon)
     for t in range(1, model.horizon + 1):

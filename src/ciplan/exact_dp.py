@@ -84,14 +84,17 @@ class _Level:
 
     Under ``pc`` a node's prescriptions range over its label domains and
     ``colmaps[i]`` maps each history column to its label column; otherwise
-    the two spaces coincide.  Nodes are grouped by the shape of their
-    domains, which fixes their action table, and by falling atom count within
-    a shape, so the nodes with an atom of a given rank lead their block.  The
+    the two spaces coincide.  Row ``k`` of node ``i`` is ``pair0[i] + k``, the
+    record's pair index that its edges use too: ``q`` holds the rows'
+    rewards in that order and ``best`` each node's first maximal row.  For
+    scoring, nodes are grouped by the shape of their domains, which fixes
+    their action table, and by falling atom count within a shape.  The
     prescription counts come from the shapes alone; no table is built and
-    nothing is scored before the first :meth:`score` call.  Without ``pc`` the
-    record keeps the layout and the rewards for the next sweep.  Once
-    :meth:`link` has given the view below, :meth:`children` reads the record's
-    edges by position; until then it expands the node with ``tree.expand``.
+    nothing is scored before the first :meth:`score` call.  The record, of a
+    full level or of a session's, keeps the layout, the rewards and the
+    chosen prescriptions for the next sweep.  Once :meth:`link` has given the
+    view below, :meth:`children` reads the record's edges by position; until
+    then it expands the node with ``tree.expand``.
     """
 
     below: _Level | None = None
@@ -99,13 +102,11 @@ class _Level:
 
     def __init__(self, tree: FcsTree, pc: Session | None, record: Level):
         self.tree, self.pc, self.record, self.nodes = tree, pc, record, record.nodes
-        self.q, self.colmaps = None, None
-        if pc is None:
-            sizes, layout = record.atoms.sizes, record.layout
-        else:
+        self.colmaps, sizes = None, record.atoms.sizes
+        if pc is not None:
             domains, self.colmaps = zip(*map(pc.label_map, self.nodes))
-            sizes, layout = np.array([list(map(len, d)) for d in domains]), None
-        if layout is None:
+            sizes = np.array([list(map(len, d)) for d in domains])
+        if record.layout is None:
             # Nodes by shape, then by falling atom count, in node order within both.
             order = np.lexsort((-np.diff(record.atoms.start), *sizes.T[::-1]))
             ordered = sizes[order]
@@ -116,13 +117,11 @@ class _Level:
             shapes = [tuple(shape) for shape in ordered[new].tolist()]
             counts = [prescription_count(tree.model, tuple(map(range, shape))) for shape in shapes]
             bounds, shape_of = np.append(np.flatnonzero(new), len(ordered)), shape_of.tolist()
-            layout = order, bounds, shape_of, shapes, [counts[g] for g in shape_of]
-            if pc is None:
-                record.layout = layout
-        self.order, self.bounds, self.shape_of, self.shapes, self.counts = layout
-        if pc is None and record.rewards is not None:
-            self.q, self.best, self.members, self.block, self.row = record.rewards
-            self.chosen = record.chosen
+            counts = [counts[g] for g in shape_of]
+            pair0 = np.array([0, *itertools.accumulate(counts)])  # summed with no int64 wrap
+            record.layout = order, bounds, shape_of, shapes, counts, pair0
+        self.order, self.bounds, self.shape_of, self.shapes, self.counts, self.pair0 = record.layout
+        (self.q, self.best), self.chosen = record.rewards or (None, None), record.chosen
 
     def table(self, i: int) -> np.ndarray:
         """The action table of node ``i``'s shape, which scoring the node, or
@@ -136,28 +135,25 @@ class _Level:
         joint-action index.  Within a block of nodes sharing a shape the atoms
         are added one rank at a time, each node's in stored order, to the
         leading rows whose nodes have an atom of that rank, so every entry is
-        the scalar sum ``q += w * r`` bit for bit.  Without a compression the
-        rewards depend on the tree alone, so the record keeps them for the
-        next sweep.
+        the scalar sum ``q += w * r`` bit for bit.  A block of consecutive
+        nodes is scored in place in ``q``; any other is scattered to its rows.
         """
         reward = self.tree.model.reward.ravel()
         num_joint = self.tree.model.reward.shape[1]
-        atoms, order, bounds = self.record.atoms, self.order, self.bounds
+        atoms, order, bounds, pair0 = self.record.atoms, self.order, self.bounds, self.pair0
         columns = atoms.columns(self.colmaps)
-        block_of = np.empty(len(order), dtype=np.intp)
-        row_of = np.empty(len(order), dtype=np.intp)
-        self.q, self.best, self.members = [], [], []
+        self.q, self.best = np.zeros(pair0[-1]), np.empty(len(order), dtype=np.intp)
         for g, shape in enumerate(self.shapes):
             contrib = self.tree._contrib(shape)
             width = contrib.shape[1]
             step = max(1, _REWARD_CELLS // width)
             for lo in range(bounds[g], bounds[g + 1], step):
                 block = order[lo:min(lo + step, bounds[g + 1])]
-                block_of[block] = len(self.q)
-                row_of[block] = np.arange(len(block))
                 first = atoms.start[block]
                 count = atoms.start[block + 1] - first
-                q = np.zeros((len(block), width))
+                run = bool((np.diff(block) == 1).all())
+                q = (self.q[pair0[block[0]]:pair0[block[-1] + 1]].reshape(len(block), width)
+                     if run else np.zeros((len(block), width)))
                 for rank in range(int(count[0])):
                     n = int(np.count_nonzero(count > rank))
                     atom = first[:n] + rank
@@ -169,22 +165,20 @@ class _Level:
                     r = reward[joint]
                     r *= atoms.weight[atom][:, None]
                     q[:n] += r
-                self.q.append(q)
-                self.best.append(np.argmax(q, axis=1).tolist())
-                self.members.append(block)
-        self.block, self.row = block_of.tolist(), row_of.tolist()
-        if self.pc is None:
-            self.record.rewards = (self.q, self.best, self.members, self.block, self.row)
+                if not run:
+                    self.q[pair0[block][:, None] + np.arange(width)] = q
+                self.best[block] = np.argmax(q, axis=1)
+        self.record.rewards = self.q, self.best
 
     def rewards(self, i: int) -> list[float]:
         if self.q is None:
             self.score()
-        return self.q[self.block[i]][self.row[i]].tolist()
+        return self.q[self.pair0[i]:self.pair0[i + 1]].tolist()
 
     def best_row(self, i: int) -> int:
         if self.q is None:
             self.score()
-        return self.best[self.block[i]][self.row[i]]
+        return int(self.best[i])
 
     def link(self, below: _Level) -> None:
         """Read each row's children off the record's edges, as positions in
@@ -239,8 +233,7 @@ class _Alone(_Level):
         for (s, hjoint), w in self.nodes[0].weights:
             joint = contrib[[self.columns[n][h] for n, h in enumerate(hjoint)]].sum(axis=0)
             q += w * reward[s][joint]
-        self.q, self.best = [q[None]], [[int(np.argmax(q))]]
-        self.block = self.row = [0]
+        self.q, self.best, self.pair0 = q, [int(np.argmax(q))], (0, len(q))
 
 
 def generic_solve(
@@ -254,9 +247,11 @@ def generic_solve(
     """Backward sweep shared by the exact and compressed dynamic programs.
 
     A forward pass first prepares whole depths from the roots down, each a
-    view of one :class:`~ciplan.histories.Level` with the rewards of its
-    rows, linked to the next: ``tree.full_level(t)``, or ``pc.level(t)``,
-    the subtree the label prescriptions reach.  The pass stops at the first
+    view of one :class:`~ciplan.histories.Level`, linked to the next:
+    ``tree.full_level(t)``, or ``pc.level(t)``, the subtree the label
+    prescriptions reach.  Each record keeps its layout and its rows' rewards,
+    in its own pair order, for the next sweep on that tree or session;
+    ``tree`` must have been built for ``model``.  The pass stops at the first
     depth whose cumulative prescription count passes ``budget``, or that the
     source does not hold yet and whose expansion would take more than
     ``_BATCH_ENTRIES`` entries; a ``key_fn`` lets the sweep skip the subtrees
@@ -286,7 +281,7 @@ def generic_solve(
         canonical index, and the nodes below it under that prescription are
         visited too, so the policy covers every node it reaches.
     """
-    tree = tree or FcsTree(model)
+    tree = FcsTree.of(model, tree)
     with _collector_paused():
         level_at, held = (tree.full_level, tree._levels) if pc is None else (pc.level, pc._levels)
         levels: list[_Level] = []
@@ -305,13 +300,13 @@ def generic_solve(
                 levels[-1].link(below)
             levels.append(below)
         # Down to the leaves, every evaluation is charged: ``spent`` fits the budget.
-        solved = len(levels) == model.horizon and _sweep_levels(tree, pc, levels, key_fn)
+        solved = len(levels) == model.horizon and _sweep_levels(tree, levels, key_fn)
         return solved or _sweep_depth_first(
             model, tree, pc, key_fn, levels[0] if levels else None, budget)
 
 
 def _sweep_levels(
-    tree: FcsTree, pc: Session | None, levels: list[_Level], key_fn
+    tree: FcsTree, levels: list[_Level], key_fn
 ) -> tuple[ValueTable, CoordinatorPolicy] | None:
     """The depth-first pass's entries and policy, written depth by depth, over
     linked levels that reach the leaves.  From the leaves up, each row adds its
@@ -325,49 +320,41 @@ def _sweep_levels(
     for level in reversed(levels):
         if level.q is None:
             level.score()
-        rows, best = level.q, level.best
+        q, best = level.q, level.best
+        start = level.pair0[:-1]  # each node's first row
         if values is not None:
-            record = level.record
-            first = np.array(record.first)
-            term = np.multiply(record.mass, values)
-            pair0 = np.cumsum(level.counts) - level.counts
-            rows, best = [], []
-            for q, members in zip(level.q, level.members):
-                pairs = pair0[members][:, None] + np.arange(q.shape[1])
-                start = first[pairs]
-                count = first[pairs + 1] - start
-                q = q.copy()
-                for rank in range(int(count.max())):
-                    sel = count > rank
-                    q[sel] += term[start[sel] + rank]
-                rows.append(q)
-                best.append(np.argmax(q, axis=1))
-        values, node_best = np.empty(len(level.order)), np.empty(len(level.order), dtype=np.intp)
-        values[level.order] = np.concatenate([q.max(axis=1) for q in rows])
-        node_best[level.order] = np.concatenate(best)
+            first = np.array(level.record.first)
+            count = np.diff(first)
+            term = np.multiply(level.record.mass, values)
+            q = q.copy()
+            for rank in range(int(count.max())):
+                sel = count > rank
+                q[sel] += term[first[:-1][sel] + rank]
+            top = np.repeat(np.maximum.reduceat(q, start), level.counts)
+            best = np.minimum.reduceat(np.where(q == top, np.arange(len(q)), len(q)), start) - start
+        values = q[start + best]
         owner = keys = None
         if key_fn is not None:
             held, keys = {}, key_fn(level.nodes)
             owner = np.array([held.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
-            values, node_best = values[owner], node_best[owner]
-        solved.append((rows, node_best, owner, keys))
+            values, best = values[owner], best[owner]
+        solved.append((q, best, owner, keys))
     solved.reverse()
     writes = _writes(levels, solved)
     if writes is None:
         return None
     table, policy = ValueTable(), CoordinatorPolicy()
-    for level, (rows, best, _owner, keys), (spots, fills) in zip(levels, solved, writes):
-        nodes, gamma_at, block, row = level.nodes, level.gamma, level.block, level.row
-        best = best.tolist()
+    for level, (q, best, _owner, keys), (spots, fills) in zip(levels, solved, writes):
+        nodes, gamma_at, pair0, best = level.nodes, level.gamma, level.pair0.tolist(), best.tolist()
         for lo in range(0, len(spots), 1024):  # few Python ints at a time
             for i, fill in zip(spots[lo:lo + 1024].tolist(), fills[lo:lo + 1024].tolist()):
                 node, k = nodes[i], best[i]
                 policy.prescriptions[node.seq] = gamma_at(i, k)
                 if fill:
-                    q = rows[block[i]][row[i]].tolist()
+                    row = q[pair0[i]:pair0[i + 1]].tolist()
                     table.entries[(node.t, node.seq if keys is None else keys[i])] = ValueEntry(
-                        q[k], k, tuple(q))
-    if key_fn is None and pc is None:
+                        row[k], k, tuple(row))
+    if key_fn is None:
         levels[-1].record.chosen = list(policy.prescriptions.values())[-len(levels[-1].nodes):]
     for (_o0, _root, p_root), v in zip(tree.roots(), values.tolist()):
         table.overall_value += p_root * v
@@ -380,7 +367,7 @@ def _writes(levels: list[_Level], solved: list) -> list[tuple[np.ndarray, np.nda
     by one not visited; see :func:`_sweep_levels`."""
     visit = np.ones(len(levels[0].nodes), dtype=bool)
     marks = []
-    for level, (_rows, best, owner, keys) in zip(levels, solved):
+    for level, (_q, best, owner, keys) in zip(levels, solved):
         if keys is None:  # every node is visited and fills its own entry
             spots, fills = np.arange(len(best)), np.ones(len(best), dtype=bool)
         else:
@@ -393,7 +380,7 @@ def _writes(levels: list[_Level], solved: list) -> list[tuple[np.ndarray, np.nda
             continue
         on = np.repeat(fills, level.counts)
         hits = np.flatnonzero(visit & ~fills)
-        on[(np.cumsum(level.counts) - level.counts)[hits] + best[hits]] = True
+        on[level.pair0[hits] + best[hits]] = True
         visit = np.repeat(on, np.diff(level.record.first))
     return marks
 
@@ -477,7 +464,7 @@ def solve_fcs_fps(
     ``budget``, and otherwise sweeps again, so the budget error names the
     same node as on a fresh tree.
     """
-    tree = tree or FcsTree(model)
+    tree = FcsTree.of(model, tree)
     if tree.exact_sweep is not None and tree.exact_sweep[2] <= budget:
         return tree.exact_sweep[0], tree.exact_sweep[1]
     table, policy = generic_solve(model, tree, budget=budget)

@@ -192,13 +192,13 @@ class Atoms:
 @dataclass(eq=False)
 class Level:
     """One depth's nodes with their atoms and, once the depth below is built,
-    the edges that leave them, kept nowhere else: row ``k`` of node ``i``
-    stands for the history-domain prescription ``gammas[i][k]``,
-    :meth:`children` gives its children in the level below, and child ``c``
-    there has the mass ``mass[c]``.  A full level also keeps, for the next
-    sweep, the ``layout`` and ``rewards`` of its rows as the first sweep left
-    them and, with no level below, ``chosen``, alg 1's prescription at each
-    node.  A level refers to no tree and no session."""
+    the edges that leave them, kept nowhere else: row ``k`` of node ``i`` is
+    pair ``_pair0[i] + k`` and stands for the history-domain prescription
+    ``gammas[i][k]``; :meth:`children` gives its children in the level below,
+    and child ``c`` there has the mass ``mass[c]``.  For the next sweep, a
+    level keeps its rows' ``layout`` and ``rewards`` (``q`` in pair order and
+    each node's first maximal row) and, with no level below, ``chosen``, the
+    unkeyed sweep's prescription at each node; it refers to no tree or session."""
 
     nodes: list[FcsNode]
     atoms: Atoms
@@ -336,6 +336,13 @@ class FcsTree:
         self.common_profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.exact_sweep: tuple | None = None
         self.state_laws: dict[tuple[int, int], np.ndarray] = {}
+
+    @classmethod
+    def of(cls, model: DecPomdpModel, tree: FcsTree | None = None) -> FcsTree:
+        """``tree``, a new tree for ``model`` if ``None``, refused if built for another model."""
+        if tree is not None and tree.model is not model:
+            raise ValueError("the tree was built for another model")
+        return cls(model) if tree is None else tree
 
     # -- roots ------------------------------------------------------------
 

@@ -27,8 +27,8 @@ from .exact_dp import (
     solve_fcs_fps,
     supervisor_q,
 )
-from .histories import FcsTree, enumerate_prescriptions
-from .model import ADMISSIBILITY_THRESHOLD, DecPomdpModel
+from .histories import FcsTree, enumerate_prescriptions, prescription_count
+from .model import ADMISSIBILITY_THRESHOLD, BudgetExceededError, DecPomdpModel
 
 GAP_TOL = 1e-9
 EQ_TOL = 1e-9
@@ -204,7 +204,8 @@ def check_lemmas(
     labels differ at most the half-bound, both for a fixed compressed
     prescription and for the compressed-optimal one; and the next-step
     statistics given a history depend on the chosen prescription only through
-    the action it assigns to that history (distribution equality).
+    the action it assigns to that history (distribution equality).  ``budget``
+    caps lemma 1's (node, prescription, history) triples, a depth at a time.
     """
     s = Session.of(model, pc, tree)
     tree = s.tree
@@ -215,12 +216,15 @@ def check_lemmas(
     rbar = model.reward_bound
 
     # Mixture identity: Q(h0, gamma) = sum_h P(h|h0) Q^S(h0, h, gamma).
-    viol1, wit1 = 0.0, None
+    viol1, wit1, spent = 0.0, None, 0
     for t in range(1, model.horizon + 1):
-        for node in tree.full_level(t).nodes:
+        level = [(node, tree.reachable_fps(node)) for node in tree.full_level(t).nodes]
+        spent += sum(prescription_count(model, n.agent_domains) * len(fps) for n, fps in level)
+        if spent > budget:
+            raise BudgetExceededError(("lemma 1", t), budget)
+        for node, fps in level:
             entry = exact_table.entries[(t, node.seq)]
             prescs = enumerate_prescriptions(model, node.agent_domains)
-            fps = tree.reachable_fps(node)
             for idx, gamma in enumerate(prescs):
                 mixture = sum(
                     f.probability

@@ -137,3 +137,16 @@ def test_budget_guards(coin2):
     with pytest.raises(BudgetExceededError) as err:
         solve_ascs_asps(coin2, pc, cc, budget=2)
     assert err.value.budget == 2
+
+
+def test_alg3_charges_its_classes_from_the_roots_down(coin2):
+    # The charge comes before the next depth is built: at a budget of 1 the
+    # first class over it is at depth 1, and the session holds that depth only.
+    tree = FcsTree(coin2)
+    pc = build_exact_private(coin2, tree)
+    cc = bcs_common(coin2, pc, tree)
+    s = Session(tree, pc, cc)
+    with pytest.raises(BudgetExceededError) as err:
+        solve_ascs_asps(coin2, s, cc, budget=1)
+    assert err.value.locus[0] == 1
+    assert len(s._levels) == 1

@@ -221,12 +221,13 @@ def test_bad_input_is_one_line_input_error(tmp_path, capsys, case):
 
 # case -> (alg, compression with no entries, expected message).  The empty
 # private compression lacks the first root history; with the exact private
-# compression, the empty common one lacks the first time-2 node, and the belief
-# common compression with an empty ``phi0`` lacks the first time-1 successor.
+# compression, the empty common one lacks the first root, as alg 3 charges its
+# classes from the roots down, and the belief common compression with an empty
+# ``phi0`` lacks the first time-1 successor.
 MISSING_LABELS = {
     "2": ("2", "private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
     "5": ("5", "private", "theta has no label for (t, seq, agent, hist) = (1, (0,), 0, (0,))"),
-    "3": ("3", "common", "theta0 has no label for (t, seq) = (2, (0, "),
+    "3": ("3", "common", "theta0 has no label for (t, seq) = (1, (0,))"),
     "3-phi0": ("3", "phi0", "phi0 has no successor for (t, label, λ, o0) = (1, "),
 }
 
@@ -276,6 +277,16 @@ def test_spi_check_budget_exhaustion_status(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: budget of 1 exceeded at ('identity', 1)\n"
+
+
+def test_check_conditions_charges_lemma_1(capsys):
+    # 4112 is alg 1's evaluation count on coin2: every step before the lemmas
+    # fits it, and lemma 1's (node, prescription, history) triples at depth 2
+    # do not.
+    assert main(["check-conditions", "--model", COIN2, "--budget", "4112"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget of 4112 exceeded at ('lemma 1', 2)\n"
 
 
 @pytest.mark.parametrize("argv", [["check-conditions"], ["solve", "--alg", "5"]])

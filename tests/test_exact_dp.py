@@ -727,8 +727,8 @@ def test_keyed_level_pass_falls_back_to_the_depth_first_pass():
 
 
 def test_full_levels_keep_their_rewards(coin2, monkeypatch):
-    # Without a compression the rewards depend on the tree alone, so each
-    # full level is scored once per tree; label rows are scored by every sweep.
+    # Each level record keeps its rewards: a full level is scored once per
+    # tree, a session's level once per session.
     scored = collections.Counter()
     score = exact_dp._Level.score
 
@@ -752,7 +752,32 @@ def test_full_levels_keep_their_rewards(coin2, monkeypatch):
     pc = Session(tree, build_exact_private(coin2, tree))
     solve_fcs_asps(coin2, pc)
     solve_fcs_asps(coin2, pc)
-    assert scored == {"full": coin2.horizon, "label": 2 * coin2.horizon}
+    assert scored == {"full": coin2.horizon, "label": coin2.horizon}
+
+
+def test_level_rows_follow_the_record_pairs(coin2):
+    # Node ``i``'s row ``k`` sits at the record's own pair index, the one its
+    # edges use, on full levels and a session's levels alike; each entry is
+    # the scalar reward sum of ``gammas[i][k]``, the extension of its label
+    # row, and ``best`` holds each node's first maximum.  The zeroed model's
+    # score blocks are not runs of consecutive nodes, so they are scattered.
+    zeroed = with_zeroed_entries(random_model(5, private_obs_sizes=(2, 1)), 5)
+    for model in (coin2, random_model(5, **KERNEL_SHAPES[2]), zeroed):
+        tree = FcsTree(model)
+        pc = Session(tree, build_exact_private(model, tree))
+        solve_fcs_fps(model, tree)
+        solve_fcs_asps(model, pc)
+        for record in tree._levels[:-1] + pc._levels[:-1]:
+            q, best = record.rewards
+            assert q.ndim == 1 and len(q) == record._pair0[-1] == len(record.first) - 1
+            for i, (node, gammas) in enumerate(zip(record.nodes, record.gammas)):
+                for k, gamma in enumerate(gammas):
+                    r = 0.0
+                    for (s, hjoint), w in node.weights:
+                        r += w * float(model.reward[s, model.joint_action_index(gamma.act(hjoint))])
+                    assert q[record._pair0[i] + k].hex() == r.hex()
+                rows = q[record._pair0[i]:record._pair0[i + 1]].tolist()
+                assert best[i] == rows.index(max(rows))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

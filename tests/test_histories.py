@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -12,8 +13,15 @@ from hypothesis import strategies as st
 import ciplan
 from ciplan import exact_dp
 from ciplan.approx_dp import solve_fcs_asps
-from ciplan.belief import solve_bcs_fps
-from ciplan.compression import PrivateCompression, Session, build_greedy
+from ciplan.belief import solve_bcs_fps, verify_propositions
+from ciplan.compression import (
+    PrivateCompression,
+    Session,
+    build_greedy,
+    identity_private,
+    measure_private,
+)
+from ciplan.exact_dp import solve_fcs_fps
 from ciplan.generate import random_model
 from ciplan.histories import (
     FcsNode,
@@ -320,6 +328,39 @@ def test_only_the_forward_step_and_the_oracle_read_the_dynamics():
     }
     assert ("histories", "_successors") in readers
     assert readers <= allowed
+
+
+def test_entry_points_take_their_tree_through_fcs_tree_of():
+    # Besides ``FcsTree.of``, which refuses a tree built for another model,
+    # only the brute-force oracle and the CLI build a tree.
+    assert {
+        (path.stem, scope)
+        for path in Path(ciplan.__file__).parent.glob("*.py")
+        for scope in _scopes(path, lambda node: (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FcsTree"
+        ))
+    } == {("exact_dp", "brute_force_value"), ("cli", "run_command")}
+
+
+def test_a_tree_or_session_of_another_model_is_refused(coin2):
+    # A distinct model object with the same tensors is another model: the
+    # entry points compare models by identity.
+    other = dataclasses.replace(coin2)
+    pc = identity_private(other)
+    calls = [
+        lambda: solve_fcs_fps(coin2, FcsTree(other)),
+        lambda: build_greedy(coin2, 0.5, 0.5, tree=FcsTree(other)),
+        lambda: identity_private(coin2, FcsTree(other)),
+        lambda: verify_propositions(coin2, [], tree=FcsTree(other)),
+        lambda: measure_private(coin2, Session(FcsTree(other), pc)),
+        lambda: measure_private(other, Session(FcsTree(other), pc), tree=FcsTree(other)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="another model"):
+            call()
+    assert FcsTree.of(coin2) is not FcsTree.of(coin2)
+    tree = FcsTree(coin2)
+    assert FcsTree.of(coin2, tree) is tree
 
 
 def test_one_builder_expands_the_levels():

@@ -550,7 +550,8 @@ def test_session_memo_keeps_the_budget(coin2):
     )
     common = sum(
         len(s.pairs(node)) for t in range(1, coin2.horizon + 1) for node in s.level(t).nodes)
-    classes = [(t, cls) for t in range(coin2.horizon, 0, -1) for cls in s.classes(t)]
+    # Alg 3 charges its classes from the roots down.
+    classes = [(t, cls) for t in range(1, coin2.horizon + 1) for cls in s.classes(t)]
     label_rows = sum(len(s.pairs(cls[1][0])) for _t, cls in classes)
     last_t, last = classes[-1]
     for _round in range(2):
